@@ -29,8 +29,10 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
 
         T^{(p)}_{k+1} = 2 p T^{(p-1)}_k + 2 z T^{(p)}_k - T^{(p)}_{k-1},
 
-    seeded with T_0 = 1 and T_1 = z.  `z` may be a scalar or an array; the
-    result has shape (max_order + 1, max_degree + 1) + z.shape.
+    seeded with T_0 = 1 and T_1 = z.  Each degree is one whole-array step over
+    all orders p >= 1, with the same operations per element as the scalar
+    recurrence.  `z` may be a scalar or an array; the result has shape
+    (max_order + 1, max_degree + 1) + z.shape.
     """
     z = np.asarray(z, dtype=float)
     table = np.zeros((max_order + 1, max_degree + 1) + z.shape)
@@ -39,14 +41,11 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
         table[0, 1] = z
         if max_order >= 1:
             table[1, 1] = 1.0
+    two_z = 2.0 * z
+    two_p = (2.0 * np.arange(1, max_order + 1)).reshape((-1,) + (1,) * z.ndim)
     for k in range(1, max_degree):
-        table[0, k + 1] = 2.0 * z * table[0, k] - table[0, k - 1]
-        for p in range(1, max_order + 1):
-            table[p, k + 1] = (
-                2.0 * p * table[p - 1, k]
-                + 2.0 * z * table[p, k]
-                - table[p, k - 1]
-            )
+        table[0, k + 1] = two_z * table[0, k] - table[0, k - 1]
+        table[1:, k + 1] = two_p * table[:-1, k] + two_z * table[1:, k] - table[1:, k - 1]
     return table
 
 
@@ -104,20 +103,25 @@ class ChebyshevBasis:
     def max_degree(self) -> int:
         return self.start_degree + self.m - 1
 
-    def eval(self, z, order: int = 0) -> np.ndarray:
-        """Values of d^order T_k / dz^order for the m retained degrees.
+    def table(self, z, max_order: int = MAX_ORDER) -> np.ndarray:
+        """Values of d^p T_k / dz^p for p = 0..max_order and the m retained degrees.
 
-        Derivatives are with respect to z; the caller applies the chain-rule
-        factor c**order when working in the problem domain.  Output shape is
-        z.shape + (m,).
+        One chebyshev_table call covers every order.  Derivatives are with
+        respect to z; the caller applies the chain-rule factor c**p when
+        working in the problem domain.  Output shape is
+        (max_order + 1,) + z.shape + (m,).
         """
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
+        if not 0 <= max_order <= MAX_ORDER:
+            raise ValueError(f"order must be in 0..{MAX_ORDER}, got {max_order}")
         z = np.asarray(z, dtype=float)
         if np.any(np.abs(z) > 1.0 + 1e-12):
             raise ValueError("z outside [-1, +1]")
-        table = chebyshev_table(z, self.max_degree, order)
-        return np.moveaxis(table[order, self.start_degree:], 0, -1)
+        table = chebyshev_table(z, self.max_degree, max_order)
+        return np.moveaxis(table[:, self.start_degree:], 1, -1)
+
+    def eval(self, z, order: int = 0) -> np.ndarray:
+        """The order-`order` slice of table(z, order), shape z.shape + (m,)."""
+        return self.table(z, order)[order]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ class SingularSystemError(Bvp8Error, RuntimeError):
 
 
 class EvaluationError(Bvp8Error, RuntimeError):
-    """A residual evaluation produced a non-finite value."""
+    """A residual or partials callback raised, or gave a non-finite value."""
 
 
 class NotFittedError(Bvp8Error, RuntimeError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import ChebyshevBasis
+from .basis import MAX_ORDER, ChebyshevBasis
 from .errors import ConfigurationError, SingularSystemError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -29,6 +29,12 @@ CONSTRAINT_ORDERS = (0, 0, 1, 1, 2, 2, 3, 3)
 
 _UNIT_ROWS = np.eye(8)
 _UNIT_ROWS.flags.writeable = False
+
+
+def _chain_factors(c: float, orders: slice, ndim: int) -> np.ndarray:
+    """c**d for d in `orders`, shaped to broadcast over ndim trailing axes."""
+    factors = np.array([c**d for d in range(orders.start, orders.stop)])
+    return factors.reshape((-1,) + (1,) * ndim)
 
 
 def constraint_locations(x_i: float, x_f: float):
@@ -188,36 +194,44 @@ class SwitchingFunctions:
             )
         return cls(np.linalg.inv(mat).T, x_i, x_f)
 
-    def _eval_poly(self, x, order: int) -> np.ndarray:
-        """Plain Horner evaluation of the derivative coefficient rows."""
-        vals = npoly.polyval(x, self._deriv[order].T)
-        return np.moveaxis(vals, 0, -1)
+    def _eval_poly(self, x, orders: slice) -> np.ndarray:
+        """Plain Horner evaluation of the derivative rows of `orders`.
+
+        One polyval call covers every requested order; the result has shape
+        (number of orders,) + x.shape + (8,).
+        """
+        deriv = self._deriv[orders]
+        vals = npoly.polyval(x, deriv.reshape(-1, 8).T)
+        return np.moveaxis(vals.reshape(deriv.shape[:2] + np.shape(x)), 1, -1)
+
+    def _snapped(self, x, orders: slice) -> np.ndarray:
+        """_eval_poly with the constraint orders (0..3) snapped at the endpoints.
+
+        The construction guarantees the exact Kronecker rows there; Horner
+        noise would otherwise be amplified by the high-order basis
+        derivatives when the expression subtracts the boundary corrections.
+        """
+        vals = self._eval_poly(x, orders)
+        x = np.asarray(x)
+        at_i, at_f = x == self.x_i, x == self.x_f
+        for d in range(orders.start, min(orders.stop, 4)):
+            vals[d - orders.start][at_i] = _UNIT_ROWS[2 * d]
+            vals[d - orders.start][at_f] = _UNIT_ROWS[2 * d + 1]
+        return vals
 
     def eval(self, x, order: int = 0) -> np.ndarray:
         """beta_1^{(order)}(x) .. beta_8^{(order)}(x), shape x.shape + (8,).
 
         At the endpoints the constraint orders (0..3) are snapped to the
-        exact Kronecker rows the construction guarantees; Horner noise there
-        would otherwise be amplified by the high-order basis derivatives when
-        the expression subtracts the boundary corrections.
+        exact Kronecker rows.
         """
         if not 0 <= order <= 8:
             raise ValueError(f"order must be in 0..8, got {order}")
-        vals = self._eval_poly(x, order)
-        if order > 3:
-            return vals
-        unit_i = _UNIT_ROWS[2 * order]
-        unit_f = _UNIT_ROWS[2 * order + 1]
-        if np.ndim(x) == 0:
-            if x == self.x_i:
-                return unit_i.copy()
-            if x == self.x_f:
-                return unit_f.copy()
-            return vals
-        x = np.asarray(x)
-        vals[x == self.x_i] = unit_i
-        vals[x == self.x_f] = unit_f
-        return vals
+        return self._snapped(x, slice(order, order + 1))[0]
+
+    def eval_all(self, x) -> np.ndarray:
+        """eval(x, d) for d = 0..8 from one Horner pass, shape (9,) + x.shape + (8,)."""
+        return self._snapped(x, slice(0, 9))
 
     def kronecker_matrix(self) -> np.ndarray:
         """K[k, j] = beta_{j+1}^{(d_k)}(x_k) by plain polynomial evaluation.
@@ -226,7 +240,7 @@ class SwitchingFunctions:
         without the endpoint snapping eval() applies.
         """
         return np.vstack([
-            self._eval_poly(x, d)
+            self._eval_poly(x, slice(d, d + 1))[0]
             for x, d in constraint_locations(self.x_i, self.x_f)
         ])
 
@@ -266,25 +280,50 @@ class ConstrainedExpression:
             switching = SwitchingFunctions.from_linear_solve(bc.x_i, bc.x_f)
         else:
             raise ConfigurationError(f"unknown switching_mode {switching_mode!r}")
-        table = np.empty((8, basis.m))
-        for k, (_, d) in enumerate(constraint_locations(bc.x_i, bc.x_f)):
-            z = dm.z_0 if k % 2 == 0 else dm.z_f
-            table[k] = dm.c**d * basis.eval(z, d)
+        ends = basis.table([dm.z_0, dm.z_f], 3)
+        table = (_chain_factors(dm.c, slice(0, 4), 2) * ends).reshape(8, basis.m)
         table.flags.writeable = False
         values = bc.interleaved()
         values.flags.writeable = False
         return cls(basis, switching, bc, table, values)
 
+    def _coefficient_rows(self, x, betas, orders: slice) -> np.ndarray:
+        """c**d h^{(d)}(x) - beta^{(d)}(x) B for d in `orders`, stacked first.
+
+        h^{(d)} are the basis derivatives in z and betas the matching
+        switching values.  The Chebyshev table lives only inside the
+        multiply, and the subtraction runs in place on the C-contiguous
+        result, so one temporary of the result's size exists at a time.
+        """
+        dm = self.basis.domain_map
+        rows = np.multiply(
+            _chain_factors(dm.c, orders, np.ndim(x) + 1),
+            self.basis.table(dm.to_z(x), orders.stop - 1)[orders],
+            order="C",
+        )
+        rows -= betas @ self.boundary_basis_table
+        return rows
+
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,)."""
-        dm = self.basis.domain_map
-        h = dm.c**order * self.basis.eval(dm.to_z(x), order)
         betas = self.switching.eval(x, order)
-        return h - betas @ self.boundary_basis_table
+        return self._coefficient_rows(x, betas, slice(order, order + 1))[0]
 
     def b_value(self, x, order: int = 0):
         """The constraint interpolant b^{(order)}(x) (the xi = 0 candidate)."""
         return self.switching.eval(x, order) @ self.constraint_values
+
+    def tables(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """a^{(d)}(x), shape (9,) + x.shape + (m,), and b^{(d)}(x) for d = 0..8.
+
+        One Chebyshev table and one switching evaluation give every order,
+        bit for bit equal to stacking a_row(x, d) and b_value(x, d).  The
+        switching values keep the layout of the per-order views, so BLAS
+        rounds each product as it does on the per-order path.
+        """
+        betas = self.switching.eval_all(x)
+        a = self._coefficient_rows(x, betas, slice(0, MAX_ORDER + 1))
+        return a, betas @ self.constraint_values
 
     def eval(self, x, order: int = 0, xi=None):
         """y^{(order)}(x, xi)."""

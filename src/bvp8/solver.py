@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import ChebyshevBasis, CollocationGrid, DomainMap, make_grid
-from .errors import ConfigurationError, EvaluationError, SingularSystemError
+from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
 
 #: Default stopping tolerance on the residual norm: twice the double-precision
@@ -144,12 +144,11 @@ def build_system(
 
 
 class _CollocationTables:
-    """Cached a^{(d)} rows and b^{(d)} values on the grid, d = 0..8."""
+    """a^{(d)} rows (9, n, m) and b^{(d)} values (9, n) on the grid, from one ce.tables call."""
 
     def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid):
         self.x = grid.x_nodes
-        self.a = np.stack([ce.a_row(grid.x_nodes, d) for d in range(9)])
-        self.b = np.stack([ce.b_value(grid.x_nodes, d) for d in range(9)])
+        self.a, self.b = ce.tables(grid.x_nodes)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """State matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k))."""
@@ -178,12 +177,22 @@ def _resolve_partials(problem: BvpProblem) -> tuple[Callable, bool]:
     return _fd_partials(problem.residual), True
 
 
+def _callback_error(name: str, x, exc: Exception) -> EvaluationError:
+    """The EvaluationError reporting that a problem callback raised at node x."""
+    return EvaluationError(f"{name} raised {type(exc).__name__} at x={float(x)!r}: {exc}")
+
+
 def _loss_vector(residual: Callable, tables: _CollocationTables, xi: np.ndarray) -> np.ndarray:
     states = tables.states(xi)
     n = states.shape[1]
     loss = np.empty(n)
     for k in range(n):
-        value = residual(tables.x[k], states[:, k])
+        try:
+            value = residual(tables.x[k], states[:, k])
+        except Bvp8Error:
+            raise
+        except Exception as exc:
+            raise _callback_error("residual", tables.x[k], exc) from exc
         if not np.isfinite(value):
             raise EvaluationError(
                 f"residual is not finite at x={tables.x[k]!r} (got {value!r})"
@@ -197,7 +206,13 @@ def _jacobian(partials: Callable, tables: _CollocationTables, xi: np.ndarray) ->
     n = states.shape[1]
     jac = np.empty((n, tables.a.shape[2]))
     for k in range(n):
-        jac[k] = np.asarray(partials(tables.x[k], states[:, k])) @ tables.a[:, k, :]
+        try:
+            row = partials(tables.x[k], states[:, k])
+        except Bvp8Error:
+            raise
+        except Exception as exc:
+            raise _callback_error("partials", tables.x[k], exc) from exc
+        jac[k] = np.asarray(row) @ tables.a[:, k, :]
     return jac
 
 

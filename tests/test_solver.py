@@ -1,6 +1,7 @@
 """Tests for system assembly, least squares, and the two solve paths."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -196,6 +197,37 @@ class TestAssembly:
         ce, grid = build_system(bad, SolverConfig())
         with pytest.raises(EvaluationError, match="x="):
             assemble_loss_and_jacobian(bad, ce, grid, np.zeros(10))
+
+    def test_callback_exception_reaches_caller_as_evaluation_error(self):
+        # p5 stretched to [0, e^3 - 1]: the first Gauss-Newton step drives
+        # y negative enough that math.exp(-8 y) overflows inside the residual.
+        p5 = benchmark("p5").problem
+        stretched = dataclasses.replace(
+            p5, bc=BoundaryConditions.from_callable(0.0, math.expm1(3.0), p5.exact)
+        )
+        with pytest.raises(EvaluationError, match="x=") as info:
+            solve(stretched)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_partials_exception_names_node(self):
+        def partials(x, y):
+            raise ZeroDivisionError("boom")
+
+        problem = dataclasses.replace(benchmark("p4").problem, partials=partials)
+        ce, grid = build_system(problem, SolverConfig())
+        with pytest.raises(EvaluationError, match=r"partials raised ZeroDivisionError at x=0\.0"):
+            assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+
+    def test_package_error_from_callback_passes_through(self):
+        raised = ConfigurationError("from the callback")
+
+        def residual(x, y):
+            raise raised
+
+        problem = dataclasses.replace(benchmark("p4").problem, residual=residual)
+        with pytest.raises(ConfigurationError) as info:
+            solve(problem)
+        assert info.value is raised
 
 
 class TestSolveLinear:
