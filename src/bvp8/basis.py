@@ -49,6 +49,12 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
     return table
 
 
+def check_unit_interval(z) -> None:
+    """Raise ValueError unless every z lies in [-1, +1] up to 1e-12."""
+    if np.any(np.abs(z) > 1.0 + 1e-12):
+        raise ValueError("z outside [-1, +1]")
+
+
 @dataclass(frozen=True)
 class DomainMap:
     """Affine map between the problem domain [x_i, x_f] and basis domain [-1, +1].
@@ -114,8 +120,7 @@ class ChebyshevBasis:
         if not 0 <= max_order <= MAX_ORDER:
             raise ValueError(f"order must be in 0..{MAX_ORDER}, got {max_order}")
         z = np.asarray(z, dtype=float)
-        if np.any(np.abs(z) > 1.0 + 1e-12):
-            raise ValueError("z outside [-1, +1]")
+        check_unit_interval(z)
         table = chebyshev_table(z, self.max_degree, max_order)
         return np.moveaxis(table[:, self.start_degree:], 1, -1)
 

@@ -144,7 +144,7 @@ def run(args: argparse.Namespace) -> int:
             status = 1
         body = render(_error_rows(entry, sol, args.error_points))
         if args.derivative_report:
-            report = problems.derivative_error_report(entry, args.m_basis, args.error_points)
+            report = problems.derivative_errors(sol, args.error_points)
             body += "\n" + _render_derivative_report(report, args.fmt)
         info = _info_lines(sol)
         if len(names) > 1 or info:

@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError
 from .expression import BoundaryConditions
-from .solver import BvpProblem, SolverConfig, solve
+from .solver import BvpProblem, Solution, SolverConfig, solve
 
 _SEVEN_FACTORIAL = 5040.0  # 7!
 _EIGHT_FACTORIAL = 40320.0  # 8!
@@ -301,21 +301,24 @@ def all_benchmarks() -> dict[str, BenchmarkEntry]:
     return {name: factory() for name, factory in PROBLEM_FACTORIES.items()}
 
 
-def derivative_error_report(
-    entry: BenchmarkEntry, m_basis: int, n_error_points: int = 11
-) -> np.ndarray:
-    """Mean absolute error of y, y', .., y^(8) at equidistant points.
+def derivative_errors(sol: Solution, n_error_points: int = 11) -> np.ndarray:
+    """Mean absolute error of y, y', .., y^(8) of a solution at equidistant points.
 
-    Solves with m_basis terms on m_basis + 1 collocation points, then averages
-    |y^{(d)} - exact^{(d)}| over n_error_points equidistant points including
-    the endpoints.  Requires an exact solution.
+    Averages |y^{(d)} - exact^{(d)}| over n_error_points equidistant points
+    including the endpoints.  Requires an exact solution.
     """
-    problem = entry.problem
+    problem = sol.problem
     if problem.exact is None:
         raise ConfigurationError(f"problem {problem.name!r} has no exact solution")
-    config = SolverConfig(n_points=m_basis + 1, m_basis=m_basis)
-    sol = solve(problem, config)
     xs = np.linspace(problem.bc.x_i, problem.bc.x_f, n_error_points)
     return np.array([
         np.mean(np.abs(sol(xs, d) - problem.exact(xs, d))) for d in range(9)
     ])
+
+
+def derivative_error_report(
+    entry: BenchmarkEntry, m_basis: int, n_error_points: int = 11
+) -> np.ndarray:
+    """derivative_errors of a solve with m_basis terms on m_basis + 1 points."""
+    config = SolverConfig(n_points=m_basis + 1, m_basis=m_basis)
+    return derivative_errors(solve(entry.problem, config), n_error_points)

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .basis import ChebyshevBasis, CollocationGrid, DomainMap, make_grid
+from .basis import (
+    MAX_ORDER, ChebyshevBasis, CollocationGrid, DomainMap, check_unit_interval, make_grid,
+)
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
 
@@ -120,8 +124,47 @@ class Solution:
     report: SolveReport
     config: SolverConfig
 
+    @cached_property
+    def _derivative_series(self) -> tuple[list, np.ndarray]:
+        """Chebyshev series s_d of c**d h^{(d)} . xi for d = 0..8, and B xi.
+
+        s_0 is xi padded with zeros at degrees below the basis start, and
+        s_d = c * chebder(s_{d-1}), applied as the differentiation matrix
+        (d/dz T_j = sum of 2 j T_k over k < j with j - k odd, T_0 halved):
+        chebder loops over coefficients in Python and costs 5x more.
+        Built on the first call, not by solve().
+        """
+        ce, xi = self.expression, self.report.xi
+        k = np.arange(ce.basis.max_degree + 1)
+        odd_gap = (k > k[:, None]) & ((k - k[:, None]) % 2 == 1)
+        deriv = np.where(odd_gap, 2.0 * ce.basis.domain_map.c * k, 0.0)
+        deriv[0] /= 2.0
+        series = [np.concatenate([np.zeros(ce.basis.start_degree), xi])]
+        for d in range(1, MAX_ORDER + 1):
+            series.append(deriv[: k.size - d, : k.size - d + 1] @ series[-1])
+        return series, ce.boundary_basis_table @ xi
+
     def __call__(self, x, order: int = 0):
-        return self.expression.eval(x, order, self.report.xi)
+        """y^{(order)}(x) of the solved expression, order 0..8.
+
+        With xi fixed, y^{(d)}(x) = (c**d sum_k xi_k T_{8+k}^{(d)}(z)
+        - beta^{(d)}(x) . (B xi)) + beta^{(d)}(x) . values, where B is the
+        boundary basis table and values the constraint values.  The Chebyshev
+        sum is one Clenshaw pass over the series s_d cached per solution, so
+        no basis table is built.  At x_i and x_f the orders 0..3 return the
+        boundary data exactly.  Equals expression.eval(x, order, xi) to
+        rounding; a scalar x gives a numpy scalar.
+        """
+        ce = self.expression
+        betas = ce.switching.eval(x, order)
+        z = ce.basis.domain_map.to_z(x)
+        check_unit_interval(z)
+        series, b_xi = self._derivative_series
+        y = (chebyshev.chebval(z, series[order]) - betas @ b_xi) + betas @ ce.constraint_values
+        if order < 4:
+            right = np.where(x == ce.bc.x_f, ce.bc.right_values[order], y)
+            y = np.where(x == ce.bc.x_i, ce.bc.left_values[order], right)[()]
+        return y
 
     def error(self, x):
         """Absolute error against the problem's exact solution."""

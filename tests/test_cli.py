@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from bvp8 import cli
+from bvp8 import SolverConfig, cli, solve
+from bvp8.problems import benchmark, derivative_errors
 
 HEADER = "x,tfc,exact,abs_error,reference_error"
 
@@ -130,6 +131,17 @@ class TestDerivativeReport:
         # the last derivative recovers accuracy relative to the one before it
         assert errors[8] < errors[7]
         assert errors[7] <= 1e-8
+
+    def test_report_uses_the_printed_solution(self, capsys):
+        # --n-points applies to the report; it is not re-solved on m + 1 points
+        _, out, _ = run_cli([
+            "--problem", "p5", "--format", "csv", "--derivative-report",
+            "--n-points", "41", "--m-basis", "10",
+        ], capsys)
+        report = out.split("\n\n")[1].strip().split("\n")[1:]
+        sol = solve(benchmark("p5").problem, SolverConfig(n_points=41, m_basis=10))
+        expected = [f"{d},{cli._format(e)}" for d, e in enumerate(derivative_errors(sol))]
+        assert report == expected
 
 
 class TestExitCodes:
