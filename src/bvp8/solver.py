@@ -40,6 +40,12 @@ class BvpProblem:
     dF/dy^{(d)}; pass None to fall back to central finite differences (the
     fallback is flagged on the solve report).  exact(x, order), when known,
     feeds error tables and reports.
+
+    Each residual or Jacobian evaluation calls the callback once per
+    collocation node, in node order, with a scalar x and y a length-9 float64
+    view into the state matrix (copy it to keep it).  A callback that raises
+    or returns a non-finite value is reported as an EvaluationError naming
+    the callback and x.
     """
 
     name: str
@@ -225,38 +231,35 @@ def _callback_error(name: str, x, exc: Exception) -> EvaluationError:
     return EvaluationError(f"{name} raised {type(exc).__name__} at x={float(x)!r}: {exc}")
 
 
-def _loss_vector(residual: Callable, tables: _CollocationTables, xi: np.ndarray) -> np.ndarray:
-    states = tables.states(xi)
-    n = states.shape[1]
-    loss = np.empty(n)
-    for k in range(n):
-        try:
-            value = residual(tables.x[k], states[:, k])
-        except Bvp8Error:
-            raise
-        except Exception as exc:
-            raise _callback_error("residual", tables.x[k], exc) from exc
-        if not np.isfinite(value):
-            raise EvaluationError(
-                f"residual is not finite at x={tables.x[k]!r} (got {value!r})"
-            )
-        loss[k] = value
-    return loss
+def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """fn(x_k, states[:, k]) for every node in node order, as a float64 array.
+
+    The first node where fn raises or gives a non-finite value becomes an
+    EvaluationError naming fn and x; a Bvp8Error raised by fn passes through.
+    """
+    values, error = [], None
+    try:
+        for k in range(x.size):
+            values.append(fn(x[k], states[:, k]))
+    except Exception as exc:
+        error = exc
+    out = np.array(values, dtype=float)
+    bad = np.nonzero(~np.isfinite(out))[0]
+    if bad.size:
+        k = bad[0]
+        raise EvaluationError(f"{name} is not finite at x={float(x[k])!r} (got {out[k].tolist()!r})")
+    if isinstance(error, Bvp8Error):
+        raise error
+    if error is not None:
+        raise _callback_error(name, x[len(values)], error) from error
+    return out
 
 
-def _jacobian(partials: Callable, tables: _CollocationTables, xi: np.ndarray) -> np.ndarray:
-    states = tables.states(xi)
-    n = states.shape[1]
-    jac = np.empty((n, tables.a.shape[2]))
-    for k in range(n):
-        try:
-            row = partials(tables.x[k], states[:, k])
-        except Bvp8Error:
-            raise
-        except Exception as exc:
-            raise _callback_error("partials", tables.x[k], exc) from exc
-        jac[k] = np.asarray(row) @ tables.a[:, k, :]
-    return jac
+def _jacobian(partials: Callable, tables: _CollocationTables, xi, states=None) -> np.ndarray:
+    """Rows dF/dy(x_k) @ a[:, k, :] at states, by default tables.states(xi)."""
+    rows = _at_nodes("partials", partials, tables.x, tables.states(xi) if states is None else states)
+    # One gemv per node on the strided a[:, k, :], as in a loop: bit-identical (einsum is not).
+    return np.matmul(rows[:, None, :], tables.a.transpose(1, 0, 2))[:, 0, :]
 
 
 def assemble_loss_and_jacobian(
@@ -272,8 +275,9 @@ def assemble_loss_and_jacobian(
     """
     tables = _CollocationTables(ce, grid)
     partials, _ = _resolve_partials(problem)
-    xi = np.asarray(xi, dtype=float)
-    return _loss_vector(problem.residual, tables, xi), _jacobian(partials, tables, xi)
+    states = tables.states(np.asarray(xi, dtype=float))
+    loss = _at_nodes("residual", problem.residual, tables.x, states)
+    return loss, _jacobian(partials, tables, xi, states)
 
 
 def assemble_linear(
@@ -321,7 +325,7 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a / norms, mode="reduced")
     pivots = np.abs(np.diag(r))
     j = int(np.argmin(pivots))
-    if pivots[j] < 1e-13:
+    if not pivots[j] >= 1e-13:
         raise SingularSystemError(
             f"system is numerically rank deficient at column {j} (|r_jj|={pivots[j]:.3e})"
         )
@@ -364,7 +368,8 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
     partials, used_fd = _resolve_partials(problem)
 
     xi = np.zeros(config.m_basis)
-    loss = _loss_vector(problem.residual, tables, xi)
+    states = tables.states(xi)
+    loss = _at_nodes("residual", problem.residual, tables.x, states)
     history = [float(np.linalg.norm(loss))]
     norm_at_xi = history[0]
     iterations = 0
@@ -374,9 +379,10 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
         converged_by = StopReason.TOLERANCE
     else:
         for it in range(1, config.max_iterations + 1):
-            jac = _jacobian(partials, tables, xi)
+            jac = _jacobian(partials, tables, xi, states)
             candidate = xi - lstsq_scaled_qr(jac, loss)
-            cand_loss = _loss_vector(problem.residual, tables, candidate)
+            cand_states = tables.states(candidate)
+            cand_loss = _at_nodes("residual", problem.residual, tables.x, cand_states)
             norm = float(np.linalg.norm(cand_loss))
             history.append(norm)
             iterations = it
@@ -387,7 +393,7 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
             if norm > history[-2]:
                 converged_by = StopReason.NONDECREASING_NORM
                 break
-            xi, loss, norm_at_xi = candidate, cand_loss, norm
+            xi, loss, states, norm_at_xi = candidate, cand_loss, cand_states, norm
 
     report = SolveReport(
         xi=xi,
