@@ -50,9 +50,24 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
 
 
 def check_unit_interval(z) -> None:
-    """Raise ValueError unless every z lies in [-1, +1] up to 1e-12."""
-    if np.any(np.abs(z) > 1.0 + 1e-12):
+    """Raise ValueError unless every z lies in [-1, +1] up to 1e-12 (NaN does not)."""
+    if not np.all(np.abs(z) <= 1.0 + 1e-12):
         raise ValueError("z outside [-1, +1]")
+
+
+def check_domain(x_i: float, x_f: float) -> None:
+    """Raise ConfigurationError unless the solver can scale [x_i, x_f].
+
+    That needs x_f > x_i and finite endpoints, width w, largest switching
+    scale w**3 and order-8 chain factor (2/w)**8.
+    """
+    if not x_f > x_i:
+        raise ConfigurationError(f"degenerate domain: x_f={x_f} must exceed x_i={x_i}")
+    with np.errstate(over="ignore"):
+        w = np.float64(x_f) - np.float64(x_i)
+        scales = [x_i, x_f, w, w**3, (2.0 / w) ** MAX_ORDER]
+    if not np.all(np.isfinite(scales)):
+        raise ConfigurationError(f"domain [{x_i}, {x_f}] out of range: w, w**3, (2/w)**8 not finite")
 
 
 @dataclass(frozen=True)
@@ -70,10 +85,7 @@ class DomainMap:
     c: float = field(init=False)
 
     def __post_init__(self):
-        if not self.x_f > self.x_i:
-            raise ConfigurationError(
-                f"degenerate domain: x_f={self.x_f} must exceed x_i={self.x_i}"
-            )
+        check_domain(self.x_i, self.x_f)
         object.__setattr__(self, "c", (self.z_f - self.z_0) / (self.x_f - self.x_i))
 
     def to_z(self, x):

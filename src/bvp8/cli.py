@@ -170,10 +170,7 @@ def main(argv=None) -> None:
         # Bad option values are usage errors, same exit code argparse uses.
         print(f"error: {exc}", file=sys.stderr)
         status = 2
-    except Bvp8Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = 1
-    except OSError as exc:
+    except (Bvp8Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 1
     sys.exit(status)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import NotFittedError
 from .solver import DEFAULT_EPSILON, BvpProblem, SolverConfig, solve
 
-_PARAM_NAMES = ("n_points", "m_basis", "epsilon", "max_iterations", "switching_mode")
+_PARAM_NAMES = ("n_points", "m_basis", "epsilon", "max_iterations")
 
 
 class BvpSolver:
@@ -30,13 +30,11 @@ class BvpSolver:
         m_basis: int = 10,
         epsilon: float = DEFAULT_EPSILON,
         max_iterations: int = 20,
-        switching_mode: str = "closed_form",
     ):
         self.n_points = n_points
         self.m_basis = m_basis
         self.epsilon = epsilon
         self.max_iterations = max_iterations
-        self.switching_mode = switching_mode
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in _PARAM_NAMES}

@@ -11,21 +11,39 @@ through the Chebyshev terms.  The solution candidate splits as
 where every component of a vanishes under every constraint operator and b
 interpolates the constraint values, so the boundary conditions hold for any
 coefficient vector xi.
+
+The switching functions come from one exact table, UNIT_COEFFS on [0, 1],
+evaluated at t = (x - x_i) / w with w = x_f - x_i; the order-d derivative of
+beta_j is scaled by w**(d_j - d).  Accuracy therefore does not depend on
+where the domain sits or how wide it is.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import MAX_ORDER, ChebyshevBasis
-from .errors import ConfigurationError, SingularSystemError
+from .basis import MAX_ORDER, ChebyshevBasis, check_domain
+from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
 CONSTRAINT_ORDERS = (0, 0, 1, 1, 2, 2, 3, 3)
+
+#: Coefficients of the switching functions on [0, 1] in ascending powers,
+#: one row per constraint.  Every entry is an exactly representable rational.
+UNIT_COEFFS = np.array([
+    [1.0, 0.0, 0.0, 0.0, -35.0, 84.0, -70.0, 20.0],
+    [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0],
+    [0.0, 1.0, 0.0, 0.0, -20.0, 45.0, -36.0, 10.0],
+    [0.0, 0.0, 0.0, 0.0, -15.0, 39.0, -34.0, 10.0],
+    [0.0, 0.0, 0.5, 0.0, -5.0, 10.0, -7.5, 2.0],
+    [0.0, 0.0, 0.0, 0.0, 2.5, -7.0, 6.5, -2.0],
+    [0.0, 0.0, 0.0, 1 / 6, -2 / 3, 1.0, -2 / 3, 1 / 6],
+    [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
+])
+UNIT_COEFFS.flags.writeable = False
 
 _UNIT_ROWS = np.eye(8)
 _UNIT_ROWS.flags.writeable = False
@@ -54,10 +72,7 @@ class BoundaryConditions:
     right_values: tuple
 
     def __post_init__(self):
-        if not self.x_f > self.x_i:
-            raise ConfigurationError(
-                f"degenerate domain: x_f={self.x_f} must exceed x_i={self.x_i}"
-            )
+        check_domain(self.x_i, self.x_f)
         if len(self.left_values) != 4 or len(self.right_values) != 4:
             raise ConfigurationError(
                 "need exactly 4 values (orders 0..3) per endpoint"
@@ -81,32 +96,16 @@ class BoundaryConditions:
         return out
 
 
-def _shifted_power(root: float, n: int) -> np.ndarray:
-    """Ascending coefficients of (x - root)^n."""
-    return npoly.polypow(np.array([-root, 1.0]), n)
-
-
-def support_matrix(x_i: float, x_f: float) -> np.ndarray:
-    """Constraint operators applied to the monomial supports 1, x, .., x^7.
-
-    Row k holds the d_k-th derivative of each monomial at the k-th constraint
-    location; the switching coefficients are the columns of its inverse.
-    """
-    mat = np.zeros((8, 8))
-    for row, (x, d) in enumerate(constraint_locations(x_i, x_f)):
-        for k in range(d, 8):
-            mat[row, k] = math.perm(k, d) * x ** (k - d)
-    return mat
-
-
 @dataclass(frozen=True)
 class SwitchingFunctions:
     """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk.
 
-    Row j of `coeffs` holds the monomial coefficients of beta_{j+1} in
-    ascending degree.  Derivatives are taken analytically on the coefficient
-    rows, so evaluation is exact at every order up to 8 (order 8 of a
-    degree-7 polynomial is identically zero).
+    Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in
+    ascending powers of t = (x - x_i) / w with w = x_f - x_i.  On [x_i, x_f],
+    beta_j(x) = w**d_j u_j(t), whose order-d derivative is w**(d_j - d)
+    u_j^{(d)}(t): the derivative rows are differentiated analytically and
+    scaled once, at construction (by exactly 1 on [0, 1]).  Order 8 of a
+    degree-7 polynomial is identically zero.
     """
 
     coeffs: np.ndarray
@@ -115,93 +114,35 @@ class SwitchingFunctions:
     _deriv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        check_domain(self.x_i, self.x_f)
+        coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.shape != (8, 8):
             raise ConfigurationError(f"expected (8, 8) coefficients, got {coeffs.shape}")
+        coeffs.flags.writeable = False
         deriv = np.zeros((9, 8, 8))
         deriv[0] = coeffs
         for p in range(1, 9):
             deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
+        exponents = np.array(CONSTRAINT_ORDERS) - np.arange(9)[:, None]
+        deriv *= (float(self.x_f - self.x_i) ** exponents)[..., None]
         deriv.flags.writeable = False
-        object.__setattr__(self, "coeffs", deriv[0])
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_deriv", deriv)
 
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
-        """Expand the factored closed forms of beta_1..beta_8.
-
-        Each function is a product of powers of (x - x_i) and (x - x_f) with
-        a short cofactor polynomial, divided by a power of the domain width.
-        """
-        if not x_f > x_i:
-            raise ConfigurationError(
-                f"degenerate domain: x_f={x_f} must exceed x_i={x_i}"
-            )
-        w = x_f - x_i
-        li = {n: _shifted_power(x_i, n) for n in (1, 2, 3, 4)}
-        rf = {n: _shifted_power(x_f, n) for n in (1, 2, 3, 4)}
-        cubic_i = np.array([
-            x_f**3 - 7.0 * x_i * x_f**2 + 21.0 * x_i**2 * x_f - 35.0 * x_i**3,
-            4.0 * x_f**2 - 28.0 * x_i * x_f + 84.0 * x_i**2,
-            10.0 * x_f - 70.0 * x_i,
-            20.0,
-        ])
-        cubic_f = np.array([
-            x_i**3 - 7.0 * x_f * x_i**2 + 21.0 * x_f**2 * x_i - 35.0 * x_f**3,
-            4.0 * x_i**2 - 28.0 * x_f * x_i + 84.0 * x_f**2,
-            10.0 * x_i - 70.0 * x_f,
-            20.0,
-        ])
-        quad_i = np.array([x_f**2 - 6.0 * x_f * x_i + 15.0 * x_i**2, 4.0 * x_f - 24.0 * x_i, 10.0])
-        quad_f = np.array([15.0 * x_f**2 - 6.0 * x_f * x_i + x_i**2, -24.0 * x_f + 4.0 * x_i, 10.0])
-        lin_i = np.array([x_f - 5.0 * x_i, 4.0])
-        lin_f = np.array([x_i - 5.0 * x_f, 4.0])
-
-        betas = [
-            npoly.polymul(rf[4], cubic_i) / w**7,
-            -npoly.polymul(li[4], cubic_f) / w**7,
-            npoly.polymul(npoly.polymul(rf[4], li[1]), quad_i) / w**6,
-            npoly.polymul(npoly.polymul(rf[1], li[4]), quad_f) / w**6,
-            npoly.polymul(npoly.polymul(rf[4], li[2]), lin_i) / (2.0 * w**5),
-            -npoly.polymul(npoly.polymul(rf[2], li[4]), lin_f) / (2.0 * w**5),
-            npoly.polymul(rf[4], li[3]) / (6.0 * w**4),
-            npoly.polymul(rf[3], li[4]) / (6.0 * w**4),
-        ]
-        coeffs = np.zeros((8, 8))
-        for j, b in enumerate(betas):
-            coeffs[j, : len(b)] = b
-        return cls(coeffs, x_i, x_f)
-
-    @classmethod
-    def from_linear_solve(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
-        """Independent construction by inverting the support matrix.
-
-        Column j of the inverse lists the monomial coefficients of beta_{j+1}.
-        A pivot check on the QR factors guards against a numerically singular
-        support matrix before inverting.
-        """
-        if not x_f > x_i:
-            raise ConfigurationError(
-                f"degenerate domain: x_f={x_f} must exceed x_i={x_i}"
-            )
-        mat = support_matrix(x_i, x_f)
-        pivots = np.abs(np.diag(np.linalg.qr(mat, mode="r")))
-        j = int(np.argmin(pivots))
-        if pivots[j] < 1e-14 * np.linalg.norm(mat):
-            raise SingularSystemError(
-                f"support matrix is numerically singular "
-                f"(pivot {pivots[j]:.3e} at column {j})"
-            )
-        return cls(np.linalg.inv(mat).T, x_i, x_f)
+        """The switching functions of [x_i, x_f]: UNIT_COEFFS evaluated at t."""
+        return cls(UNIT_COEFFS, x_i, x_f)
 
     def _eval_poly(self, x, orders: slice) -> np.ndarray:
-        """Plain Horner evaluation of the derivative rows of `orders`.
+        """Plain Horner evaluation of the derivative rows of `orders` at t.
 
         One polyval call covers every requested order; the result has shape
         (number of orders,) + x.shape + (8,).
         """
         deriv = self._deriv[orders]
-        vals = npoly.polyval(x, deriv.reshape(-1, 8).T)
+        t = (x - self.x_i) / (self.x_f - self.x_i)
+        vals = npoly.polyval(t, deriv.reshape(-1, 8).T)
         return np.moveaxis(vals.reshape(deriv.shape[:2] + np.shape(x)), 1, -1)
 
     def _snapped(self, x, orders: slice) -> np.ndarray:
@@ -262,24 +203,14 @@ class ConstrainedExpression:
     constraint_values: np.ndarray
 
     @classmethod
-    def build(
-        cls,
-        basis: ChebyshevBasis,
-        bc: BoundaryConditions,
-        switching_mode: str = "closed_form",
-    ) -> "ConstrainedExpression":
+    def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions) -> "ConstrainedExpression":
         dm = basis.domain_map
         if dm.x_i != bc.x_i or dm.x_f != bc.x_f:
             raise ConfigurationError(
                 f"basis domain [{dm.x_i}, {dm.x_f}] does not match "
                 f"constraint domain [{bc.x_i}, {bc.x_f}]"
             )
-        if switching_mode == "closed_form":
-            switching = SwitchingFunctions.closed_form(bc.x_i, bc.x_f)
-        elif switching_mode == "linear_solve":
-            switching = SwitchingFunctions.from_linear_solve(bc.x_i, bc.x_f)
-        else:
-            raise ConfigurationError(f"unknown switching_mode {switching_mode!r}")
+        switching = SwitchingFunctions.closed_form(bc.x_i, bc.x_f)
         ends = basis.table([dm.z_0, dm.z_f], 3)
         table = (_chain_factors(dm.c, slice(0, 4), 2) * ends).reshape(8, basis.m)
         table.flags.writeable = False

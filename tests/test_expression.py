@@ -1,5 +1,7 @@
 """Tests for switching functions and the constrained expression."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,12 +9,14 @@ from numpy.testing import assert_allclose
 from bvp8.basis import ChebyshevBasis, DomainMap
 from bvp8.errors import ConfigurationError
 from bvp8.expression import (
+    CONSTRAINT_ORDERS,
     BoundaryConditions,
     ConstrainedExpression,
     SwitchingFunctions,
     constraint_locations,
-    support_matrix,
 )
+
+from switching_oracle import support_matrix, unit_linear_solve
 
 # Monomial coefficients (ascending degree) of the eight switching functions
 # on [0, 1].  Every entry is an exactly representable rational.
@@ -26,6 +30,12 @@ UNIT_COEFFS = np.array([
     [0.0, 0.0, 0.0, 1 / 6, -2 / 3, 1.0, -2 / 3, 1 / 6],
     [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
 ])
+
+
+def kronecker_bound(sw):
+    """1e-11 * w**(d_j - d_k): the rounding of row k, column j of the Kronecker matrix."""
+    orders = np.array(CONSTRAINT_ORDERS)
+    return 1e-11 * (sw.x_f - sw.x_i) ** (orders[None, :] - orders[:, None]).astype(float)
 
 
 def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
@@ -54,23 +64,33 @@ class TestSwitchingClosedForm:
         tol = 1e-10 * np.max(np.abs(sw.coeffs))
         assert np.max(np.abs(sw.kronecker_matrix() - np.eye(8))) <= tol
 
+    def test_kronecker_matrix_on_offset_domain(self):
+        sw = SwitchingFunctions.closed_form(0.0, np.expm1(0.5))
+        assert np.all(np.abs(sw.kronecker_matrix() - np.eye(8)) <= kronecker_bound(sw))
+
+    def test_kronecker_by_evaluation_on_random_domains(self):
+        # Shifted, narrow and wide domains: K[k, j] = beta_j^{(d_k)}(x_k) is
+        # plain polynomial evaluation, scaled by w**(d_j - d_k).
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x_i = rng.uniform(-30.0, 30.0)
+            x_f = x_i + rng.uniform(0.01, 10.0)
+            sw = SwitchingFunctions.closed_form(x_i, x_f)
+            assert np.all(np.abs(sw.kronecker_matrix() - np.eye(8)) <= kronecker_bound(sw))
+
+    def test_symmetric_domain_seventh_function(self):
+        # On [-1, 1] the seventh function is (x-1)^4 (x+1)^3 / 96.
+        sw = SwitchingFunctions.closed_form(-1.0, 1.0)
+        xs = np.linspace(-1.0, 1.0, 41)
+        assert_allclose(sw.eval(xs, 0)[:, 6], (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0,
+                        rtol=0, atol=1e-15)
+
 
 class TestSwitchingLinearSolve:
     def test_agrees_with_closed_form_on_unit_domain(self):
         a = SwitchingFunctions.closed_form(0.0, 1.0)
-        b = SwitchingFunctions.from_linear_solve(0.0, 1.0)
+        b = unit_linear_solve()
         assert_allclose(b.coeffs, a.coeffs, rtol=1e-10, atol=1e-10)
-
-    def test_kronecker_matrix_on_offset_domain(self):
-        sw = SwitchingFunctions.from_linear_solve(0.0, np.expm1(0.5))
-        tol = 1e-10 * np.max(np.abs(sw.coeffs))
-        assert np.max(np.abs(sw.kronecker_matrix() - np.eye(8))) <= tol
-
-    def test_symmetric_domain_seventh_function(self):
-        # On [-1, 1] the factored form reduces to (x-1)^4 (x+1)^3 / 96.
-        expected = np.array([1, -1, -3, 3, 3, -3, -1, 1]) / 96.0
-        sw = SwitchingFunctions.from_linear_solve(-1.0, 1.0)
-        assert_allclose(sw.coeffs[6], expected, atol=1e-12)
 
     def test_support_matrix_first_rows(self):
         mat = support_matrix(0.0, 2.0)
@@ -78,18 +98,6 @@ class TestSwitchingLinearSolve:
         assert_allclose(mat[1], [1, 2, 4, 8, 16, 32, 64, 128], atol=0)
         # row 6: third derivative of the monomials at x_i = 0
         assert_allclose(mat[6], [0, 0, 0, 6, 0, 0, 0, 0], atol=0)
-
-    def test_mode_equivalence_on_random_domains(self):
-        # Widths below ~0.5 make the monomial system too ill-conditioned to
-        # compare coefficients at this tolerance.
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            x_i = rng.uniform(-3.0, 3.0)
-            x_f = x_i + rng.uniform(0.5, 5.0)
-            a = SwitchingFunctions.closed_form(x_i, x_f)
-            b = SwitchingFunctions.from_linear_solve(x_i, x_f)
-            scale = np.max(np.abs(a.coeffs))
-            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-9 * scale
 
 
 class TestSwitchingEval:
@@ -141,10 +149,10 @@ class TestBoundaryConditions:
             BoundaryConditions(1.0, 1.0, (0.0,) * 4, (0.0,) * 4)
 
 
-def build_unit_ce(m=10, bc=None, mode="closed_form"):
+def build_unit_ce(m=10, bc=None):
     bc = bc if bc is not None else unit_bc()
     basis = ChebyshevBasis(m, DomainMap(bc.x_i, bc.x_f))
-    return ConstrainedExpression.build(basis, bc, mode)
+    return ConstrainedExpression.build(basis, bc)
 
 
 class TestConstrainedExpression:
@@ -152,11 +160,6 @@ class TestConstrainedExpression:
         basis = ChebyshevBasis(10, DomainMap(0.0, 2.0))
         with pytest.raises(ConfigurationError):
             ConstrainedExpression.build(basis, unit_bc())
-
-    def test_unknown_switching_mode_rejected(self):
-        basis = ChebyshevBasis(10, DomainMap(0.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            ConstrainedExpression.build(basis, unit_bc(), "fancy")
 
     def test_a_row_vanishes_at_constraints(self):
         ce = build_unit_ce()
@@ -222,10 +225,10 @@ class TestConstrainedExpression:
         scale = np.max(np.abs(exact))
         assert_allclose(fd, exact, rtol=1e-5, atol=1e-5 * scale)
 
-    def test_switching_modes_agree(self):
+    def test_oracle_switching_agrees(self):
         bc = BoundaryConditions(0.0, 1.0, (1.0, 2.0, 3.0, 4.0), (4.0, 3.0, 2.0, 1.0))
-        a = build_unit_ce(bc=bc, mode="closed_form")
-        b = build_unit_ce(bc=bc, mode="linear_solve")
+        a = build_unit_ce(bc=bc)
+        b = dataclasses.replace(a, switching=unit_linear_solve())
         xs = np.linspace(0.0, 1.0, 13)
         xi = np.full(10, 0.1)
         for order in (0, 3, 8):

@@ -69,7 +69,7 @@ def test_order_out_of_range_raises(order):
 def test_point_outside_domain_raises():
     sol = solved("p6", 11, 10)
     x_i, x_f = sol.problem.domain
-    for x in (x_i - 1e-3, x_f + 1e-3):
+    for x in (x_i - 1e-3, x_f + 1e-3, np.nan):
         with pytest.raises(ValueError, match="outside"):
             sol(np.array([0.5, x]), 2)
 

@@ -24,6 +24,8 @@ from bvp8.solver import (
     solve_nonlinear,
 )
 
+from switching_oracle import unit_linear_solve
+
 
 def normal_equations_lstsq(a, rhs):
     """Textbook least-squares oracle: solve the normal equations directly."""
@@ -37,7 +39,6 @@ class TestSolverConfig:
         assert cfg.m_basis == 10
         assert cfg.epsilon == DEFAULT_EPSILON
         assert cfg.max_iterations == 20
-        assert cfg.switching_mode == "closed_form"
 
     @pytest.mark.parametrize("kwargs", [
         {"n_points": 1},
@@ -229,6 +230,20 @@ class TestAssembly:
             solve(problem)
         assert info.value is raised
 
+    @pytest.mark.parametrize("name,callback,result,shape,got", [
+        ("p4", "partials", lambda x, y: np.zeros(8), r"\(11, 9\)", r"\(11, 8\)"),
+        ("p4", "partials", lambda x, y: np.zeros(9 if x < 0.5 else 8), r"\(11, 9\)",
+         r"results of shapes \(9,\), \(8,\)"),
+        ("p1", "residual", lambda x, y: np.zeros(2), r"\(11,\)", r"\(11, 2\)"),
+        ("p1", "residual", lambda x, y: np.zeros(2 if x < 0.5 else 1), r"\(11,\)",
+         r"results of shapes \(2,\), \(1,\)"),
+    ], ids=["partials-wide", "partials-ragged", "residual-wide", "residual-ragged"])
+    def test_callback_output_shape_checked(self, name, callback, result, shape, got):
+        problem = dataclasses.replace(benchmark(name).problem, **{callback: result})
+        match = rf"{callback} must give shape {shape} over the nodes, got {got}"
+        with pytest.raises(EvaluationError, match=match):
+            solve(problem)
+
 
 class TestSolveLinear:
     def test_rejects_nonlinear_problem(self):
@@ -271,7 +286,7 @@ class TestSolveNonlinear:
         assert_allclose(gn.report.xi, lin.report.xi, rtol=0, atol=1e-10)
         assert gn.report.converged_by in (StopReason.TOLERANCE, StopReason.NONDECREASING_NORM)
 
-    @pytest.mark.parametrize("name,iterations", [("p4", 3), ("p5", 4), ("p6", 2)])
+    @pytest.mark.parametrize("name,iterations", [("p4", 3), ("p5", 3), ("p6", 2)])
     def test_iteration_counts(self, name, iterations):
         sol = solve(benchmark(name).problem)
         assert sol.report.iterations == iterations
@@ -320,13 +335,20 @@ class TestSolveNonlinear:
         assert not nofd.report.used_fd_partials
         assert_allclose(fd.report.xi, nofd.report.xi, rtol=0, atol=1e-9)
 
-    def test_switching_mode_invariance(self):
+    def test_oracle_switching_invariance(self):
+        # Gauss-Newton on an expression whose switching functions come from
+        # the support-matrix inverse lands on the same solution.
         for name in ("p2", "p6"):
             entry = benchmark(name)
-            a = solve(entry.problem, SolverConfig(switching_mode="closed_form"))
-            b = solve(entry.problem, SolverConfig(switching_mode="linear_solve"))
+            a = solve(entry.problem)
+            ce, grid = build_system(entry.problem, a.config)
+            ce = dataclasses.replace(ce, switching=unit_linear_solve())
+            xi = np.zeros(a.config.m_basis)
+            for _ in range(3):
+                loss, jac = assemble_loss_and_jacobian(entry.problem, ce, grid, xi)
+                xi = xi - lstsq_scaled_qr(jac, loss)
             va = a(entry.table_points)
-            vb = b(entry.table_points)
+            vb = ce.eval(entry.table_points, 0, xi)
             assert np.max(np.abs(va - vb)) < 1e-11
 
 
