@@ -21,7 +21,6 @@ from .expression import (
     SwitchingFunctions,
 )
 from .solver import (
-    DEFAULT_EPSILON,
     BvpProblem,
     Solution,
     SolveReport,
@@ -47,7 +46,6 @@ __all__ = [
     "CollocationGrid",
     "ConfigurationError",
     "ConstrainedExpression",
-    "DEFAULT_EPSILON",
     "DomainMap",
     "EvaluationError",
     "NotFittedError",

@@ -10,13 +10,9 @@ import numpy as np
 
 from . import problems
 from .errors import Bvp8Error, ConfigurationError
-from .solver import DEFAULT_EPSILON, Solution, SolverConfig, StopReason, solve
+from .solver import Solution, SolverConfig, StopReason, solve
 
-_GOOD_STOPS = frozenset({
-    StopReason.TOLERANCE,
-    StopReason.NONDECREASING_NORM,
-    StopReason.LINEAR_SINGLE_SHOT,
-})
+_GOOD_STOPS = frozenset({StopReason.CONVERGED, StopReason.LINEAR_SINGLE_SHOT})
 
 _COLUMNS = ("x", "tfc", "exact", "abs_error", "reference_error")
 _CELL_WIDTH = 24
@@ -43,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-points", type=int, default=11, help="collocation points (default 11)")
     parser.add_argument("--m-basis", type=int, default=10, help="basis terms (default 10)")
     parser.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON,
-        help=f"residual-norm stopping tolerance (default {DEFAULT_EPSILON})",
+        "--step-tol", type=float, default=SolverConfig.step_tol,
+        help=f"relative Gauss-Newton step tolerance (default {SolverConfig.step_tol})",
     )
     parser.add_argument("--max-iter", type=int, default=20, help="iteration cap (default 20)")
     parser.add_argument(
@@ -126,7 +122,7 @@ def run(args: argparse.Namespace) -> int:
     config = SolverConfig(
         n_points=args.n_points,
         m_basis=args.m_basis,
-        epsilon=args.epsilon,
+        step_tol=args.step_tol,
         max_iterations=args.max_iter,
     )
     render = _render_csv if args.fmt == "csv" else _render_table

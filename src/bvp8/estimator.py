@@ -10,41 +10,36 @@ scikit-learn itself.
 
 from __future__ import annotations
 
-from .errors import NotFittedError
-from .solver import DEFAULT_EPSILON, BvpProblem, SolverConfig, solve
+import dataclasses
 
-_PARAM_NAMES = ("n_points", "m_basis", "epsilon", "max_iterations")
+from .errors import NotFittedError
+from .solver import BvpProblem, SolverConfig, solve
+
+#: Parameter names and defaults, one per SolverConfig field.
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
 
 
 class BvpSolver:
     """Least-squares collocation solver for eighth-order two-point problems.
 
-    Parameters mirror SolverConfig and are validated at fit time.  After
-    fit(), `solution_` holds the full solution object, `report_` the solve
-    report, and `xi_` the fitted coefficient vector.
+    Parameters are the SolverConfig fields, passed by keyword with the same
+    defaults, and are validated at fit time.  After fit(), `solution_` holds
+    the full solution object, `report_` the solve report, and `xi_` the
+    fitted coefficient vector.
     """
 
-    def __init__(
-        self,
-        n_points: int = 11,
-        m_basis: int = 10,
-        epsilon: float = DEFAULT_EPSILON,
-        max_iterations: int = 20,
-    ):
-        self.n_points = n_points
-        self.m_basis = m_basis
-        self.epsilon = epsilon
-        self.max_iterations = max_iterations
+    def __init__(self, **params):
+        self.set_params(**{**_DEFAULTS, **params})
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+        return {name: getattr(self, name) for name in _DEFAULTS}
 
     def set_params(self, **params) -> "BvpSolver":
         for name, value in params.items():
-            if name not in _PARAM_NAMES:
+            if name not in _DEFAULTS:
                 raise ValueError(
                     f"invalid parameter {name!r} for BvpSolver; "
-                    f"valid parameters are {_PARAM_NAMES}"
+                    f"valid parameters are {tuple(_DEFAULTS)}"
                 )
             setattr(self, name, value)
         return self

@@ -100,12 +100,19 @@ def _log1p_solution() -> Callable:
     return exact
 
 
+def _partials(x, columns: dict) -> np.ndarray:
+    """Rows dF/dy^{(d)} at the nodes x, shape x.shape + (9,): columns maps d to its values."""
+    rows = np.zeros(np.shape(x) + (9,))
+    for d, value in columns.items():
+        rows[..., d] = value
+    return rows
+
+
 def _constant_partials(values) -> Callable:
     row = np.asarray(values, dtype=float)
-    row.flags.writeable = False
 
     def partials(x, y):
-        return row
+        return np.broadcast_to(row, np.shape(x) + row.shape)
 
     return partials
 
@@ -116,7 +123,7 @@ def problem_1() -> BenchmarkEntry:
     bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
 
     def residual(x, y):
-        return y[8] - y[0] + 8.0 * math.exp(x)
+        return y[8] - y[0] + 8.0 * np.exp(x)
 
     problem = BvpProblem(
         "p1", bc, residual, is_linear=True,
@@ -136,13 +143,10 @@ def problem_2() -> BenchmarkEntry:
     bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
 
     def residual(x, y):
-        return y[8] + x * y[0] + (x**3 + 15.0 * x + 48.0) * math.exp(x)
+        return y[8] + x * y[0] + (x**3 + 15.0 * x + 48.0) * np.exp(x)
 
     def partials(x, y):
-        row = np.zeros(9)
-        row[0] = x
-        row[8] = 1.0
-        return row
+        return _partials(x, {0: x, 8: 1.0})
 
     problem = BvpProblem("p2", bc, residual, is_linear=True, partials=partials, exact=exact)
     # The published column reports no value at the 0.9 row.
@@ -159,7 +163,7 @@ def problem_3() -> BenchmarkEntry:
     bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
 
     def residual(x, y):
-        return y[8] - y[0] + 8.0 * (2.0 * x * math.cos(x) + 7.0 * math.sin(x))
+        return y[8] - y[0] + 8.0 * (2.0 * x * np.cos(x) + 7.0 * np.sin(x))
 
     problem = BvpProblem(
         "p3", bc, residual, is_linear=True,
@@ -182,14 +186,10 @@ def problem_4() -> BenchmarkEntry:
     bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
 
     def residual(x, y):
-        return y[8] + y[3] * math.sin(y[0]) - math.exp(x) * (1.0 + math.sin(math.exp(x)))
+        return y[8] + y[3] * np.sin(y[0]) - np.exp(x) * (1.0 + np.sin(np.exp(x)))
 
     def partials(x, y):
-        row = np.zeros(9)
-        row[0] = y[3] * math.cos(y[0])
-        row[3] = math.sin(y[0])
-        row[8] = 1.0
-        return row
+        return _partials(x, {0: y[3] * np.cos(y[0]), 3: np.sin(y[0]), 8: 1.0})
 
     problem = BvpProblem("p4", bc, residual, is_linear=False, partials=partials, exact=exact)
     return _entry(problem, (
@@ -205,13 +205,10 @@ def problem_5() -> BenchmarkEntry:
     bc = BoundaryConditions.from_callable(0.0, math.expm1(0.5), exact)
 
     def residual(x, y):
-        return y[8] - _SEVEN_FACTORIAL * (math.exp(-8.0 * y[0]) - 2.0 / (1.0 + x) ** 8)
+        return y[8] - _SEVEN_FACTORIAL * (np.exp(-8.0 * y[0]) - 2.0 / (1.0 + x) ** 8)
 
     def partials(x, y):
-        row = np.zeros(9)
-        row[0] = 8.0 * _SEVEN_FACTORIAL * math.exp(-8.0 * y[0])
-        row[8] = 1.0
-        return row
+        return _partials(x, {0: 8.0 * _SEVEN_FACTORIAL * np.exp(-8.0 * y[0]), 8: 1.0})
 
     problem = BvpProblem("p5", bc, residual, is_linear=False, partials=partials, exact=exact)
     # The published table labels rows 0..1 although the domain ends at
@@ -234,13 +231,10 @@ def problem_6() -> BenchmarkEntry:
     bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
 
     def residual(x, y):
-        return y[8] + math.exp(-x) * y[0] ** 2 - math.exp(-x) - math.exp(-3.0 * x)
+        return y[8] + np.exp(-x) * y[0] ** 2 - np.exp(-x) - np.exp(-3.0 * x)
 
     def partials(x, y):
-        row = np.zeros(9)
-        row[0] = 2.0 * math.exp(-x) * y[0]
-        row[8] = 1.0
-        return row
+        return _partials(x, {0: 2.0 * np.exp(-x) * y[0], 8: 1.0})
 
     problem = BvpProblem("p6", bc, residual, is_linear=False, partials=partials, exact=exact)
     return _entry(problem, (
@@ -261,7 +255,7 @@ def problem_7() -> BenchmarkEntry:
     weights = _constant_partials([1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0])
 
     def residual(x, y):
-        forcing = 14.0 * math.cos(x) - 16.0 * math.sin(x) - 4.0 * x * math.sin(x)
+        forcing = 14.0 * np.cos(x) - 16.0 * np.sin(x) - 4.0 * x * np.sin(x)
         return (
             y[8] + y[7]
             + 2.0 * (y[6] + y[5] + y[4] + y[3] + y[2])

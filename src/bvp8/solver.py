@@ -10,6 +10,7 @@ already embedded in the expression.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -23,36 +24,37 @@ from .basis import (
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
 
-#: Default stopping tolerance on the residual norm: twice the double-precision
-#: machine epsilon, rounded to five significant digits.
-DEFAULT_EPSILON = 4.4409e-16
-
 _FD_STEP = 1e-7
+
+#: Sufficient-decrease constant of the Armijo test and the shortest step
+#: length the backtracking line search tries.
+_ARMIJO_C = 1e-4
+_MIN_STEP_LENGTH = 1e-8
 
 
 @dataclass(frozen=True)
 class BvpProblem:
     """An eighth-order two-point problem in implicit form F(x, y, .., y^(8)) = 0.
 
-    residual(x, y) receives the state vector y with y[d] = y^{(d)}(x) for
-    d = 0..8 and returns F with any forcing folded in, so the solved equation
-    is residual == 0.  partials(x, y) returns the nine sensitivities
-    dF/dy^{(d)}; pass None to fall back to central finite differences (the
-    fallback is flagged on the solve report).  exact(x, order), when known,
-    feeds error tables and reports.
+    Each callback sees all collocation nodes at once: x is the (n,) node
+    array and Y the read-only (9, n) state matrix, Y[d] = y^{(d)}(x).
+    residual(x, Y) returns F at the nodes, shape (n,), with any forcing
+    folded in, so the solved equation is residual == 0.  partials(x, Y)
+    returns dF/dy^{(d)}, shape (n, 9); pass None to fall back to central
+    finite differences (flagged on the solve report).  exact(x, order), when
+    known, feeds error tables and reports.
 
-    Each residual or Jacobian evaluation calls the callback once per
-    collocation node, in node order, with a scalar x and y a length-9 float64
-    view into the state matrix (copy it to keep it).  A callback that raises,
-    returns a non-finite value, or returns anything but a scalar (residual)
-    or a length-9 row (partials) is reported as an EvaluationError.
+    Callbacks run with numpy warnings silenced, so an overflow gives inf.  A
+    callback that raises, gives a non-finite value or the wrong shape is
+    reported as an EvaluationError; at a Gauss-Newton trial step it rejects
+    that step instead.
     """
 
     name: str
     bc: BoundaryConditions
-    residual: Callable[[float, np.ndarray], float]
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray]
     is_linear: bool
-    partials: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    partials: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exact: Optional[Callable] = None
 
     @property
@@ -66,12 +68,13 @@ class SolverConfig:
 
     Defaults reproduce the benchmark setup: 11 collocation points, 10 basis
     terms.  m_basis may not exceed n_points - 1, otherwise the least-squares
-    system is underdetermined.
+    system is underdetermined.  Gauss-Newton converges once a full step has
+    ||step|| <= step_tol * (1 + ||xi||).
     """
 
     n_points: int = 11
     m_basis: int = 10
-    epsilon: float = DEFAULT_EPSILON
+    step_tol: float = 1e-10
     max_iterations: int = 20
 
     def __post_init__(self):
@@ -81,8 +84,8 @@ class SolverConfig:
             raise ConfigurationError(
                 f"m_basis={self.m_basis} must be in 1..n_points-1={self.n_points - 1}"
             )
-        if not self.epsilon > 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.step_tol > 0.0:
+            raise ConfigurationError(f"step_tol must be positive, got {self.step_tol}")
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be at least 1, got {self.max_iterations}"
@@ -90,12 +93,12 @@ class SolverConfig:
 
 
 class StopReason(enum.Enum):
-    """Why an iteration stopped; max_iterations is reported, never raised."""
+    """Why an iteration stopped; stalled and max_iterations are reported, never raised."""
 
-    TOLERANCE = "tolerance"
-    NONDECREASING_NORM = "nondecreasing_norm"
-    LINEAR_SINGLE_SHOT = "linear_single_shot"
+    CONVERGED = "converged"
+    STALLED = "stalled"
     MAX_ITERATIONS = "max_iterations"
+    LINEAR_SINGLE_SHOT = "linear_single_shot"
 
     def __str__(self) -> str:
         return self.value
@@ -105,10 +108,11 @@ class StopReason(enum.Enum):
 class SolveReport:
     """Outcome of one solve: coefficients, iteration trace, stop reason.
 
-    residual_norm_history[0] is the norm at xi = 0; one entry follows per
-    iteration.  On a nondecreasing_norm stop the last history entry belongs
-    to the rejected trial step, while `solution_norm` always belongs to the
-    returned xi.
+    residual_norm_history[0] is the norm at xi = 0 and one entry follows per
+    accepted step, so it never increases and its last entry is
+    `solution_norm`, the norm at the returned xi.  `iterations` counts the
+    Gauss-Newton steps computed; a step that stalled, or a converged one
+    that would raise the norm, is not applied and adds no entry.
     """
 
     xi: np.ndarray
@@ -160,6 +164,7 @@ class Solution:
         boundary data exactly.  Equals expression.eval(x, order, xi) to
         rounding; a scalar x gives a numpy scalar.
         """
+        x = np.asarray(x)
         ce = self.expression
         betas = ce.switching.eval(x, order)
         z = ce.basis.domain_map.to_z(x)
@@ -199,21 +204,23 @@ class _CollocationTables:
         self.a, self.b = ce.tables(grid.x_nodes)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
-        """State matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k))."""
-        return self.b + self.a @ xi
+        """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k))."""
+        states = self.b + self.a @ xi
+        states.flags.writeable = False
+        return states
 
 
 def _fd_partials(residual: Callable) -> Callable:
-    """Central-difference fallback for dF/dy^{(d)}."""
+    """Central-difference fallback for dF/dy^{(d)}: two residual calls per order."""
 
     def partials(x, y):
-        out = np.empty(9)
-        for d in range(9):
+        out = np.empty(np.shape(x) + (MAX_ORDER + 1,))
+        for d in range(MAX_ORDER + 1):
             hi = np.array(y, dtype=float)
             lo = np.array(y, dtype=float)
             hi[d] += _FD_STEP
             lo[d] -= _FD_STEP
-            out[d] = (residual(x, hi) - residual(x, lo)) / (2.0 * _FD_STEP)
+            out[..., d] = (residual(x, hi) - residual(x, lo)) / (2.0 * _FD_STEP)
         return out
 
     return partials
@@ -225,42 +232,32 @@ def _resolve_partials(problem: BvpProblem) -> tuple[Callable, bool]:
     return _fd_partials(problem.residual), True
 
 
-def _callback_error(name: str, x, exc: Exception) -> EvaluationError:
-    """The EvaluationError reporting that a problem callback raised at node x."""
-    return EvaluationError(f"{name} raised {type(exc).__name__} at x={float(x)!r}: {exc}")
-
-
 def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_shape=()):
-    """fn(x_k, states[:, k]) for every node in node order, as a float64 array.
+    """fn(x, states), one call for all nodes, as a float64 array of shape (n,) + row_shape.
 
-    Results that do not stack to shape (n,) + row_shape become an
-    EvaluationError naming fn and both shapes.  The first node where fn
-    raises or gives a non-finite value becomes an EvaluationError naming fn
-    and x; a Bvp8Error raised by fn passes through.
+    An exception from fn, a result of another shape, or a non-finite value
+    becomes an EvaluationError naming fn (and both shapes, or the first
+    non-finite node's x); a Bvp8Error raised by fn passes through.
     """
-    values, error = [], None
+    expected = (x.size,) + row_shape
     try:
-        for k in range(x.size):
-            values.append(fn(x[k], states[:, k]))
+        with np.errstate(all="ignore"):
+            result = fn(x, states)
+    except Bvp8Error:
+        raise
     except Exception as exc:
-        error = exc
+        raise EvaluationError(f"{name} raised {type(exc).__name__}: {exc}") from exc
     try:
-        out = np.array(values, dtype=float)
-        got = out.shape
-    except ValueError:  # ragged or non-numeric results
+        out = np.asarray(result, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric results
         out = None
-        got = "results of shapes " + ", ".join(map(str, dict.fromkeys(map(np.shape, values))))
-    if values and (out is None or out.shape[1:] != row_shape):
-        expected = (x.size,) + row_shape
+    if out is None or out.shape != expected:
+        got = "a non-numeric result" if out is None else out.shape
         raise EvaluationError(f"{name} must give shape {expected} over the nodes, got {got}")
     bad = np.nonzero(~np.isfinite(out))[0]
     if bad.size:
         k = bad[0]
         raise EvaluationError(f"{name} is not finite at x={float(x[k])!r} (got {out[k].tolist()!r})")
-    if isinstance(error, Bvp8Error):
-        raise error
-    if error is not None:
-        raise _callback_error(name, x[len(values)], error) from error
     return out
 
 
@@ -305,19 +302,11 @@ def assemble_linear(
     return jac, loss
 
 
-def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m = y.shape[0]
-    w = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        w[i] = (y[i] - r[i, i + 1:] @ w[i + 1:]) / r[i, i]
-    return w
-
-
 def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimize ||a w - rhs||_2 by column scaling plus Householder QR.
 
     Columns are scaled to unit 2-norm before factoring, the triangular factor
-    is solved by back substitution, and the result is unscaled.  Scaling is a
+    is solved by one LAPACK solve, and the result is unscaled.  Scaling is a
     conditioning aid only; it does not change the minimizer.  A zero column
     or a scaled pivot below 1e-13 raises SingularSystemError naming the
     offending column.
@@ -339,7 +328,8 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError(
             f"system is numerically rank deficient at column {j} (|r_jj|={pivots[j]:.3e})"
         )
-    return _back_substitute(r, q.T @ rhs) / norms
+    # LU of the triangular r pivots on its diagonal: back substitution in LAPACK.
+    return np.linalg.solve(r, q.T @ rhs) / norms
 
 
 def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
@@ -363,54 +353,79 @@ def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> 
     return Solution(problem, ce, grid, report, config)
 
 
-def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
-    """Gauss-Newton from xi = 0.
+def _evaluate(residual: Callable, tables: _CollocationTables, xi: np.ndarray):
+    """(xi, states, loss, ||loss||) at xi; states or a norm that overflow give inf, not a warning."""
+    with np.errstate(all="ignore"):
+        states = tables.states(xi)
+        loss = _at_nodes("residual", residual, tables.x, states)
+        return xi, states, loss, float(np.linalg.norm(loss))
 
-    Each step solves lstsq(J, loss) for the update and subtracts it.  The
-    iteration stops when the loss norm drops below epsilon, when the norm
-    stops decreasing (the pre-increase iterate is kept), or at the iteration
-    cap (reported, not raised).  Works on linear problems too, converging in
-    one step.
+
+def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_LENGTH):
+    """The first trial xi - alpha step, alpha = 1, 1/2, .. >= shortest, that passes Armijo.
+
+    For f = ||r||^2 / 2 along the Gauss-Newton direction the test is
+    ||r_trial||^2 <= ||r||^2 (1 - alpha * decrease), with decrease
+    2 c ||J step||^2 / ||r||^2, so no norm is squared.  A trial whose
+    residual raises or is not finite fails.  None when no step length passes.
+    """
+    alpha = 1.0
+    while alpha >= shortest:
+        try:
+            trial = _evaluate(residual, tables, xi - alpha * step)
+        except EvaluationError:
+            trial = None
+        if trial is not None and trial[3] <= norm * math.sqrt(1.0 - alpha * decrease):
+            return trial
+        alpha /= 2.0
+    return None
+
+
+def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
+    """Gauss-Newton from xi = 0 with a backtracking line search.
+
+    Each step solves lstsq(J, loss) for the update.  When the full update is
+    below step_tol * (1 + ||xi||) the solve has converged; that last update
+    is applied only if it does not raise the residual norm.  Otherwise the
+    update is halved until the Armijo test passes (a trial whose residual
+    raises or is not finite fails it); if none down to 1e-8 passes, the
+    solve stops as stalled.  Stalling and the iteration cap are reported,
+    not raised.  Works on linear problems too.
     """
     config = config if config is not None else SolverConfig()
     ce, grid = build_system(problem, config)
     tables = _CollocationTables(ce, grid)
     partials, used_fd = _resolve_partials(problem)
 
-    xi = np.zeros(config.m_basis)
-    states = tables.states(xi)
-    loss = _at_nodes("residual", problem.residual, tables.x, states)
-    history = [float(np.linalg.norm(loss))]
-    norm_at_xi = history[0]
+    xi, states, loss, norm = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+    history = [norm]
     iterations = 0
     converged_by = StopReason.MAX_ITERATIONS
 
-    if history[0] < config.epsilon:
-        converged_by = StopReason.TOLERANCE
-    else:
-        for it in range(1, config.max_iterations + 1):
-            jac = _jacobian(partials, tables, xi, states)
-            candidate = xi - lstsq_scaled_qr(jac, loss)
-            cand_states = tables.states(candidate)
-            cand_loss = _at_nodes("residual", problem.residual, tables.x, cand_states)
-            norm = float(np.linalg.norm(cand_loss))
+    while iterations < config.max_iterations:
+        iterations += 1
+        jac = _jacobian(partials, tables, xi, states)
+        step = lstsq_scaled_qr(jac, loss)
+        if np.linalg.norm(step) <= config.step_tol * (1.0 + np.linalg.norm(xi)):
+            converged_by = StopReason.CONVERGED
+            trial = _line_search(problem.residual, tables, xi, step, norm, 0.0, shortest=1.0)
+        else:
+            decrease = 2.0 * _ARMIJO_C * (float(np.linalg.norm(jac @ step)) / norm) ** 2
+            trial = _line_search(problem.residual, tables, xi, step, norm, decrease)
+            if trial is None:
+                converged_by = StopReason.STALLED
+        if trial is not None:
+            xi, states, loss, norm = trial
             history.append(norm)
-            iterations = it
-            if norm < config.epsilon:
-                xi, norm_at_xi = candidate, norm
-                converged_by = StopReason.TOLERANCE
-                break
-            if norm > history[-2]:
-                converged_by = StopReason.NONDECREASING_NORM
-                break
-            xi, loss, states, norm_at_xi = candidate, cand_loss, cand_states, norm
+        if converged_by is not StopReason.MAX_ITERATIONS:
+            break
 
     report = SolveReport(
         xi=xi,
         iterations=iterations,
         residual_norm_history=np.array(history),
         converged_by=converged_by,
-        solution_norm=norm_at_xi,
+        solution_norm=norm,
         used_fd_partials=used_fd,
     )
     return Solution(problem, ce, grid, report, config)

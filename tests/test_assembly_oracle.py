@@ -1,15 +1,16 @@
-"""Whole-array collocation assembly against the per-node loops it replaces.
+"""Whole-array collocation assembly against per-node loops.
 
 The oracle is the loop assembly: one residual call and one partials row
-times a[:, k, :] per node.  The whole-array path makes the same scalar calls
-and the same per-node gemv products, so equality is exact (np.array_equal),
-not a tolerance.  The error cases pin the reporting rule: the first failing
-node in node order wins, whether it raised or returned a non-finite value.
+times a[:, k, :] per node, each call on the one-node slices x[k:k+1] and
+Y[:, k:k+1].  numpy's elementwise functions give the same bits on a slice
+as on the whole array, and the Jacobian makes the same per-node gemv
+products, so equality is exact (np.array_equal), not a tolerance.  The
+error cases pin the reporting rule: a non-finite result names the first
+such node in node order, an exception names the callback.
 """
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def loop_loss_vector(residual, tables, xi):
     n = states.shape[1]
     loss = np.empty(n)
     for k in range(n):
-        loss[k] = residual(tables.x[k], states[:, k])
+        loss[k] = residual(tables.x[k:k + 1], states[:, k:k + 1])[0]
     return loss
 
 
@@ -45,7 +46,7 @@ def loop_jacobian(partials, tables, xi):
     n = states.shape[1]
     jac = np.empty((n, tables.a.shape[2]))
     for k in range(n):
-        jac[k] = np.asarray(partials(tables.x[k], states[:, k])) @ tables.a[:, k, :]
+        jac[k] = np.asarray(partials(tables.x[k:k + 1], states[:, k:k + 1]))[0] @ tables.a[:, k, :]
     return jac
 
 
@@ -58,7 +59,7 @@ def coefficients(kind, name, n_points, m_basis):
     if kind == "zero":
         return np.zeros(m_basis)
     if kind == "tiny":
-        # Larger coefficients overflow p5's math.exp(-8 y).
+        # Larger coefficients overflow p5's exp(-8 y).
         return np.random.default_rng(m_basis).uniform(-1e-9, 1e-9, m_basis)
     return solved_xi(name, n_points, m_basis)
 
@@ -88,32 +89,36 @@ def test_loss_and_jacobian_match_node_loops(name, n_points, m_basis, kind, fd):
     assert np.array_equal(jac, loop_jacobian(partials, tables, xi))
 
 
+def counted(problem, calls, fd=False):
+    """problem with call-counting callbacks; fd drops the analytic partials."""
+    partials = None if fd else counting(problem.partials, calls, "partials")
+    return dataclasses.replace(
+        problem, residual=counting(problem.residual, calls, "residual"), partials=partials
+    )
+
+
 class TestCallCounts:
-    def test_one_call_per_node(self):
+    @pytest.mark.parametrize("fd,want", [(False, {"residual": 1, "partials": 1}),
+                                         (True, {"residual": 1 + 18, "partials": 0})],
+                             ids=["analytic", "fd"])
+    def test_one_call_per_evaluation(self, fd, want):
         calls = {"residual": 0, "partials": 0}
-        p4 = benchmark("p4").problem
-        problem = dataclasses.replace(
-            p4,
-            residual=counting(p4.residual, calls, "residual"),
-            partials=counting(p4.partials, calls, "partials"),
-        )
+        problem = counted(benchmark("p4").problem, calls, fd)
         ce, grid = build_system(problem, SolverConfig(n_points=31, m_basis=30))
         assemble_loss_and_jacobian(problem, ce, grid, np.zeros(30))
-        assert calls == {"residual": 31, "partials": 31}
+        assert calls == want
 
-    def test_nonlinear_solve_call_counts(self):
-        # Three Gauss-Newton steps: four loss evaluations and three Jacobians,
-        # as with the per-node loops.
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+    def test_nonlinear_solve_call_counts(self, fd):
+        # Two Gauss-Newton steps: the loss at xi = 0, at the full first step
+        # and at the converged second step, and two Jacobians (18 residual
+        # calls each by finite differences).
         calls = {"residual": 0, "partials": 0}
-        p5 = benchmark("p5").problem
-        problem = dataclasses.replace(
-            p5,
-            residual=counting(p5.residual, calls, "residual"),
-            partials=counting(p5.partials, calls, "partials"),
-        )
+        problem = counted(benchmark("p5").problem, calls, fd)
         report = solve(problem, SolverConfig(n_points=481, m_basis=60)).report
-        assert report.iterations == 3
-        assert calls == {"residual": 4 * 481, "partials": 3 * 481}
+        assert report.iterations == 2
+        want = {"residual": 3 + 2 * 18, "partials": 0} if fd else {"residual": 3, "partials": 2}
+        assert calls == want
 
 
 def node_x(problem, k):
@@ -121,52 +126,43 @@ def node_x(problem, k):
     return float(grid.x_nodes[k])
 
 
-def failing_at(fn, x_nan, x_raise, exc=ZeroDivisionError("boom")):
-    """fn, except a NaN-scaled result at x_nan and a raise at x_raise."""
+def failing(fn, x_nan=(), exc=None):
+    """fn with its results at the nodes x_nan scaled by NaN, or raising exc."""
 
     def wrapped(x, y):
-        if x == x_raise:
+        if exc is not None:
             raise exc
-        value = fn(x, y)
-        return value * math.nan if x == x_nan else value
+        value = np.array(fn(x, y), dtype=float)
+        value[np.isin(x, x_nan)] *= np.nan
+        return value
 
     return wrapped
 
 
 @pytest.mark.parametrize("field", ["residual", "partials"])
-class TestFirstFailingNode:
-    def assemble(self, field, x_nan, x_raise, exc=ZeroDivisionError("boom")):
+class TestCallbackFailures:
+    def assemble(self, field, **failure):
         p4 = benchmark("p4").problem
-        problem = dataclasses.replace(
-            p4, **{field: failing_at(getattr(p4, field), x_nan, x_raise, exc)}
-        )
+        problem = dataclasses.replace(p4, **{field: failing(getattr(p4, field), **failure)})
         ce, grid = build_system(problem, SolverConfig())
         return assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
 
-    def test_nonfinite_before_raise(self, field):
+    def test_first_nonfinite_node_named(self, field):
         p4 = benchmark("p4").problem
         x3, x5 = node_x(p4, 3), node_x(p4, 5)
-        with pytest.raises(EvaluationError, match=rf"{field} is not finite at x={x3!r} \(got "):
-            self.assemble(field, x3, x5)
+        with pytest.raises(EvaluationError, match=rf"^{field} is not finite at x={x3!r} \(got "):
+            self.assemble(field, x_nan=(x5, x3))
 
-    def test_raise_before_nonfinite(self, field):
-        p4 = benchmark("p4").problem
-        x3, x5 = node_x(p4, 3), node_x(p4, 5)
-        with pytest.raises(EvaluationError, match=rf"{field} raised ZeroDivisionError at x={x3!r}"):
-            self.assemble(field, x5, x3)
+    def test_exception_names_callback(self, field):
+        exc = ZeroDivisionError("boom")
+        with pytest.raises(EvaluationError, match=rf"^{field} raised ZeroDivisionError: boom$") as info:
+            self.assemble(field, exc=exc)
+        assert info.value.__cause__ is exc
 
-    def test_nonfinite_before_package_error(self, field):
-        p4 = benchmark("p4").problem
-        x3, x5 = node_x(p4, 3), node_x(p4, 5)
-        with pytest.raises(EvaluationError, match="not finite"):
-            self.assemble(field, x3, x5, ConfigurationError("late"))
-
-    def test_package_error_before_nonfinite(self, field):
-        p4 = benchmark("p4").problem
-        x3, x5 = node_x(p4, 3), node_x(p4, 5)
+    def test_package_error_passes_through(self, field):
         raised = ConfigurationError("early")
         with pytest.raises(ConfigurationError) as info:
-            self.assemble(field, x5, x3, raised)
+            self.assemble(field, exc=raised)
         assert info.value is raised
 
 
@@ -174,7 +170,7 @@ class TestNonfiniteReporting:
     def test_message_prints_plain_floats(self):
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
         p4 = benchmark("p4").problem
-        problem = dataclasses.replace(p4, bc=bc, residual=lambda x, y: np.float64("nan"))
+        problem = dataclasses.replace(p4, bc=bc, residual=lambda x, y: np.full(x.shape, np.nan))
         ce, grid = build_system(problem, SolverConfig())
         with pytest.raises(EvaluationError, match=r"^residual is not finite at x=0\.0 \(got nan\)$"):
             assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
@@ -183,7 +179,7 @@ class TestNonfiniteReporting:
         # The one-shot path used to return an all-NaN xi.
         p2 = benchmark("p2").problem
         half = node_x(p2, 5)
-        problem = dataclasses.replace(p2, partials=failing_at(p2.partials, half, None))
+        problem = dataclasses.replace(p2, partials=failing(p2.partials, x_nan=(half,)))
         with pytest.raises(EvaluationError, match=rf"^partials is not finite at x={half!r} "):
             solve(problem)
 
@@ -194,8 +190,8 @@ class TestNonfiniteReporting:
         half = node_x(problem, 5)
 
         def partials(x, y):
-            row = p5.partials(x, y)
-            return np.where(row != 0.0, math.inf, row) if x == half else row
+            rows = p5.partials(x, y)
+            return np.where((rows != 0.0) & (x == half)[:, None], np.inf, rows)
 
         with pytest.raises(EvaluationError, match=rf"^partials is not finite at x={half!r} "):
             solve(dataclasses.replace(problem, partials=partials))

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -73,7 +74,7 @@ class TestCsvOutput:
         code, out, err = run_cli(["--problem", "p4", "--format", "csv"], capsys)
         assert code == 0
         csv_rows(out)  # stdout stays machine readable
-        assert "iterations: 3" in err
+        assert "iterations: 2" in err
         assert "final residual norm:" in err
 
 
@@ -90,7 +91,7 @@ class TestTableOutput:
         _, out, _ = run_cli(["--problem", "p4"], capsys)
         lines = out.split("\n")
         assert lines[0] == "problem p4"
-        assert lines[1] == "iterations: 3"
+        assert lines[1] == "iterations: 2"
         assert lines[2].startswith("final residual norm:")
 
     def test_cells_right_justified(self, capsys):
@@ -154,6 +155,17 @@ class TestExitCodes:
         assert code == 1
         assert "warning: stopped by max_iterations" in out
 
+    def test_stall_fails_with_warning(self, capsys, monkeypatch):
+        # Negated partials make every Gauss-Newton step an ascent direction.
+        entry = benchmark("p4")
+        p4 = entry.problem
+        stalling = dataclasses.replace(
+            entry, problem=dataclasses.replace(p4, partials=lambda x, y: -p4.partials(x, y)))
+        monkeypatch.setattr(cli.problems, "benchmark", lambda name: stalling)
+        code, out, _ = run_cli(["--problem", "p4"], capsys)
+        assert code == 1
+        assert "warning: stopped by stalled" in out
+
     def test_unknown_problem_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["--problem", "zzz"])
@@ -162,7 +174,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["--problem", "p1", "--error-points", "1"],
         ["--problem", "p1", "--m-basis", "30"],
-        ["--problem", "p1", "--epsilon", "-1"],
+        ["--problem", "p1", "--step-tol", "-1"],
     ])
     def test_bad_option_values_are_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)

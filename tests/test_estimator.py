@@ -1,5 +1,7 @@
 """Tests for the fit/predict front end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,14 +12,13 @@ from bvp8.problems import benchmark
 
 class TestParams:
     def test_defaults_mirror_solver_config(self):
-        est = BvpSolver()
-        cfg = SolverConfig()
-        assert est.get_params() == {
-            "n_points": cfg.n_points,
-            "m_basis": cfg.m_basis,
-            "epsilon": cfg.epsilon,
-            "max_iterations": cfg.max_iterations,
-        }
+        assert BvpSolver().get_params() == dataclasses.asdict(SolverConfig())
+
+    def test_every_config_field_reaches_the_solve(self):
+        params = {"n_points": 13, "m_basis": 12, "step_tol": 1e-3, "max_iterations": 7}
+        assert set(params) == set(dataclasses.asdict(SolverConfig()))
+        est = BvpSolver(**params).fit(benchmark("p4").problem)
+        assert est.solution_.config == SolverConfig(**params)
 
     def test_set_params_returns_self(self):
         est = BvpSolver()

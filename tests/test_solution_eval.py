@@ -60,6 +60,12 @@ def test_scalar_gives_zero_dimensional_result():
             assert value == pytest.approx(sol(np.array([x]), d)[0], rel=1e-14, abs=1e-14)
 
 
+def test_list_matches_array():
+    sol = solved("p1", 11, 10)
+    for d in ORDERS:
+        assert np.array_equal(sol([0.0, 0.1, 0.5, 1.0], d), sol(np.array([0.0, 0.1, 0.5, 1.0]), d))
+
+
 @pytest.mark.parametrize("order", [9, -1])
 def test_order_out_of_range_raises(order):
     with pytest.raises(ValueError, match="order"):
