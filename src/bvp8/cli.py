@@ -36,13 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(problems.PROBLEM_NAMES) + ["all"],
         help="benchmark problem to solve, or 'all'",
     )
-    parser.add_argument("--n-points", type=int, default=11, help="collocation points (default 11)")
-    parser.add_argument("--m-basis", type=int, default=10, help="basis terms (default 10)")
-    parser.add_argument(
-        "--step-tol", type=float, default=SolverConfig.step_tol,
-        help=f"relative Gauss-Newton step tolerance (default {SolverConfig.step_tol})",
-    )
-    parser.add_argument("--max-iter", type=int, default=20, help="iteration cap (default 20)")
+    parser.add_argument("--n-points", type=int, default=SolverConfig.n_points,
+                        help="collocation points (default %(default)s)")
+    parser.add_argument("--m-basis", type=int, default=SolverConfig.m_basis,
+                        help="basis terms (default %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
+                        help="iteration cap (default %(default)s)")
     parser.add_argument(
         "--format", dest="fmt", choices=("table", "csv"), default="table",
         help="output format (default table)",
@@ -122,7 +121,6 @@ def run(args: argparse.Namespace) -> int:
     config = SolverConfig(
         n_points=args.n_points,
         m_basis=args.m_basis,
-        step_tol=args.step_tol,
         max_iterations=args.max_iter,
     )
     render = _render_csv if args.fmt == "csv" else _render_table

@@ -26,8 +26,11 @@ from .expression import BoundaryConditions, ConstrainedExpression
 
 _FD_STEP = 1e-7
 
-#: Sufficient-decrease constant of the Armijo test and the shortest step
-#: length the backtracking line search tries.
+#: Gauss-Newton converges once a full step has
+#: ||step|| <= _STEP_TOL * (1 + ||xi||).  _ARMIJO_C is the sufficient-decrease
+#: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length
+#: the backtracking line search tries.
+_STEP_TOL = 1e-10
 _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
 
@@ -68,13 +71,11 @@ class SolverConfig:
 
     Defaults reproduce the benchmark setup: 11 collocation points, 10 basis
     terms.  m_basis may not exceed n_points - 1, otherwise the least-squares
-    system is underdetermined.  Gauss-Newton converges once a full step has
-    ||step|| <= step_tol * (1 + ||xi||).
+    system is underdetermined.
     """
 
     n_points: int = 11
     m_basis: int = 10
-    step_tol: float = 1e-10
     max_iterations: int = 20
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"m_basis={self.m_basis} must be in 1..n_points-1={self.n_points - 1}"
             )
-        if not self.step_tol > 0.0:
-            raise ConfigurationError(f"step_tol must be positive, got {self.step_tol}")
         if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be at least 1, got {self.max_iterations}"
@@ -385,7 +384,7 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
     """Gauss-Newton from xi = 0 with a backtracking line search.
 
     Each step solves lstsq(J, loss) for the update.  When the full update is
-    below step_tol * (1 + ||xi||) the solve has converged; that last update
+    below _STEP_TOL * (1 + ||xi||) the solve has converged; that last update
     is applied only if it does not raise the residual norm.  Otherwise the
     update is halved until the Armijo test passes (a trial whose residual
     raises or is not finite fails it); if none down to 1e-8 passes, the
@@ -406,7 +405,7 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
         iterations += 1
         jac = _jacobian(partials, tables, xi, states)
         step = lstsq_scaled_qr(jac, loss)
-        if np.linalg.norm(step) <= config.step_tol * (1.0 + np.linalg.norm(xi)):
+        if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(xi)):
             converged_by = StopReason.CONVERGED
             trial = _line_search(problem.residual, tables, xi, step, norm, 0.0, shortest=1.0)
         else:

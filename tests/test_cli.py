@@ -145,6 +145,12 @@ class TestDerivativeReport:
         assert report == expected
 
 
+class TestDefaults:
+    def test_solver_defaults_mirror_solver_config(self):
+        args = cli.build_parser().parse_args(["--problem", "p1"])
+        assert (args.n_points, args.m_basis, args.max_iter) == dataclasses.astuple(SolverConfig())
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, _, _ = run_cli(["--problem", "p5"], capsys)
@@ -174,7 +180,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["--problem", "p1", "--error-points", "1"],
         ["--problem", "p1", "--m-basis", "30"],
-        ["--problem", "p1", "--step-tol", "-1"],
     ])
     def test_bad_option_values_are_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)

@@ -15,7 +15,7 @@ class TestParams:
         assert BvpSolver().get_params() == dataclasses.asdict(SolverConfig())
 
     def test_every_config_field_reaches_the_solve(self):
-        params = {"n_points": 13, "m_basis": 12, "step_tol": 1e-3, "max_iterations": 7}
+        params = {"n_points": 13, "m_basis": 12, "max_iterations": 7}
         assert set(params) == set(dataclasses.asdict(SolverConfig()))
         est = BvpSolver(**params).fit(benchmark("p4").problem)
         assert est.solution_.config == SolverConfig(**params)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bvp8.solver as solver_module
 from bvp8.errors import ConfigurationError, EvaluationError, SingularSystemError
 from bvp8.expression import BoundaryConditions
 from bvp8.problems import benchmark
@@ -37,15 +38,12 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.n_points == 11
         assert cfg.m_basis == 10
-        assert cfg.step_tol == 1e-10
         assert cfg.max_iterations == 20
 
     @pytest.mark.parametrize("kwargs", [
         {"n_points": 1},
         {"m_basis": 0},
         {"n_points": 10, "m_basis": 10},
-        {"step_tol": 0.0},
-        {"step_tol": -1e-16},
         {"max_iterations": 0},
     ])
     def test_invalid_rejected(self, kwargs):
@@ -337,9 +335,10 @@ class TestSolveNonlinear:
         assert sol.report.iterations == 1
         assert sol.report.converged_by is StopReason.MAX_ITERATIONS
 
-    def test_loose_step_tol_stops_after_one_step(self):
+    def test_loose_step_tol_stops_after_one_step(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_STEP_TOL", 1e10)
         problem = benchmark("p4").problem
-        sol = solve_nonlinear(problem, SolverConfig(step_tol=1e10))
+        sol = solve_nonlinear(problem)
         assert sol.report.iterations == 1
         assert sol.report.converged_by is StopReason.CONVERGED
         ce, grid = build_system(problem, sol.config)
