@@ -78,10 +78,10 @@ class DomainMap:
     basis derivatives are pulled back to the problem domain.
     """
 
+    z_0 = -1.0  # class constants, not fields
+    z_f = 1.0
     x_i: float
     x_f: float
-    z_0: float = -1.0
-    z_f: float = 1.0
     c: float = field(init=False)
 
     def __post_init__(self):
@@ -150,25 +150,27 @@ class CollocationGrid:
     x_nodes: np.ndarray
 
 
-def make_grid(domain_map: DomainMap, n_points: int) -> CollocationGrid:
+def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> CollocationGrid:
     """Build the CGL grid z_k = -cos(k pi / (n_points - 1)), k = 0..n_points-1.
 
     The grid is symmetrized exactly (upper half mirrors the lower half, odd
     middle node forced to 0) and the mapped endpoints are snapped to x_i and
-    x_f so boundary rows see the exact constraint locations.
+    x_f so boundary rows see the exact constraint locations.  `z_nodes`, when
+    given, are the read-only z nodes of an n_points grid built before.
     """
     if n_points < 2:
         raise ConfigurationError(f"need at least 2 grid points, got {n_points}")
     n = int(n_points)
-    k = np.arange(n)
-    z = -np.cos(np.pi * k / (n - 1))
-    half = n // 2
-    z[n - 1 - np.arange(half)] = -z[:half]
-    if n % 2:
-        z[half] = 0.0
+    z = z_nodes
+    if z is None:
+        z = -np.cos(np.pi * np.arange(n) / (n - 1))
+        half = n // 2
+        z[n - 1 - np.arange(half)] = -z[:half]
+        if n % 2:
+            z[half] = 0.0
+        z.flags.writeable = False
     x = domain_map.to_x(z)
     x[0] = domain_map.x_i
     x[-1] = domain_map.x_f
-    z.flags.writeable = False
     x.flags.writeable = False
     return CollocationGrid(n, z, x)

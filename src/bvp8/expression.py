@@ -48,11 +48,27 @@ UNIT_COEFFS.flags.writeable = False
 _UNIT_ROWS = np.eye(8)
 _UNIT_ROWS.flags.writeable = False
 
+#: Coefficient rows are tabulated in pieces of this many bytes, so building a
+#: large table needs no temporary of its size.
+_PIECE_BYTES = 2**19
 
-def _chain_factors(c: float, orders: slice, ndim: int) -> np.ndarray:
-    """c**d for d in `orders`, shaped to broadcast over ndim trailing axes."""
-    factors = np.array([c**d for d in range(orders.start, orders.stop)])
-    return factors.reshape((-1,) + (1,) * ndim)
+
+def _derivative_stack(coeffs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the order-p derivatives of the rows of coeffs, p = 0..8."""
+    deriv = np.zeros((9, 8, 8))
+    deriv[0] = coeffs
+    for p in range(1, 9):
+        deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
+    return deriv
+
+
+_UNIT_DERIV = _derivative_stack(UNIT_COEFFS)
+_UNIT_DERIV.flags.writeable = False
+
+
+def _chain_factors(c: float, orders: slice) -> np.ndarray:
+    """c**d for d in `orders`, shaped (orders, 1, 1)."""
+    return np.array([c**d for d in range(orders.start, orders.stop)]).reshape(-1, 1, 1)
 
 
 def constraint_locations(x_i: float, x_f: float):
@@ -119,14 +135,11 @@ class SwitchingFunctions:
         if coeffs.shape != (8, 8):
             raise ConfigurationError(f"expected (8, 8) coefficients, got {coeffs.shape}")
         coeffs.flags.writeable = False
-        deriv = np.zeros((9, 8, 8))
-        deriv[0] = coeffs
-        for p in range(1, 9):
-            deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
-        exponents = np.array(CONSTRAINT_ORDERS) - np.arange(9)[:, None]
-        deriv *= (float(self.x_f - self.x_i) ** exponents)[..., None]
-        deriv.flags.writeable = False
+        deriv = _UNIT_DERIV if self.coeffs is UNIT_COEFFS else _derivative_stack(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        exponents = np.array(CONSTRAINT_ORDERS) - np.arange(9)[:, None]
+        deriv = deriv * (float(self.x_f - self.x_i) ** exponents)[..., None]
+        deriv.flags.writeable = False
         object.__setattr__(self, "_deriv", deriv)
 
     @classmethod
@@ -174,17 +187,6 @@ class SwitchingFunctions:
         """eval(x, d) for d = 0..8 from one Horner pass, shape (9,) + x.shape + (8,)."""
         return self._snapped(x, slice(0, 9))
 
-    def kronecker_matrix(self) -> np.ndarray:
-        """K[k, j] = beta_{j+1}^{(d_k)}(x_k) by plain polynomial evaluation.
-
-        Certifies the construction itself: the identity up to rounding,
-        without the endpoint snapping eval() applies.
-        """
-        return np.vstack([
-            self._eval_poly(x, slice(d, d + 1))[0]
-            for x, d in constraint_locations(self.x_i, self.x_f)
-        ])
-
 
 @dataclass(frozen=True)
 class ConstrainedExpression:
@@ -203,7 +205,8 @@ class ConstrainedExpression:
     constraint_values: np.ndarray
 
     @classmethod
-    def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions) -> "ConstrainedExpression":
+    def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions,
+              ends=None) -> "ConstrainedExpression":
         dm = basis.domain_map
         if dm.x_i != bc.x_i or dm.x_f != bc.x_f:
             raise ConfigurationError(
@@ -211,8 +214,9 @@ class ConstrainedExpression:
                 f"constraint domain [{bc.x_i}, {bc.x_f}]"
             )
         switching = SwitchingFunctions.closed_form(bc.x_i, bc.x_f)
-        ends = basis.table([dm.z_0, dm.z_f], 3)
-        table = (_chain_factors(dm.c, slice(0, 4), 2) * ends).reshape(8, basis.m)
+        if ends is None:  # else basis.table([-1, 1], 3), built once by the caller
+            ends = basis.table([dm.z_0, dm.z_f], 3)
+        table = (_chain_factors(dm.c, slice(0, 4)) * ends).reshape(8, basis.m)
         table.flags.writeable = False
         values = bc.interleaved()
         values.flags.writeable = False
@@ -221,24 +225,28 @@ class ConstrainedExpression:
     def _coefficient_rows(self, x, betas, orders: slice) -> np.ndarray:
         """c**d h^{(d)}(x) - beta^{(d)}(x) B for d in `orders`, stacked first.
 
-        h^{(d)} are the basis derivatives in z and betas the matching
-        switching values.  The Chebyshev table lives only inside the
-        multiply, and the subtraction runs in place on the C-contiguous
-        result, so one temporary of the result's size exists at a time.
+        h^{(d)} are the basis derivatives in z and betas[k] the switching
+        values of order orders.start + k.  A Chebyshev table is built per
+        piece of _PIECE_BYTES of the result, and each order's correction is
+        subtracted in place.
         """
         dm = self.basis.domain_map
-        rows = np.multiply(
-            _chain_factors(dm.c, orders, np.ndim(x) + 1),
-            self.basis.table(dm.to_z(x), orders.stop - 1)[orders],
-            order="C",
-        )
-        rows -= betas @ self.boundary_basis_table
+        z = np.ravel(dm.to_z(x))
+        chain = _chain_factors(dm.c, orders)
+        rows = np.empty((len(chain), z.size, self.basis.m))
+        step = max(1, _PIECE_BYTES // (8 * len(chain) * self.basis.m))
+        for k in range(0, z.size, step):
+            table = self.basis.table(z[k:k + step], orders.stop - 1)[orders]
+            np.multiply(chain, table, out=rows[:, k:k + step])
+        rows = rows.reshape((len(chain),) + np.shape(x) + (self.basis.m,))
+        for row, beta in zip(rows, betas):
+            row -= beta @ self.boundary_basis_table
         return rows
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,)."""
         betas = self.switching.eval(x, order)
-        return self._coefficient_rows(x, betas, slice(order, order + 1))[0]
+        return self._coefficient_rows(x, betas[None], slice(order, order + 1))[0]
 
     def b_value(self, x, order: int = 0):
         """The constraint interpolant b^{(order)}(x) (the xi = 0 candidate)."""
@@ -247,8 +255,8 @@ class ConstrainedExpression:
     def tables(self, x) -> tuple[np.ndarray, np.ndarray]:
         """a^{(d)}(x), shape (9,) + x.shape + (m,), and b^{(d)}(x) for d = 0..8.
 
-        One Chebyshev table and one switching evaluation give every order,
-        bit for bit equal to stacking a_row(x, d) and b_value(x, d).  The
+        One switching evaluation gives every order, bit for bit equal to
+        stacking a_row(x, d) and b_value(x, d).  The
         switching values keep the layout of the per-order views, so BLAS
         rounds each product as it does on the per-order path.
         """

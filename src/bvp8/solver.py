@@ -22,7 +22,7 @@ from .basis import (
     MAX_ORDER, ChebyshevBasis, CollocationGrid, DomainMap, check_unit_interval, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
-from .expression import BoundaryConditions, ConstrainedExpression
+from .expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
 
 _FD_STEP = 1e-7
 
@@ -72,6 +72,9 @@ class SolverConfig:
     Defaults reproduce the benchmark setup: 11 collocation points, 10 basis
     terms.  m_basis may not exceed n_points - 1, otherwise the least-squares
     system is underdetermined.
+
+    A config builds its collocation tables on [0, 1] at its first solve and
+    reuses them in every solve with it, on any domain; they are not fields.
     """
 
     n_points: int = 11
@@ -89,6 +92,24 @@ class SolverConfig:
             raise ConfigurationError(
                 f"max_iterations must be at least 1, got {self.max_iterations}"
             )
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (z, a, s, ends): the CGL nodes, a^{(d)} and beta^{(d)} at the
+        nodes of [0, 1], shapes (9, n, m) and (9, n, 8), and basis.table([-1, 1], 3)."""
+        unit, zeros = DomainMap(0.0, 1.0), (0.0,) * 4
+        basis = ChebyshevBasis(self.m_basis, unit)
+        ends = basis.table([unit.z_0, unit.z_f], 3)
+        ce = ConstrainedExpression.build(basis, BoundaryConditions(0.0, 1.0, zeros, zeros), ends)
+        grid = make_grid(unit, self.n_points)
+        s = ce.switching.eval_all(grid.x_nodes)
+        a = ce._coefficient_rows(grid.x_nodes, s, slice(0, MAX_ORDER + 1))
+        for table in (a, s, ends):
+            table.flags.writeable = False
+        return grid.z_nodes, a, s, ends
+
+
+_DEFAULT_CONFIG = SolverConfig()
 
 
 class StopReason(enum.Enum):
@@ -187,24 +208,35 @@ class Solution:
 def build_system(
     problem: BvpProblem, config: SolverConfig
 ) -> tuple[ConstrainedExpression, CollocationGrid]:
-    """Constrained expression and collocation grid for a problem."""
+    """Constrained expression and collocation grid for a problem, from config's tables."""
+    z, _, _, ends = config._tables
     dm = DomainMap(problem.bc.x_i, problem.bc.x_f)
-    basis = ChebyshevBasis(config.m_basis, dm)
-    ce = ConstrainedExpression.build(basis, problem.bc)
-    grid = make_grid(dm, config.n_points)
-    return ce, grid
+    ce = ConstrainedExpression.build(ChebyshevBasis(config.m_basis, dm), problem.bc, ends)
+    return ce, make_grid(dm, config.n_points, z)
 
 
 class _CollocationTables:
-    """a^{(d)} rows (9, n, m) and b^{(d)} values (9, n) on the grid, from one ce.tables call."""
+    """config's tables a_1, s on [0, 1], read on [x_i, x_f] through the scales w**-d.
 
-    def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid):
+    With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and
+    b^{(d)}(x) = w**-d s^{(d)}(t) . (w**d_j v_j) for boundary values v, so the
+    states and partials rows are scaled, never a table; on [0, 1] by exactly 1.
+    """
+
+    def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid, config: SolverConfig):
+        basis = ChebyshevBasis(config.m_basis, ce.basis.domain_map)
+        if (grid.n_points, ce.basis) != (config.n_points, basis):
+            raise ConfigurationError(f"{grid.n_points} nodes and {ce.basis} do not match {config}")
+        _, self.a, s, _ = config._tables
+        w = ce.bc.x_f - ce.bc.x_i
         self.x = grid.x_nodes
-        self.a, self.b = ce.tables(grid.x_nodes)
+        self.scale = w ** -np.arange(MAX_ORDER + 1.0)
+        self._b = s @ (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.constraint_values)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k))."""
-        states = self.b + self.a @ xi
+        states = self._b + self.a @ xi
+        states *= self.scale[:, None]
         states.flags.writeable = False
         return states
 
@@ -261,9 +293,9 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
 
 
 def _jacobian(partials: Callable, tables: _CollocationTables, xi, states=None) -> np.ndarray:
-    """Rows dF/dy(x_k) @ a[:, k, :] at states, by default tables.states(xi)."""
+    """Rows (dF/dy(x_k) * scale) @ a[:, k, :] at states, by default tables.states(xi)."""
     states = tables.states(xi) if states is None else states
-    rows = _at_nodes("partials", partials, tables.x, states, (MAX_ORDER + 1,))
+    rows = _at_nodes("partials", partials, tables.x, states, (MAX_ORDER + 1,)) * tables.scale
     # One gemv per node on the strided a[:, k, :], as in a loop: bit-identical (einsum is not).
     return np.matmul(rows[:, None, :], tables.a.transpose(1, 0, 2))[:, 0, :]
 
@@ -273,13 +305,15 @@ def assemble_loss_and_jacobian(
     ce: ConstrainedExpression,
     grid: CollocationGrid,
     xi: np.ndarray,
+    config=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual vector and its xi Jacobian at the collocation nodes.
 
     loss[k] = F(x_k, state) and jac[k, :] = sum_d dF/dy^{(d)} a^{(d)}(x_k),
-    the chain rule through the constrained expression.
+    the chain rule through the constrained expression.  The tables come from
+    `config`, by default a new SolverConfig of the grid's and basis's sizes.
     """
-    tables = _CollocationTables(ce, grid)
+    tables = _CollocationTables(ce, grid, config or SolverConfig(grid.n_points, ce.basis.m))
     partials, _ = _resolve_partials(problem)
     states = tables.states(np.asarray(xi, dtype=float))
     loss = _at_nodes("residual", problem.residual, tables.x, states)
@@ -287,7 +321,7 @@ def assemble_loss_and_jacobian(
 
 
 def assemble_linear(
-    problem: BvpProblem, ce: ConstrainedExpression, grid: CollocationGrid
+    problem: BvpProblem, ce: ConstrainedExpression, grid: CollocationGrid, config=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matrix and offset of the collocated linear system A xi + b = 0.
 
@@ -297,7 +331,7 @@ def assemble_linear(
     if not problem.is_linear:
         raise ValueError(f"problem {problem.name!r} is not linear")
     m = ce.basis.m
-    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m))
+    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m), config)
     return jac, loss
 
 
@@ -335,9 +369,9 @@ def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> 
     """Solve a linear problem in one least-squares shot."""
     if not problem.is_linear:
         raise ValueError(f"problem {problem.name!r} is not linear; use solve_nonlinear")
-    config = config if config is not None else SolverConfig()
+    config = config if config is not None else _DEFAULT_CONFIG
     ce, grid = build_system(problem, config)
-    a, b = assemble_linear(problem, ce, grid)
+    a, b = assemble_linear(problem, ce, grid, config)
     xi = lstsq_scaled_qr(a, -b)
     _, used_fd = _resolve_partials(problem)
     final = float(np.linalg.norm(a @ xi + b))
@@ -391,9 +425,9 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
     solve stops as stalled.  Stalling and the iteration cap are reported,
     not raised.  Works on linear problems too.
     """
-    config = config if config is not None else SolverConfig()
+    config = config if config is not None else _DEFAULT_CONFIG
     ce, grid = build_system(problem, config)
-    tables = _CollocationTables(ce, grid)
+    tables = _CollocationTables(ce, grid, config)
     partials, used_fd = _resolve_partials(problem)
 
     xi, states, loss, norm = _evaluate(problem.residual, tables, np.zeros(config.m_basis))

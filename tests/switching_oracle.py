@@ -5,7 +5,8 @@ builds the same eight polynomials independently: the support matrix applies
 the eight constraint operators to the monomials 1, x, .., x^7, and column j
 of its inverse lists the coefficients of beta_{j+1}.  On [0, 1] the
 coefficients in x are the unit-domain coefficients in t, so the result is a
-drop-in SwitchingFunctions for expressions on [0, 1].
+drop-in SwitchingFunctions for expressions on [0, 1].  kronecker_matrix
+certifies either construction by plain evaluation at the constraints.
 """
 
 import math
@@ -43,3 +44,15 @@ def unit_linear_solve() -> SwitchingFunctions:
             f"support matrix is numerically singular (pivot {pivots[j]:.3e} at column {j})"
         )
     return SwitchingFunctions(np.linalg.inv(mat).T, 0.0, 1.0)
+
+
+def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
+    """K[k, j] = beta_{j+1}^{(d_k)}(x_k) by plain polynomial evaluation.
+
+    Certifies the construction itself: the identity up to rounding, without
+    the endpoint snapping SwitchingFunctions.eval applies.
+    """
+    return np.vstack([
+        sw._eval_poly(x, slice(d, d + 1))[0]
+        for x, d in constraint_locations(sw.x_i, sw.x_f)
+    ])

@@ -6,7 +6,10 @@ Y[:, k:k+1].  numpy's elementwise functions give the same bits on a slice
 as on the whole array, and the Jacobian makes the same per-node gemv
 products, so equality is exact (np.array_equal), not a tolerance.  The
 error cases pin the reporting rule: a non-finite result names the first
-such node in node order, an exception names the callback.
+such node in node order, an exception names the callback.  The tables are
+built on [0, 1], so on a domain of width w (p5) the loop scales each
+partials row by w**-d before the product, as the solver does; on [0, 1]
+every scale is 1.
 """
 
 import dataclasses
@@ -41,12 +44,14 @@ def loop_loss_vector(residual, tables, xi):
     return loss
 
 
-def loop_jacobian(partials, tables, xi):
+def loop_jacobian(partials, tables, xi, width):
     states = tables.states(xi)
     n = states.shape[1]
+    scale = width ** -np.arange(9.0)
     jac = np.empty((n, tables.a.shape[2]))
     for k in range(n):
-        jac[k] = np.asarray(partials(tables.x[k:k + 1], states[:, k:k + 1]))[0] @ tables.a[:, k, :]
+        row = np.asarray(partials(tables.x[k:k + 1], states[:, k:k + 1]))[0]
+        jac[k] = (row * scale) @ tables.a[:, k, :]
     return jac
 
 
@@ -80,13 +85,15 @@ def test_loss_and_jacobian_match_node_loops(name, n_points, m_basis, kind, fd):
     problem = benchmark(name).problem
     if fd:
         problem = dataclasses.replace(problem, partials=None)
-    ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
+    config = SolverConfig(n_points=n_points, m_basis=m_basis)
+    ce, grid = build_system(problem, config)
     xi = coefficients(kind, name, n_points, m_basis)
     loss, jac = assemble_loss_and_jacobian(problem, ce, grid, xi)
-    tables = _CollocationTables(ce, grid)
+    tables = _CollocationTables(ce, grid, config)
     partials = _fd_partials(problem.residual) if fd else problem.partials
+    width = problem.bc.x_f - problem.bc.x_i
     assert np.array_equal(loss, loop_loss_vector(problem.residual, tables, xi))
-    assert np.array_equal(jac, loop_jacobian(partials, tables, xi))
+    assert np.array_equal(jac, loop_jacobian(partials, tables, xi, width))
 
 
 def counted(problem, calls, fd=False):

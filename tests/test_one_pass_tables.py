@@ -6,12 +6,18 @@ arithmetic on every element, so equality is exact (np.array_equal), not a
 tolerance.  Products with the tables are compared too: BLAS rounding depends
 on memory layout, so equal values in a different layout can still give
 different states and Jacobians.
+
+The solver reads its config's tables, built on [0, 1], on any domain of
+width w through the scales w**-d.  A problem on [0, 1] is compared with the
+per-order tables of its own expression; one on another domain (p5) with the
+per-order tables of the same problem moved to [0, 1], read with those scales.
 """
 
 import numpy as np
 import pytest
 
-from bvp8.basis import chebyshev_table
+from bvp8.basis import ChebyshevBasis, DomainMap, chebyshev_table, make_grid
+from bvp8.expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
 
@@ -42,6 +48,8 @@ def loop_chebyshev_table(z, max_degree, max_order):
 class PerOrderTables:
     """Collocation tables stacked from the single-order read path."""
 
+    scale = np.ones(9)  # the tables are read where they were built
+
     def __init__(self, ce, grid):
         self.x = grid.x_nodes
         self.a = np.stack([ce.a_row(grid.x_nodes, d) for d in range(9)])
@@ -49,6 +57,35 @@ class PerOrderTables:
 
     def states(self, xi):
         return self.b + self.a @ xi
+
+
+class UnitDomainTables(PerOrderTables):
+    """PerOrderTables of `problem` moved to [0, 1], read at the nodes `grid` of its domain.
+
+    With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t)
+    and b^{(d)}(x) = w**-d b_1^{(d)}(t), where a_1 and b_1 belong to the
+    expression on [0, 1] with the boundary values w**d_j v_j.
+    """
+
+    def __init__(self, problem, grid, m_basis):
+        x_i, x_f = problem.domain
+        w = x_f - x_i
+        values = problem.bc.interleaved() * w ** np.array(CONSTRAINT_ORDERS, dtype=float)
+        unit = DomainMap(0.0, 1.0)
+        bc = BoundaryConditions(0.0, 1.0, tuple(values[0::2]), tuple(values[1::2]))
+        super().__init__(ConstrainedExpression.build(ChebyshevBasis(m_basis, unit), bc),
+                         make_grid(unit, grid.n_points))
+        self.x = grid.x_nodes
+        self.scale = w ** -np.arange(9.0)
+
+    def states(self, xi):
+        return super().states(xi) * self.scale[:, None]
+
+
+def oracle_tables(problem, ce, grid):
+    if problem.domain == (0.0, 1.0):
+        return PerOrderTables(ce, grid)
+    return UnitDomainTables(problem, grid, ce.basis.m)
 
 
 class TestChebyshevTable:
@@ -93,11 +130,12 @@ class TestCollocationTables:
 
     def test_states_and_jacobian_match_per_order_tables(self, name, n_points, m_basis):
         problem, ce, grid = self.setup_problem(name, n_points, m_basis)
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
         # The solved coefficients: nonzero, and small enough that p5's
         # exp(-8 y) stays finite.
-        xi = solve(problem, SolverConfig(n_points=n_points, m_basis=m_basis)).report.xi
-        tables = _CollocationTables(ce, grid)
-        oracle = PerOrderTables(ce, grid)
+        xi = solve(problem, config).report.xi
+        tables = _CollocationTables(ce, grid, config)
+        oracle = oracle_tables(problem, ce, grid)
         assert np.array_equal(tables.states(xi), oracle.states(xi))
         partials = problem.partials
         assert np.array_equal(_jacobian(partials, tables, xi), _jacobian(partials, oracle, xi))
