@@ -25,7 +25,8 @@ class BvpSolver:
     Parameters are the SolverConfig fields, passed by keyword with the same
     defaults, and are validated at fit time.  After fit(), `solution_` holds
     the full solution object, `report_` the solve report, and `xi_` the
-    fitted coefficient vector.
+    fitted coefficient vector.  Fits with unchanged parameters share one
+    SolverConfig, so they reuse its collocation tables.
     """
 
     def __init__(self, **params):
@@ -47,7 +48,9 @@ class BvpSolver:
     def fit(self, problem: BvpProblem, y=None) -> "BvpSolver":
         """Solve `problem`; `y` is accepted for protocol compatibility and ignored."""
         config = SolverConfig(**self.get_params())
-        self.solution_ = solve(problem, config)
+        if config != getattr(self, "_config", None):  # else reuse its collocation tables
+            self._config = config
+        self.solution_ = solve(problem, self._config)
         self.report_ = self.solution_.report
         self.xi_ = self.report_.xi
         return self

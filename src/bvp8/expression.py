@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import MAX_ORDER, ChebyshevBasis, check_domain
+from .basis import ChebyshevBasis, check_domain
 from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -251,18 +251,6 @@ class ConstrainedExpression:
     def b_value(self, x, order: int = 0):
         """The constraint interpolant b^{(order)}(x) (the xi = 0 candidate)."""
         return self.switching.eval(x, order) @ self.constraint_values
-
-    def tables(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """a^{(d)}(x), shape (9,) + x.shape + (m,), and b^{(d)}(x) for d = 0..8.
-
-        One switching evaluation gives every order, bit for bit equal to
-        stacking a_row(x, d) and b_value(x, d).  The
-        switching values keep the layout of the per-order views, so BLAS
-        rounds each product as it does on the per-order path.
-        """
-        betas = self.switching.eval_all(x)
-        a = self._coefficient_rows(x, betas, slice(0, MAX_ORDER + 1))
-        return a, betas @ self.constraint_values
 
     def eval(self, x, order: int = 0, xi=None):
         """y^{(order)}(x, xi)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -22,7 +22,9 @@ from .basis import (
     MAX_ORDER, ChebyshevBasis, CollocationGrid, DomainMap, check_unit_interval, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
-from .expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
+from .expression import (
+    CONSTRAINT_ORDERS, UNIT_COEFFS, BoundaryConditions, ConstrainedExpression, _chain_factors,
+)
 
 _FD_STEP = 1e-7
 
@@ -74,7 +76,8 @@ class SolverConfig:
     system is underdetermined.
 
     A config builds its collocation tables on [0, 1] at its first solve and
-    reuses them in every solve with it, on any domain; they are not fields.
+    reuses them in every solve with it, on any domain; they are not fields,
+    and a copy or an unpickled config builds its own.
     """
 
     n_points: int = 11
@@ -92,6 +95,9 @@ class SolverConfig:
             raise ConfigurationError(
                 f"max_iterations must be at least 1, got {self.max_iterations}"
             )
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -221,15 +227,12 @@ class _CollocationTables:
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and
     b^{(d)}(x) = w**-d s^{(d)}(t) . (w**d_j v_j) for boundary values v, so the
     states and partials rows are scaled, never a table; on [0, 1] by exactly 1.
+    ce and grid must be what build_system makes from config; nothing here checks.
     """
 
     def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid, config: SolverConfig):
-        basis = ChebyshevBasis(config.m_basis, ce.basis.domain_map)
-        if (grid.n_points, ce.basis) != (config.n_points, basis):
-            raise ConfigurationError(f"{grid.n_points} nodes and {ce.basis} do not match {config}")
         _, self.a, s, _ = config._tables
-        w = ce.bc.x_f - ce.bc.x_i
-        self.x = grid.x_nodes
+        w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
         self.scale = w ** -np.arange(MAX_ORDER + 1.0)
         self._b = s @ (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.constraint_values)
 
@@ -301,23 +304,28 @@ def _jacobian(partials: Callable, tables: _CollocationTables, xi, states=None) -
 
 
 def assemble_loss_and_jacobian(
-    problem: BvpProblem,
-    ce: ConstrainedExpression,
-    grid: CollocationGrid,
-    xi: np.ndarray,
+    problem: BvpProblem, ce: ConstrainedExpression, grid: CollocationGrid, xi: np.ndarray,
     config=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual vector and its xi Jacobian at the collocation nodes.
 
     loss[k] = F(x_k, state) and jac[k, :] = sum_d dF/dy^{(d)} a^{(d)}(x_k),
     the chain rule through the constrained expression.  The tables come from
-    `config`, by default a new SolverConfig of the grid's and basis's sizes.
+    `config`, by default a new SolverConfig of the grid's and basis's sizes;
+    a ce or grid that build_system would not make from it raises ConfigurationError.
     """
-    tables = _CollocationTables(ce, grid, config or SolverConfig(grid.n_points, ce.basis.m))
-    partials, _ = _resolve_partials(problem)
-    states = tables.states(np.asarray(xi, dtype=float))
-    loss = _at_nodes("residual", problem.residual, tables.x, states)
-    return loss, _jacobian(partials, tables, xi, states)
+    config = config or SolverConfig(grid.n_points, ce.basis.m)
+    z, _, _, ends = config._tables
+    dm, sw, bc, x = ce.basis.domain_map, ce.switching, ce.bc, grid.x_nodes
+    ends_rows = (_chain_factors(dm.c, slice(0, 4)) * ends).reshape(8, -1)
+    domains = {(dm.x_i, dm.x_f), (sw.x_i, sw.x_f), (bc.x_i, bc.x_f), (x[0], x[-1])}
+    arrays = ((grid.z_nodes, z), (sw.coeffs, UNIT_COEFFS), (ce.boundary_basis_table, ends_rows))
+    if not (grid.n_points == config.n_points and ce.basis == ChebyshevBasis(config.m_basis, dm)
+            and len(domains) == 1 and all(np.array_equal(*pair) for pair in arrays)):
+        raise ConfigurationError(f"expression and grid do not match the tables of {config}")
+    tables = _CollocationTables(ce, grid, config)
+    _, states, loss, _ = _evaluate(problem.residual, tables, np.asarray(xi, dtype=float))
+    return loss, _jacobian(_resolve_partials(problem)[0], tables, xi, states)
 
 
 def assemble_linear(
@@ -330,8 +338,7 @@ def assemble_linear(
     """
     if not problem.is_linear:
         raise ValueError(f"problem {problem.name!r} is not linear")
-    m = ce.basis.m
-    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m), config)
+    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(ce.basis.m), config)
     return jac, loss
 
 
@@ -371,18 +378,13 @@ def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> 
         raise ValueError(f"problem {problem.name!r} is not linear; use solve_nonlinear")
     config = config if config is not None else _DEFAULT_CONFIG
     ce, grid = build_system(problem, config)
-    a, b = assemble_linear(problem, ce, grid, config)
+    tables = _CollocationTables(ce, grid, config)
+    partials, used_fd = _resolve_partials(problem)
+    _, states, b, _ = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+    a = _jacobian(partials, tables, None, states)
     xi = lstsq_scaled_qr(a, -b)
-    _, used_fd = _resolve_partials(problem)
     final = float(np.linalg.norm(a @ xi + b))
-    report = SolveReport(
-        xi=xi,
-        iterations=1,
-        residual_norm_history=np.array([final]),
-        converged_by=StopReason.LINEAR_SINGLE_SHOT,
-        solution_norm=final,
-        used_fd_partials=used_fd,
-    )
+    report = SolveReport(xi, 1, np.array([final]), StopReason.LINEAR_SINGLE_SHOT, final, used_fd)
     return Solution(problem, ce, grid, report, config)
 
 
@@ -453,14 +455,7 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
         if converged_by is not StopReason.MAX_ITERATIONS:
             break
 
-    report = SolveReport(
-        xi=xi,
-        iterations=iterations,
-        residual_norm_history=np.array(history),
-        converged_by=converged_by,
-        solution_norm=norm,
-        used_fd_partials=used_fd,
-    )
+    report = SolveReport(xi, iterations, np.array(history), converged_by, norm, used_fd)
     return Solution(problem, ce, grid, report, config)
 
 

@@ -3,16 +3,19 @@
 A config builds its tables on its first solve.  Later solves with it, on
 any domain, build no Chebyshev table and evaluate no switching polynomial,
 and give the same bits as a fresh config.  The cache is invisible to
-equality and hashing, and read-only.
+equality and hashing, read-only, and not carried by copies or pickles.  A
+solve assembles only an expression and grid built from its config's tables.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 import bvp8.basis
-from bvp8.basis import ChebyshevBasis
+from bvp8.basis import ChebyshevBasis, CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
 from bvp8.expression import ConstrainedExpression, SwitchingFunctions
 from bvp8.problems import benchmark
@@ -21,6 +24,7 @@ from bvp8.solver import (
 )
 
 from test_domains import moved
+from switching_oracle import unit_linear_solve
 from test_one_pass_tables import PerOrderTables
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
@@ -113,6 +117,41 @@ def test_tables_of_another_size_or_basis_rejected():
     ce = ConstrainedExpression.build(later_start, problem.bc)
     with pytest.raises(ConfigurationError, match="do not match"):
         assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+
+
+def test_expression_or_grid_not_built_from_the_config_rejected():
+    # The tables hold the closed-form switching functions, the config's ends
+    # table and its CGL nodes on ce's domain; any other expression or grid
+    # would be assembled from rows that are not its own.
+    problem = benchmark("p2").problem
+    ce, grid = build_system(problem, SolverConfig())
+    table = ce.boundary_basis_table.copy()
+    table[0, 0] = np.nextafter(table[0, 0], np.inf)
+    wider = DomainMap(0.0, 2.0)
+    z = np.linspace(-1.0, 1.0, 11)
+    others = [
+        (dataclasses.replace(ce, switching=unit_linear_solve()), grid),
+        (dataclasses.replace(ce, boundary_basis_table=table), grid),
+        (ce, make_grid(wider, 11)),
+        (ce, CollocationGrid(11, z, ce.basis.domain_map.to_x(z))),
+    ]
+    for other_ce, other_grid in others:
+        with pytest.raises(ConfigurationError, match="do not match"):
+            assemble_loss_and_jacobian(problem, other_ce, other_grid, np.zeros(10))
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda config: pickle.loads(pickle.dumps(config))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_build_their_own_read_only_tables(copy_of):
+    config = SolverConfig(n_points=31, m_basis=30)
+    solve(benchmark("p4").problem, config)
+    copied = copy_of(config)
+    assert copied == config and "_tables" not in vars(copied)
+    assert len(pickle.dumps(config)) < 1000
+    for table, original in zip(copied._tables, config._tables):
+        assert table is not original and np.array_equal(table, original)
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("n_points, m_basis", [(11, 10), (31, 30)])

@@ -20,6 +20,16 @@ class TestParams:
         est = BvpSolver(**params).fit(benchmark("p4").problem)
         assert est.solution_.config == SolverConfig(**params)
 
+    def test_fits_with_unchanged_params_share_one_config(self):
+        # A shared config reuses its collocation tables; a changed parameter
+        # gets a config of its own.
+        est = BvpSolver(n_points=21, m_basis=20)
+        first = est.fit(benchmark("p4").problem).solution_.config
+        assert est.fit(benchmark("p5").problem).solution_.config is first
+        est.set_params(m_basis=19)
+        second = est.fit(benchmark("p4").problem).solution_.config
+        assert second is not first and second == SolverConfig(n_points=21, m_basis=19)
+
     def test_set_params_returns_self(self):
         est = BvpSolver()
         assert est.set_params(m_basis=12, n_points=20) is est

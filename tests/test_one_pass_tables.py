@@ -111,12 +111,14 @@ class TestCollocationTables:
         return problem, ce, grid
 
     def test_one_pass_matches_per_order_rows(self, name, n_points, m_basis):
-        _, ce, grid = self.setup_problem(name, n_points, m_basis)
-        a, b = ce.tables(grid.x_nodes)
-        oracle = PerOrderTables(ce, grid)
-        assert a.shape == (9, n_points, m_basis) and a.flags.c_contiguous
-        assert np.array_equal(a, oracle.a)
-        assert np.array_equal(b, oracle.b)
+        # The config's a rows and its switching values times the scaled
+        # boundary values w**d_j v_j, against the per-order rows on [0, 1].
+        problem, ce, grid = self.setup_problem(name, n_points, m_basis)
+        tables = _CollocationTables(ce, grid, SolverConfig(n_points=n_points, m_basis=m_basis))
+        oracle = oracle_tables(problem, ce, grid)
+        assert tables.a.shape == (9, n_points, m_basis) and tables.a.flags.c_contiguous
+        assert np.array_equal(tables.a, oracle.a)
+        assert np.array_equal(tables._b, oracle.b)
 
     def test_boundary_table_matches_per_constraint_rows(self, name, n_points, m_basis):
         _, ce, _ = self.setup_problem(name, n_points, m_basis)

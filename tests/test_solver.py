@@ -16,6 +16,7 @@ from bvp8.solver import (
     BvpProblem,
     SolverConfig,
     StopReason,
+    _jacobian,
     assemble_linear,
     assemble_loss_and_jacobian,
     build_system,
@@ -26,6 +27,7 @@ from bvp8.solver import (
 )
 
 from switching_oracle import unit_linear_solve
+from test_one_pass_tables import PerOrderTables
 
 
 def normal_equations_lstsq(a, rhs):
@@ -398,15 +400,19 @@ class TestSolveNonlinear:
 
     def test_oracle_switching_invariance(self):
         # Gauss-Newton on an expression whose switching functions come from
-        # the support-matrix inverse lands on the same solution.
+        # the support-matrix inverse lands on the same solution.  The solver's
+        # tables hold the closed form, so the loop assembles from per-order
+        # tables of the oracle expression.
         for name in ("p2", "p6"):
             entry = benchmark(name)
             a = solve(entry.problem)
             ce, grid = build_system(entry.problem, a.config)
             ce = dataclasses.replace(ce, switching=unit_linear_solve())
+            tables = PerOrderTables(ce, grid)
             xi = np.zeros(a.config.m_basis)
             for _ in range(3):
-                loss, jac = assemble_loss_and_jacobian(entry.problem, ce, grid, xi)
+                loss = entry.problem.residual(grid.x_nodes, tables.states(xi))
+                jac = _jacobian(entry.problem.partials, tables, xi)
                 xi = xi - lstsq_scaled_qr(jac, loss)
             va = a(entry.table_points)
             vb = ce.eval(entry.table_points, 0, xi)
