@@ -49,6 +49,30 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
     return table
 
 
+def clenshaw(z, c):
+    """numpy's chebval(z, c) for a 1-D float64 series c, bit for bit, in place.
+
+    The same recurrence and operand order, c0 = c[-i] - c1, c1 = c0_old + c1 * 2z,
+    then c0 + c1 z, as three ufunc calls per degree into three reused buffers.
+    """
+    z, c = np.asarray(z), (c if len(c) > 1 else (c[0], 0.0))  # chebval's c1 = 0 for one term
+    x2, c0, c1, tmp = 2 * z, np.full(z.shape, c[-2]), np.full(z.shape, c[-1]), np.empty(z.shape)
+    for i in range(3, len(c) + 1):
+        np.multiply(c1, x2, out=tmp)
+        np.subtract(c[-i], c1, out=c1)
+        np.add(c0, tmp, out=tmp)
+        c0, c1, tmp = c1, tmp, c0
+    return np.add(c0, np.multiply(c1, z, out=c1), out=c0)[()]
+
+
+def check_order(order) -> int:
+    """int(order) for an int or numpy integer in 0..MAX_ORDER (a bool is not); else ValueError."""
+    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not integer or not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
+    return int(order)
+
+
 def check_unit_interval(z) -> None:
     """Raise ValueError unless every z lies in [-1, +1] up to 1e-12 (NaN does not)."""
     if not np.all(np.abs(z) <= 1.0 + 1e-12):
@@ -129,8 +153,7 @@ class ChebyshevBasis:
         working in the problem domain.  Output shape is
         (max_order + 1,) + z.shape + (m,).
         """
-        if not 0 <= max_order <= MAX_ORDER:
-            raise ValueError(f"order must be in 0..{MAX_ORDER}, got {max_order}")
+        max_order = check_order(max_order)
         z = np.asarray(z, dtype=float)
         check_unit_interval(z)
         table = chebyshev_table(z, self.max_degree, max_order)
@@ -141,9 +164,9 @@ class ChebyshevBasis:
         return self.table(z, order)[order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationGrid:
-    """Chebyshev-Gauss-Lobatto nodes in both coordinate systems."""
+    """Chebyshev-Gauss-Lobatto nodes in both coordinate systems; equal only to itself."""
 
     n_points: int
     z_nodes: np.ndarray

@@ -20,12 +20,12 @@ where the domain sits or how wide it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .basis import ChebyshevBasis, check_domain
+from .basis import ChebyshevBasis, check_domain, check_order
 from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -51,19 +51,6 @@ _UNIT_ROWS.flags.writeable = False
 #: Coefficient rows are tabulated in pieces of this many bytes, so building a
 #: large table needs no temporary of its size.
 _PIECE_BYTES = 2**19
-
-
-def _derivative_stack(coeffs: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the order-p derivatives of the rows of coeffs, p = 0..8."""
-    deriv = np.zeros((9, 8, 8))
-    deriv[0] = coeffs
-    for p in range(1, 9):
-        deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
-    return deriv
-
-
-_UNIT_DERIV = _derivative_stack(UNIT_COEFFS)
-_UNIT_DERIV.flags.writeable = False
 
 
 def _chain_factors(c: float, orders: slice) -> np.ndarray:
@@ -112,7 +99,7 @@ class BoundaryConditions:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingFunctions:
     """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk.
 
@@ -120,14 +107,13 @@ class SwitchingFunctions:
     ascending powers of t = (x - x_i) / w with w = x_f - x_i.  On [x_i, x_f],
     beta_j(x) = w**d_j u_j(t), whose order-d derivative is w**(d_j - d)
     u_j^{(d)}(t): the derivative rows are differentiated analytically and
-    scaled once, at construction (by exactly 1 on [0, 1]).  Order 8 of a
-    degree-7 polynomial is identically zero.
+    scaled once, at the first evaluation (by exactly 1 on [0, 1]).  Order 8
+    of a degree-7 polynomial is identically zero.
     """
 
     coeffs: np.ndarray
     x_i: float
     x_f: float
-    _deriv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_domain(self.x_i, self.x_f)
@@ -135,12 +121,19 @@ class SwitchingFunctions:
         if coeffs.shape != (8, 8):
             raise ConfigurationError(f"expected (8, 8) coefficients, got {coeffs.shape}")
         coeffs.flags.writeable = False
-        deriv = _UNIT_DERIV if self.coeffs is UNIT_COEFFS else _derivative_stack(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def _deriv(self) -> np.ndarray:
+        """Read-only ascending coefficients of the order-p rows on [x_i, x_f], p = 0..8."""
+        deriv = np.zeros((9, 8, 8))
+        deriv[0] = self.coeffs
+        for p in range(1, 9):
+            deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
         exponents = np.array(CONSTRAINT_ORDERS) - np.arange(9)[:, None]
-        deriv = deriv * (float(self.x_f - self.x_i) ** exponents)[..., None]
+        deriv *= (float(self.x_f - self.x_i) ** exponents)[..., None]
         deriv.flags.writeable = False
-        object.__setattr__(self, "_deriv", deriv)
+        return deriv
 
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
@@ -148,15 +141,20 @@ class SwitchingFunctions:
         return cls(UNIT_COEFFS, x_i, x_f)
 
     def _eval_poly(self, x, orders: slice) -> np.ndarray:
-        """Plain Horner evaluation of the derivative rows of `orders` at t.
+        """Horner evaluation of the derivative rows of `orders` at t, in one buffer.
 
-        One polyval call covers every requested order; the result has shape
-        (number of orders,) + x.shape + (8,).
+        Shape (number of orders,) + x.shape + (8,).  Powers above 7 - orders.start
+        are zero in these orders, so Horner starts there, at coefficient + t * 0:
+        numpy's polyval bit for bit, and a NaN or inf t reaches every order.
         """
-        deriv = self._deriv[orders]
         t = (x - self.x_i) / (self.x_f - self.x_i)
-        vals = npoly.polyval(t, deriv.reshape(-1, 8).T)
-        return np.moveaxis(vals.reshape(deriv.shape[:2] + np.shape(x)), 1, -1)
+        rows = self._deriv[orders].reshape((-1, 8) + (1,) * np.ndim(t))
+        top = max(7 - orders.start, 0)
+        vals = rows[:, top] + t * 0
+        for p in range(top - 1, -1, -1):
+            np.multiply(vals, t, out=vals)
+            np.add(rows[:, p], vals, out=vals)
+        return np.moveaxis(vals.reshape((-1, 8) + np.shape(x)), 1, -1)
 
     def _snapped(self, x, orders: slice) -> np.ndarray:
         """_eval_poly with the constraint orders (0..3) snapped at the endpoints.
@@ -179,8 +177,7 @@ class SwitchingFunctions:
         At the endpoints the constraint orders (0..3) are snapped to the
         exact Kronecker rows.
         """
-        if not 0 <= order <= 8:
-            raise ValueError(f"order must be in 0..8, got {order}")
+        order = check_order(order)
         return self._snapped(x, slice(order, order + 1))[0]
 
     def eval_all(self, x) -> np.ndarray:
@@ -188,7 +185,7 @@ class SwitchingFunctions:
         return self._snapped(x, slice(0, 9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstrainedExpression:
     """y(x, xi) = a(x)^T xi + b(x) with the eight constraints embedded exactly.
 

@@ -32,7 +32,7 @@ _EIGHT_FACTORIAL = 40320.0  # 8!
 TABLE_ROWS = 11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkEntry:
     """A problem plus its published error-table context.
 

@@ -16,10 +16,10 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, CollocationGrid, DomainMap, check_unit_interval, make_grid,
+    MAX_ORDER, ChebyshevBasis, CollocationGrid, DomainMap, check_order, check_unit_interval,
+    clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import (
@@ -130,7 +130,7 @@ class StopReason(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one solve: coefficients, iteration trace, stop reason.
 
@@ -149,7 +149,7 @@ class SolveReport:
     used_fd_partials: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """A solved problem: evaluate y and its derivatives anywhere in the domain."""
 
@@ -180,23 +180,25 @@ class Solution:
         return series, ce.boundary_basis_table @ xi
 
     def __call__(self, x, order: int = 0):
-        """y^{(order)}(x) of the solved expression, order 0..8.
+        """y^{(order)}(x) of the solved expression; ValueError unless order is an integer in 0..8.
 
         With xi fixed, y^{(d)}(x) = (c**d sum_k xi_k T_{8+k}^{(d)}(z)
         - beta^{(d)}(x) . (B xi)) + beta^{(d)}(x) . values, where B is the
         boundary basis table and values the constraint values.  The Chebyshev
-        sum is one Clenshaw pass over the series s_d cached per solution, so
-        no basis table is built.  At x_i and x_f the orders 0..3 return the
-        boundary data exactly.  Equals expression.eval(x, order, xi) to
+        sum is one in-place Clenshaw pass over the series s_d cached per
+        solution and beta^{(d)} one in-place Horner pass, both numpy's bit for
+        bit; no basis table is built.  At x_i and x_f the orders 0..3 return
+        the boundary data exactly.  Equals expression.eval(x, order, xi) to
         rounding; a scalar x gives a numpy scalar.
         """
+        order = check_order(order)
         x = np.asarray(x)
         ce = self.expression
         betas = ce.switching.eval(x, order)
         z = ce.basis.domain_map.to_z(x)
         check_unit_interval(z)
         series, b_xi = self._derivative_series
-        y = (chebyshev.chebval(z, series[order]) - betas @ b_xi) + betas @ ce.constraint_values
+        y = (clenshaw(z, series[order]) - betas @ b_xi) + betas @ ce.constraint_values
         if order < 4:
             right = np.where(x == ce.bc.x_f, ce.bc.right_values[order], y)
             y = np.where(x == ce.bc.x_i, ce.bc.left_values[order], right)[()]
@@ -205,9 +207,7 @@ class Solution:
     def error(self, x):
         """Absolute error against the problem's exact solution."""
         if self.problem.exact is None:
-            raise ConfigurationError(
-                f"problem {self.problem.name!r} has no exact solution"
-            )
+            raise ConfigurationError(f"problem {self.problem.name!r} has no exact solution")
         return np.abs(self(x) - self.problem.exact(x, 0))
 
 

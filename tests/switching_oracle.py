@@ -6,12 +6,15 @@ the eight constraint operators to the monomials 1, x, .., x^7, and column j
 of its inverse lists the coefficients of beta_{j+1}.  On [0, 1] the
 coefficients in x are the unit-domain coefficients in t, so the result is a
 drop-in SwitchingFunctions for expressions on [0, 1].  kronecker_matrix
-certifies either construction by plain evaluation at the constraints.
+certifies either construction by plain evaluation at the constraints, and
+polyval_rows is the plain numpy evaluation SwitchingFunctions._eval_poly
+must match bit for bit.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from bvp8.errors import SingularSystemError
 from bvp8.expression import SwitchingFunctions, constraint_locations
@@ -56,3 +59,16 @@ def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
         sw._eval_poly(x, slice(d, d + 1))[0]
         for x, d in constraint_locations(sw.x_i, sw.x_f)
     ])
+
+
+def polyval_rows(sw: SwitchingFunctions, x, orders: slice) -> np.ndarray:
+    """_eval_poly by numpy's polyval over every power of every derivative row.
+
+    One polyval call over all eight powers of the rows of `orders`, with no
+    power skipped and a new array per Horner step; the result has the shape
+    of _eval_poly, (number of orders,) + x.shape + (8,).
+    """
+    deriv = sw._deriv[orders]
+    t = (x - sw.x_i) / (sw.x_f - sw.x_i)
+    vals = npoly.polyval(t, deriv.reshape(-1, 8).T)
+    return np.moveaxis(vals.reshape(deriv.shape[:2] + np.shape(x)), 1, -1)

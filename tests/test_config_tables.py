@@ -1,10 +1,12 @@
 """The collocation tables a SolverConfig builds once on [0, 1] and reuses.
 
 A config builds its tables on its first solve.  Later solves with it, on
-any domain, build no Chebyshev table and evaluate no switching polynomial,
-and give the same bits as a fresh config.  The cache is invisible to
-equality and hashing, read-only, and not carried by copies or pickles.  A
-solve assembles only an expression and grid built from its config's tables.
+any domain, build no Chebyshev table, evaluate no switching polynomial and
+build no switching derivative rows (`_deriv`, built on a solution's first
+evaluation), and give the same bits as a fresh config.  The cache is
+invisible to equality and hashing, read-only, and not carried by copies or
+pickles.  A solve assembles only an expression and grid built from its
+config's tables.
 """
 
 import copy
@@ -67,6 +69,19 @@ def test_second_solve_builds_no_table(name, calls):
     calls.update(chebyshev_table=0, _eval_poly=0)
     solve(problem, config)
     assert calls == {"chebyshev_table": 0, "_eval_poly": 0}
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_second_solve_builds_no_switching_derivatives(name):
+    config = SolverConfig(n_points=31, m_basis=30)
+    problem = benchmark(name).problem
+    first, second = solve(problem, config), solve(problem, config)
+    for sol in (first, second):
+        assert "_deriv" not in vars(sol.expression.switching)
+    second(0.5 * sum(problem.domain), 3)
+    deriv = vars(second.expression.switching)["_deriv"]
+    assert deriv.shape == (9, 8, 8) and not deriv.flags.writeable
+    assert "_deriv" not in vars(first.expression.switching)
 
 
 def test_default_config_is_shared(calls):

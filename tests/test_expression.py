@@ -129,6 +129,19 @@ class TestSwitchingEval:
         with pytest.raises(ValueError):
             sw.eval(0.5, 9)
 
+    @pytest.mark.parametrize(
+        "order", [2.0, 2.5, True, np.True_, "2", None, np.array(2.0), np.array([2])])
+    def test_non_integer_order_rejected(self, order):
+        sw = SwitchingFunctions.closed_form(0.0, 1.0)
+        with pytest.raises(ValueError, match="order must be an integer in 0..8"):
+            sw.eval(0.5, order)
+
+    def test_numpy_integer_order_accepted(self):
+        sw = SwitchingFunctions.closed_form(0.0, 1.0)
+        x = np.array([0.0, 0.3, 1.0])
+        assert np.array_equal(sw.eval(x, np.int64(2)), sw.eval(x, 2))
+        assert np.array_equal(sw.eval(x, np.uint8(0)), sw.eval(x, 0))
+
 
 class TestBoundaryConditions:
     def test_interleaved_order(self):

@@ -72,6 +72,25 @@ def test_order_out_of_range_raises(order):
         solved("p1", 11, 10)(0.5, order)
 
 
+@pytest.mark.parametrize("order", [2.0, 2.5, True, False, np.True_, np.float64(2.0)])
+def test_non_integer_order_raises(order):
+    # 2.0 used to fail inside slicing with a TypeError and True to return y'.
+    sol = solved("p1", 11, 10)
+    for evaluate in (sol, lambda x, d: sol.expression.eval(x, d, sol.report.xi)):
+        with pytest.raises(ValueError, match="order must be an integer in 0..8"):
+            evaluate(0.5, order)
+
+
+def test_numpy_integer_order_works():
+    sol = solved("p4", 31, 30)
+    x = eval_points(sol)
+    for d in ORDERS:
+        assert np.array_equal(sol(x, np.int64(d)), sol(x, d))
+        assert sol(0.5, np.int32(d)) == sol(0.5, d)
+    assert np.array_equal(sol.expression.eval(x, np.int64(2), sol.report.xi),
+                          sol.expression.eval(x, 2, sol.report.xi))
+
+
 def test_point_outside_domain_raises():
     sol = solved("p6", 11, 10)
     x_i, x_f = sol.problem.domain

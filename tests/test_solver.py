@@ -35,6 +35,30 @@ def normal_equations_lstsq(a, rhs):
     return np.linalg.solve(a.T @ a, a.T @ rhs)
 
 
+class TestIdentityEquality:
+    """Dataclasses that hold arrays compare and hash by identity.
+
+    Field equality would compare arrays and raise "truth value of an array
+    ... is ambiguous"; SolverConfig keeps its field equality.
+    """
+
+    def test_equal_objects_of_two_solves_compare_by_identity(self):
+        problem = benchmark("p2").problem
+        first, second = solve(problem), solve(problem)
+        pairs = [
+            (first, second),
+            (first.report, second.report),
+            (first.grid, second.grid),
+            (first.expression, second.expression),
+            (first.expression.switching, second.expression.switching),
+            (benchmark("p2"), benchmark("p2")),
+        ]
+        for a, b in pairs:
+            assert (a == b) is False and (a != b) is True, type(a).__name__
+            assert (a == a) is True and hash(a) == hash(a)
+            assert len({a, b}) == 2
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
