@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import ChebyshevBasis, check_domain, check_order
+from .basis import ChebyshevBasis, DomainMap, check_domain, check_order
 from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -123,6 +123,10 @@ class SwitchingFunctions:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__: read-only coeffs, no _deriv.
+        return type(self), (self.coeffs, self.x_i, self.x_f)
+
     @cached_property
     def _deriv(self) -> np.ndarray:
         """Read-only ascending coefficients of the order-p rows on [x_i, x_f], p = 0..8."""
@@ -138,7 +142,14 @@ class SwitchingFunctions:
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
         """The switching functions of [x_i, x_f]: UNIT_COEFFS evaluated at t."""
-        return cls(UNIT_COEFFS, x_i, x_f)
+        return cls._on_domain(DomainMap(x_i, x_f))
+
+    @classmethod
+    def _on_domain(cls, dm: DomainMap) -> "SwitchingFunctions":
+        """closed_form on dm's domain, with no second check_domain: dm's construction ran it."""
+        sw = object.__new__(cls)
+        sw.__dict__.update(coeffs=UNIT_COEFFS, x_i=dm.x_i, x_f=dm.x_f)
+        return sw
 
     def _eval_poly(self, x, orders: slice) -> np.ndarray:
         """Horner evaluation of the derivative rows of `orders` at t, in one buffer.
@@ -210,7 +221,7 @@ class ConstrainedExpression:
                 f"basis domain [{dm.x_i}, {dm.x_f}] does not match "
                 f"constraint domain [{bc.x_i}, {bc.x_f}]"
             )
-        switching = SwitchingFunctions.closed_form(bc.x_i, bc.x_f)
+        switching = SwitchingFunctions._on_domain(dm)
         if ends is None:  # else basis.table([-1, 1], 3), built once by the caller
             ends = basis.table([dm.z_0, dm.z_f], 3)
         table = (_chain_factors(dm.c, slice(0, 4)) * ends).reshape(8, basis.m)

@@ -343,33 +343,38 @@ def assemble_linear(
 
 
 def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimize ||a w - rhs||_2 by column scaling plus Householder QR.
+    """Minimize ||a w - rhs||_2 by column scaling plus Householder QR, with no Q.
 
-    Columns are scaled to unit 2-norm before factoring, the triangular factor
-    is solved by one LAPACK solve, and the result is unscaled.  Scaling is a
-    conditioning aid only; it does not change the minimizer.  A zero column
-    or a scaled pivot below 1e-13 raises SingularSystemError naming the
-    offending column.
+    One QR of the augmented matrix [a / norms | rhs], columns scaled to unit
+    2-norm, gives R = [[R_11, Q^T rhs], [0, +-||residual||]]; one LAPACK solve
+    on R_11 gives w, which is then unscaled.  The rank check reads only the m
+    pivots of R_11: the last diagonal entry is 0 for a consistent system.
+    Scaling is a conditioning aid only.  A zero column or a scaled pivot
+    below 1e-13 raises SingularSystemError naming the offending column.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or rhs.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: a {a.shape}, rhs {rhs.shape}")
-    if a.shape[0] < a.shape[1]:
-        raise ValueError(f"system is underdetermined: {a.shape[0]} rows < {a.shape[1]} columns")
+    rows, m = a.shape
+    if rows < m:
+        raise ValueError(f"system is underdetermined: {rows} rows < {m} columns")
     norms = np.linalg.norm(a, axis=0)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise SingularSystemError(f"column {zero[0]} of the system matrix is identically zero")
-    q, r = np.linalg.qr(a / norms, mode="reduced")
-    pivots = np.abs(np.diag(r))
+    aug = np.empty((rows, m + 1))
+    np.divide(a, norms, out=aug[:, :m])
+    aug[:, m] = rhs
+    r = np.linalg.qr(aug, mode="r")
+    pivots = np.abs(np.diag(r)[:m])
     j = int(np.argmin(pivots))
     if not pivots[j] >= 1e-13:
         raise SingularSystemError(
             f"system is numerically rank deficient at column {j} (|r_jj|={pivots[j]:.3e})"
         )
     # LU of the triangular r pivots on its diagonal: back substitution in LAPACK.
-    return np.linalg.solve(r, q.T @ rhs) / norms
+    return np.linalg.solve(r[:m, :m], r[:m, m]) / norms
 
 
 def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:

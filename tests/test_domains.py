@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 
+import bvp8.basis
+import bvp8.expression
 from bvp8.basis import DomainMap
 from bvp8.errors import ConfigurationError
-from bvp8.expression import BoundaryConditions, SwitchingFunctions
+from bvp8.expression import UNIT_COEFFS, BoundaryConditions, SwitchingFunctions
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, solve
 
@@ -59,3 +61,25 @@ def test_unusable_domain_rejected(x_i, x_f):
         DomainMap(x_i, x_f)
     with pytest.raises(ConfigurationError, match="domain"):
         SwitchingFunctions.closed_form(x_i, x_f)
+    with pytest.raises(ConfigurationError, match="domain"):
+        SwitchingFunctions(UNIT_COEFFS, x_i, x_f)
+
+
+@pytest.mark.parametrize("name", ["p1", "p4", "p5"])
+def test_solve_checks_its_domain_once(name, monkeypatch):
+    # The problem's BoundaryConditions checked the domain when it was built;
+    # a solve builds the DomainMap (one check) and its switching functions
+    # from that map (no second check).
+    calls = []
+
+    def counted(x_i, x_f):
+        calls.append((x_i, x_f))
+        return check_domain(x_i, x_f)
+
+    check_domain = bvp8.basis.check_domain
+    problem, config = benchmark(name).problem, SolverConfig()
+    solve(problem, config)  # builds the config's [0, 1] tables
+    for module in (bvp8.basis, bvp8.expression):
+        monkeypatch.setattr(module, "check_domain", counted)
+    solve(problem, config)
+    assert calls == [problem.domain]

@@ -1,6 +1,8 @@
 """Tests for switching functions and the constrained expression."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +86,30 @@ class TestSwitchingClosedForm:
         xs = np.linspace(-1.0, 1.0, 41)
         assert_allclose(sw.eval(xs, 0)[:, 6], (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0,
                         rtol=0, atol=1e-15)
+
+
+class TestSwitchingCopies:
+    """Copies and pickles carry only the fields and come back like a new object:
+    read-only coeffs, and the derivative rows rebuilt at the first evaluation."""
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_copy_is_read_only_and_evaluates_alike(self, how):
+        sw = SwitchingFunctions.closed_form(-0.4, 1.7)
+        xs = np.linspace(-0.4, 1.7, 9)
+        want = sw.eval_all(xs)  # builds and caches _deriv
+        clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how](sw)
+        assert "_deriv" not in vars(clone)
+        assert not clone.coeffs.flags.writeable
+        assert (clone.x_i, clone.x_f) == (sw.x_i, sw.x_f)
+        assert np.array_equal(clone.eval_all(xs), want)
+        assert not clone._deriv.flags.writeable
+
+    def test_pickle_carries_no_derivative_rows(self):
+        sw = SwitchingFunctions.closed_form(0.0, 1.0)
+        sw.eval_all(0.5)
+        assert b"_deriv" not in pickle.dumps(sw)
+        assert len(pickle.dumps(sw)) < 9 * 8 * 8 * 8
 
 
 class TestSwitchingLinearSolve:

@@ -35,6 +35,19 @@ def normal_equations_lstsq(a, rhs):
     return np.linalg.solve(a.T @ a, a.T @ rhs)
 
 
+def formed_q_lstsq(a, rhs):
+    """Column-scaled QR least squares that forms the reduced Q and applies Q^T to rhs."""
+    norms = np.linalg.norm(a, axis=0)
+    q, r = np.linalg.qr(a / norms, mode="reduced")
+    pivots = np.abs(np.diag(r))
+    j = int(np.argmin(pivots))
+    if not pivots[j] >= 1e-13:
+        raise SingularSystemError(
+            f"system is numerically rank deficient at column {j} (|r_jj|={pivots[j]:.3e})"
+        )
+    return np.linalg.solve(r, q.T @ rhs) / norms
+
+
 class TestIdentityEquality:
     """Dataclasses that hold arrays compare and hash by identity.
 
@@ -143,6 +156,87 @@ class TestLstsqScaledQr:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             lstsq_scaled_qr(np.ones((3, 2)), np.ones(4))
+
+
+class TestQFreeLstsq:
+    """lstsq_scaled_qr factors [a / norms | rhs] and never forms Q; the
+    formed-Q oracle solves the same scaled problem the textbook way."""
+
+    @pytest.fixture(scope="class")
+    def gauss_newton_systems(self):
+        """Every (J, loss) Gauss-Newton solves for p1-p7 at three sizes, with the solve's xi."""
+        systems = []
+        real = solver_module.lstsq_scaled_qr
+
+        def recording(a, rhs):
+            systems.append([np.array(a), np.array(rhs)])
+            return real(a, rhs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "lstsq_scaled_qr", recording)
+            for n_points, m_basis in [(11, 10), (31, 30), (481, 60)]:
+                config = SolverConfig(n_points=n_points, m_basis=m_basis)
+                for name in ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]:
+                    start = len(systems)
+                    xi = solve_nonlinear(benchmark(name).problem, config).report.xi
+                    for system in systems[start:]:
+                        system.append(xi)
+        return systems
+
+    def test_matches_formed_q_on_gauss_newton_systems(self, gauss_newton_systems):
+        # The gap is measured on the iterate the step moves, as in Gauss-Newton.
+        # A converged solve's last step is roundoff (||step|| ~ 1e-16 ||xi||):
+        # its loss is nearly orthogonal to range(J), where least squares
+        # amplifies rounding by cond(J)**2: the two methods agree on that
+        # step only to about 5e-11 of its own size.
+        assert len(gauss_newton_systems) >= 2 * 3 * 7
+        worst = 0.0
+        for a, rhs, xi in gauss_newton_systems:
+            want = formed_q_lstsq(a, rhs)
+            gap = np.linalg.norm(lstsq_scaled_qr(a, rhs) - want)
+            worst = max(worst, gap / max(np.linalg.norm(want), np.linalg.norm(xi)))
+        assert worst <= 1e-13
+
+    def test_consistent_column_of_ones(self):
+        w = lstsq_scaled_qr(np.ones((3, 1)), np.full(3, 2.5))
+        assert w[0] == pytest.approx(2.5, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_consistent_random_system(self, scale):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((40, 5))
+        want = scale * rng.standard_normal(5)
+        got = lstsq_scaled_qr(a, a @ want)
+        assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert_allclose(got, formed_q_lstsq(a, a @ want), rtol=1e-13, atol=0)
+
+    def test_nan_in_rhs_gives_oracle_nan(self):
+        a = np.random.default_rng(14).standard_normal((12, 4))
+        rhs = np.ones(12)
+        rhs[5] = np.nan
+        got = lstsq_scaled_qr(a, rhs)
+        assert np.all(np.isnan(got))
+        assert np.array_equal(got, formed_q_lstsq(a, rhs), equal_nan=True)
+
+    def test_rank_deficiency_names_the_column(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((8, 4))
+        a[:, 3] = a[:, 0] + a[:, 1]
+        with pytest.raises(SingularSystemError, match="rank deficient at column 3 "):
+            lstsq_scaled_qr(a, np.ones(8))
+
+    def test_solves_never_form_q(self, monkeypatch):
+        modes = []
+        qr = np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        for name in ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]:
+            solve(benchmark(name).problem, SolverConfig(n_points=31, m_basis=30))
+        assert len(modes) >= 7 and set(modes) == {"r"}
 
 
 class TestAssembly:
