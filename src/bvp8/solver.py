@@ -31,10 +31,11 @@ _FD_STEP = 1e-7
 #: Gauss-Newton converges once a full step has
 #: ||step|| <= _STEP_TOL * (1 + ||xi||).  _ARMIJO_C is the sufficient-decrease
 #: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length
-#: the backtracking line search tries.
+#: the backtracking line search tries; _CERTIFY_PIVOT is _certified_step's pivot floor.
 _STEP_TOL = 1e-10
 _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
+_CERTIFY_PIVOT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,8 @@ class SolveReport:
     accepted step, so it never increases and its last entry is
     `solution_norm`, the norm at the returned xi.  `iterations` counts the
     Gauss-Newton steps computed; a step that stalled, or a converged one
-    that would raise the norm, is not applied and adds no entry.
+    that would raise the norm, is not applied and adds no entry.  A converged
+    step may come from the normal equations instead of a QR (see solve_nonlinear).
     """
 
     xi: np.ndarray
@@ -377,6 +379,28 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r[:m, :m], r[:m, m]) / norms
 
 
+def _certified_step(jac: np.ndarray, loss: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """lstsq(jac, loss) by the column-scaled normal equations if its norm is at most tol, else None.
+
+    The Cholesky factor of G = (J/d)^T (J/d), d the column norms, has the scaled QR pivots
+    of J on its diagonal and serves only as the rank gate (one LU solve of G costs less than
+    two of its triangles): a zero column, a failed factor or a pivot below _CERTIFY_PIVOT
+    declines.  The error grows as cond(J)**2, which a roundoff-floor step can afford.
+    """
+    with np.errstate(all="ignore"):
+        gram = jac.T @ jac
+        d = np.sqrt(np.diag(gram))
+        gram /= np.outer(d, d)
+        try:
+            pivots = np.diag(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.min(pivots) >= _CERTIFY_PIVOT:
+            return None
+        step = np.linalg.solve(gram, (jac.T @ loss) / d) / d
+        return step if np.linalg.norm(step) <= tol else None
+
+
 def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
     """Solve a linear problem in one least-squares shot."""
     if not problem.is_linear:
@@ -407,7 +431,7 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
     For f = ||r||^2 / 2 along the Gauss-Newton direction the test is
     ||r_trial||^2 <= ||r||^2 (1 - alpha * decrease), with decrease
     2 c ||J step||^2 / ||r||^2, so no norm is squared.  A trial whose
-    residual raises or is not finite fails.  None when no step length passes.
+    residual raises or is not finite fails.  (alpha, trial), or None if none passes.
     """
     alpha = 1.0
     while alpha >= shortest:
@@ -416,7 +440,7 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
         except EvaluationError:
             trial = None
         if trial is not None and trial[3] <= norm * math.sqrt(1.0 - alpha * decrease):
-            return trial
+            return alpha, trial
         alpha /= 2.0
     return None
 
@@ -430,7 +454,9 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
     update is halved until the Armijo test passes (a trial whose residual
     raises or is not finite fails it); if none down to 1e-8 passes, the
     solve stops as stalled.  Stalling and the iteration cap are reported,
-    not raised.  Works on linear problems too.
+    not raised.  Works on linear problems too.  After a full-length step the
+    next update is first solved by the column-scaled normal equations, and
+    taken without a QR if their Cholesky pivots pass and it already converges.
     """
     config = config if config is not None else _DEFAULT_CONFIG
     ce, grid = build_system(problem, config)
@@ -441,21 +467,25 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
     history = [norm]
     iterations = 0
     converged_by = StopReason.MAX_ITERATIONS
+    alpha = 0.0  # the length of the last step applied
 
     while iterations < config.max_iterations:
         iterations += 1
         jac = _jacobian(partials, tables, xi, states)
-        step = lstsq_scaled_qr(jac, loss)
-        if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(xi)):
+        tol = _STEP_TOL * (1.0 + np.linalg.norm(xi))
+        step = _certified_step(jac, loss, tol) if alpha == 1.0 else None
+        if step is None:
+            step = lstsq_scaled_qr(jac, loss)
+        if np.linalg.norm(step) <= tol:
             converged_by = StopReason.CONVERGED
-            trial = _line_search(problem.residual, tables, xi, step, norm, 0.0, shortest=1.0)
+            found = _line_search(problem.residual, tables, xi, step, norm, 0.0, shortest=1.0)
         else:
             decrease = 2.0 * _ARMIJO_C * (float(np.linalg.norm(jac @ step)) / norm) ** 2
-            trial = _line_search(problem.residual, tables, xi, step, norm, decrease)
-            if trial is None:
+            found = _line_search(problem.residual, tables, xi, step, norm, decrease)
+            if found is None:
                 converged_by = StopReason.STALLED
-        if trial is not None:
-            xi, states, loss, norm = trial
+        if found is not None:
+            alpha, (xi, states, loss, norm) = found
             history.append(norm)
         if converged_by is not StopReason.MAX_ITERATIONS:
             break

@@ -16,6 +16,7 @@ from bvp8.solver import (
     BvpProblem,
     SolverConfig,
     StopReason,
+    _CollocationTables,
     _jacobian,
     assemble_linear,
     assemble_loss_and_jacobian,
@@ -158,29 +159,94 @@ class TestLstsqScaledQr:
             lstsq_scaled_qr(np.ones((3, 2)), np.ones(4))
 
 
+SIZES = [(11, 10), (31, 30), (481, 60)]
+ALL_NAMES = ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]
+
+
+def translated(problem, shift):
+    """The problem moved by `shift` along x: y(x) = y_old(x - shift)."""
+    residual, partials, exact = problem.residual, problem.partials, problem.exact
+    moved_exact = lambda x, order: exact(np.asarray(x) - shift, order)
+    x_i, x_f = problem.domain
+    return dataclasses.replace(
+        problem,
+        bc=BoundaryConditions.from_callable(x_i + shift, x_f + shift, moved_exact),
+        residual=lambda x, y: residual(x - shift, y),
+        partials=None if partials is None else (lambda x, y: partials(x - shift, y)),
+        exact=moved_exact,
+    )
+
+
+def stretched_p5(power):
+    """p5 on [0, e**power - 1], where its exact solution log(1 + x) reaches power."""
+    p5 = benchmark("p5").problem
+    return dataclasses.replace(
+        p5, bc=BoundaryConditions.from_callable(0.0, math.expm1(power), p5.exact)
+    )
+
+
+def certificate_cases():
+    """Params (make_problem, n_points, m_basis) of every solve compared with its QR-only run."""
+    cases = [(name, lambda name=name: benchmark(name).problem) for name in ALL_NAMES]
+    cases += [(f"p5-e{k}", lambda k=k: stretched_p5(k)) for k in (1, 2, 3)]
+    for name in ("p4", "p5", "p6"):
+        problem = lambda name=name: benchmark(name).problem
+        cases += [(f"{name}-shift{shift:g}", lambda problem=problem, shift=shift:
+                   translated(problem(), shift)) for shift in (-3.0, 10.0, 1000.0)]
+        cases.append((f"{name}-fd", lambda problem=problem:
+                      dataclasses.replace(problem(), partials=None)))
+    return [
+        pytest.param(make, n_points, m_basis, id=f"{key}-{n_points}")
+        for key, make in cases for n_points, m_basis in SIZES
+    ]
+
+
+def run_recorded(problem, config, certify=True):
+    """solve_nonlinear and its (J, loss, step) systems, solved by lstsq_scaled_qr or certified.
+
+    With certify=False the helper declines every system, so every step is
+    solved by QR: the QR-only run that certified solves are compared with.
+    """
+    qr_systems, certified = [], []
+    real_qr, real_certified = solver_module.lstsq_scaled_qr, solver_module._certified_step
+
+    def recording_qr(a, rhs):
+        step = real_qr(a, rhs)
+        qr_systems.append((np.array(a), np.array(rhs), step))
+        return step
+
+    def recording_certified(a, rhs, tol):
+        step = real_certified(a, rhs, tol) if certify else None
+        if step is not None:
+            certified.append((np.array(a), np.array(rhs), step))
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "lstsq_scaled_qr", recording_qr)
+        mp.setattr(solver_module, "_certified_step", recording_certified)
+        sol = solve_nonlinear(problem, config)
+    return sol, qr_systems, certified
+
+
+def max_error(sol):
+    x = np.linspace(*sol.problem.domain, 101)
+    return float(np.max(np.abs(sol(x) - sol.problem.exact(x, 0))))
+
+
 class TestQFreeLstsq:
     """lstsq_scaled_qr factors [a / norms | rhs] and never forms Q; the
     formed-Q oracle solves the same scaled problem the textbook way."""
 
     @pytest.fixture(scope="class")
     def gauss_newton_systems(self):
-        """Every (J, loss) Gauss-Newton solves for p1-p7 at three sizes, with the solve's xi."""
+        """Every (J, loss) Gauss-Newton solves for p1-p7 at three sizes, with the
+        step the solve took, by QR or certified, and the solve's xi."""
         systems = []
-        real = solver_module.lstsq_scaled_qr
-
-        def recording(a, rhs):
-            systems.append([np.array(a), np.array(rhs)])
-            return real(a, rhs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_module, "lstsq_scaled_qr", recording)
-            for n_points, m_basis in [(11, 10), (31, 30), (481, 60)]:
-                config = SolverConfig(n_points=n_points, m_basis=m_basis)
-                for name in ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]:
-                    start = len(systems)
-                    xi = solve_nonlinear(benchmark(name).problem, config).report.xi
-                    for system in systems[start:]:
-                        system.append(xi)
+        for n_points, m_basis in SIZES:
+            config = SolverConfig(n_points=n_points, m_basis=m_basis)
+            for name in ALL_NAMES:
+                sol, qr_systems, certified = run_recorded(benchmark(name).problem, config)
+                systems += [(*system, sol.report.xi) for system in qr_systems + certified]
         return systems
 
     def test_matches_formed_q_on_gauss_newton_systems(self, gauss_newton_systems):
@@ -188,12 +254,12 @@ class TestQFreeLstsq:
         # A converged solve's last step is roundoff (||step|| ~ 1e-16 ||xi||):
         # its loss is nearly orthogonal to range(J), where least squares
         # amplifies rounding by cond(J)**2: the two methods agree on that
-        # step only to about 5e-11 of its own size.
+        # step only to about 5e-11 of its own size; a certified step, to 3e-8.
         assert len(gauss_newton_systems) >= 2 * 3 * 7
         worst = 0.0
-        for a, rhs, xi in gauss_newton_systems:
+        for a, rhs, step, xi in gauss_newton_systems:
             want = formed_q_lstsq(a, rhs)
-            gap = np.linalg.norm(lstsq_scaled_qr(a, rhs) - want)
+            gap = np.linalg.norm(step - want)
             worst = max(worst, gap / max(np.linalg.norm(want), np.linalg.norm(xi)))
         assert worst <= 1e-13
 
@@ -237,6 +303,109 @@ class TestQFreeLstsq:
         for name in ["p1", "p2", "p3", "p4", "p5", "p6", "p7"]:
             solve(benchmark(name).problem, SolverConfig(n_points=31, m_basis=30))
         assert len(modes) >= 7 and set(modes) == {"r"}
+
+
+class TestCertifiedStep:
+    """After a full-length step, a converging Gauss-Newton step is solved by the
+    column-scaled normal equations, gated by their Cholesky pivots, instead of a
+    second QR.  Every solve must stop, count and land as its QR-only run does."""
+
+    @pytest.mark.parametrize("make,n_points,m_basis", certificate_cases())
+    def test_matches_qr_only_run(self, make, n_points, m_basis):
+        problem = make()
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        want, _, _ = run_recorded(problem, config, certify=False)
+        got, qr_systems, certified = run_recorded(problem, config)
+        assert got.report.converged_by is want.report.converged_by
+        assert got.report.iterations == want.report.iterations
+        assert max_error(got) == pytest.approx(max_error(want), rel=1e-9, abs=0)
+        xi = want.report.xi
+        assert np.linalg.norm(got.report.xi - xi) <= 1e-13 * np.linalg.norm(xi)
+        # Each converged solve certifies its last step; none certifies more.
+        assert len(certified) == (got.report.converged_by is StopReason.CONVERGED)
+        assert len(qr_systems) + len(certified) == got.report.iterations
+        for a, rhs, step in certified:
+            want_step = formed_q_lstsq(a, rhs)
+            gap = np.linalg.norm(step - want_step)
+            assert gap <= 1e-13 * max(np.linalg.norm(want_step), np.linalg.norm(xi))
+
+    @pytest.mark.parametrize("n_points,m_basis", SIZES)
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_one_qr_per_benchmark_solve(self, name, n_points, m_basis):
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        sol, qr_systems, certified = run_recorded(benchmark(name).problem, config)
+        assert sol.report.converged_by is StopReason.CONVERGED
+        assert len(qr_systems) == 1 and len(certified) == 1
+        (a, rhs, step), = certified
+        # Measured at most 3e-8 of the step's norm (p3, p7 at (481, 60)).
+        want = formed_q_lstsq(a, rhs)
+        assert np.linalg.norm(step - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_damped_solve_counts_every_step_once(self):
+        # p5 on [0, e^3 - 1] backtracks before it converges in 8 steps.
+        config = SolverConfig(n_points=481, m_basis=60)
+        sol, qr_systems, certified = run_recorded(stretched_p5(3), config)
+        assert sol.report.converged_by is StopReason.CONVERGED
+        assert sol.report.iterations > 2
+        assert len(certified) == 1
+        assert len(qr_systems) + len(certified) == sol.report.iterations
+
+    def test_failed_cholesky_gives_the_qr_only_result(self, monkeypatch):
+        config = SolverConfig(n_points=481, m_basis=60)
+        wants = [run_recorded(benchmark(name).problem, config, certify=False)[0]
+                 for name in ALL_NAMES]
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        for name, want in zip(ALL_NAMES, wants):
+            got, _, certified = run_recorded(benchmark(name).problem, config)
+            assert certified == []
+            assert np.array_equal(got.report.xi, want.report.xi)
+            assert np.array_equal(got.report.residual_norm_history,
+                                  want.report.residual_norm_history)
+
+    def test_zero_column_declines(self):
+        a = np.random.default_rng(20).standard_normal((30, 5))
+        a[:, 2] = 0.0
+        assert solver_module._certified_step(a, np.ones(30), math.inf) is None
+
+    def test_near_duplicate_column_declines(self):
+        # Column 4 is column 0 plus 3e-8 noise: the scaled QR pivot 2.2e-8
+        # passes the QR's 1e-13 rank test, and the Cholesky factor resolves it
+        # as 2.6e-8, below the 1e-7 certificate floor.  An exact duplicate
+        # fails the factorization and the QR's rank test.
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((30, 5))
+        a[:, 4] = a[:, 0] + 3e-8 * rng.standard_normal(30)
+        gram = a.T @ a / np.outer(np.linalg.norm(a, axis=0), np.linalg.norm(a, axis=0))
+        assert np.min(np.diag(np.linalg.cholesky(gram))) < 1e-7
+        assert np.isfinite(lstsq_scaled_qr(a, np.ones(30))).all()
+        assert solver_module._certified_step(a, np.ones(30), math.inf) is None
+        a[:, 4] = a[:, 0]
+        assert solver_module._certified_step(a, np.ones(30), math.inf) is None
+        with pytest.raises(SingularSystemError, match="rank deficient"):
+            lstsq_scaled_qr(a, np.ones(30))
+
+    def test_step_above_tolerance_declines(self):
+        rng = np.random.default_rng(22)
+        a, rhs = rng.standard_normal((30, 5)), rng.standard_normal(30)
+        want = formed_q_lstsq(a, rhs)
+        step = solver_module._certified_step(a, rhs, math.inf)
+        assert_allclose(step, want, rtol=1e-12, atol=0)
+        assert solver_module._certified_step(a, rhs, 0.5 * np.linalg.norm(want)) is None
+
+    @pytest.mark.parametrize("n_points,m_basis", [(31, 30), (481, 60)])
+    def test_converging_step_is_applied(self, n_points, m_basis):
+        # The 1.2e-18 last step of p5 lowers the error of y^(8) at the nodes
+        # from 7.8e-8 to about 3e-12 (31) and 8e-12 (481): a step below
+        # _STEP_TOL in the coefficients is not negligible in the state.
+        problem = benchmark("p5").problem
+        sol = solve_nonlinear(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
+        states = _CollocationTables(sol.expression, sol.grid, sol.config).states(sol.report.xi)
+        x = sol.grid.x_nodes
+        assert np.max(np.abs(states[8] - problem.exact(x, 8))) <= 1e-10
 
 
 class TestAssembly:
