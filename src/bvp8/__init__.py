@@ -7,19 +7,8 @@ minimized over a Chebyshev coefficient vector by collocation least squares.
 
 from . import problems
 from .basis import ChebyshevBasis, CollocationGrid, DomainMap, chebyshev_table, make_grid
-from .errors import (
-    Bvp8Error,
-    ConfigurationError,
-    EvaluationError,
-    NotFittedError,
-    SingularSystemError,
-)
-from .estimator import BvpSolver
-from .expression import (
-    BoundaryConditions,
-    ConstrainedExpression,
-    SwitchingFunctions,
-)
+from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
+from .expression import BoundaryConditions, ConstrainedExpression, SwitchingFunctions
 from .solver import (
     BvpProblem,
     Solution,
@@ -41,14 +30,12 @@ __all__ = [
     "BoundaryConditions",
     "Bvp8Error",
     "BvpProblem",
-    "BvpSolver",
     "ChebyshevBasis",
     "CollocationGrid",
     "ConfigurationError",
     "ConstrainedExpression",
     "DomainMap",
     "EvaluationError",
-    "NotFittedError",
     "SingularSystemError",
     "Solution",
     "SolveReport",

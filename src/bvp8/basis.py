@@ -17,8 +17,8 @@ from .errors import ConfigurationError
 #: Highest derivative order needed anywhere in the solver (the ODE order).
 MAX_ORDER = 8
 
-#: Lowest admissible Chebyshev degree; degrees 0..7 duplicate the support span.
-MIN_START_DEGREE = 8
+#: Degree of the first basis term; degrees 0..7 duplicate the support span.
+START_DEGREE = 8
 
 
 def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
@@ -126,24 +126,18 @@ class DomainMap:
 
 @dataclass(frozen=True)
 class ChebyshevBasis:
-    """The m terms T_{start_degree} .. T_{start_degree + m - 1} on [-1, +1]."""
+    """The m terms T_8 .. T_{8 + m - 1} on [-1, +1]."""
 
     m: int
     domain_map: DomainMap
-    start_degree: int = MIN_START_DEGREE
 
     def __post_init__(self):
         if self.m < 1:
             raise ConfigurationError(f"need at least one basis term, got m={self.m}")
-        if self.start_degree < MIN_START_DEGREE:
-            raise ConfigurationError(
-                f"start_degree={self.start_degree} overlaps the constraint "
-                f"support functions; it must be at least {MIN_START_DEGREE}"
-            )
 
     @property
     def max_degree(self) -> int:
-        return self.start_degree + self.m - 1
+        return START_DEGREE + self.m - 1
 
     def table(self, z, max_order: int = MAX_ORDER) -> np.ndarray:
         """Values of d^p T_k / dz^p for p = 0..max_order and the m retained degrees.
@@ -157,7 +151,7 @@ class ChebyshevBasis:
         z = np.asarray(z, dtype=float)
         check_unit_interval(z)
         table = chebyshev_table(z, self.max_degree, max_order)
-        return np.moveaxis(table[:, self.start_degree:], 1, -1)
+        return np.moveaxis(table[:, START_DEGREE:], 1, -1)
 
     def eval(self, z, order: int = 0) -> np.ndarray:
         """The order-`order` slice of table(z, order), shape z.shape + (m,)."""

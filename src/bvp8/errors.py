@@ -15,7 +15,3 @@ class SingularSystemError(Bvp8Error, RuntimeError):
 
 class EvaluationError(Bvp8Error, RuntimeError):
     """A residual or partials callback raised, or gave a non-finite value."""
-
-
-class NotFittedError(Bvp8Error, RuntimeError):
-    """An estimator method that needs a fitted model was called before fit()."""

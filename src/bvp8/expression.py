@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import ChebyshevBasis, DomainMap, check_domain, check_order
+from .basis import MAX_ORDER, ChebyshevBasis, DomainMap, check_domain, check_order
 from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -53,9 +53,9 @@ _UNIT_ROWS.flags.writeable = False
 _PIECE_BYTES = 2**19
 
 
-def _chain_factors(c: float, orders: slice) -> np.ndarray:
-    """c**d for d in `orders`, shaped (orders, 1, 1)."""
-    return np.array([c**d for d in range(orders.start, orders.stop)]).reshape(-1, 1, 1)
+def _chain_factors(c: float, orders: int) -> np.ndarray:
+    """c**d for d = 0..orders-1, shaped (orders, 1, 1)."""
+    return np.array([c**d for d in range(orders)]).reshape(-1, 1, 1)
 
 
 def constraint_locations(x_i: float, x_f: float):
@@ -165,7 +165,7 @@ class SwitchingFunctions:
         for p in range(top - 1, -1, -1):
             np.multiply(vals, t, out=vals)
             np.add(rows[:, p], vals, out=vals)
-        return np.moveaxis(vals.reshape((-1, 8) + np.shape(x)), 1, -1)
+        return np.moveaxis(vals.reshape((len(rows) // 8, 8) + np.shape(x)), 1, -1)
 
     def _snapped(self, x, orders: slice) -> np.ndarray:
         """_eval_poly with the constraint orders (0..3) snapped at the endpoints.
@@ -224,37 +224,36 @@ class ConstrainedExpression:
         switching = SwitchingFunctions._on_domain(dm)
         if ends is None:  # else basis.table([-1, 1], 3), built once by the caller
             ends = basis.table([dm.z_0, dm.z_f], 3)
-        table = (_chain_factors(dm.c, slice(0, 4)) * ends).reshape(8, basis.m)
+        table = (_chain_factors(dm.c, 4) * ends).reshape(8, basis.m)
         table.flags.writeable = False
         values = bc.interleaved()
         values.flags.writeable = False
         return cls(basis, switching, bc, table, values)
 
-    def _coefficient_rows(self, x, betas, orders: slice) -> np.ndarray:
-        """c**d h^{(d)}(x) - beta^{(d)}(x) B for d in `orders`, stacked first.
+    def _coefficient_rows(self, x, betas) -> np.ndarray:
+        """c**d h^{(d)}(x) - beta^{(d)}(x) B for d = 0..8, stacked first.
 
-        h^{(d)} are the basis derivatives in z and betas[k] the switching
-        values of order orders.start + k.  A Chebyshev table is built per
-        piece of _PIECE_BYTES of the result, and each order's correction is
-        subtracted in place.
+        h^{(d)} are the basis derivatives in z and betas the switching values
+        of orders 0..8, as from switching.eval_all(x).  A Chebyshev table is
+        built per piece of _PIECE_BYTES of the result, and each order's
+        correction is subtracted in place.
         """
         dm = self.basis.domain_map
         z = np.ravel(dm.to_z(x))
-        chain = _chain_factors(dm.c, orders)
-        rows = np.empty((len(chain), z.size, self.basis.m))
-        step = max(1, _PIECE_BYTES // (8 * len(chain) * self.basis.m))
+        chain = _chain_factors(dm.c, MAX_ORDER + 1)
+        rows = np.empty((MAX_ORDER + 1, z.size, self.basis.m))
+        step = max(1, _PIECE_BYTES // (8 * (MAX_ORDER + 1) * self.basis.m))
         for k in range(0, z.size, step):
-            table = self.basis.table(z[k:k + step], orders.stop - 1)[orders]
-            np.multiply(chain, table, out=rows[:, k:k + step])
-        rows = rows.reshape((len(chain),) + np.shape(x) + (self.basis.m,))
+            np.multiply(chain, self.basis.table(z[k:k + step]), out=rows[:, k:k + step])
+        rows = rows.reshape((MAX_ORDER + 1,) + np.shape(x) + (self.basis.m,))
         for row, beta in zip(rows, betas):
             row -= beta @ self.boundary_basis_table
         return rows
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
-        """The xi coefficient row a^{(order)}(x), shape x.shape + (m,)."""
-        betas = self.switching.eval(x, order)
-        return self._coefficient_rows(x, betas[None], slice(order, order + 1))[0]
+        """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); builds all nine orders."""
+        order = check_order(order)
+        return self._coefficient_rows(x, self.switching.eval_all(x))[order]
 
     def b_value(self, x, order: int = 0):
         """The constraint interpolant b^{(order)}(x) (the xi = 0 candidate)."""

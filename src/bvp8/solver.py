@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, CollocationGrid, DomainMap, check_order, check_unit_interval,
-    clenshaw, make_grid,
+    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, DomainMap, check_order,
+    check_unit_interval, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import (
@@ -86,6 +86,10 @@ class SolverConfig:
     max_iterations: int = 20
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if self.n_points < 2:
             raise ConfigurationError(f"need at least 2 grid points, got {self.n_points}")
         if not 1 <= self.m_basis <= self.n_points - 1:
@@ -110,7 +114,7 @@ class SolverConfig:
         ce = ConstrainedExpression.build(basis, BoundaryConditions(0.0, 1.0, zeros, zeros), ends)
         grid = make_grid(unit, self.n_points)
         s = ce.switching.eval_all(grid.x_nodes)
-        a = ce._coefficient_rows(grid.x_nodes, s, slice(0, MAX_ORDER + 1))
+        a = ce._coefficient_rows(grid.x_nodes, s)
         for table in (a, s, ends):
             table.flags.writeable = False
         return grid.z_nodes, a, s, ends
@@ -176,7 +180,7 @@ class Solution:
         odd_gap = (k > k[:, None]) & ((k - k[:, None]) % 2 == 1)
         deriv = np.where(odd_gap, 2.0 * ce.basis.domain_map.c * k, 0.0)
         deriv[0] /= 2.0
-        series = [np.concatenate([np.zeros(ce.basis.start_degree), xi])]
+        series = [np.concatenate([np.zeros(START_DEGREE), xi])]
         for d in range(1, MAX_ORDER + 1):
             series.append(deriv[: k.size - d, : k.size - d + 1] @ series[-1])
         return series, ce.boundary_basis_table @ xi
@@ -319,7 +323,7 @@ def assemble_loss_and_jacobian(
     config = config or SolverConfig(grid.n_points, ce.basis.m)
     z, _, _, ends = config._tables
     dm, sw, bc, x = ce.basis.domain_map, ce.switching, ce.bc, grid.x_nodes
-    ends_rows = (_chain_factors(dm.c, slice(0, 4)) * ends).reshape(8, -1)
+    ends_rows = (_chain_factors(dm.c, 4) * ends).reshape(8, -1)
     domains = {(dm.x_i, dm.x_f), (sw.x_i, sw.x_f), (bc.x_i, bc.x_f), (x[0], x[-1])}
     arrays = ((grid.z_nodes, z), (sw.coeffs, UNIT_COEFFS), (ce.boundary_basis_table, ends_rows))
     if not (grid.n_points == config.n_points and ce.basis == ChebyshevBasis(config.m_basis, dm)

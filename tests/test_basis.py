@@ -92,10 +92,6 @@ class TestChebyshevBasis:
         expected = [chebyshev_oracle(k, z) for k in (8, 9, 10)]
         assert_allclose(basis.eval(z, 0), expected, atol=1e-12)
 
-    def test_start_degree_below_eight_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ChebyshevBasis(5, UNIT_MAP, start_degree=7)
-
     def test_nonpositive_m_rejected(self):
         with pytest.raises(ConfigurationError):
             ChebyshevBasis(0, UNIT_MAP)

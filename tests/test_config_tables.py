@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import bvp8.basis
-from bvp8.basis import ChebyshevBasis, CollocationGrid, DomainMap, make_grid
+from bvp8.basis import CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
-from bvp8.expression import ConstrainedExpression, SwitchingFunctions
+from bvp8.expression import SwitchingFunctions
 from bvp8.problems import benchmark
 from bvp8.solver import (
     SolverConfig, _CollocationTables, assemble_loss_and_jacobian, build_system, solve,
@@ -121,17 +121,13 @@ def test_equality_and_hash_ignore_the_cache():
 
 
 def test_tables_of_another_size_or_basis_rejected():
-    # The tables assume the grid size, the basis size and the basis start
-    # degree of the config; assembling with others would read wrong rows.
+    # The tables assume the grid size and the basis size of the config;
+    # assembling with others would read wrong rows.
     problem = benchmark("p1").problem
     ce, grid = build_system(problem, SolverConfig())
     for config in (SolverConfig(n_points=12, m_basis=10), SolverConfig(n_points=11, m_basis=9)):
         with pytest.raises(ConfigurationError, match="do not match"):
             assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10), config)
-    later_start = ChebyshevBasis(10, ce.basis.domain_map, start_degree=9)
-    ce = ConstrainedExpression.build(later_start, problem.bc)
-    with pytest.raises(ConfigurationError, match="do not match"):
-        assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
 
 
 def test_expression_or_grid_not_built_from_the_config_rejected():

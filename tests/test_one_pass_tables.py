@@ -1,11 +1,11 @@
 """One-pass tables against the per-order constructions they replace.
 
-The oracles are the nested-loop Chebyshev recurrence and the stacking of the
-single-order a_row / b_value rows.  The one-pass code does the same
-arithmetic on every element, so equality is exact (np.array_equal), not a
-tolerance.  Products with the tables are compared too: BLAS rounding depends
-on memory layout, so equal values in a different layout can still give
-different states and Jacobians.
+The oracles are the nested-loop Chebyshev recurrence and the a rows built
+one order at a time from it, stacked with the single-order b_value rows.
+The one-pass code does the same arithmetic on every element, so equality is
+exact (np.array_equal), not a tolerance.  Products with the tables are
+compared too: BLAS rounding depends on memory layout, so equal values in a
+different layout can still give different states and Jacobians.
 
 The solver reads its config's tables, built on [0, 1], on any domain of
 width w through the scales w**-d.  A problem on [0, 1] is compared with the
@@ -16,7 +16,7 @@ per-order tables of the same problem moved to [0, 1], read with those scales.
 import numpy as np
 import pytest
 
-from bvp8.basis import ChebyshevBasis, DomainMap, chebyshev_table, make_grid
+from bvp8.basis import START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_table, make_grid
 from bvp8.expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
@@ -45,14 +45,21 @@ def loop_chebyshev_table(z, max_degree, max_order):
     return table
 
 
+def per_order_a_row(ce, x, d):
+    """a^{(d)}(x) at 1-D x, one order at a time: c**d h^{(d)}(z) - beta^{(d)}(x) B."""
+    dm = ce.basis.domain_map
+    h = loop_chebyshev_table(dm.to_z(x), ce.basis.max_degree, d)[d, START_DEGREE:].T
+    return dm.c**d * h - ce.switching.eval(x, d) @ ce.boundary_basis_table
+
+
 class PerOrderTables:
-    """Collocation tables stacked from the single-order read path."""
+    """Collocation tables stacked from rows built one order at a time."""
 
     scale = np.ones(9)  # the tables are read where they were built
 
     def __init__(self, ce, grid):
         self.x = grid.x_nodes
-        self.a = np.stack([ce.a_row(grid.x_nodes, d) for d in range(9)])
+        self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d) for d in range(9)])
         self.b = np.stack([ce.b_value(grid.x_nodes, d) for d in range(9)])
 
     def states(self, xi):
@@ -120,6 +127,12 @@ class TestCollocationTables:
         assert np.array_equal(tables.a, oracle.a)
         assert np.array_equal(tables._b, oracle.b)
 
+    def test_a_row_matches_per_order_rows(self, name, n_points, m_basis):
+        # a_row on the problem's own domain, one order of all nine.
+        _, ce, grid = self.setup_problem(name, n_points, m_basis)
+        for d in range(9):
+            assert np.array_equal(ce.a_row(grid.x_nodes, d), per_order_a_row(ce, grid.x_nodes, d))
+
     def test_boundary_table_matches_per_constraint_rows(self, name, n_points, m_basis):
         _, ce, _ = self.setup_problem(name, n_points, m_basis)
         basis = ce.basis
@@ -127,7 +140,7 @@ class TestCollocationTables:
         want = np.empty((8, basis.m))
         for k, d in enumerate((0, 0, 1, 1, 2, 2, 3, 3)):
             z = dm.z_0 if k % 2 == 0 else dm.z_f
-            want[k] = dm.c**d * loop_chebyshev_table(z, basis.max_degree, d)[d, basis.start_degree:]
+            want[k] = dm.c**d * loop_chebyshev_table(z, basis.max_degree, d)[d, START_DEGREE:]
         assert np.array_equal(ce.boundary_basis_table, want)
 
     def test_states_and_jacobian_match_per_order_tables(self, name, n_points, m_basis):

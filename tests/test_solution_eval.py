@@ -61,15 +61,25 @@ def test_scalar_gives_zero_dimensional_result():
 
 
 def test_list_matches_array():
+    # Empty inputs give empty results of their shape, as do the switching values.
     sol = solved("p1", 11, 10)
-    for d in ORDERS:
-        assert np.array_equal(sol([0.0, 0.1, 0.5, 1.0], d), sol(np.array([0.0, 0.1, 0.5, 1.0]), d))
+    sw = sol.expression.switching
+    for points in ([0.0, 0.1, 0.5, 1.0], [], np.zeros((0, 3))):
+        x = np.asarray(points, dtype=float)
+        for d in ORDERS:
+            got = sol(points, d)
+            assert got.shape == x.shape and np.array_equal(got, sol(x, d))
+            assert sw.eval(x, d).shape == x.shape + (8,)
+            assert sol.expression.eval(x, d, sol.report.xi).shape == x.shape
+        assert sw.eval_all(x).shape == (9,) + x.shape + (8,)
 
 
 @pytest.mark.parametrize("order", [9, -1])
 def test_order_out_of_range_raises(order):
-    with pytest.raises(ValueError, match="order"):
-        solved("p1", 11, 10)(0.5, order)
+    sol = solved("p1", 11, 10)
+    for evaluate in (sol, sol.expression.a_row):
+        with pytest.raises(ValueError, match="order"):
+            evaluate(0.5, order)
 
 
 @pytest.mark.parametrize("order", [2.0, 2.5, True, False, np.True_, np.float64(2.0)])
@@ -113,5 +123,6 @@ def test_builds_no_chebyshev_table(monkeypatch):
     for d in ORDERS:
         sol(x, d)
     assert calls == []
+    # The control: the expression tabulates every point, in pieces of any size.
     sol.expression.eval(x, 0, sol.report.xi)
-    assert len(calls) == 1
+    assert sum(np.size(args[0]) for args in calls) == x.size

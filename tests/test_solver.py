@@ -1,6 +1,7 @@
 """Tests for system assembly, least squares, and the two solve paths."""
 
 import dataclasses
+import importlib.util
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bvp8
 import bvp8.solver as solver_module
 from bvp8.errors import ConfigurationError, EvaluationError, SingularSystemError
 from bvp8.expression import BoundaryConditions
@@ -73,6 +75,13 @@ class TestIdentityEquality:
             assert len({a, b}) == 2
 
 
+def test_public_names_resolve():
+    # Every exported name resolves; the estimator front end is gone.
+    assert all(hasattr(bvp8, name) for name in bvp8.__all__)
+    assert not hasattr(bvp8, "BvpSolver") and not hasattr(bvp8, "NotFittedError")
+    assert importlib.util.find_spec("bvp8.estimator") is None
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
@@ -85,6 +94,12 @@ class TestSolverConfig:
         {"m_basis": 0},
         {"n_points": 10, "m_basis": 10},
         {"max_iterations": 0},
+        {"m_basis": 10.0},
+        {"n_points": 11.5},
+        {"n_points": np.float64(11.0)},
+        {"max_iterations": float("nan")},
+        {"max_iterations": True},
+        {"m_basis": np.True_},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -93,6 +108,10 @@ class TestSolverConfig:
     def test_square_system_allowed(self):
         cfg = SolverConfig(n_points=11, m_basis=10)
         assert cfg.m_basis == cfg.n_points - 1
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(np.int64(11), np.int32(10), np.uint8(5))
+        assert solve(benchmark("p1").problem, cfg).report.xi.shape == (10,)
 
 
 class TestLstsqScaledQr:
