@@ -52,17 +52,24 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
 def clenshaw(z, c):
     """numpy's chebval(z, c) for a 1-D float64 series c, bit for bit, in place.
 
-    The same recurrence and operand order, c0 = c[-i] - c1, c1 = c0_old + c1 * 2z,
-    then c0 + c1 z, as three ufunc calls per degree into three reused buffers.
+    The same recurrence and operand order, c0 = c[-i] - c1, c1 = c0_old + c1 * 2z, then c0 + c1 z
+    (c1 = 0 for one term), as three ufunc calls per degree into three reused buffers.
     """
-    z, c = np.asarray(z), (c if len(c) > 1 else (c[0], 0.0))  # chebval's c1 = 0 for one term
+    z, c = np.asarray(z), (c.tolist() if len(c) > 1 else [c[0], 0.0])
     x2, c0, c1, tmp = 2 * z, np.full(z.shape, c[-2]), np.full(z.shape, c[-1]), np.empty(z.shape)
     for i in range(3, len(c) + 1):
-        np.multiply(c1, x2, out=tmp)
-        np.subtract(c[-i], c1, out=c1)
-        np.add(c0, tmp, out=tmp)
+        np.multiply(c1, x2, tmp)
+        np.subtract(c[-i], c1, c1)
+        tmp += c0
         c0, c1, tmp = c1, tmp, c0
-    return np.add(c0, np.multiply(c1, z, out=c1), out=c0)[()]
+    return np.add(c0, np.multiply(c1, z, c1), c0)[()]
+
+
+def check_integer(name: str, value) -> int:
+    """int(value) for an int or numpy integer (a bool is not); else ConfigurationError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_order(order) -> int:
@@ -132,7 +139,7 @@ class ChebyshevBasis:
     domain_map: DomainMap
 
     def __post_init__(self):
-        if self.m < 1:
+        if check_integer("m", self.m) < 1:
             raise ConfigurationError(f"need at least one basis term, got m={self.m}")
 
     @property
@@ -175,9 +182,9 @@ def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> Collocation
     x_f so boundary rows see the exact constraint locations.  `z_nodes`, when
     given, are the read-only z nodes of an n_points grid built before.
     """
-    if n_points < 2:
+    n = check_integer("n_points", n_points)
+    if n < 2:
         raise ConfigurationError(f"need at least 2 grid points, got {n_points}")
-    n = int(n_points)
     z = z_nodes
     if z is None:
         z = -np.cos(np.pi * np.arange(n) / (n - 1))

@@ -156,7 +156,8 @@ class SwitchingFunctions:
 
         Shape (number of orders,) + x.shape + (8,).  Powers above 7 - orders.start
         are zero in these orders, so Horner starts there, at coefficient + t * 0:
-        numpy's polyval bit for bit, and a NaN or inf t reaches every order.
+        numpy's polyval bit for bit, and a NaN or inf t reaches every order.  Not snapped
+        (see _snapped).  t stays broadcast: a same-shape copy did not pay for its buffer.
         """
         t = (x - self.x_i) / (self.x_f - self.x_i)
         rows = self._deriv[orders].reshape((-1, 8) + (1,) * np.ndim(t))

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, DomainMap, check_order,
-    check_unit_interval, clenshaw, make_grid,
+    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, DomainMap, check_integer,
+    check_order, check_unit_interval, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import (
@@ -87,9 +87,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            check_integer(f.name, getattr(self, f.name))
         if self.n_points < 2:
             raise ConfigurationError(f"need at least 2 grid points, got {self.n_points}")
         if not 1 <= self.m_basis <= self.n_points - 1:
@@ -188,23 +186,24 @@ class Solution:
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) of the solved expression; ValueError unless order is an integer in 0..8.
 
-        With xi fixed, y^{(d)}(x) = (c**d sum_k xi_k T_{8+k}^{(d)}(z)
-        - beta^{(d)}(x) . (B xi)) + beta^{(d)}(x) . values, where B is the
-        boundary basis table and values the constraint values.  The Chebyshev
-        sum is one in-place Clenshaw pass over the series s_d cached per
-        solution and beta^{(d)} one in-place Horner pass, both numpy's bit for
-        bit; no basis table is built.  At x_i and x_f the orders 0..3 return
-        the boundary data exactly.  Equals expression.eval(x, order, xi) to
-        rounding; a scalar x gives a numpy scalar.
+        With xi fixed, y^{(d)}(x) = (c**d sum_k xi_k T_{8+k}^{(d)}(z) - beta^{(d)}(x) . (B xi))
+        + beta^{(d)}(x) . values, B the boundary basis table and values the constraint values:
+        one in-place Clenshaw pass over the series s_d cached per solution and, below order 8
+        (beta^{(8)} is zero), one Horner pass for the unsnapped beta^{(d)}, both numpy's bit for
+        bit; no basis table is built.  At x_i and x_f the orders 0..3 return the boundary data
+        exactly, so the switching snap there would be overwritten.  Equals
+        expression.eval(x, order, xi) to rounding; a scalar x gives a numpy scalar.
         """
         order = check_order(order)
         x = np.asarray(x)
         ce = self.expression
-        betas = ce.switching.eval(x, order)
         z = ce.basis.domain_map.to_z(x)
         check_unit_interval(z)
         series, b_xi = self._derivative_series
-        y = (clenshaw(z, series[order]) - betas @ b_xi) + betas @ ce.constraint_values
+        y = clenshaw(z, series[order])
+        if order < MAX_ORDER:
+            betas = ce.switching._eval_poly(x, slice(order, order + 1))[0]
+            y = (y - betas @ b_xi) + betas @ ce.constraint_values
         if order < 4:
             right = np.where(x == ce.bc.x_f, ce.bc.right_values[order], y)
             y = np.where(x == ce.bc.x_i, ce.bc.left_values[order], right)[()]

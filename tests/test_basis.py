@@ -96,6 +96,18 @@ class TestChebyshevBasis:
         with pytest.raises(ConfigurationError):
             ChebyshevBasis(0, UNIT_MAP)
 
+    @pytest.mark.parametrize("m", [10.0, 10.5, np.float64(10.0), True, np.True_, "10", None])
+    def test_non_integer_m_rejected(self, m):
+        # 10.0 used to build and fail later with a raw TypeError, True to give m=1.
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            ChebyshevBasis(m, UNIT_MAP)
+
+    @pytest.mark.parametrize("m", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_m_accepted(self, m):
+        basis = ChebyshevBasis(m, UNIT_MAP)
+        assert basis.max_degree == 10
+        assert np.array_equal(basis.table(0.3, 2), ChebyshevBasis(3, UNIT_MAP).table(0.3, 2))
+
     def test_order_out_of_range_rejected(self):
         basis = ChebyshevBasis(2, UNIT_MAP)
         with pytest.raises(ValueError):
@@ -160,3 +172,15 @@ class TestMakeGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigurationError):
             make_grid(UNIT_MAP, 1)
+
+    @pytest.mark.parametrize("n", [11.5, 11.0, np.float64(11.0), True, np.True_, "11"])
+    def test_non_integer_size_rejected(self, n):
+        # 11.5 used to build an 11-point grid silently.
+        with pytest.raises(ConfigurationError, match="n_points must be an integer"):
+            make_grid(UNIT_MAP, n)
+
+    @pytest.mark.parametrize("n", [np.int64(11), np.int32(11), np.uint8(11)])
+    def test_numpy_integer_size_accepted(self, n):
+        grid = make_grid(UNIT_MAP, n)
+        assert grid.n_points == 11 and type(grid.n_points) is int
+        assert np.array_equal(grid.z_nodes, make_grid(UNIT_MAP, 11).z_nodes)

@@ -2,14 +2,18 @@
 
 ConstrainedExpression.eval builds a(x) from the Chebyshev table for any xi
 and serves as the oracle for the fixed-xi read path of a solved Solution.
+full_switching_eval is the same read path with the snapped switching values
+of every order, which Solution.__call__ must match bit for bit.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from bvp8 import SolverConfig, basis, solve
+from bvp8.expression import SwitchingFunctions
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
 SIZES = [(11, 10), (31, 30), (481, 60)]
@@ -24,6 +28,79 @@ def solved(name, n, m):
 def eval_points(sol):
     x = np.random.default_rng(0).uniform(*sol.problem.domain, 2048)
     return np.concatenate([sol.grid.x_nodes, x])
+
+
+def full_switching_eval(sol, x, d):
+    """y^{(d)}(x) from sw.eval(x, d) at every order, order 8 included, then the endpoint snap.
+
+    (chebval(z, s_d) - beta^{(d)} . (B xi)) + beta^{(d)} . values with nothing
+    skipped: the zero order-8 switching values are applied, and so is the
+    switching snap at x_i and x_f that the endpoint snap then overwrites.
+    """
+    x = np.asarray(x)
+    ce, bc = sol.expression, sol.problem.bc
+    series, b_xi = sol._derivative_series
+    betas = ce.switching.eval(x, d)
+    y = (chebyshev.chebval(ce.basis.domain_map.to_z(x), series[d]) - betas @ b_xi
+         + betas @ ce.constraint_values)
+    if d < 4:
+        right = np.where(x == bc.x_f, bc.right_values[d], y)
+        y = np.where(x == bc.x_i, bc.left_values[d], right)[()]
+    return y
+
+
+def x_forms(sol):
+    """A float, a 0-d array, (N,) and (32, 64) arrays, a list and the exact endpoints."""
+    x_i, x_f = sol.problem.domain
+    rng = np.random.default_rng(5)
+    return {
+        "scalar": x_i + 0.3 * (x_f - x_i),
+        "0-d": np.array(x_i + 0.6 * (x_f - x_i)),
+        "line": eval_points(sol),
+        "2-d": rng.uniform(x_i, x_f, (32, 64)),
+        "list": rng.uniform(x_i, x_f, 7).tolist(),
+        "x_i": x_i,
+        "x_f": x_f,
+        "ends": np.array([x_f, x_i, x_f]),
+    }
+
+
+@pytest.mark.parametrize("n,m", SIZES)
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_bit_identical_to_full_switching_eval(name, n, m):
+    sol = solved(name, n, m)
+    for form, x in x_forms(sol).items():
+        for d in ORDERS:
+            got, expected = sol(x, d), full_switching_eval(sol, x, d)
+            assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected), (form, d)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (form, d)
+
+
+def test_switching_work_skipped(monkeypatch):
+    # Order 8 needs no switching values (beta^{(8)} = 0); orders 0..7 need
+    # one unsnapped Horner pass and never the snapped eval or eval_all.
+    sol = solved("p3", 31, 30)
+    calls = []
+
+    def counted(attr, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for attr in ("_eval_poly", "_snapped", "eval", "eval_all"):
+        monkeypatch.setattr(SwitchingFunctions, attr, counted(attr, getattr(SwitchingFunctions, attr)))
+    for form, x in x_forms(sol).items():
+        for d in ORDERS:
+            calls.clear()
+            sol(x, d)
+            assert calls == ([] if d == 8 else ["_eval_poly"]), (form, d)
+    # The control: the patched methods do count.
+    calls.clear()
+    sol.expression.switching.eval(0.5, 8)
+    assert calls == ["eval", "_snapped", "_eval_poly"]
 
 
 @pytest.mark.parametrize("n,m", SIZES)
