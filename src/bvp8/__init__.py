@@ -20,8 +20,6 @@ from .solver import (
     build_system,
     lstsq_scaled_qr,
     solve,
-    solve_linear,
-    solve_nonlinear,
 )
 
 __version__ = "0.1.0"
@@ -50,7 +48,5 @@ __all__ = [
     "make_grid",
     "problems",
     "solve",
-    "solve_linear",
-    "solve_nonlinear",
     "__version__",
 ]

@@ -73,17 +73,17 @@ def check_integer(name: str, value) -> int:
 
 
 def check_order(order) -> int:
-    """int(order) for an int or numpy integer in 0..MAX_ORDER (a bool is not); else ValueError."""
+    """int(order) for a non-bool int or numpy integer in 0..MAX_ORDER; else ConfigurationError."""
     integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
     if not integer or not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
+        raise ConfigurationError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
     return int(order)
 
 
 def check_unit_interval(z) -> None:
-    """Raise ValueError unless every z lies in [-1, +1] up to 1e-12 (NaN does not)."""
+    """Raise ConfigurationError unless every z lies in [-1, +1] up to 1e-12 (NaN does not)."""
     if not np.all(np.abs(z) <= 1.0 + 1e-12):
-        raise ValueError("z outside [-1, +1]")
+        raise ConfigurationError("z outside [-1, +1]")
 
 
 def check_domain(x_i: float, x_f: float) -> None:

@@ -264,5 +264,5 @@ class ConstrainedExpression:
         """y^{(order)}(x, xi)."""
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.basis.m,):
-            raise ValueError(f"xi must have shape ({self.basis.m},), got {xi.shape}")
+            raise ConfigurationError(f"xi must have shape ({self.basis.m},), got {xi.shape}")
         return self.a_row(x, order) @ xi + self.b_value(x, order)

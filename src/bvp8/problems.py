@@ -21,12 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .basis import check_integer
 from .errors import ConfigurationError
 from .expression import BoundaryConditions
 from .solver import BvpProblem, Solution, SolverConfig, solve
 
 _SEVEN_FACTORIAL = 5040.0  # 7!
-_EIGHT_FACTORIAL = 40320.0  # 8!
 
 #: Number of rows in the published error tables.
 TABLE_ROWS = 11
@@ -299,8 +299,10 @@ def derivative_errors(sol: Solution, n_error_points: int = 11) -> np.ndarray:
     """Mean absolute error of y, y', .., y^(8) of a solution at equidistant points.
 
     Averages |y^{(d)} - exact^{(d)}| over n_error_points equidistant points
-    including the endpoints.  Requires an exact solution.
+    including the endpoints.  Requires an exact solution and at least 2 points.
     """
+    if check_integer("n_error_points", n_error_points) < 2:
+        raise ConfigurationError(f"n_error_points must be at least 2, got {n_error_points}")
     problem = sol.problem
     if problem.exact is None:
         raise ConfigurationError(f"problem {problem.name!r} has no exact solution")

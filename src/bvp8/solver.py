@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import (
     MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, DomainMap, check_integer,
-    check_order, check_unit_interval, clenshaw, make_grid,
+    check_order, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import (
@@ -138,11 +138,11 @@ class SolveReport:
     """Outcome of one solve: coefficients, iteration trace, stop reason.
 
     residual_norm_history[0] is the norm at xi = 0 and one entry follows per
-    accepted step, so it never increases and its last entry is
-    `solution_norm`, the norm at the returned xi.  `iterations` counts the
-    Gauss-Newton steps computed; a step that stalled, or a converged one
-    that would raise the norm, is not applied and adds no entry.  A converged
-    step may come from the normal equations instead of a QR (see solve_nonlinear).
+    accepted step (a linear solve's one shot is one), so it never increases and
+    its last entry is `solution_norm`, the norm at the returned xi.  `iterations`
+    counts the steps computed; a step that stalled, or a converged one that would
+    raise the norm, is not applied and adds no entry.  A converged step may come
+    from the normal equations instead of a QR (see _gauss_newton).
     """
 
     xi: np.ndarray
@@ -184,7 +184,7 @@ class Solution:
         return series, ce.boundary_basis_table @ xi
 
     def __call__(self, x, order: int = 0):
-        """y^{(order)}(x) of the solved expression; ValueError unless order is an integer in 0..8.
+        """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
 
         With xi fixed, y^{(d)}(x) = (c**d sum_k xi_k T_{8+k}^{(d)}(z) - beta^{(d)}(x) . (B xi))
         + beta^{(d)}(x) . values, B the boundary basis table and values the constraint values:
@@ -198,7 +198,10 @@ class Solution:
         x = np.asarray(x)
         ce = self.expression
         z = ce.basis.domain_map.to_z(x)
-        check_unit_interval(z)
+        inside = np.abs(z) <= 1.0 + 1e-12  # basis.check_unit_interval's test, named in x
+        if not np.all(inside):
+            first = float(np.ravel(x)[np.argmin(np.ravel(inside))])
+            raise ConfigurationError(f"x={first!r} outside [{ce.bc.x_i}, {ce.bc.x_f}]")
         series, b_xi = self._derivative_series
         y = clenshaw(z, series[order])
         if order < MAX_ORDER:
@@ -300,9 +303,8 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
     return out
 
 
-def _jacobian(partials: Callable, tables: _CollocationTables, xi, states=None) -> np.ndarray:
-    """Rows (dF/dy(x_k) * scale) @ a[:, k, :] at states, by default tables.states(xi)."""
-    states = tables.states(xi) if states is None else states
+def _jacobian(partials: Callable, tables: _CollocationTables, states: np.ndarray) -> np.ndarray:
+    """Rows (dF/dy(x_k) * scale) @ a[:, k, :] at states, the state matrix tables.states(xi)."""
     rows = _at_nodes("partials", partials, tables.x, states, (MAX_ORDER + 1,)) * tables.scale
     # One gemv per node on the strided a[:, k, :], as in a loop: bit-identical (einsum is not).
     return np.matmul(rows[:, None, :], tables.a.transpose(1, 0, 2))[:, 0, :]
@@ -330,7 +332,7 @@ def assemble_loss_and_jacobian(
         raise ConfigurationError(f"expression and grid do not match the tables of {config}")
     tables = _CollocationTables(ce, grid, config)
     _, states, loss, _ = _evaluate(problem.residual, tables, np.asarray(xi, dtype=float))
-    return loss, _jacobian(_resolve_partials(problem)[0], tables, xi, states)
+    return loss, _jacobian(_resolve_partials(problem)[0], tables, states)
 
 
 def assemble_linear(
@@ -342,7 +344,7 @@ def assemble_linear(
     affine in xi, so evaluating both at xi = 0 recovers A and b exactly.
     """
     if not problem.is_linear:
-        raise ValueError(f"problem {problem.name!r} is not linear")
+        raise ConfigurationError(f"problem {problem.name!r} is not linear")
     loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(ce.basis.m), config)
     return jac, loss
 
@@ -360,10 +362,10 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or rhs.shape != (a.shape[0],):
-        raise ValueError(f"shape mismatch: a {a.shape}, rhs {rhs.shape}")
+        raise ConfigurationError(f"shape mismatch: a {a.shape}, rhs {rhs.shape}")
     rows, m = a.shape
     if rows < m:
-        raise ValueError(f"system is underdetermined: {rows} rows < {m} columns")
+        raise ConfigurationError(f"system is underdetermined: {rows} rows < {m} columns")
     norms = np.linalg.norm(a, axis=0)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
@@ -404,22 +406,6 @@ def _certified_step(jac: np.ndarray, loss: np.ndarray, tol: float) -> Optional[n
         return step if np.linalg.norm(step) <= tol else None
 
 
-def solve_linear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
-    """Solve a linear problem in one least-squares shot."""
-    if not problem.is_linear:
-        raise ValueError(f"problem {problem.name!r} is not linear; use solve_nonlinear")
-    config = config if config is not None else _DEFAULT_CONFIG
-    ce, grid = build_system(problem, config)
-    tables = _CollocationTables(ce, grid, config)
-    partials, used_fd = _resolve_partials(problem)
-    _, states, b, _ = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
-    a = _jacobian(partials, tables, None, states)
-    xi = lstsq_scaled_qr(a, -b)
-    final = float(np.linalg.norm(a @ xi + b))
-    report = SolveReport(xi, 1, np.array([final]), StopReason.LINEAR_SINGLE_SHOT, final, used_fd)
-    return Solution(problem, ce, grid, report, config)
-
-
 def _evaluate(residual: Callable, tables: _CollocationTables, xi: np.ndarray):
     """(xi, states, loss, ||loss||) at xi; states or a norm that overflow give inf, not a warning."""
     with np.errstate(all="ignore"):
@@ -448,8 +434,16 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
     return None
 
 
-def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
-    """Gauss-Newton from xi = 0 with a backtracking line search.
+def _single_shot(partials, tables, start):
+    """One least-squares shot, xi = lstsq(a, -b), for the affine loss a xi + b read at xi = 0."""
+    _, states, b, norm = start
+    a = _jacobian(partials, tables, states)
+    xi = lstsq_scaled_qr(a, -b)
+    return xi, 1, [norm, float(np.linalg.norm(a @ xi + b))], StopReason.LINEAR_SINGLE_SHOT
+
+
+def _gauss_newton(residual, partials, tables, start, max_iterations):
+    """Gauss-Newton from the evaluated start with a backtracking line search.
 
     Each step solves lstsq(J, loss) for the update.  When the full update is
     below _STEP_TOL * (1 + ||xi||) the solve has converged; that last update
@@ -457,34 +451,29 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
     update is halved until the Armijo test passes (a trial whose residual
     raises or is not finite fails it); if none down to 1e-8 passes, the
     solve stops as stalled.  Stalling and the iteration cap are reported,
-    not raised.  Works on linear problems too.  After a full-length step the
-    next update is first solved by the column-scaled normal equations, and
-    taken without a QR if their Cholesky pivots pass and it already converges.
+    not raised.  After a full-length step the next update is first solved by
+    the column-scaled normal equations, and taken without a QR if their
+    Cholesky pivots pass and it already converges.
     """
-    config = config if config is not None else _DEFAULT_CONFIG
-    ce, grid = build_system(problem, config)
-    tables = _CollocationTables(ce, grid, config)
-    partials, used_fd = _resolve_partials(problem)
-
-    xi, states, loss, norm = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+    xi, states, loss, norm = start
     history = [norm]
     iterations = 0
     converged_by = StopReason.MAX_ITERATIONS
     alpha = 0.0  # the length of the last step applied
 
-    while iterations < config.max_iterations:
+    while iterations < max_iterations:
         iterations += 1
-        jac = _jacobian(partials, tables, xi, states)
+        jac = _jacobian(partials, tables, states)
         tol = _STEP_TOL * (1.0 + np.linalg.norm(xi))
         step = _certified_step(jac, loss, tol) if alpha == 1.0 else None
         if step is None:
             step = lstsq_scaled_qr(jac, loss)
         if np.linalg.norm(step) <= tol:
             converged_by = StopReason.CONVERGED
-            found = _line_search(problem.residual, tables, xi, step, norm, 0.0, shortest=1.0)
+            found = _line_search(residual, tables, xi, step, norm, 0.0, shortest=1.0)
         else:
             decrease = 2.0 * _ARMIJO_C * (float(np.linalg.norm(jac @ step)) / norm) ** 2
-            found = _line_search(problem.residual, tables, xi, step, norm, decrease)
+            found = _line_search(residual, tables, xi, step, norm, decrease)
             if found is None:
                 converged_by = StopReason.STALLED
         if found is not None:
@@ -492,13 +481,22 @@ def solve_nonlinear(problem: BvpProblem, config: Optional[SolverConfig] = None) 
             history.append(norm)
         if converged_by is not StopReason.MAX_ITERATIONS:
             break
-
-    report = SolveReport(xi, iterations, np.array(history), converged_by, norm, used_fd)
-    return Solution(problem, ce, grid, report, config)
+    return xi, iterations, history, converged_by
 
 
 def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
-    """Solve by the path matching the problem's linearity flag."""
-    if problem.is_linear:
-        return solve_linear(problem, config)
-    return solve_nonlinear(problem, config)
+    """Solve from xi = 0 by one least-squares shot if problem.is_linear, else by Gauss-Newton.
+
+    Both rules share one set-up and one residual evaluation at xi = 0.  Replace
+    the problem with is_linear=False to run Gauss-Newton on a linear problem.
+    """
+    config = config if config is not None else _DEFAULT_CONFIG
+    ce, grid = build_system(problem, config)
+    tables = _CollocationTables(ce, grid, config)
+    partials, used_fd = _resolve_partials(problem)
+    start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+    xi, iterations, history, converged_by = (
+        _single_shot(partials, tables, start) if problem.is_linear
+        else _gauss_newton(problem.residual, partials, tables, start, config.max_iterations))
+    report = SolveReport(xi, iterations, np.array(history), converged_by, history[-1], used_fd)
+    return Solution(problem, ce, grid, report, config)

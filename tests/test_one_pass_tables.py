@@ -153,4 +153,5 @@ class TestCollocationTables:
         oracle = oracle_tables(problem, ce, grid)
         assert np.array_equal(tables.states(xi), oracle.states(xi))
         partials = problem.partials
-        assert np.array_equal(_jacobian(partials, tables, xi), _jacobian(partials, oracle, xi))
+        assert np.array_equal(_jacobian(partials, tables, tables.states(xi)),
+                              _jacobian(partials, oracle, oracle.states(xi)))

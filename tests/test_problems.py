@@ -14,7 +14,9 @@ from bvp8.problems import (
     all_benchmarks,
     benchmark,
     derivative_error_report,
+    derivative_errors,
 )
+from bvp8.solver import solve
 
 ALL_NAMES = list(PROBLEM_NAMES)
 
@@ -193,3 +195,14 @@ class TestDerivativeErrorReport:
         bare = dataclasses.replace(entry, problem=prob)
         with pytest.raises(ConfigurationError):
             derivative_error_report(bare, m_basis=10)
+
+    @pytest.mark.parametrize("count", [0, 1, -3, 2.5, 11.0, True, "11"])
+    def test_point_count_checked(self, count):
+        # 0 used to give NaNs and a RuntimeWarning, 2.5 a raw TypeError.
+        sol = solve(benchmark("p1").problem)
+        with pytest.raises(ConfigurationError, match="n_error_points"):
+            derivative_errors(sol, count)
+
+    def test_two_points_accepted(self):
+        sol = solve(benchmark("p1").problem)
+        assert derivative_errors(sol, 2).shape == (9,)

@@ -1,4 +1,4 @@
-"""Tests for system assembly, least squares, and the two solve paths."""
+"""Tests for system assembly, least squares, and the two stepping rules of solve."""
 
 import dataclasses
 import importlib.util
@@ -25,8 +25,6 @@ from bvp8.solver import (
     build_system,
     lstsq_scaled_qr,
     solve,
-    solve_linear,
-    solve_nonlinear,
 )
 
 from switching_oracle import unit_linear_solve
@@ -76,10 +74,14 @@ class TestIdentityEquality:
 
 
 def test_public_names_resolve():
-    # Every exported name resolves; the estimator front end is gone.
+    # Every exported name resolves; the estimator front end is gone, and
+    # solve is the one solve entry.
     assert all(hasattr(bvp8, name) for name in bvp8.__all__)
     assert not hasattr(bvp8, "BvpSolver") and not hasattr(bvp8, "NotFittedError")
     assert importlib.util.find_spec("bvp8.estimator") is None
+    for name in ("solve_linear", "solve_nonlinear"):
+        assert name not in bvp8.__all__
+        assert not hasattr(bvp8, name) and not hasattr(solver_module, name)
 
 
 class TestSolverConfig:
@@ -170,11 +172,11 @@ class TestLstsqScaledQr:
             lstsq_scaled_qr(a, np.ones(8))
 
     def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError, match="underdetermined"):
+        with pytest.raises(ConfigurationError, match="underdetermined"):
             lstsq_scaled_qr(np.ones((2, 3)), np.ones(2))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             lstsq_scaled_qr(np.ones((3, 2)), np.ones(4))
 
 
@@ -221,7 +223,7 @@ def certificate_cases():
 
 
 def run_recorded(problem, config, certify=True):
-    """solve_nonlinear and its (J, loss, step) systems, solved by lstsq_scaled_qr or certified.
+    """A Gauss-Newton solve and its (J, loss, step) systems, by lstsq_scaled_qr or certified.
 
     With certify=False the helper declines every system, so every step is
     solved by QR: the QR-only run that certified solves are compared with.
@@ -243,7 +245,7 @@ def run_recorded(problem, config, certify=True):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "lstsq_scaled_qr", recording_qr)
         mp.setattr(solver_module, "_certified_step", recording_certified)
-        sol = solve_nonlinear(problem, config)
+        sol = solve(dataclasses.replace(problem, is_linear=False), config)
     return sol, qr_systems, certified
 
 
@@ -421,7 +423,7 @@ class TestCertifiedStep:
         # from 7.8e-8 to about 3e-12 (31) and 8e-12 (481): a step below
         # _STEP_TOL in the coefficients is not negligible in the state.
         problem = benchmark("p5").problem
-        sol = solve_nonlinear(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
+        sol = solve(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
         states = _CollocationTables(sol.expression, sol.grid, sol.config).states(sol.report.xi)
         x = sol.grid.x_nodes
         assert np.max(np.abs(states[8] - problem.exact(x, 8))) <= 1e-10
@@ -456,7 +458,7 @@ class TestAssembly:
     def test_assemble_linear_rejects_nonlinear(self):
         entry = benchmark("p4")
         ce, grid = build_system(entry.problem, SolverConfig())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="not linear"):
             assemble_linear(entry.problem, ce, grid)
 
     def test_nonlinear_jacobian_structure(self):
@@ -565,31 +567,42 @@ class TestAssembly:
 
 
 class TestSolveLinear:
-    def test_rejects_nonlinear_problem(self):
-        with pytest.raises(ValueError):
-            solve_linear(benchmark("p4").problem)
-
     def test_report_shape(self):
-        sol = solve_linear(benchmark("p1").problem)
+        sol = solve(benchmark("p1").problem)
         r = sol.report
         assert r.iterations == 1
         assert r.converged_by is StopReason.LINEAR_SINGLE_SHOT
         assert not r.used_fd_partials
         assert r.xi.shape == (10,)
-        assert r.residual_norm_history.shape == (1,)
-        assert r.solution_norm == r.residual_norm_history[0]
+        # The norm at xi = 0, then the norm after the one shot.
+        assert r.residual_norm_history.shape == (2,)
+        assert r.solution_norm == r.residual_norm_history[-1]
+        assert r.residual_norm_history[0] > r.residual_norm_history[1]
+
+    @pytest.mark.parametrize("n_points,m_basis", SIZES)
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p7"])
+    def test_one_shot_is_the_assembled_least_squares_solve(self, name, n_points, m_basis):
+        problem = benchmark(name).problem
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        r = solve(problem, config).report
+        ce, grid = build_system(problem, config)
+        a, b = assemble_linear(problem, ce, grid, config)
+        xi = lstsq_scaled_qr(a, -b)
+        assert np.array_equal(r.xi, xi)
+        want = [np.linalg.norm(b), np.linalg.norm(a @ xi + b)]
+        assert r.residual_norm_history.tolist() == want
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p7"])
     def test_benchmark_accuracy(self, name):
         entry = benchmark(name)
-        sol = solve_linear(entry.problem)
+        sol = solve(entry.problem)
         err = sol.error(entry.table_points)
         assert err[0] == 0.0 and err[-1] == 0.0
         assert np.max(err) <= 5e-15
 
     def test_solution_callable_orders(self):
         entry = benchmark("p3")
-        sol = solve_linear(entry.problem)
+        sol = solve(entry.problem)
         xs = np.linspace(*entry.problem.domain, 7)
         for order in (0, 1, 4):
             got = sol(xs, order)
@@ -600,8 +613,8 @@ class TestSolveLinear:
 class TestSolveNonlinear:
     def test_gauss_newton_on_linear_matches_single_shot(self):
         prob = benchmark("p1").problem
-        gn = solve_nonlinear(prob)
-        lin = solve_linear(prob)
+        gn = solve(dataclasses.replace(prob, is_linear=False))
+        lin = solve(prob)
         assert_allclose(gn.report.xi, lin.report.xi, rtol=0, atol=1e-10)
         assert gn.report.converged_by is StopReason.CONVERGED
 
@@ -639,14 +652,14 @@ class TestSolveNonlinear:
         assert np.linalg.norm(loss) == pytest.approx(sol.report.solution_norm, rel=1e-12)
 
     def test_iteration_cap_reported_not_raised(self):
-        sol = solve_nonlinear(benchmark("p5").problem, SolverConfig(max_iterations=1))
+        sol = solve(benchmark("p5").problem, SolverConfig(max_iterations=1))
         assert sol.report.iterations == 1
         assert sol.report.converged_by is StopReason.MAX_ITERATIONS
 
     def test_loose_step_tol_stops_after_one_step(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_STEP_TOL", 1e10)
         problem = benchmark("p4").problem
-        sol = solve_nonlinear(problem)
+        sol = solve(problem)
         assert sol.report.iterations == 1
         assert sol.report.converged_by is StopReason.CONVERGED
         ce, grid = build_system(problem, sol.config)
@@ -694,7 +707,7 @@ class TestSolveNonlinear:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solve(benchmark(name).problem)
-            solve_nonlinear(dataclasses.replace(benchmark(name).problem, partials=None))
+            solve(dataclasses.replace(benchmark(name).problem, partials=None, is_linear=False))
 
     def test_fd_partials_fallback(self):
         prob = benchmark("p4").problem
@@ -718,7 +731,7 @@ class TestSolveNonlinear:
             xi = np.zeros(a.config.m_basis)
             for _ in range(3):
                 loss = entry.problem.residual(grid.x_nodes, tables.states(xi))
-                jac = _jacobian(entry.problem.partials, tables, xi)
+                jac = _jacobian(entry.problem.partials, tables, tables.states(xi))
                 xi = xi - lstsq_scaled_qr(jac, loss)
             va = a(entry.table_points)
             vb = ce.eval(entry.table_points, 0, xi)
@@ -773,3 +786,21 @@ class TestDispatcher:
         sol = solve(dataclasses.replace(prob, exact=None))
         with pytest.raises(ConfigurationError):
             sol.error(0.5)
+
+
+def test_input_errors_are_configuration_errors():
+    # Each used to raise a bare ValueError; ConfigurationError still is one.
+    linear, nonlinear = solve(benchmark("p1").problem), solve(benchmark("p4").problem)
+    ce, grid = build_system(nonlinear.problem, nonlinear.config)
+    cases = [
+        (lambda: linear(2.0), r"^x=2\.0 outside \[0\.0, 1\.0\]$"),
+        (lambda: linear(np.array([0.5, -0.25, 3.0])), r"^x=-0\.25 outside"),
+        (lambda: linear(0.5, 9), "order must be an integer in 0..8"),
+        (lambda: linear(0.5, 1.0), "order must be an integer in 0..8"),
+        (lambda: linear.expression.eval(0.5, 0, np.zeros(3)), r"xi must have shape \(10,\)"),
+        (lambda: lstsq_scaled_qr(np.ones((2, 3)), np.ones(2)), "underdetermined"),
+        (lambda: assemble_linear(nonlinear.problem, ce, grid), "'p4' is not linear"),
+    ]
+    for call, match in cases:
+        with pytest.raises(ConfigurationError, match=match):
+            call()
