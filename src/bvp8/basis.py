@@ -80,6 +80,23 @@ def check_order(order) -> int:
     return int(order)
 
 
+def check_real(name: str, value, shape=None) -> np.ndarray:
+    """value as a float64 array (float64 keeps its bits), of `shape` if given.
+
+    Integers and floats are read; a string, complex, object or ragged value, or
+    one of another shape, raises ConfigurationError naming it.
+    """
+    try:
+        out = np.asarray(value)
+    except (TypeError, ValueError):  # ragged
+        out = None
+    if out is None or out.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{name} must be real numbers, got {value!r}")
+    if shape is not None and out.shape != shape:
+        raise ConfigurationError(f"{name} must have shape {shape}, got {out.shape}")
+    return out.astype(float, copy=False)
+
+
 def check_unit_interval(z) -> None:
     """Raise ConfigurationError unless every z lies in [-1, +1] up to 1e-12 (NaN does not)."""
     if not np.all(np.abs(z) <= 1.0 + 1e-12):

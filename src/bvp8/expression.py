@@ -20,12 +20,12 @@ where the domain sits or how wide it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .basis import MAX_ORDER, ChebyshevBasis, DomainMap, check_domain, check_order
+from .basis import MAX_ORDER, ChebyshevBasis, DomainMap, check_order, check_real
 from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -67,19 +67,21 @@ def constraint_locations(x_i: float, x_f: float):
 
 @dataclass(frozen=True)
 class BoundaryConditions:
-    """Values of y, y', y'', y''' at both endpoints of [x_i, x_f]."""
+    """Values of y, y', y'', y''' at both endpoints of [x_i, x_f], four finite floats each."""
 
     x_i: float
     x_f: float
     left_values: tuple
     right_values: tuple
+    domain_map: DomainMap = field(init=False, repr=False, compare=False)  # checked once, shared
 
     def __post_init__(self):
-        check_domain(self.x_i, self.x_f)
-        if len(self.left_values) != 4 or len(self.right_values) != 4:
-            raise ConfigurationError(
-                "need exactly 4 values (orders 0..3) per endpoint"
-            )
+        object.__setattr__(self, "domain_map", DomainMap(self.x_i, self.x_f))
+        for name in ("left_values", "right_values"):
+            values = check_real(name, getattr(self, name), (4,))
+            if not np.all(np.isfinite(values)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(values.tolist()))
 
     @classmethod
     def from_callable(cls, x_i: float, x_f: float, fn) -> "BoundaryConditions":
@@ -103,8 +105,8 @@ class BoundaryConditions:
 class SwitchingFunctions:
     """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk.
 
-    Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in
-    ascending powers of t = (x - x_i) / w with w = x_f - x_i.  On [x_i, x_f],
+    Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in ascending
+    powers of t = (x - x_i) / w, w = x_f - x_i, on domain_map's [x_i, x_f].  There,
     beta_j(x) = w**d_j u_j(t), whose order-d derivative is w**(d_j - d)
     u_j^{(d)}(t): the derivative rows are differentiated analytically and
     scaled once, at the first evaluation (by exactly 1 on [0, 1]).  Order 8
@@ -112,11 +114,11 @@ class SwitchingFunctions:
     """
 
     coeffs: np.ndarray
-    x_i: float
-    x_f: float
+    domain_map: DomainMap
 
     def __post_init__(self):
-        check_domain(self.x_i, self.x_f)
+        if not isinstance(self.domain_map, DomainMap):
+            raise ConfigurationError(f"expected a DomainMap, got {self.domain_map!r}")
         coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.shape != (8, 8):
             raise ConfigurationError(f"expected (8, 8) coefficients, got {coeffs.shape}")
@@ -125,7 +127,7 @@ class SwitchingFunctions:
 
     def __reduce__(self):
         # Copies and pickles rebuild through __init__: read-only coeffs, no _deriv.
-        return type(self), (self.coeffs, self.x_i, self.x_f)
+        return type(self), (self.coeffs, self.domain_map)
 
     @cached_property
     def _deriv(self) -> np.ndarray:
@@ -135,21 +137,14 @@ class SwitchingFunctions:
         for p in range(1, 9):
             deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
         exponents = np.array(CONSTRAINT_ORDERS) - np.arange(9)[:, None]
-        deriv *= (float(self.x_f - self.x_i) ** exponents)[..., None]
+        deriv *= (float(self.domain_map.x_f - self.domain_map.x_i) ** exponents)[..., None]
         deriv.flags.writeable = False
         return deriv
 
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
         """The switching functions of [x_i, x_f]: UNIT_COEFFS evaluated at t."""
-        return cls._on_domain(DomainMap(x_i, x_f))
-
-    @classmethod
-    def _on_domain(cls, dm: DomainMap) -> "SwitchingFunctions":
-        """closed_form on dm's domain, with no second check_domain: dm's construction ran it."""
-        sw = object.__new__(cls)
-        sw.__dict__.update(coeffs=UNIT_COEFFS, x_i=dm.x_i, x_f=dm.x_f)
-        return sw
+        return cls(UNIT_COEFFS, DomainMap(x_i, x_f))
 
     def _eval_poly(self, x, orders: slice) -> np.ndarray:
         """Horner evaluation of the derivative rows of `orders` at t, in one buffer.
@@ -159,7 +154,7 @@ class SwitchingFunctions:
         numpy's polyval bit for bit, and a NaN or inf t reaches every order.  Not snapped
         (see _snapped).  t stays broadcast: a same-shape copy did not pay for its buffer.
         """
-        t = (x - self.x_i) / (self.x_f - self.x_i)
+        t = (x - self.domain_map.x_i) / (self.domain_map.x_f - self.domain_map.x_i)
         rows = self._deriv[orders].reshape((-1, 8) + (1,) * np.ndim(t))
         top = max(7 - orders.start, 0)
         vals = rows[:, top] + t * 0
@@ -177,7 +172,7 @@ class SwitchingFunctions:
         """
         vals = self._eval_poly(x, orders)
         x = np.asarray(x)
-        at_i, at_f = x == self.x_i, x == self.x_f
+        at_i, at_f = x == self.domain_map.x_i, x == self.domain_map.x_f
         for d in range(orders.start, min(orders.stop, 4)):
             vals[d - orders.start][at_i] = _UNIT_ROWS[2 * d]
             vals[d - orders.start][at_f] = _UNIT_ROWS[2 * d + 1]
@@ -217,12 +212,12 @@ class ConstrainedExpression:
     def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions,
               ends=None) -> "ConstrainedExpression":
         dm = basis.domain_map
-        if dm.x_i != bc.x_i or dm.x_f != bc.x_f:
+        if dm != bc.domain_map:
             raise ConfigurationError(
                 f"basis domain [{dm.x_i}, {dm.x_f}] does not match "
                 f"constraint domain [{bc.x_i}, {bc.x_f}]"
             )
-        switching = SwitchingFunctions._on_domain(dm)
+        switching = SwitchingFunctions(UNIT_COEFFS, dm)
         if ends is None:  # else basis.table([-1, 1], 3), built once by the caller
             ends = basis.table([dm.z_0, dm.z_f], 3)
         table = (_chain_factors(dm.c, 4) * ends).reshape(8, basis.m)
@@ -262,7 +257,5 @@ class ConstrainedExpression:
 
     def eval(self, x, order: int = 0, xi=None):
         """y^{(order)}(x, xi)."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.basis.m,):
-            raise ConfigurationError(f"xi must have shape ({self.basis.m},), got {xi.shape}")
+        xi = check_real("xi", xi, (self.basis.m,))
         return self.a_row(x, order) @ xi + self.b_value(x, order)

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, DomainMap, check_integer,
-    check_order, clenshaw, make_grid,
+    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, check_integer, check_order,
+    check_real, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import (
@@ -106,11 +106,11 @@ class SolverConfig:
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (z, a, s, ends): the CGL nodes, a^{(d)} and beta^{(d)} at the
         nodes of [0, 1], shapes (9, n, m) and (9, n, 8), and basis.table([-1, 1], 3)."""
-        unit, zeros = DomainMap(0.0, 1.0), (0.0,) * 4
-        basis = ChebyshevBasis(self.m_basis, unit)
-        ends = basis.table([unit.z_0, unit.z_f], 3)
-        ce = ConstrainedExpression.build(basis, BoundaryConditions(0.0, 1.0, zeros, zeros), ends)
-        grid = make_grid(unit, self.n_points)
+        bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
+        basis = ChebyshevBasis(self.m_basis, bc.domain_map)
+        ends = basis.table([-1.0, 1.0], 3)
+        ce = ConstrainedExpression.build(basis, bc, ends)
+        grid = make_grid(bc.domain_map, self.n_points)
         s = ce.switching.eval_all(grid.x_nodes)
         a = ce._coefficient_rows(grid.x_nodes, s)
         for table in (a, s, ends):
@@ -195,7 +195,7 @@ class Solution:
         expression.eval(x, order, xi) to rounding; a scalar x gives a numpy scalar.
         """
         order = check_order(order)
-        x = np.asarray(x)
+        x = check_real("x", x)
         ce = self.expression
         z = ce.basis.domain_map.to_z(x)
         inside = np.abs(z) <= 1.0 + 1e-12  # basis.check_unit_interval's test, named in x
@@ -224,7 +224,7 @@ def build_system(
 ) -> tuple[ConstrainedExpression, CollocationGrid]:
     """Constrained expression and collocation grid for a problem, from config's tables."""
     z, _, _, ends = config._tables
-    dm = DomainMap(problem.bc.x_i, problem.bc.x_f)
+    dm = problem.bc.domain_map
     ce = ConstrainedExpression.build(ChebyshevBasis(config.m_basis, dm), problem.bc, ends)
     return ce, make_grid(dm, config.n_points, z)
 
@@ -323,15 +323,16 @@ def assemble_loss_and_jacobian(
     """
     config = config or SolverConfig(grid.n_points, ce.basis.m)
     z, _, _, ends = config._tables
-    dm, sw, bc, x = ce.basis.domain_map, ce.switching, ce.bc, grid.x_nodes
+    dm, sw, x = ce.bc.domain_map, ce.switching, grid.x_nodes
     ends_rows = (_chain_factors(dm.c, 4) * ends).reshape(8, -1)
-    domains = {(dm.x_i, dm.x_f), (sw.x_i, sw.x_f), (bc.x_i, bc.x_f), (x[0], x[-1])}
     arrays = ((grid.z_nodes, z), (sw.coeffs, UNIT_COEFFS), (ce.boundary_basis_table, ends_rows))
     if not (grid.n_points == config.n_points and ce.basis == ChebyshevBasis(config.m_basis, dm)
-            and len(domains) == 1 and all(np.array_equal(*pair) for pair in arrays)):
+            and sw.domain_map == dm and (x[0], x[-1]) == (dm.x_i, dm.x_f)
+            and all(np.array_equal(*pair) for pair in arrays)):
         raise ConfigurationError(f"expression and grid do not match the tables of {config}")
+    xi = check_real("xi", xi, (ce.basis.m,))
     tables = _CollocationTables(ce, grid, config)
-    _, states, loss, _ = _evaluate(problem.residual, tables, np.asarray(xi, dtype=float))
+    _, states, loss, _ = _evaluate(problem.residual, tables, xi)
     return loss, _jacobian(_resolve_partials(problem)[0], tables, states)
 
 
@@ -491,6 +492,8 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     the problem with is_linear=False to run Gauss-Newton on a linear problem.
     """
     config = config if config is not None else _DEFAULT_CONFIG
+    if not isinstance(config, SolverConfig):
+        raise ConfigurationError(f"config must be a SolverConfig, got {config!r}")
     ce, grid = build_system(problem, config)
     tables = _CollocationTables(ce, grid, config)
     partials, used_fd = _resolve_partials(problem)

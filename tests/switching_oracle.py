@@ -16,6 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from bvp8.basis import DomainMap
 from bvp8.errors import SingularSystemError
 from bvp8.expression import SwitchingFunctions, constraint_locations
 
@@ -46,7 +47,7 @@ def unit_linear_solve() -> SwitchingFunctions:
         raise SingularSystemError(
             f"support matrix is numerically singular (pivot {pivots[j]:.3e} at column {j})"
         )
-    return SwitchingFunctions(np.linalg.inv(mat).T, 0.0, 1.0)
+    return SwitchingFunctions(np.linalg.inv(mat).T, DomainMap(0.0, 1.0))
 
 
 def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
@@ -57,7 +58,7 @@ def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
     """
     return np.vstack([
         sw._eval_poly(x, slice(d, d + 1))[0]
-        for x, d in constraint_locations(sw.x_i, sw.x_f)
+        for x, d in constraint_locations(sw.domain_map.x_i, sw.domain_map.x_f)
     ])
 
 
@@ -69,6 +70,7 @@ def polyval_rows(sw: SwitchingFunctions, x, orders: slice) -> np.ndarray:
     of _eval_poly, (number of orders,) + x.shape + (8,).
     """
     deriv = sw._deriv[orders]
-    t = (x - sw.x_i) / (sw.x_f - sw.x_i)
+    dm = sw.domain_map
+    t = (x - dm.x_i) / (dm.x_f - dm.x_i)
     vals = npoly.polyval(t, deriv.reshape(-1, 8).T)
     return np.moveaxis(vals.reshape(deriv.shape[:2] + np.shape(x)), 1, -1)

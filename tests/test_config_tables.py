@@ -19,7 +19,7 @@ import pytest
 import bvp8.basis
 from bvp8.basis import CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
-from bvp8.expression import SwitchingFunctions
+from bvp8.expression import UNIT_COEFFS, SwitchingFunctions
 from bvp8.problems import benchmark
 from bvp8.solver import (
     SolverConfig, _CollocationTables, assemble_loss_and_jacobian, build_system, solve,
@@ -142,6 +142,7 @@ def test_expression_or_grid_not_built_from_the_config_rejected():
     z = np.linspace(-1.0, 1.0, 11)
     others = [
         (dataclasses.replace(ce, switching=unit_linear_solve()), grid),
+        (dataclasses.replace(ce, switching=SwitchingFunctions(UNIT_COEFFS, wider)), grid),
         (dataclasses.replace(ce, boundary_basis_table=table), grid),
         (ce, make_grid(wider, 11)),
         (ce, CollocationGrid(11, z, ce.basis.domain_map.to_x(z))),

@@ -3,7 +3,8 @@
 The switching functions are evaluated at t = (x - x_i) / w, so the solver
 sees the same unit-domain table wherever the domain sits and however wide it
 is.  The operators of p1 and p6 keep their exact solutions on any domain, so
-moving their boundary data moves the problem.
+moving their boundary data moves the problem.  A problem's BoundaryConditions
+check its domain once and keep the DomainMap that every solve shares.
 """
 
 import dataclasses
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 import bvp8.basis
-import bvp8.expression
 from bvp8.basis import DomainMap
 from bvp8.errors import ConfigurationError
 from bvp8.expression import UNIT_COEFFS, BoundaryConditions, SwitchingFunctions
@@ -61,25 +61,48 @@ def test_unusable_domain_rejected(x_i, x_f):
         DomainMap(x_i, x_f)
     with pytest.raises(ConfigurationError, match="domain"):
         SwitchingFunctions.closed_form(x_i, x_f)
-    with pytest.raises(ConfigurationError, match="domain"):
-        SwitchingFunctions(UNIT_COEFFS, x_i, x_f)
 
 
-@pytest.mark.parametrize("name", ["p1", "p4", "p5"])
-def test_solve_checks_its_domain_once(name, monkeypatch):
-    # The problem's BoundaryConditions checked the domain when it was built;
-    # a solve builds the DomainMap (one check) and its switching functions
-    # from that map (no second check).
-    calls = []
+@pytest.mark.parametrize("domain", [(0.0, 1.0), [0.0, 1.0], None])
+def test_switching_functions_take_a_domain_map(domain):
+    with pytest.raises(ConfigurationError, match="expected a DomainMap"):
+        SwitchingFunctions(UNIT_COEFFS, domain)
+
+
+def counting_check_domain(monkeypatch) -> list:
+    """The (x_i, x_f) of every check_domain call from now on."""
+    calls, check_domain = [], bvp8.basis.check_domain
 
     def counted(x_i, x_f):
         calls.append((x_i, x_f))
         return check_domain(x_i, x_f)
 
-    check_domain = bvp8.basis.check_domain
+    monkeypatch.setattr(bvp8.basis, "check_domain", counted)
+    return calls
+
+
+def test_boundary_conditions_check_their_domain_once(monkeypatch):
+    calls = counting_check_domain(monkeypatch)
+    BoundaryConditions(-0.5, 2.0, (0.0,) * 4, (0.0,) * 4)
+    assert calls == [(-0.5, 2.0)]
+
+
+@pytest.mark.parametrize("name", ["p1", "p4", "p5"])
+def test_solve_checks_its_domain_once(name, monkeypatch):
+    # The problem's BoundaryConditions checked the domain when it was built;
+    # a solve reuses their DomainMap and makes no check of its own.
     problem, config = benchmark(name).problem, SolverConfig()
     solve(problem, config)  # builds the config's [0, 1] tables
-    for module in (bvp8.basis, bvp8.expression):
-        monkeypatch.setattr(module, "check_domain", counted)
+    calls = counting_check_domain(monkeypatch)
     solve(problem, config)
-    assert calls == [problem.domain]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["p1", "p4", "p7"])
+def test_solve_shares_the_problems_domain_map(name):
+    problem = benchmark(name).problem
+    sol = solve(problem)
+    dm = problem.bc.domain_map
+    assert sol.expression.basis.domain_map is dm
+    assert sol.expression.switching.domain_map is dm
+    assert sol.expression.bc is problem.bc

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from bvp8.basis import clenshaw
+from bvp8.basis import DomainMap, clenshaw
 from bvp8.expression import SwitchingFunctions
 
 from switching_oracle import polyval_rows, unit_linear_solve
@@ -68,7 +68,7 @@ def test_eval_poly_is_polyval(construction, x_i, x_f):
     if construction == "closed_form":
         sw = SwitchingFunctions.closed_form(x_i, x_f)
     else:
-        sw = SwitchingFunctions(unit_linear_solve().coeffs, x_i, x_f)
+        sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(x_i, x_f))
     rng = np.random.default_rng(7)
     for x in points(x_i, x_f, rng):
         for orders in ORDER_SLICES:

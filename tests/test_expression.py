@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -37,7 +38,8 @@ UNIT_COEFFS = np.array([
 def kronecker_bound(sw):
     """1e-11 * w**(d_j - d_k): the rounding of row k, column j of the Kronecker matrix."""
     orders = np.array(CONSTRAINT_ORDERS)
-    return 1e-11 * (sw.x_f - sw.x_i) ** (orders[None, :] - orders[:, None]).astype(float)
+    w = sw.domain_map.x_f - sw.domain_map.x_i
+    return 1e-11 * w ** (orders[None, :] - orders[:, None]).astype(float)
 
 
 def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
@@ -101,7 +103,7 @@ class TestSwitchingCopies:
                  "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how](sw)
         assert "_deriv" not in vars(clone)
         assert not clone.coeffs.flags.writeable
-        assert (clone.x_i, clone.x_f) == (sw.x_i, sw.x_f)
+        assert clone.domain_map == sw.domain_map
         assert np.array_equal(clone.eval_all(xs), want)
         assert not clone._deriv.flags.writeable
 
@@ -137,7 +139,8 @@ class TestSwitchingEval:
 
     def test_endpoint_rows_are_exact_units(self):
         sw = SwitchingFunctions.closed_form(0.0, np.expm1(0.5))
-        for k, (x, d) in enumerate(constraint_locations(sw.x_i, sw.x_f)):
+        dm = sw.domain_map
+        for k, (x, d) in enumerate(constraint_locations(dm.x_i, dm.x_f)):
             row = sw.eval(x, d)
             expected = np.zeros(8)
             expected[k] = 1.0
@@ -186,6 +189,37 @@ class TestBoundaryConditions:
     def test_degenerate_domain_rejected(self):
         with pytest.raises(ConfigurationError):
             BoundaryConditions(1.0, 1.0, (0.0,) * 4, (0.0,) * 4)
+
+    @pytest.mark.parametrize("side", ["left_values", "right_values"])
+    @pytest.mark.parametrize("bad, match", [
+        (("a", 0, 0, 0), r"must be real numbers, got \('a', 0, 0, 0\)"),
+        (([1, 2], 0, 0, 0), "must be real numbers"),
+        ((None, 0, 0, 0), "must be real numbers"),
+        ((math.nan, 0, 0, 0), r"must be finite, got \(nan, 0, 0, 0\)"),
+        ((math.inf, 0, 0, 0), "must be finite"),
+        ((1.0, 2.0), r"must have shape \(4,\), got \(2,\)"),
+    ])
+    def test_bad_values_rejected(self, side, bad, match):
+        # Each used to build, then fail inside a solve: a raw ValueError, or an
+        # EvaluationError blaming the residual (and, for inf, a RuntimeWarning).
+        values = {"left_values": (0.0,) * 4, "right_values": (0.0,) * 4, side: bad}
+        with pytest.raises(ConfigurationError, match=f"^{side} {match}"):
+            BoundaryConditions(0.0, 1.0, **values)
+
+    def test_values_kept_as_float_tuples(self):
+        bc = BoundaryConditions(0.0, 1.0, np.arange(4), [0.1, 0, np.float32(0.5), 2])
+        assert bc.left_values == (0.0, 1.0, 2.0, 3.0)
+        assert bc.right_values == (0.1, 0.0, 0.5, 2.0)
+        assert all(type(v) is float for v in bc.left_values + bc.right_values)
+        assert hash(bc) == hash(BoundaryConditions(0.0, 1.0, bc.left_values, bc.right_values))
+
+    def test_domain_map_follows_the_domain_and_is_not_compared(self):
+        bc = unit_bc()
+        assert bc.domain_map == DomainMap(0.0, 1.0)
+        assert "domain_map" not in repr(bc)
+        moved = dataclasses.replace(bc, x_f=2.0)
+        assert moved.domain_map == DomainMap(0.0, 2.0)
+        assert dataclasses.replace(moved, x_f=1.0) == bc
 
 
 def build_unit_ce(m=10, bc=None):

@@ -804,3 +804,27 @@ def test_input_errors_are_configuration_errors():
     for call, match in cases:
         with pytest.raises(ConfigurationError, match=match):
             call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda sol, ce, grid: sol("a"), r"^x must be real numbers, got 'a'$"),
+    (lambda sol, ce, grid: sol(0.5 + 0j), r"^x must be real numbers, got \(0\.5\+0j\)$"),
+    (lambda sol, ce, grid: sol([0.5, None]), r"^x must be real numbers, got \[0\.5, None\]$"),
+    (lambda sol, ce, grid: solve(sol.problem, "x"), "^config must be a SolverConfig, got 'x'$"),
+    (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, np.zeros(3)),
+     r"^xi must have shape \(10,\), got \(3,\)$"),
+    (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, ["a"] * 10),
+     "^xi must be real numbers"),
+])
+def test_bad_inputs_named_in_configuration_errors(call, match):
+    # Each used to raise numpy's or Python's own error from deep inside.
+    sol = solve(benchmark("p1").problem)
+    with pytest.raises(ConfigurationError, match=match):
+        call(sol, *build_system(sol.problem, sol.config))
+
+
+def test_integer_x_reads_as_float64():
+    sol = solve(benchmark("p1").problem)
+    for d in range(9):
+        assert np.array_equal(sol(np.arange(2), d), sol(np.array([0.0, 1.0]), d))
+        assert sol(0, d) == sol(0.0, d)
