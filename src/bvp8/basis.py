@@ -65,6 +65,24 @@ def clenshaw(z, c):
     return np.add(c0, np.multiply(c1, z, c1), c0)[()]
 
 
+def chebyshev_derivatives(series, c) -> list:
+    """Chebyshev series of c**d d^d/dz^d `series`, d = 0..MAX_ORDER (x derivatives if c = dz/dx).
+
+    Each step applies the differentiation matrix (d/dz T_j = sum of 2 j T_k over k < j with
+    j - k odd, T_0 halved) times c; chebder loops in Python and costs 5x more.  Order d keeps
+    len(series) - d terms; a constant's derivative is the one-term zero series.
+    """
+    k = np.arange(len(series))
+    odd_gap = (k > k[:, None]) & ((k - k[:, None]) % 2 == 1)
+    deriv = np.where(odd_gap, 2.0 * c * k, 0.0)
+    deriv[0] /= 2.0
+    out = [series]
+    for _ in range(MAX_ORDER):
+        size = out[-1].size
+        out.append(deriv[:size - 1, :size] @ out[-1] if size > 1 else np.zeros(1))
+    return out
+
+
 def check_integer(name: str, value) -> int:
     """int(value) for an int or numpy integer (a bool is not); else ConfigurationError."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -103,12 +121,14 @@ def check_unit_interval(z) -> None:
         raise ConfigurationError("z outside [-1, +1]")
 
 
-def check_domain(x_i: float, x_f: float) -> None:
-    """Raise ConfigurationError unless the solver can scale [x_i, x_f].
+def check_domain(x_i, x_f) -> tuple[float, float]:
+    """(x_i, x_f) as Python floats; ConfigurationError unless the solver can scale [x_i, x_f].
 
-    That needs x_f > x_i and finite endpoints, width w, largest switching
-    scale w**3 and order-8 chain factor (2/w)**8.
+    Each endpoint must be one real number (check_real, which names it).  Scaling
+    needs x_f > x_i and finite endpoints, width w, largest switching scale w**3
+    and order-8 chain factor (2/w)**8.
     """
+    x_i, x_f = float(check_real("x_i", x_i, ())), float(check_real("x_f", x_f, ()))
     if not x_f > x_i:
         raise ConfigurationError(f"degenerate domain: x_f={x_f} must exceed x_i={x_i}")
     with np.errstate(over="ignore"):
@@ -116,6 +136,7 @@ def check_domain(x_i: float, x_f: float) -> None:
         scales = [x_i, x_f, w, w**3, (2.0 / w) ** MAX_ORDER]
     if not np.all(np.isfinite(scales)):
         raise ConfigurationError(f"domain [{x_i}, {x_f}] out of range: w, w**3, (2/w)**8 not finite")
+    return x_i, x_f
 
 
 @dataclass(frozen=True)
@@ -133,8 +154,10 @@ class DomainMap:
     c: float = field(init=False)
 
     def __post_init__(self):
-        check_domain(self.x_i, self.x_f)
-        object.__setattr__(self, "c", (self.z_f - self.z_0) / (self.x_f - self.x_i))
+        x_i, x_f = check_domain(self.x_i, self.x_f)
+        object.__setattr__(self, "x_i", x_i)
+        object.__setattr__(self, "x_f", x_f)
+        object.__setattr__(self, "c", (self.z_f - self.z_0) / (x_f - x_i))
 
     def to_z(self, x):
         # Snap the right endpoint so x_f maps to exactly z_f; the rounding of
@@ -146,6 +169,19 @@ class DomainMap:
 
     def to_x(self, z):
         return self.x_i + (z - self.z_0) / self.c
+
+    def checked_z(self, x) -> tuple:
+        """(x as float64, to_z(x)); ConfigurationError naming the first x outside [x_i, x_f].
+
+        The test is check_unit_interval's, |z| <= 1 + 1e-12, stated in x; NaN fails it.
+        """
+        x = check_real("x", x)
+        z = self.to_z(x)
+        inside = np.abs(z) <= 1.0 + 1e-12
+        if not np.all(inside):
+            first = float(np.ravel(x)[np.argmin(np.ravel(inside))])
+            raise ConfigurationError(f"x={first!r} outside [{self.x_i}, {self.x_f}]")
+        return x, z
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ The switching functions come from one exact table, UNIT_COEFFS on [0, 1],
 evaluated at t = (x - x_i) / w with w = x_f - x_i; the order-d derivative of
 beta_j is scaled by w**(d_j - d).  Accuracy therefore does not depend on
 where the domain sits or how wide it is.
+
+UNIT_CHEB holds the same polynomials as Chebyshev series in z = 2 t - 1 (coefficient
+sums at most 1.25, where the powers of t reach 210).  b and a solution's xi correction
+beta(x) . (B xi) are read as the switching functions' series (UNIT_CHEB for the closed
+form), so evaluation runs no switching polynomial; the collocation tables and a(x) still do.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import MAX_ORDER, ChebyshevBasis, DomainMap, check_order, check_real
+from .basis import (
+    MAX_ORDER, ChebyshevBasis, DomainMap, chebyshev_derivatives, check_order, check_real, clenshaw,
+)
 from .errors import ConfigurationError
 
 #: Derivative order of each constraint, alternating left/right endpoint.
@@ -44,6 +51,20 @@ UNIT_COEFFS = np.array([
     [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
 ])
 UNIT_COEFFS.flags.writeable = False
+
+#: The rows of UNIT_COEFFS as exact Chebyshev series in z, u_j((1 + z) / 2) =
+#: sum_k UNIT_CHEB[j, k] T_k(z).  Rows 0-5 are dyadic; rows 6-7 round once.
+UNIT_CHEB = np.array([
+    [1 / 2, -1225 / 2048, 0.0, 245 / 2048, 0.0, -49 / 2048, 0.0, 5 / 2048],
+    [1 / 2, 1225 / 2048, 0.0, -245 / 2048, 0.0, 49 / 2048, 0.0, -5 / 2048],
+    [81 / 1024, -201 / 4096, -175 / 2048, 245 / 4096, 7 / 1024, -49 / 4096, -1 / 2048, 5 / 4096],
+    [-81 / 1024, -201 / 4096, 175 / 2048, 245 / 4096, -7 / 1024, -49 / 4096, 1 / 2048, 5 / 4096],
+    [17 / 2048, -13 / 4096, -47 / 4096, 21 / 4096, 7 / 2048, -9 / 4096, -1 / 4096, 1 / 4096],
+    [17 / 2048, 13 / 4096, -47 / 4096, -21 / 4096, 7 / 2048, 9 / 4096, -1 / 4096, -1 / 4096],
+    [5 / 12288, -5 / 49152, -5 / 8192, 3 / 16384, 1 / 4096, -5 / 49152, -1 / 24576, 1 / 49152],
+    [-5 / 12288, -5 / 49152, 5 / 8192, 3 / 16384, -1 / 4096, -5 / 49152, 1 / 24576, 1 / 49152],
+])
+UNIT_CHEB.flags.writeable = False
 
 _UNIT_ROWS = np.eye(8)
 _UNIT_ROWS.flags.writeable = False
@@ -76,7 +97,10 @@ class BoundaryConditions:
     domain_map: DomainMap = field(init=False, repr=False, compare=False)  # checked once, shared
 
     def __post_init__(self):
-        object.__setattr__(self, "domain_map", DomainMap(self.x_i, self.x_f))
+        dm = DomainMap(self.x_i, self.x_f)
+        object.__setattr__(self, "domain_map", dm)
+        object.__setattr__(self, "x_i", dm.x_i)
+        object.__setattr__(self, "x_f", dm.x_f)
         for name in ("left_values", "right_values"):
             values = check_real(name, getattr(self, name), (4,))
             if not np.all(np.isfinite(values)):
@@ -141,6 +165,20 @@ class SwitchingFunctions:
         deriv.flags.writeable = False
         return deriv
 
+    @cached_property
+    def _cheb(self) -> np.ndarray:
+        """The rows as read-only Chebyshev series in z = 2 t - 1: UNIT_CHEB for UNIT_COEFFS,
+        other rows converted by numpy.polynomial (imported only then)."""
+        if np.array_equal(self.coeffs, UNIT_COEFFS):
+            return UNIT_CHEB
+        from numpy.polynomial import Chebyshev, Polynomial
+        cheb = np.zeros((8, 8))
+        for row, coeffs in zip(cheb, self.coeffs):
+            series = Polynomial(coeffs, [-1, 1], [0, 1]).convert(kind=Chebyshev).coef
+            row[:series.size] = series
+        cheb.flags.writeable = False
+        return cheb
+
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
         """The switching functions of [x_i, x_f]: UNIT_COEFFS evaluated at t."""
@@ -149,16 +187,15 @@ class SwitchingFunctions:
     def _eval_poly(self, x, orders: slice) -> np.ndarray:
         """Horner evaluation of the derivative rows of `orders` at t, in one buffer.
 
-        Shape (number of orders,) + x.shape + (8,).  Powers above 7 - orders.start
-        are zero in these orders, so Horner starts there, at coefficient + t * 0:
-        numpy's polyval bit for bit, and a NaN or inf t reaches every order.  Not snapped
+        Shape (number of orders,) + x.shape + (8,).  Horner starts at power 7, at
+        coefficient + t * 0: numpy's polyval bit for bit (a row's zero leading powers
+        leave exact zeros), and a NaN or inf t reaches every order.  Not snapped
         (see _snapped).  t stays broadcast: a same-shape copy did not pay for its buffer.
         """
         t = (x - self.domain_map.x_i) / (self.domain_map.x_f - self.domain_map.x_i)
         rows = self._deriv[orders].reshape((-1, 8) + (1,) * np.ndim(t))
-        top = max(7 - orders.start, 0)
-        vals = rows[:, top] + t * 0
-        for p in range(top - 1, -1, -1):
+        vals = rows[:, 7] + t * 0
+        for p in range(6, -1, -1):
             np.multiply(vals, t, out=vals)
             np.add(rows[:, p], vals, out=vals)
         return np.moveaxis(vals.reshape((len(rows) // 8, 8) + np.shape(x)), 1, -1)
@@ -249,11 +286,32 @@ class ConstrainedExpression:
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); builds all nine orders."""
         order = check_order(order)
+        x, _ = self.basis.domain_map.checked_z(x)
         return self._coefficient_rows(x, self.switching.eval_all(x))[order]
 
+    def _beta_series(self, v) -> np.ndarray:
+        """The Chebyshev series in z of beta(x) . v, (w**d_j v_j) @ the switching series."""
+        w = self.bc.x_f - self.bc.x_i
+        return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ self.switching._cheb
+
+    @cached_property
+    def _b_series(self) -> list:
+        """Chebyshev series of b^{(d)} in z for d = 0..8; order d keeps 8 - d terms (one at 8)."""
+        series = self._beta_series(self.constraint_values)
+        return chebyshev_derivatives(series, self.basis.domain_map.c)
+
+    def _snap(self, x, order: int, y):
+        """y with the boundary data of orders 0..3 at x_i and x_f, where they hold exactly."""
+        if order < 4:
+            right = np.where(x == self.bc.x_f, self.bc.right_values[order], y)
+            y = np.where(x == self.bc.x_i, self.bc.left_values[order], right)[()]
+        return y
+
     def b_value(self, x, order: int = 0):
-        """The constraint interpolant b^{(order)}(x) (the xi = 0 candidate)."""
-        return self.switching.eval(x, order) @ self.constraint_values
+        """b^{(order)}(x), the xi = 0 candidate: one Clenshaw pass over the switching series."""
+        order = check_order(order)
+        x, z = self.basis.domain_map.checked_z(x)
+        return self._snap(x, order, clenshaw(z, self._b_series[order]))
 
     def eval(self, x, order: int = 0, xi=None):
         """y^{(order)}(x, xi)."""

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, check_integer, check_order,
-    check_real, clenshaw, make_grid,
+    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, chebyshev_derivatives,
+    check_integer, check_order, check_real, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import (
@@ -164,53 +164,34 @@ class Solution:
     config: SolverConfig
 
     @cached_property
-    def _derivative_series(self) -> tuple[list, np.ndarray]:
-        """Chebyshev series s_d of c**d h^{(d)} . xi for d = 0..8, and B xi.
+    def _derivative_series(self) -> list:
+        """Chebyshev series s_d in z of a^{(d)}(x) . xi for d = 0..8.
 
-        s_0 is xi padded with zeros at degrees below the basis start, and
-        s_d = c * chebder(s_{d-1}), applied as the differentiation matrix
-        (d/dz T_j = sum of 2 j T_k over k < j with j - k odd, T_0 halved):
-        chebder loops over coefficients in Python and costs 5x more.
-        Built on the first call, not by solve().
+        a(x) . xi = sum_k xi_k T_{8+k}(z) - beta(x) . (B xi), B the boundary basis
+        table, so s_0 holds xi at degrees 8 and up and, at degrees 0..7, minus the
+        series of the xi correction beta(x) . (B xi) (ce._beta_series); s_d is its
+        x derivative from chebyshev_derivatives.  Built on the first call, not by solve().
         """
         ce, xi = self.expression, self.report.xi
-        k = np.arange(ce.basis.max_degree + 1)
-        odd_gap = (k > k[:, None]) & ((k - k[:, None]) % 2 == 1)
-        deriv = np.where(odd_gap, 2.0 * ce.basis.domain_map.c * k, 0.0)
-        deriv[0] /= 2.0
-        series = [np.concatenate([np.zeros(START_DEGREE), xi])]
-        for d in range(1, MAX_ORDER + 1):
-            series.append(deriv[: k.size - d, : k.size - d + 1] @ series[-1])
-        return series, ce.boundary_basis_table @ xi
+        series = np.concatenate([np.zeros(START_DEGREE), xi])
+        series[:START_DEGREE] -= ce._beta_series(ce.boundary_basis_table @ xi)
+        return chebyshev_derivatives(series, ce.basis.domain_map.c)
 
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
 
-        With xi fixed, y^{(d)}(x) = (c**d sum_k xi_k T_{8+k}^{(d)}(z) - beta^{(d)}(x) . (B xi))
-        + beta^{(d)}(x) . values, B the boundary basis table and values the constraint values:
-        one in-place Clenshaw pass over the series s_d cached per solution and, below order 8
-        (beta^{(8)} is zero), one Horner pass for the unsnapped beta^{(d)}, both numpy's bit for
-        bit; no basis table is built.  At x_i and x_f the orders 0..3 return the boundary data
-        exactly, so the switching snap there would be overwritten.  Equals
-        expression.eval(x, order, xi) to rounding; a scalar x gives a numpy scalar.
+        With xi fixed, y^{(d)}(x) = s_d(z) + b_d(z) for the Chebyshev series s_d of
+        a^{(d)}(x) . xi (cached per solution) and b_d of b^{(d)} (cached per expression):
+        two in-place Clenshaw passes, numpy's chebval bit for bit.  No basis table is
+        built and no switching polynomial evaluated.  At x_i and x_f the orders 0..3
+        return the boundary data exactly.  Equals expression.eval(x, order, xi) to
+        rounding; a scalar x gives a numpy scalar.
         """
         order = check_order(order)
-        x = check_real("x", x)
         ce = self.expression
-        z = ce.basis.domain_map.to_z(x)
-        inside = np.abs(z) <= 1.0 + 1e-12  # basis.check_unit_interval's test, named in x
-        if not np.all(inside):
-            first = float(np.ravel(x)[np.argmin(np.ravel(inside))])
-            raise ConfigurationError(f"x={first!r} outside [{ce.bc.x_i}, {ce.bc.x_f}]")
-        series, b_xi = self._derivative_series
-        y = clenshaw(z, series[order])
-        if order < MAX_ORDER:
-            betas = ce.switching._eval_poly(x, slice(order, order + 1))[0]
-            y = (y - betas @ b_xi) + betas @ ce.constraint_values
-        if order < 4:
-            right = np.where(x == ce.bc.x_f, ce.bc.right_values[order], y)
-            y = np.where(x == ce.bc.x_i, ce.bc.left_values[order], right)[()]
-        return y
+        x, z = ce.basis.domain_map.checked_z(x)
+        y = clenshaw(z, self._derivative_series[order]) + clenshaw(z, ce._b_series[order])
+        return ce._snap(x, order, y)
 
     def error(self, x):
         """Absolute error against the problem's exact solution."""

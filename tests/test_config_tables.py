@@ -2,8 +2,8 @@
 
 A config builds its tables on its first solve.  Later solves with it, on
 any domain, build no Chebyshev table, evaluate no switching polynomial and
-build no switching derivative rows (`_deriv`, built on a solution's first
-evaluation), and give the same bits as a fresh config.  The cache is
+build no switching derivative rows (`_deriv`; evaluating a solution builds
+none either), and give the same bits as a fresh config.  The cache is
 invisible to equality and hashing, read-only, and not carried by copies or
 pickles.  A solve assembles only an expression and grid built from its
 config's tables.
@@ -79,9 +79,8 @@ def test_second_solve_builds_no_switching_derivatives(name):
     for sol in (first, second):
         assert "_deriv" not in vars(sol.expression.switching)
     second(0.5 * sum(problem.domain), 3)
-    deriv = vars(second.expression.switching)["_deriv"]
-    assert deriv.shape == (9, 8, 8) and not deriv.flags.writeable
-    assert "_deriv" not in vars(first.expression.switching)
+    for sol in (first, second):
+        assert "_deriv" not in vars(sol.expression.switching)
 
 
 def test_default_config_is_shared(calls):

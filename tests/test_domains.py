@@ -63,6 +63,27 @@ def test_unusable_domain_rejected(x_i, x_f):
         SwitchingFunctions.closed_form(x_i, x_f)
 
 
+@pytest.mark.parametrize("x_i, x_f, name", [
+    ("a", "b", "x_i"), ("0", "1", "x_i"), (None, 1.0, "x_i"), (0.0, 1 + 0j, "x_f"),
+    (0.0, [1.0], "x_f"), (True, 2.0, "x_i"),
+])
+def test_endpoint_that_is_not_a_real_number_rejected(x_i, x_f, name):
+    # These used to raise a raw ValueError or TypeError.
+    for build in (DomainMap, lambda a, b: BoundaryConditions(a, b, (0.0,) * 4, (0.0,) * 4)):
+        with pytest.raises(ConfigurationError, match=f"^{name} must"):
+            build(x_i, x_f)
+
+
+def test_endpoints_kept_as_floats():
+    # A float32 endpoint used to give c = np.float32(2.0).
+    bc = BoundaryConditions(0, np.float32(1), (0.0,) * 4, (0.0,) * 4)
+    for owner in (bc, bc.domain_map):
+        assert (owner.x_i, owner.x_f) == (0.0, 1.0)
+        assert type(owner.x_i) is float and type(owner.x_f) is float
+    assert type(bc.domain_map.c) is float and bc.domain_map.c == 2.0
+    assert bc == BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
+
+
 @pytest.mark.parametrize("domain", [(0.0, 1.0), [0.0, 1.0], None])
 def test_switching_functions_take_a_domain_map(domain):
     with pytest.raises(ConfigurationError, match="expected a DomainMap"):

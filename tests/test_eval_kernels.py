@@ -1,9 +1,10 @@
-"""The in-place evaluation kernels of Solution.__call__ against numpy.
+"""The in-place evaluation kernels against numpy.
 
-basis.clenshaw must give numpy's chebval and SwitchingFunctions._eval_poly
-numpy's polyval (switching_oracle.polyval_rows) bit for bit: same shape,
-same dtype and the same bytes, for every series length, every order slice
-and scalar, 1-D and 2-D points.  Non-finite points must still give NaN at
+basis.clenshaw (Solution.__call__ and b_value) must give numpy's chebval
+and SwitchingFunctions._eval_poly (the collocation tables and a_row) numpy's
+polyval (switching_oracle.polyval_rows) bit for bit: same shape, same dtype
+and the same bytes, for every series length, every order slice and scalar,
+1-D and 2-D points.  Non-finite points must still give NaN at
 every order, as polyval does.
 """
 

@@ -1,7 +1,8 @@
 """One-pass tables against the per-order constructions they replace.
 
 The oracles are the nested-loop Chebyshev recurrence and the a rows built
-one order at a time from it, stacked with the single-order b_value rows.
+one order at a time from it, stacked with the single-order b rows, the
+switching values of each order times the constraint values.
 The one-pass code does the same arithmetic on every element, so equality is
 exact (np.array_equal), not a tolerance.  Products with the tables are
 compared too: BLAS rounding depends on memory layout, so equal values in a
@@ -60,7 +61,8 @@ class PerOrderTables:
     def __init__(self, ce, grid):
         self.x = grid.x_nodes
         self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d) for d in range(9)])
-        self.b = np.stack([ce.b_value(grid.x_nodes, d) for d in range(9)])
+        self.b = np.stack([ce.switching.eval(grid.x_nodes, d) @ ce.constraint_values
+                           for d in range(9)])
 
     def states(self, xi):
         return self.b + self.a @ xi

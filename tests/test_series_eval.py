@@ -1,0 +1,133 @@
+"""b and the solution read path as Chebyshev series in z.
+
+UNIT_CHEB must hold the switching polynomials of UNIT_COEFFS exactly, as
+Chebyshev series in z = 2 t - 1; the oracle here converts them in rational
+arithmetic.  b_value, one Clenshaw pass over those series, must agree with
+the switching values times the constraint values, the form the collocation
+tables keep, to roundoff on any domain; and a solution read through the
+series must be accurate to a few ulps where the solve is.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from numpy.polynomial import chebyshev
+
+from bvp8 import SolverConfig, solve
+from bvp8.basis import chebyshev_derivatives
+from bvp8.expression import UNIT_CHEB, UNIT_COEFFS, SwitchingFunctions
+from bvp8.problems import PROBLEM_NAMES, benchmark
+from bvp8.solver import build_system
+
+from test_domains import moved
+
+#: p1 and p6 moved as in tests/test_domains.py, and p5 stretched to [0, e**k - 1].
+MOVED = ([("p1", x_i, x_i + w) for x_i in (-10.0, 0.0, 1.0, 5.0, 10.0, 30.0)
+          for w in (0.1, 1.0, 3.0)]
+         + [("p6", x_i, x_f) for x_i, x_f in
+            [(-3.0, -2.0), (1.0, 1.1), (5.0, 5.1), (10.0, 11.0), (0.0, 0.01)]]
+         + [("p5", 0.0, float(np.expm1(k))) for k in (1, 2, 3)])
+
+
+def times_t(series):
+    """The Chebyshev series of t * p(z), t = (1 + z) / 2, for p's series."""
+    out = [Fraction(0)] * (len(series) + 1)
+    for k, a in enumerate(series):
+        out[k] += a / 2
+        if k == 0:
+            out[1] += a / 2
+        else:
+            out[k + 1] += a / 4
+            out[k - 1] += a / 4
+    return out
+
+
+def exact_unit_cheb_row(powers):
+    """Horner in t on Chebyshev series, in rationals: the series of sum_p powers[p] t**p."""
+    series = [Fraction(0)]
+    for a in reversed(powers):
+        series = times_t(series)
+        series[0] += a
+    assert not any(series[8:])
+    return series[:8]
+
+
+def test_unit_cheb_is_exact():
+    # Every UNIT_COEFFS entry is a rational with denominator at most 6.
+    rows = [exact_unit_cheb_row([Fraction(c).limit_denominator(6) for c in row])
+            for row in UNIT_COEFFS.tolist()]
+    want = np.array([[float(c) for c in row] for row in rows])
+    assert np.all(np.abs(UNIT_CHEB - want) <= np.spacing(np.abs(want)))
+    assert not UNIT_CHEB.flags.writeable
+    # The same polynomials as the powers of t, which round to a few 1e-15.
+    z = np.linspace(-1.0, 1.0, 41)
+    for cheb, powers in zip(UNIT_CHEB, UNIT_COEFFS):
+        gap = chebyshev.chebval(z, cheb) - np.polynomial.polynomial.polyval((1 + z) / 2, powers)
+        assert np.max(np.abs(gap)) <= 1e-14
+
+
+def test_derivative_series_are_chebder():
+    rng = np.random.default_rng(11)
+    for size, c in ((8, 2.0), (8, 0.3), (40, 1.7), (68, 2.0 / np.expm1(2.0))):
+        series = rng.standard_normal(size)
+        got = chebyshev_derivatives(series, c)
+        assert got[0] is series and len(got) == 9
+        for d in range(1, 9):
+            want = c**d * chebyshev.chebder(series, d) if d < size else np.zeros(1)
+            assert got[d].shape == want.shape
+            tol = 1e-14 * np.max(np.abs(c**d * chebyshev.chebder(np.abs(series), d)))
+            assert np.max(np.abs(got[d] - want)) <= tol, (size, d)
+
+
+def b_cases():
+    return ([pytest.param(benchmark(name).problem, id=name) for name in PROBLEM_NAMES]
+            + [pytest.param(moved(*case), id=f"{case[0]}[{case[1]:g},{case[2]:g}]")
+               for case in MOVED])
+
+
+@pytest.mark.parametrize("problem", b_cases())
+def test_b_value_matches_switching_values(problem):
+    ce, grid = build_system(problem, SolverConfig())
+    x_i, x_f = problem.domain
+    x = np.concatenate([grid.x_nodes, np.random.default_rng(2).uniform(x_i, x_f, 300)])
+    values = ce.constraint_values
+    assert [len(s) for s in ce._b_series] == [8, 7, 6, 5, 4, 3, 2, 1, 1]
+    for d in range(9):
+        betas = ce.switching.eval(x, d)
+        got, want = ce.b_value(x, d), betas @ values
+        assert got.shape == x.shape
+        # Roundoff of the sum beta_j v_j: measured up to 133 eps of its
+        # largest terms, where the powers of t have coefficient sums up to 210.
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(betas) @ np.abs(values)), d
+    assert np.all(ce.b_value(x, 8) == 0.0)
+    for d in range(4):
+        assert ce.b_value(x_i, d) == problem.bc.left_values[d]
+        assert ce.b_value(x_f, d) == problem.bc.right_values[d]
+
+
+@pytest.mark.parametrize("problem", b_cases()[:7] + b_cases()[-3:])
+def test_b_value_reads_its_switching_functions(problem):
+    # Any rows, not only UNIT_COEFFS: b_value follows the expression's
+    # switching field, as a_row does, through the rows' own series.
+    ce, _ = build_system(problem, SolverConfig())
+    assert ce.switching._cheb is UNIT_CHEB
+    rows = np.random.default_rng(5).standard_normal((8, 8))
+    other = dataclasses.replace(ce, switching=SwitchingFunctions(rows, ce.basis.domain_map))
+    assert not other.switching._cheb.flags.writeable
+    x = np.random.default_rng(2).uniform(*problem.domain, 300)
+    values = ce.constraint_values
+    for d in range(9):
+        betas = other.switching.eval(x, d)
+        gap = np.abs(other.b_value(x, d) - betas @ values)
+        # Measured up to 9e-16 of the largest terms.
+        assert np.max(gap) <= 1e-14 * np.max(np.abs(betas) @ np.abs(values)), d
+
+
+@pytest.mark.parametrize("name", ["p4", "p5", "p6"])
+def test_oversampled_solutions_read_to_a_few_ulps(name):
+    # Read through the powers of t these were 5.3e-15, 2.9e-15 and 2.4e-15.
+    sol = solve(benchmark(name).problem, SolverConfig(n_points=481, m_basis=60))
+    x = np.linspace(*sol.problem.domain, 101)
+    assert np.max(np.abs(sol(x) - sol.problem.exact(x, 0))) <= 2e-15

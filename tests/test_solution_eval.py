@@ -2,8 +2,9 @@
 
 ConstrainedExpression.eval builds a(x) from the Chebyshev table for any xi
 and serves as the oracle for the fixed-xi read path of a solved Solution.
-full_switching_eval is the same read path with the snapped switching values
-of every order, which Solution.__call__ must match bit for bit.
+chebval_oracle is the same read path in plain numpy, chebval of the cached
+series of a . xi and of b plus the endpoint snap, which Solution.__call__ must
+match bit for bit.
 """
 
 import functools
@@ -13,6 +14,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from bvp8 import SolverConfig, basis, solve
+from bvp8.errors import ConfigurationError
 from bvp8.expression import SwitchingFunctions
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
@@ -30,19 +32,12 @@ def eval_points(sol):
     return np.concatenate([sol.grid.x_nodes, x])
 
 
-def full_switching_eval(sol, x, d):
-    """y^{(d)}(x) from sw.eval(x, d) at every order, order 8 included, then the endpoint snap.
-
-    (chebval(z, s_d) - beta^{(d)} . (B xi)) + beta^{(d)} . values with nothing
-    skipped: the zero order-8 switching values are applied, and so is the
-    switching snap at x_i and x_f that the endpoint snap then overwrites.
-    """
+def chebval_oracle(sol, x, d):
+    """y^{(d)}(x) as numpy's chebval of the cached series s_d and b_d, then the endpoint snap."""
     x = np.asarray(x)
     ce, bc = sol.expression, sol.problem.bc
-    series, b_xi = sol._derivative_series
-    betas = ce.switching.eval(x, d)
-    y = (chebyshev.chebval(ce.basis.domain_map.to_z(x), series[d]) - betas @ b_xi
-         + betas @ ce.constraint_values)
+    z = ce.basis.domain_map.to_z(x)
+    y = chebyshev.chebval(z, sol._derivative_series[d]) + chebyshev.chebval(z, ce._b_series[d])
     if d < 4:
         right = np.where(x == bc.x_f, bc.right_values[d], y)
         y = np.where(x == bc.x_i, bc.left_values[d], right)[()]
@@ -67,19 +62,19 @@ def x_forms(sol):
 
 @pytest.mark.parametrize("n,m", SIZES)
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
-def test_bit_identical_to_full_switching_eval(name, n, m):
+def test_bit_identical_to_chebval_oracle(name, n, m):
     sol = solved(name, n, m)
     for form, x in x_forms(sol).items():
         for d in ORDERS:
-            got, expected = sol(x, d), full_switching_eval(sol, x, d)
+            got, expected = sol(x, d), chebval_oracle(sol, x, d)
             assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
             assert np.array_equal(got, expected), (form, d)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (form, d)
 
 
 def test_switching_work_skipped(monkeypatch):
-    # Order 8 needs no switching values (beta^{(8)} = 0); orders 0..7 need
-    # one unsnapped Horner pass and never the snapped eval or eval_all.
+    # b and the xi correction are Chebyshev series: no order evaluates a
+    # switching polynomial.
     sol = solved("p3", 31, 30)
     calls = []
 
@@ -94,11 +89,9 @@ def test_switching_work_skipped(monkeypatch):
         monkeypatch.setattr(SwitchingFunctions, attr, counted(attr, getattr(SwitchingFunctions, attr)))
     for form, x in x_forms(sol).items():
         for d in ORDERS:
-            calls.clear()
             sol(x, d)
-            assert calls == ([] if d == 8 else ["_eval_poly"]), (form, d)
+            assert calls == [], (form, d)
     # The control: the patched methods do count.
-    calls.clear()
     sol.expression.switching.eval(0.5, 8)
     assert calls == ["eval", "_snapped", "_eval_poly"]
 
@@ -184,6 +177,24 @@ def test_point_outside_domain_raises():
     for x in (x_i - 1e-3, x_f + 1e-3, np.nan):
         with pytest.raises(ValueError, match="outside"):
             sol(np.array([0.5, x]), 2)
+
+
+@pytest.mark.parametrize("x, match", [
+    ("a", r"^x must be real numbers, got 'a'$"),
+    ([0.5, 1 + 0j], r"^x must be real numbers"),
+    (1.5, r"^x=1\.5 outside \[0\.0, 1\.0\]$"),
+    (np.array([0.5, -0.25]), r"^x=-0\.25 outside \[0\.0, 1\.0\]$"),
+    (np.nan, r"^x=nan outside"),
+])
+def test_every_read_checks_x_alike(x, match):
+    # ce.eval, a_row and b_value used to raise a raw TypeError on a string,
+    # and b_value(1.5) to extrapolate; all four share the solution's check.
+    sol = solved("p1", 11, 10)
+    ce, xi = sol.expression, sol.report.xi
+    for read in (sol, ce.a_row, ce.b_value, lambda x, d: ce.eval(x, d, xi)):
+        for d in (0, 8):
+            with pytest.raises(ConfigurationError, match=match):
+                read(x, d)
 
 
 def test_builds_no_chebyshev_table(monkeypatch):

@@ -339,7 +339,17 @@ class TestCertifiedStep:
         got, qr_systems, certified = run_recorded(problem, config)
         assert got.report.converged_by is want.report.converged_by
         assert got.report.iterations == want.report.iterations
-        assert max_error(got) == pytest.approx(max_error(want), rel=1e-9, abs=0)
+        # The runs land alike: their values differ by a(x) . (xi_got - xi_want)
+        # to rounding, and the certified run is no less accurate.  Their errors
+        # need not be equal: on p5 on [0, e**2 - 1] at (481, 60) the QR-only run
+        # declines its converging step of 2.6e-17, whose trial residual rose by
+        # roundoff, and the certified run takes the same step; the true errors
+        # (50-digit arithmetic) are 3.4e-15 and 8.9e-17.
+        x = np.linspace(*problem.domain, 101)
+        moved = got.expression.a_row(x) @ (got.report.xi - want.report.xi)
+        gap = np.max(np.abs(got(x) - want(x) - moved))
+        assert gap <= 4 * np.finfo(float).eps * np.max(np.abs(want(x)))
+        assert max_error(got) <= max_error(want) * (1 + 1e-9)
         xi = want.report.xi
         assert np.linalg.norm(got.report.xi - xi) <= 1e-13 * np.linalg.norm(xi)
         # Each converged solve certifies its last step; none certifies more.
