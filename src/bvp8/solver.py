@@ -2,9 +2,9 @@
 
 Substituting the constrained expression into the ODE residual and sampling
 on the collocation grid turns the problem into unconstrained least squares in
-the coefficient vector xi: one QR shot for linear problems, Gauss-Newton for
-nonlinear ones.  Boundary conditions never enter the iteration; they are
-already embedded in the expression.
+the coefficient vector xi: one least-squares shot for linear problems,
+Gauss-Newton for nonlinear ones.  Boundary conditions never enter the
+iteration; they are already embedded in the expression.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ _FD_STEP = 1e-7
 #: Gauss-Newton converges once a full step has
 #: ||step|| <= _STEP_TOL * (1 + ||xi||).  _ARMIJO_C is the sufficient-decrease
 #: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length
-#: the backtracking line search tries; _CERTIFY_PIVOT is _certified_step's pivot floor.
+#: the backtracking line search tries; _PRECOND_PIVOT is _lstsq_step's pivot floor.
 _STEP_TOL = 1e-10
 _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
-_CERTIFY_PIVOT = 1e-7
+_PRECOND_PIVOT = 0.1
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,9 @@ class SolverConfig:
     system is underdetermined.
 
     A config builds its collocation tables on [0, 1] at its first solve and
-    reuses them in every solve with it, on any domain; they are not fields,
-    and a copy or an unpickled config builds its own.
+    reuses them in every solve with it, on any domain, as it does the
+    least-squares preconditioner; neither is a field, and a copy or an
+    unpickled config builds its own.
     """
 
     n_points: int = 11
@@ -117,6 +118,18 @@ class SolverConfig:
             table.flags.writeable = False
         return grid.z_nodes, a, s, ends
 
+    @cached_property
+    def _precond(self) -> np.ndarray:
+        """Read-only (m, m) P = R^-1, R the triangle of the QR of the [0, 1] table a^{(8)}.
+
+        y^{(8)} enters every equation, so J P is near orthonormal up to its column
+        scales (_lstsq_step).  Apart from _tables, so assembly alone never builds it.
+        """
+        r = np.linalg.qr(self._tables[1][MAX_ORDER], mode="r")
+        precond = np.linalg.inv(r)
+        precond.flags.writeable = False
+        return precond
+
 
 _DEFAULT_CONFIG = SolverConfig()
 
@@ -141,8 +154,9 @@ class SolveReport:
     accepted step (a linear solve's one shot is one), so it never increases and
     its last entry is `solution_norm`, the norm at the returned xi.  `iterations`
     counts the steps computed; a step that stalled, or a converged one that would
-    raise the norm, is not applied and adds no entry.  A converged step may come
-    from the normal equations instead of a QR (see _gauss_newton).
+    raise the norm, is not applied and adds no entry.  Each step comes from the
+    preconditioned normal equations, or from a QR where their gate declines
+    (see _lstsq_step).
     """
 
     xi: np.ndarray
@@ -226,8 +240,11 @@ class _CollocationTables:
         self._b = s @ (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.constraint_values)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
-        """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k))."""
-        states = self._b + self.a @ xi
+        """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).
+
+        At xi = 0 the states are b's, and the table a is not read.
+        """
+        states = self._b + self.a @ xi if xi.any() else self._b.copy()
         states *= self.scale[:, None]
         states.flags.writeable = False
         return states
@@ -340,6 +357,8 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     pivots of R_11: the last diagonal entry is 0 for a consistent system.
     Scaling is a conditioning aid only.  A zero column or a scaled pivot
     below 1e-13 raises SingularSystemError naming the offending column.
+    A solve takes its steps from _lstsq_step, which falls back to this when
+    its gate declines; tests compare the steps with it as the reference.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -366,26 +385,28 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r[:m, :m], r[:m, m]) / norms
 
 
-def _certified_step(jac: np.ndarray, loss: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """lstsq(jac, loss) by the column-scaled normal equations if its norm is at most tol, else None.
+def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.ndarray:
+    """lstsq(jac, rhs) as precond y, y by the column-scaled normal equations of K = jac precond.
 
-    The Cholesky factor of G = (J/d)^T (J/d), d the column norms, has the scaled QR pivots
-    of J on its diagonal and serves only as the rank gate (one LU solve of G costs less than
-    two of its triangles): a zero column, a failed factor or a pivot below _CERTIFY_PIVOT
-    declines.  The error grows as cond(J)**2, which a roundoff-floor step can afford.
+    With precond = R^-1 of the order-8 table (SolverConfig._precond), K is near orthonormal
+    up to its column norms d, so G = (K/d)^T (K/d) is near the identity and its normal
+    equations lose no digits (Blendenpik's right preconditioning).  The Cholesky factor of G
+    holds the scaled QR pivots of K and serves only as the gate (one LU solve of G costs
+    less than two of its triangles): a failed factor or a pivot below _PRECOND_PIVOT falls
+    back to lstsq_scaled_qr(jac, rhs), which also names a rank-deficient column.
     """
     with np.errstate(all="ignore"):
-        gram = jac.T @ jac
+        k = jac @ precond
+        gram = k.T @ k
         d = np.sqrt(np.diag(gram))
         gram /= np.outer(d, d)
         try:
-            pivots = np.diag(np.linalg.cholesky(gram))
+            pivot = np.min(np.diag(np.linalg.cholesky(gram)))
         except np.linalg.LinAlgError:
-            return None
-        if not np.min(pivots) >= _CERTIFY_PIVOT:
-            return None
-        step = np.linalg.solve(gram, (jac.T @ loss) / d) / d
-        return step if np.linalg.norm(step) <= tol else None
+            pivot = 0.0
+        if pivot >= _PRECOND_PIVOT:
+            return precond @ (np.linalg.solve(gram, (k.T @ rhs) / d) / d)
+    return lstsq_scaled_qr(jac, rhs)
 
 
 def _evaluate(residual: Callable, tables: _CollocationTables, xi: np.ndarray):
@@ -402,7 +423,7 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
     For f = ||r||^2 / 2 along the Gauss-Newton direction the test is
     ||r_trial||^2 <= ||r||^2 (1 - alpha * decrease), with decrease
     2 c ||J step||^2 / ||r||^2, so no norm is squared.  A trial whose
-    residual raises or is not finite fails.  (alpha, trial), or None if none passes.
+    residual raises or is not finite fails.  The trial, or None if none passes.
     """
     alpha = 1.0
     while alpha >= shortest:
@@ -411,46 +432,40 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
         except EvaluationError:
             trial = None
         if trial is not None and trial[3] <= norm * math.sqrt(1.0 - alpha * decrease):
-            return alpha, trial
+            return trial
         alpha /= 2.0
     return None
 
 
-def _single_shot(partials, tables, start):
-    """One least-squares shot, xi = lstsq(a, -b), for the affine loss a xi + b read at xi = 0."""
+def _single_shot(partials, tables, start, precond):
+    """One shot xi = lstsq(a, -b) by _lstsq_step, for the affine loss a xi + b read at xi = 0."""
     _, states, b, norm = start
     a = _jacobian(partials, tables, states)
-    xi = lstsq_scaled_qr(a, -b)
+    xi = _lstsq_step(a, -b, precond)
     return xi, 1, [norm, float(np.linalg.norm(a @ xi + b))], StopReason.LINEAR_SINGLE_SHOT
 
 
-def _gauss_newton(residual, partials, tables, start, max_iterations):
+def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
     """Gauss-Newton from the evaluated start with a backtracking line search.
 
-    Each step solves lstsq(J, loss) for the update.  When the full update is
-    below _STEP_TOL * (1 + ||xi||) the solve has converged; that last update
-    is applied only if it does not raise the residual norm.  Otherwise the
-    update is halved until the Armijo test passes (a trial whose residual
-    raises or is not finite fails it); if none down to 1e-8 passes, the
-    solve stops as stalled.  Stalling and the iteration cap are reported,
-    not raised.  After a full-length step the next update is first solved by
-    the column-scaled normal equations, and taken without a QR if their
-    Cholesky pivots pass and it already converges.
+    Each step solves lstsq(J, loss) for the update by _lstsq_step.  When the
+    full update is below _STEP_TOL * (1 + ||xi||) the solve has converged;
+    that last update is applied only if it does not raise the residual norm.
+    Otherwise the update is halved until the Armijo test passes (a trial
+    whose residual raises or is not finite fails it); if none down to 1e-8
+    passes, the solve stops as stalled.  Stalling and the iteration cap are
+    reported, not raised.
     """
     xi, states, loss, norm = start
     history = [norm]
     iterations = 0
     converged_by = StopReason.MAX_ITERATIONS
-    alpha = 0.0  # the length of the last step applied
 
     while iterations < max_iterations:
         iterations += 1
         jac = _jacobian(partials, tables, states)
-        tol = _STEP_TOL * (1.0 + np.linalg.norm(xi))
-        step = _certified_step(jac, loss, tol) if alpha == 1.0 else None
-        if step is None:
-            step = lstsq_scaled_qr(jac, loss)
-        if np.linalg.norm(step) <= tol:
+        step = _lstsq_step(jac, loss, precond)
+        if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(xi)):
             converged_by = StopReason.CONVERGED
             found = _line_search(residual, tables, xi, step, norm, 0.0, shortest=1.0)
         else:
@@ -459,7 +474,7 @@ def _gauss_newton(residual, partials, tables, start, max_iterations):
             if found is None:
                 converged_by = StopReason.STALLED
         if found is not None:
-            alpha, (xi, states, loss, norm) = found
+            xi, states, loss, norm = found
             history.append(norm)
         if converged_by is not StopReason.MAX_ITERATIONS:
             break
@@ -479,8 +494,10 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     tables = _CollocationTables(ce, grid, config)
     partials, used_fd = _resolve_partials(problem)
     start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+    precond = config._precond
     xi, iterations, history, converged_by = (
-        _single_shot(partials, tables, start) if problem.is_linear
-        else _gauss_newton(problem.residual, partials, tables, start, config.max_iterations))
+        _single_shot(partials, tables, start, precond) if problem.is_linear
+        else _gauss_newton(problem.residual, partials, tables, start, precond,
+                           config.max_iterations))
     report = SolveReport(xi, iterations, np.array(history), converged_by, history[-1], used_fd)
     return Solution(problem, ce, grid, report, config)

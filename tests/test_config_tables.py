@@ -5,8 +5,9 @@ any domain, build no Chebyshev table, evaluate no switching polynomial and
 build no switching derivative rows (`_deriv`; evaluating a solution builds
 none either), and give the same bits as a fresh config.  The cache is
 invisible to equality and hashing, read-only, and not carried by copies or
-pickles.  A solve assembles only an expression and grid built from its
-config's tables.
+pickles.  The least-squares preconditioner is cached apart, at the first
+solve, so assembly alone never builds it.  A solve assembles only an
+expression and grid built from its config's tables.
 """
 
 import copy
@@ -99,6 +100,22 @@ def test_cached_arrays_are_read_only():
             table[...] = 0.0
 
 
+@pytest.mark.parametrize("n_points, m_basis", [(11, 10), (31, 30), (481, 60)])
+def test_preconditioner_is_built_by_solve_not_by_assembly(n_points, m_basis):
+    # P = R^-1, R of the QR of the order-8 table: a^(8) P has orthonormal
+    # columns, to 3e-9 at (481, 60), where cond(R) is 7e15.
+    problem = benchmark("p4").problem
+    config = SolverConfig(n_points=n_points, m_basis=m_basis)
+    ce, grid = build_system(problem, config)
+    assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m_basis), config)
+    assert "_tables" in vars(config) and "_precond" not in vars(config)
+    solve(problem, config)
+    precond = config._precond
+    assert not precond.flags.writeable and np.array_equal(precond, np.triu(precond))
+    q = config._tables[1][8] @ precond
+    assert np.max(np.abs(q.T @ q - np.eye(m_basis))) <= 1e-8
+
+
 def test_replaced_config_builds_its_own_tables():
     config = SolverConfig(n_points=11, m_basis=10)
     _, a, s, ends = config._tables
@@ -158,7 +175,7 @@ def test_copies_build_their_own_read_only_tables(copy_of):
     config = SolverConfig(n_points=31, m_basis=30)
     solve(benchmark("p4").problem, config)
     copied = copy_of(config)
-    assert copied == config and "_tables" not in vars(copied)
+    assert copied == config and "_tables" not in vars(copied) and "_precond" not in vars(copied)
     assert len(pickle.dumps(config)) < 1000
     for table, original in zip(copied._tables, config._tables):
         assert table is not original and np.array_equal(table, original)
