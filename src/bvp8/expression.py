@@ -12,15 +12,15 @@ where every component of a vanishes under every constraint operator and b
 interpolates the constraint values, so the boundary conditions hold for any
 coefficient vector xi.
 
-The switching functions come from one exact table, UNIT_COEFFS on [0, 1],
-evaluated at t = (x - x_i) / w with w = x_f - x_i; the order-d derivative of
-beta_j is scaled by w**(d_j - d).  Accuracy therefore does not depend on
-where the domain sits or how wide it is.
-
-UNIT_CHEB holds the same polynomials as Chebyshev series in z = 2 t - 1 (coefficient
-sums at most 1.25, where the powers of t reach 210).  b and a solution's xi correction
-beta(x) . (B xi) are read as the switching functions' series (UNIT_CHEB for the closed
-form), so evaluation runs no switching polynomial; the collocation tables and a(x) still do.
+The switching functions come from one exact table, UNIT_COEFFS on [0, 1] in
+powers of t = (x - x_i) / w with w = x_f - x_i, and are read only as Chebyshev
+series in z = 2 t - 1: UNIT_CHEB holds the same polynomials exactly (coefficient
+sums at most 1.25, where the powers of t reach 210).  beta_j^{(d)}(x) is c**d
+times the z derivative of its series, scaled by w**d_j, so accuracy does not
+depend on where the domain sits or how wide it is.  The collocation tables and
+a(x) come from one Chebyshev table of the degrees 0..7+m, whose first eight
+degrees carry the switching functions; b and a solution's xi correction
+beta(x) . (B xi) are Clenshaw passes over the series.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, DomainMap, chebyshev_derivatives, check_order, check_real, clenshaw,
+    START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_derivatives, chebyshev_table, check_order,
+    check_real, clenshaw,
 )
 from .errors import ConfigurationError
 
@@ -68,10 +69,6 @@ UNIT_CHEB.flags.writeable = False
 
 _UNIT_ROWS = np.eye(8)
 _UNIT_ROWS.flags.writeable = False
-
-#: Coefficient rows are tabulated in pieces of this many bytes, so building a
-#: large table needs no temporary of its size.
-_PIECE_BYTES = 2**19
 
 
 def _chain_factors(c: float, orders: int) -> np.ndarray:
@@ -131,10 +128,8 @@ class SwitchingFunctions:
 
     Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in ascending
     powers of t = (x - x_i) / w, w = x_f - x_i, on domain_map's [x_i, x_f].  There,
-    beta_j(x) = w**d_j u_j(t), whose order-d derivative is w**(d_j - d)
-    u_j^{(d)}(t): the derivative rows are differentiated analytically and
-    scaled once, at the first evaluation (by exactly 1 on [0, 1]).  Order 8
-    of a degree-7 polynomial is identically zero.
+    beta_j(x) = w**d_j u_j(t).  The rows are read only as their Chebyshev series
+    in z (_cheb), by ConstrainedExpression.
     """
 
     coeffs: np.ndarray
@@ -150,20 +145,8 @@ class SwitchingFunctions:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __reduce__(self):
-        # Copies and pickles rebuild through __init__: read-only coeffs, no _deriv.
+        # Copies and pickles rebuild through __init__: read-only coeffs, no cached _cheb.
         return type(self), (self.coeffs, self.domain_map)
-
-    @cached_property
-    def _deriv(self) -> np.ndarray:
-        """Read-only ascending coefficients of the order-p rows on [x_i, x_f], p = 0..8."""
-        deriv = np.zeros((9, 8, 8))
-        deriv[0] = self.coeffs
-        for p in range(1, 9):
-            deriv[p, :, :-1] = deriv[p - 1, :, 1:] * np.arange(1, 8)
-        exponents = np.array(CONSTRAINT_ORDERS) - np.arange(9)[:, None]
-        deriv *= (float(self.domain_map.x_f - self.domain_map.x_i) ** exponents)[..., None]
-        deriv.flags.writeable = False
-        return deriv
 
     @cached_property
     def _cheb(self) -> np.ndarray:
@@ -181,52 +164,8 @@ class SwitchingFunctions:
 
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
-        """The switching functions of [x_i, x_f]: UNIT_COEFFS evaluated at t."""
+        """The switching functions of [x_i, x_f]: UNIT_COEFFS, read at t."""
         return cls(UNIT_COEFFS, DomainMap(x_i, x_f))
-
-    def _eval_poly(self, x, orders: slice) -> np.ndarray:
-        """Horner evaluation of the derivative rows of `orders` at t, in one buffer.
-
-        Shape (number of orders,) + x.shape + (8,).  Horner starts at power 7, at
-        coefficient + t * 0: numpy's polyval bit for bit (a row's zero leading powers
-        leave exact zeros), and a NaN or inf t reaches every order.  Not snapped
-        (see _snapped).  t stays broadcast: a same-shape copy did not pay for its buffer.
-        """
-        t = (x - self.domain_map.x_i) / (self.domain_map.x_f - self.domain_map.x_i)
-        rows = self._deriv[orders].reshape((-1, 8) + (1,) * np.ndim(t))
-        vals = rows[:, 7] + t * 0
-        for p in range(6, -1, -1):
-            np.multiply(vals, t, out=vals)
-            np.add(rows[:, p], vals, out=vals)
-        return np.moveaxis(vals.reshape((len(rows) // 8, 8) + np.shape(x)), 1, -1)
-
-    def _snapped(self, x, orders: slice) -> np.ndarray:
-        """_eval_poly with the constraint orders (0..3) snapped at the endpoints.
-
-        The construction guarantees the exact Kronecker rows there; Horner
-        noise would otherwise be amplified by the high-order basis
-        derivatives when the expression subtracts the boundary corrections.
-        """
-        vals = self._eval_poly(x, orders)
-        x = np.asarray(x)
-        at_i, at_f = x == self.domain_map.x_i, x == self.domain_map.x_f
-        for d in range(orders.start, min(orders.stop, 4)):
-            vals[d - orders.start][at_i] = _UNIT_ROWS[2 * d]
-            vals[d - orders.start][at_f] = _UNIT_ROWS[2 * d + 1]
-        return vals
-
-    def eval(self, x, order: int = 0) -> np.ndarray:
-        """beta_1^{(order)}(x) .. beta_8^{(order)}(x), shape x.shape + (8,).
-
-        At the endpoints the constraint orders (0..3) are snapped to the
-        exact Kronecker rows.
-        """
-        order = check_order(order)
-        return self._snapped(x, slice(order, order + 1))[0]
-
-    def eval_all(self, x) -> np.ndarray:
-        """eval(x, d) for d = 0..8 from one Horner pass, shape (9,) + x.shape + (8,)."""
-        return self._snapped(x, slice(0, 9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,31 +202,36 @@ class ConstrainedExpression:
         values.flags.writeable = False
         return cls(basis, switching, bc, table, values)
 
-    def _coefficient_rows(self, x, betas) -> np.ndarray:
-        """c**d h^{(d)}(x) - beta^{(d)}(x) B for d = 0..8, stacked first.
+    def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a, betas): a^{(d)}(x) and beta^{(d)}(x) for d = 0..max_order, stacked first.
 
-        h^{(d)} are the basis derivatives in z and betas the switching values
-        of orders 0..8, as from switching.eval_all(x).  A Chebyshev table is
-        built per piece of _PIECE_BYTES of the result, and each order's
-        correction is subtracted in place.
+        One chebyshev_table T at z = to_z(x), degrees 0..7+m, times c**d gives both:
+        betas = T_{0..7} (W S)^T, W S the switching series times w**d_j (_beta_series of
+        the unit rows), and a = T_{8..7+m} - betas B, B the boundary basis table, one order
+        at a time.  At x_i and x_f the orders 0..3 of betas are the exact Kronecker rows,
+        which the construction guarantees and Chebyshev roundoff would spoil; there
+        a^{(0..3)} cancels to exact zeros.
         """
-        dm = self.basis.domain_map
-        z = np.ravel(dm.to_z(x))
-        chain = _chain_factors(dm.c, MAX_ORDER + 1)
-        rows = np.empty((MAX_ORDER + 1, z.size, self.basis.m))
-        step = max(1, _PIECE_BYTES // (8 * (MAX_ORDER + 1) * self.basis.m))
-        for k in range(0, z.size, step):
-            np.multiply(chain, self.basis.table(z[k:k + step]), out=rows[:, k:k + step])
-        rows = rows.reshape((MAX_ORDER + 1,) + np.shape(x) + (self.basis.m,))
-        for row, beta in zip(rows, betas):
-            row -= beta @ self.boundary_basis_table
-        return rows
+        dm, m = self.basis.domain_map, self.basis.m
+        table = chebyshev_table(np.ravel(z), START_DEGREE - 1 + m, max_order)
+        table *= _chain_factors(dm.c, max_order + 1)
+        table = table.transpose(0, 2, 1)
+        betas = table[..., :START_DEGREE] @ self._beta_series(_UNIT_ROWS).T
+        x = np.ravel(x)
+        for d in range(min(max_order + 1, 4)):
+            betas[d, x == dm.x_i] = _UNIT_ROWS[2 * d]
+            betas[d, x == dm.x_f] = _UNIT_ROWS[2 * d + 1]
+        a = np.empty(table.shape[:2] + (m,))
+        for row, h, beta in zip(a, table[..., START_DEGREE:], betas):
+            np.subtract(h, beta @ self.boundary_basis_table, out=row)
+        shape = (max_order + 1,) + np.shape(z)
+        return a.reshape(shape + (m,)), betas.reshape(shape + (8,))
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
-        """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); builds all nine orders."""
+        """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); tabulates orders 0..order."""
         order = check_order(order)
-        x, _ = self.basis.domain_map.checked_z(x)
-        return self._coefficient_rows(x, self.switching.eval_all(x))[order]
+        x, z = self.basis.domain_map.checked_z(x)
+        return self._rows(x, z, order)[0][order]
 
     def _beta_series(self, v) -> np.ndarray:
         """The Chebyshev series in z of beta(x) . v, (w**d_j v_j) @ the switching series."""

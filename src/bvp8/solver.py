@@ -28,11 +28,13 @@ from .expression import (
 
 _FD_STEP = 1e-7
 
-#: Gauss-Newton converges once a full step has
-#: ||step|| <= _STEP_TOL * (1 + ||xi||).  _ARMIJO_C is the sufficient-decrease
-#: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length
-#: the backtracking line search tries; _PRECOND_PIVOT is _lstsq_step's pivot floor.
+#: Gauss-Newton converges once a full step has ||step|| <= _STEP_TOL * (1 + ||xi||);
+#: it applies that step unless the residual norm rises past its roundoff floor,
+#: _FLOOR_EPS * eps * ||y^(8)||_2 at the nodes.  _ARMIJO_C is the sufficient-decrease
+#: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length the
+#: backtracking line search tries; _PRECOND_PIVOT is _lstsq_step's pivot floor.
 _STEP_TOL = 1e-10
+_FLOOR_EPS = 16
 _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
 _PRECOND_PIVOT = 0.1
@@ -112,8 +114,7 @@ class SolverConfig:
         ends = basis.table([-1.0, 1.0], 3)
         ce = ConstrainedExpression.build(basis, bc, ends)
         grid = make_grid(bc.domain_map, self.n_points)
-        s = ce.switching.eval_all(grid.x_nodes)
-        a = ce._coefficient_rows(grid.x_nodes, s)
+        a, s = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
         for table in (a, s, ends):
             table.flags.writeable = False
         return grid.z_nodes, a, s, ends
@@ -151,12 +152,13 @@ class SolveReport:
     """Outcome of one solve: coefficients, iteration trace, stop reason.
 
     residual_norm_history[0] is the norm at xi = 0 and one entry follows per
-    accepted step (a linear solve's one shot is one), so it never increases and
-    its last entry is `solution_norm`, the norm at the returned xi.  `iterations`
-    counts the steps computed; a step that stalled, or a converged one that would
-    raise the norm, is not applied and adds no entry.  Each step comes from the
-    preconditioned normal equations, or from a QR where their gate declines
-    (see _lstsq_step).
+    accepted step (a linear solve's one shot is one); its last entry is
+    `solution_norm`, the norm at the returned xi.  It falls at every step but a
+    converging last one, which may raise it by at most its roundoff floor (see
+    _gauss_newton).  `iterations` counts the steps computed; a step that stalled,
+    or a converged one that would raise the norm past that floor, is not applied
+    and adds no entry.  Each step comes from the preconditioned normal equations,
+    or from a QR where their gate declines (see _lstsq_step).
     """
 
     xi: np.ndarray
@@ -197,7 +199,7 @@ class Solution:
         With xi fixed, y^{(d)}(x) = s_d(z) + b_d(z) for the Chebyshev series s_d of
         a^{(d)}(x) . xi (cached per solution) and b_d of b^{(d)} (cached per expression):
         two in-place Clenshaw passes, numpy's chebval bit for bit.  No basis table is
-        built and no switching polynomial evaluated.  At x_i and x_f the orders 0..3
+        built and no switching value tabulated.  At x_i and x_f the orders 0..3
         return the boundary data exactly.  Equals expression.eval(x, order, xi) to
         rounding; a scalar x gives a numpy scalar.
         """
@@ -450,7 +452,8 @@ def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
 
     Each step solves lstsq(J, loss) for the update by _lstsq_step.  When the
     full update is below _STEP_TOL * (1 + ||xi||) the solve has converged;
-    that last update is applied only if it does not raise the residual norm.
+    that last update is applied unless it raises the residual norm past the
+    roundoff floor _FLOOR_EPS * eps * ||y^(8)||_2, y^(8) at the current nodes.
     Otherwise the update is halved until the Armijo test passes (a trial
     whose residual raises or is not finite fails it); if none down to 1e-8
     passes, the solve stops as stalled.  Stalling and the iteration cap are
@@ -467,7 +470,8 @@ def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
         step = _lstsq_step(jac, loss, precond)
         if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(xi)):
             converged_by = StopReason.CONVERGED
-            found = _line_search(residual, tables, xi, step, norm, 0.0, shortest=1.0)
+            floor = _FLOOR_EPS * np.finfo(float).eps * float(np.linalg.norm(states[MAX_ORDER]))
+            found = _line_search(residual, tables, xi, step, norm + floor, 0.0, shortest=1.0)
         else:
             decrease = 2.0 * _ARMIJO_C * (float(np.linalg.norm(jac @ step)) / norm) ** 2
             found = _line_search(residual, tables, xi, step, norm, decrease)

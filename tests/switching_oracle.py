@@ -5,10 +5,11 @@ builds the same eight polynomials independently: the support matrix applies
 the eight constraint operators to the monomials 1, x, .., x^7, and column j
 of its inverse lists the coefficients of beta_{j+1}.  On [0, 1] the
 coefficients in x are the unit-domain coefficients in t, so the result is a
-drop-in SwitchingFunctions for expressions on [0, 1].  kronecker_matrix
-certifies either construction by plain evaluation at the constraints, and
-polyval_rows is the plain numpy evaluation SwitchingFunctions._eval_poly
-must match bit for bit.
+drop-in SwitchingFunctions for expressions on [0, 1].  The package reads the
+switching functions only as Chebyshev series; switching_values evaluates
+them from the monomial coefficients instead, with numpy's polyder and
+polyval, and kronecker_matrix certifies either construction by that plain
+evaluation at the constraints.
 """
 
 import math
@@ -18,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from bvp8.basis import DomainMap
 from bvp8.errors import SingularSystemError
-from bvp8.expression import SwitchingFunctions, constraint_locations
+from bvp8.expression import CONSTRAINT_ORDERS, SwitchingFunctions, constraint_locations
 
 
 def support_matrix(x_i: float, x_f: float) -> np.ndarray:
@@ -50,27 +51,31 @@ def unit_linear_solve() -> SwitchingFunctions:
     return SwitchingFunctions(np.linalg.inv(mat).T, DomainMap(0.0, 1.0))
 
 
-def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
-    """K[k, j] = beta_{j+1}^{(d_k)}(x_k) by plain polynomial evaluation.
+def switching_values(sw: SwitchingFunctions, x, d: int, snap: bool = True) -> np.ndarray:
+    """beta_1^{(d)}(x) .. beta_8^{(d)}(x), shape x.shape + (8,), from the monomial coefficients.
 
-    Certifies the construction itself: the identity up to rounding, without
-    the endpoint snapping SwitchingFunctions.eval applies.
+    beta_j(x) = w**d_j u_j(t), t = (x - x_i) / w, so beta_j^{(d)}(x) is polyval of the d-th
+    polyder of u_j at t, times w**(d_j - d).  With snap, the constraint orders 0..3 read
+    the exact Kronecker rows at x_i and x_f, as the package's tables do.
+    """
+    dm = sw.domain_map
+    w = dm.x_f - dm.x_i
+    x = np.asarray(x, dtype=float)
+    rows = npoly.polyder(sw.coeffs.T, d)  # powers along axis 0, one column per function
+    vals = np.moveaxis(npoly.polyval((x - dm.x_i) / w, rows), 0, -1)
+    vals = vals * w ** (np.array(CONSTRAINT_ORDERS, dtype=float) - d)
+    if snap and d < 4:
+        vals[x == dm.x_i] = np.eye(8)[2 * d]
+        vals[x == dm.x_f] = np.eye(8)[2 * d + 1]
+    return vals
+
+
+def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
+    """K[k, j] = beta_{j+1}^{(d_k)}(x_k) by plain, unsnapped polynomial evaluation.
+
+    Certifies the construction itself: the identity up to rounding.
     """
     return np.vstack([
-        sw._eval_poly(x, slice(d, d + 1))[0]
+        switching_values(sw, x, d, snap=False)
         for x, d in constraint_locations(sw.domain_map.x_i, sw.domain_map.x_f)
     ])
-
-
-def polyval_rows(sw: SwitchingFunctions, x, orders: slice) -> np.ndarray:
-    """_eval_poly by numpy's polyval over every power of every derivative row.
-
-    One polyval call over all eight powers of the rows of `orders`, with no
-    power skipped and a new array per Horner step; the result has the shape
-    of _eval_poly, (number of orders,) + x.shape + (8,).
-    """
-    deriv = sw._deriv[orders]
-    dm = sw.domain_map
-    t = (x - dm.x_i) / (dm.x_f - dm.x_i)
-    vals = npoly.polyval(t, deriv.reshape(-1, 8).T)
-    return np.moveaxis(vals.reshape(deriv.shape[:2] + np.shape(x)), 1, -1)

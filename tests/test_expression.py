@@ -46,6 +46,15 @@ def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
     return BoundaryConditions(0.0, 1.0, tuple(left), tuple(right))
 
 
+def betas(sw, x, d):
+    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) as the package tabulates them, by ConstrainedExpression._rows."""
+    dm = sw.domain_map
+    bc = BoundaryConditions(dm.x_i, dm.x_f, (0.0,) * 4, (0.0,) * 4)
+    ce = dataclasses.replace(ConstrainedExpression.build(ChebyshevBasis(1, dm), bc), switching=sw)
+    x, z = dm.checked_z(x)
+    return ce._rows(x, z, d)[1][d]
+
+
 class TestSwitchingClosedForm:
     def test_unit_domain_coefficients(self):
         sw = SwitchingFunctions.closed_form(0.0, 1.0)
@@ -57,10 +66,10 @@ class TestSwitchingClosedForm:
 
     def test_kronecker_values_on_unit_domain(self):
         sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        row = sw.eval(0.0, 0)
+        row = betas(sw, 0.0, 0)
         assert row[0] == 1.0 and np.all(row[1:] == 0.0)
-        assert sw.eval(1.0, 0)[0] == 0.0
-        assert sw.eval(0.0, 1)[0] == 0.0
+        assert betas(sw, 1.0, 0)[0] == 0.0
+        assert betas(sw, 0.0, 1)[0] == 0.0
 
     @pytest.mark.parametrize("x_i,x_f", [(0.0, 1.0), (0.0, np.expm1(0.5)), (-2.0, 3.0)])
     def test_kronecker_matrix_near_identity(self, x_i, x_f):
@@ -86,32 +95,31 @@ class TestSwitchingClosedForm:
         # On [-1, 1] the seventh function is (x-1)^4 (x+1)^3 / 96.
         sw = SwitchingFunctions.closed_form(-1.0, 1.0)
         xs = np.linspace(-1.0, 1.0, 41)
-        assert_allclose(sw.eval(xs, 0)[:, 6], (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0,
+        assert_allclose(betas(sw, xs, 0)[:, 6], (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0,
                         rtol=0, atol=1e-15)
 
 
 class TestSwitchingCopies:
     """Copies and pickles carry only the fields and come back like a new object:
-    read-only coeffs, and the derivative rows rebuilt at the first evaluation."""
+    read-only coeffs, and the Chebyshev series rebuilt at the first read."""
 
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
-    def test_copy_is_read_only_and_evaluates_alike(self, how):
-        sw = SwitchingFunctions.closed_form(-0.4, 1.7)
-        xs = np.linspace(-0.4, 1.7, 9)
-        want = sw.eval_all(xs)  # builds and caches _deriv
+    def test_copy_is_read_only_and_reads_alike(self, how):
+        sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(-0.4, 1.7))
+        want = sw._cheb  # converts and caches the series
         clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                  "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how](sw)
-        assert "_deriv" not in vars(clone)
+        assert "_cheb" not in vars(clone)
         assert not clone.coeffs.flags.writeable
         assert clone.domain_map == sw.domain_map
-        assert np.array_equal(clone.eval_all(xs), want)
-        assert not clone._deriv.flags.writeable
+        assert np.array_equal(clone._cheb, want)
+        assert not clone._cheb.flags.writeable
 
-    def test_pickle_carries_no_derivative_rows(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        sw.eval_all(0.5)
-        assert b"_deriv" not in pickle.dumps(sw)
-        assert len(pickle.dumps(sw)) < 9 * 8 * 8 * 8
+    def test_pickle_carries_no_series(self):
+        sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(0.0, 1.0))
+        sw._cheb
+        assert b"_cheb" not in pickle.dumps(sw)
+        assert len(pickle.dumps(sw)) < 2 * 8 * 8 * 8
 
 
 class TestSwitchingLinearSolve:
@@ -128,20 +136,22 @@ class TestSwitchingLinearSolve:
         assert_allclose(mat[6], [0, 0, 0, 6, 0, 0, 0, 0], atol=0)
 
 
-class TestSwitchingEval:
+class TestSwitchingValues:
+    """The switching values the tables hold, read from the Chebyshev series."""
+
     def test_symmetry_midpoint(self):
         sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        assert sw.eval(0.5, 0)[1] == pytest.approx(0.5, abs=1e-15)
+        assert betas(sw, 0.5, 0)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_order_eight_is_zero(self):
         sw = SwitchingFunctions.closed_form(-0.4, 1.7)
-        assert np.all(sw.eval(0.3, 8) == 0.0)
+        assert np.all(betas(sw, 0.3, 8) == 0.0)
 
     def test_endpoint_rows_are_exact_units(self):
         sw = SwitchingFunctions.closed_form(0.0, np.expm1(0.5))
         dm = sw.domain_map
         for k, (x, d) in enumerate(constraint_locations(dm.x_i, dm.x_f)):
-            row = sw.eval(x, d)
+            row = betas(sw, x, d)
             expected = np.zeros(8)
             expected[k] = 1.0
             assert np.all(row == expected)
@@ -149,27 +159,9 @@ class TestSwitchingEval:
     def test_array_evaluation_matches_scalar(self):
         sw = SwitchingFunctions.closed_form(0.0, 1.0)
         xs = np.array([0.0, 0.3, 1.0])
-        batch = sw.eval(xs, 1)
+        batch = betas(sw, xs, 1)
         for k, x in enumerate(xs):
-            assert_allclose(batch[k], sw.eval(float(x), 1), atol=0)
-
-    def test_order_out_of_range_rejected(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        with pytest.raises(ValueError):
-            sw.eval(0.5, 9)
-
-    @pytest.mark.parametrize(
-        "order", [2.0, 2.5, True, np.True_, "2", None, np.array(2.0), np.array([2])])
-    def test_non_integer_order_rejected(self, order):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        with pytest.raises(ValueError, match="order must be an integer in 0..8"):
-            sw.eval(0.5, order)
-
-    def test_numpy_integer_order_accepted(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        x = np.array([0.0, 0.3, 1.0])
-        assert np.array_equal(sw.eval(x, np.int64(2)), sw.eval(x, 2))
-        assert np.array_equal(sw.eval(x, np.uint8(0)), sw.eval(x, 0))
+            assert_allclose(batch[k], betas(sw, float(x), 1), atol=0)
 
 
 class TestBoundaryConditions:

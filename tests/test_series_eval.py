@@ -3,9 +3,9 @@
 UNIT_CHEB must hold the switching polynomials of UNIT_COEFFS exactly, as
 Chebyshev series in z = 2 t - 1; the oracle here converts them in rational
 arithmetic.  b_value, one Clenshaw pass over those series, must agree with
-the switching values times the constraint values, the form the collocation
-tables keep, to roundoff on any domain; and a solution read through the
-series must be accurate to a few ulps where the solve is.
+the switching values of the monomial coefficients (switching_oracle) times
+the constraint values to roundoff on any domain; and a solution read through
+the series must be accurate to a few ulps where the solve is.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ from bvp8.expression import UNIT_CHEB, UNIT_COEFFS, SwitchingFunctions
 from bvp8.problems import PROBLEM_NAMES, benchmark
 from bvp8.solver import build_system
 
+from switching_oracle import switching_values
 from test_domains import moved
 
 #: p1 and p6 moved as in tests/test_domains.py, and p5 stretched to [0, e**k - 1].
@@ -95,7 +96,7 @@ def test_b_value_matches_switching_values(problem):
     values = ce.constraint_values
     assert [len(s) for s in ce._b_series] == [8, 7, 6, 5, 4, 3, 2, 1, 1]
     for d in range(9):
-        betas = ce.switching.eval(x, d)
+        betas = switching_values(ce.switching, x, d)
         got, want = ce.b_value(x, d), betas @ values
         assert got.shape == x.shape
         # Roundoff of the sum beta_j v_j: measured up to 133 eps of its
@@ -119,7 +120,7 @@ def test_b_value_reads_its_switching_functions(problem):
     x = np.random.default_rng(2).uniform(*problem.domain, 300)
     values = ce.constraint_values
     for d in range(9):
-        betas = other.switching.eval(x, d)
+        betas = switching_values(other.switching, x, d)
         gap = np.abs(other.b_value(x, d) - betas @ values)
         # Measured up to 9e-16 of the largest terms.
         assert np.max(gap) <= 1e-14 * np.max(np.abs(betas) @ np.abs(values)), d

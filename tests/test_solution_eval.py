@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from bvp8 import SolverConfig, basis, solve
+from bvp8 import SolverConfig, basis, expression, solve
 from bvp8.errors import ConfigurationError
-from bvp8.expression import SwitchingFunctions
+from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
 SIZES = [(11, 10), (31, 30), (481, 60)]
@@ -73,27 +73,24 @@ def test_bit_identical_to_chebval_oracle(name, n, m):
 
 
 def test_switching_work_skipped(monkeypatch):
-    # b and the xi correction are Chebyshev series: no order evaluates a
-    # switching polynomial.
+    # b and the xi correction are Chebyshev series: no order tabulates the
+    # switching values or the a rows.
     sol = solved("p3", 31, 30)
     calls = []
+    rows = ConstrainedExpression._rows
 
-    def counted(attr, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(attr)
-            return fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("_rows")
+        return rows(*args, **kwargs)
 
-        return wrapped
-
-    for attr in ("_eval_poly", "_snapped", "eval", "eval_all"):
-        monkeypatch.setattr(SwitchingFunctions, attr, counted(attr, getattr(SwitchingFunctions, attr)))
+    monkeypatch.setattr(ConstrainedExpression, "_rows", counted)
     for form, x in x_forms(sol).items():
         for d in ORDERS:
             sol(x, d)
             assert calls == [], (form, d)
-    # The control: the patched methods do count.
-    sol.expression.switching.eval(0.5, 8)
-    assert calls == ["eval", "_snapped", "_eval_poly"]
+    # The control: the patched method does count.
+    sol.expression.a_row(0.5, 8)
+    assert calls == ["_rows"]
 
 
 @pytest.mark.parametrize("n,m", SIZES)
@@ -131,17 +128,18 @@ def test_scalar_gives_zero_dimensional_result():
 
 
 def test_list_matches_array():
-    # Empty inputs give empty results of their shape, as do the switching values.
+    # Empty inputs give empty results of their shape, as do the table rows.
     sol = solved("p1", 11, 10)
-    sw = sol.expression.switching
+    ce = sol.expression
     for points in ([0.0, 0.1, 0.5, 1.0], [], np.zeros((0, 3))):
         x = np.asarray(points, dtype=float)
         for d in ORDERS:
             got = sol(points, d)
             assert got.shape == x.shape and np.array_equal(got, sol(x, d))
-            assert sw.eval(x, d).shape == x.shape + (8,)
-            assert sol.expression.eval(x, d, sol.report.xi).shape == x.shape
-        assert sw.eval_all(x).shape == (9,) + x.shape + (8,)
+            assert ce.a_row(x, d).shape == x.shape + (10,)
+            assert ce.eval(x, d, sol.report.xi).shape == x.shape
+        a, betas = ce._rows(x, ce.basis.domain_map.to_z(x), 8)
+        assert a.shape == (9,) + x.shape + (10,) and betas.shape == (9,) + x.shape + (8,)
 
 
 @pytest.mark.parametrize("order", [9, -1])
@@ -206,11 +204,12 @@ def test_builds_no_chebyshev_table(monkeypatch):
         calls.append(args)
         return table(*args, **kwargs)
 
-    monkeypatch.setattr(basis, "chebyshev_table", counting)
+    for module in (basis, expression):
+        monkeypatch.setattr(module, "chebyshev_table", counting)
     x = eval_points(sol)
     for d in ORDERS:
         sol(x, d)
     assert calls == []
-    # The control: the expression tabulates every point, in pieces of any size.
+    # The control: the expression tabulates every point, in one table.
     sol.expression.eval(x, 0, sol.report.xi)
-    assert sum(np.size(args[0]) for args in calls) == x.size
+    assert len(calls) == 1 and np.size(calls[0][0]) == x.size
