@@ -20,7 +20,7 @@ import bvp8.basis
 import bvp8.expression
 from bvp8.basis import CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
-from bvp8.expression import UNIT_COEFFS, SwitchingFunctions
+from bvp8.expression import UNIT_COEFFS, ConstrainedExpression, SwitchingFunctions
 from bvp8.problems import benchmark
 from bvp8.solver import (
     SolverConfig, _CollocationTables, assemble_loss_and_jacobian, build_system, solve,
@@ -66,6 +66,29 @@ def test_second_solve_builds_no_table(name, calls):
     calls.update(chebyshev_table=0)
     solve(problem, config)
     assert calls == {"chebyshev_table": 0}
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_second_solve_builds_no_switching_derivatives(name, monkeypatch):
+    # beta^(d) is tabulated only by ConstrainedExpression._rows, once, in the
+    # config's first solve; a second solve and evaluating either solution
+    # tabulate none.
+    calls = []
+    rows = ConstrainedExpression._rows
+
+    def counted(*args, **kwargs):
+        calls.append("_rows")
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(ConstrainedExpression, "_rows", counted)
+    config = SolverConfig(n_points=31, m_basis=30)
+    problem = benchmark(name).problem
+    first = solve(problem, config)
+    assert calls == ["_rows"]
+    second = solve(problem, config)
+    for sol in (first, second):
+        sol(0.5 * sum(problem.domain), 3)
+    assert calls == ["_rows"]
 
 
 def test_default_config_is_shared(calls):

@@ -104,8 +104,9 @@ class TestSwitchingCopies:
     read-only coeffs, and the Chebyshev series rebuilt at the first read."""
 
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
-    def test_copy_is_read_only_and_reads_alike(self, how):
+    def test_copy_is_read_only_and_evaluates_alike(self, how):
         sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(-0.4, 1.7))
+        xs = np.linspace(-0.4, 1.7, 9)
         want = sw._cheb  # converts and caches the series
         clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                  "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how](sw)
@@ -114,6 +115,8 @@ class TestSwitchingCopies:
         assert clone.domain_map == sw.domain_map
         assert np.array_equal(clone._cheb, want)
         assert not clone._cheb.flags.writeable
+        for d in range(9):
+            assert np.array_equal(betas(clone, xs, d), betas(sw, xs, d)), d
 
     def test_pickle_carries_no_series(self):
         sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(0.0, 1.0))
@@ -136,8 +139,9 @@ class TestSwitchingLinearSolve:
         assert_allclose(mat[6], [0, 0, 0, 6, 0, 0, 0, 0], atol=0)
 
 
-class TestSwitchingValues:
-    """The switching values the tables hold, read from the Chebyshev series."""
+class TestSwitchingEval:
+    """The switching values the tables hold, read from the Chebyshev series, and
+    the order check of a_row, the public tabulation of those rows."""
 
     def test_symmetry_midpoint(self):
         sw = SwitchingFunctions.closed_form(0.0, 1.0)
@@ -162,6 +166,24 @@ class TestSwitchingValues:
         batch = betas(sw, xs, 1)
         for k, x in enumerate(xs):
             assert_allclose(batch[k], betas(sw, float(x), 1), atol=0)
+
+    def test_order_out_of_range_rejected(self):
+        ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
+        with pytest.raises(ValueError):
+            ce.a_row(0.5, 9)
+
+    @pytest.mark.parametrize(
+        "order", [2.0, 2.5, True, np.True_, "2", None, np.array(2.0), np.array([2])])
+    def test_non_integer_order_rejected(self, order):
+        ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
+        with pytest.raises(ValueError, match="order must be an integer in 0..8"):
+            ce.a_row(0.5, order)
+
+    def test_numpy_integer_order_accepted(self):
+        ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
+        x = np.array([0.0, 0.3, 1.0])
+        assert np.array_equal(ce.a_row(x, np.int64(2)), ce.a_row(x, 2))
+        assert np.array_equal(ce.a_row(x, np.uint8(0)), ce.a_row(x, 0))
 
 
 class TestBoundaryConditions:

@@ -15,6 +15,8 @@ per-order tables of its own expression; one on another domain (p5) with the
 per-order tables of the same problem moved to [0, 1], read with those scales.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,14 @@ from bvp8.expression import (
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
 
-from switching_oracle import switching_values
+from switching_oracle import switching_values, unit_linear_solve
 from test_domains import moved
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
 SIZES = ((11, 10), (31, 30), (481, 60))
+
+#: (x_i, x_f) of the unit domain, p5's [0, e**0.5 - 1], and moved or narrow ones.
+DOMAINS = [(0.0, 1.0), (0.0, float(np.expm1(0.5))), (-10.0, -9.9), (30.0, 33.0), (5.0, 6.0)]
 
 
 def loop_chebyshev_table(z, max_degree, max_order):
@@ -139,7 +144,7 @@ class TestCollocationTables:
         ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
         return problem, ce, grid
 
-    def test_tables_match_per_order_rows(self, name, n_points, m_basis):
+    def test_one_pass_matches_per_order_rows(self, name, n_points, m_basis):
         # The config's a rows, and its switching values times the scaled
         # boundary values w**d_j v_j, against the per-order rows on [0, 1].
         # Measured: a to 1.1e-13 of max|a^(d)|, b to 2.1e-14 of its terms.
@@ -228,3 +233,51 @@ def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
         for d in range(9):
             # a_row tabulates orders 0..d only; the recurrence gives the same bits.
             assert np.array_equal(ce.a_row(x, d), a[d]), d
+
+
+def points(x_i, x_f, rng):
+    """Scalars (the endpoints, a float, a numpy scalar, a 0-d array), a (N,) array
+    holding both endpoints, and a (2, 3) array, all in [x_i, x_f]."""
+    w = x_f - x_i
+    line = np.concatenate([[x_i, x_f], rng.uniform(x_i, x_f, 257)])
+    return [x_i, x_f, x_i + 0.3 * w, np.float64(x_i + 0.7 * w), np.array(x_i + 0.5 * w),
+            line, rng.uniform(x_i, x_f, (2, 3))]
+
+
+@pytest.mark.parametrize("x_i, x_f", DOMAINS)
+@pytest.mark.parametrize("construction", ["closed_form", "linear_solve"])
+def test_rows_match_the_monomials_at_any_points(construction, x_i, x_f):
+    # _rows of an expression on [x_i, x_f] against polyval of the monomial
+    # coefficients, for every max_order and for scalar, 1-D and 2-D points.
+    # The support-matrix rows are not exact rationals and reach _rows through
+    # their converted series (_cheb); both are built on [0, 1] and moved.
+    # Compared per order in unit-domain terms, the betas divided by
+    # w**(d_j - d); measured to 3.4e-14 of max|u^(d)| on the domain (and
+    # exactly 0 at order 8).  Both snap orders 0..3 to the Kronecker rows at
+    # the ends, so there they agree exactly.
+    dm = DomainMap(x_i, x_f)
+    if construction == "closed_form":
+        sw = SwitchingFunctions.closed_form(x_i, x_f)
+    else:
+        sw = SwitchingFunctions(unit_linear_solve().coeffs, dm)
+    m = 6
+    bc = BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
+    ce = dataclasses.replace(ConstrainedExpression.build(ChebyshevBasis(m, dm), bc), switching=sw)
+    scale = (x_f - x_i) ** (np.array(CONSTRAINT_ORDERS, dtype=float) - np.arange(9.0)[:, None])
+    xs = points(x_i, x_f, np.random.default_rng(7))
+    # max|u^(d)| over the domain, from the (N,) array, which holds both ends.
+    size = np.max(np.abs(np.stack([switching_values(sw, xs[5], d) for d in range(9)])
+                         / scale[:, None]), axis=(1, 2))
+    for x in xs:
+        x, z = dm.checked_z(x)
+        for max_order in range(9):
+            a, betas = ce._rows(x, z, max_order)
+            assert a.shape == (max_order + 1,) + np.shape(x) + (m,)
+            assert betas.shape == (max_order + 1,) + np.shape(x) + (8,)
+            for d in range(max_order + 1):
+                want = switching_values(sw, x, d)
+                gap = np.abs(betas[d] - want) / scale[d]
+                assert np.max(gap) <= 5e-14 * size[d], (x, max_order, d)
+                if d < 4:
+                    for end in (x_i, x_f):
+                        assert np.array_equal(betas[d][x == end], want[x == end]), (end, d)
