@@ -19,8 +19,9 @@ sums at most 1.25, where the powers of t reach 210).  beta_j^{(d)}(x) is c**d
 times the z derivative of its series, scaled by w**d_j, so accuracy does not
 depend on where the domain sits or how wide it is.  The collocation tables and
 a(x) come from one Chebyshev table of the degrees 0..7+m, whose first eight
-degrees carry the switching functions; b and a solution's xi correction
-beta(x) . (B xi) are Clenshaw passes over the series.
+degrees carry the switching functions; the tables read b as those degrees times
+b's series.  Elsewhere b and a solution's xi correction beta(x) . (B xi) are
+Clenshaw passes over the series.
 """
 
 from __future__ import annotations
@@ -202,21 +203,22 @@ class ConstrainedExpression:
         values.flags.writeable = False
         return cls(basis, switching, bc, table, values)
 
-    def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a, betas): a^{(d)}(x) and beta^{(d)}(x) for d = 0..max_order, stacked first.
+    def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, betas, low): a^{(d)}(x), beta^{(d)}(x) and c**d T_{0..7}^{(d)}(z), d <= max_order.
 
-        One chebyshev_table T at z = to_z(x), degrees 0..7+m, times c**d gives both:
-        betas = T_{0..7} (W S)^T, W S the switching series times w**d_j (_beta_series of
-        the unit rows), and a = T_{8..7+m} - betas B, B the boundary basis table, one order
-        at a time.  At x_i and x_f the orders 0..3 of betas are the exact Kronecker rows,
-        which the construction guarantees and Chebyshev roundoff would spoil; there
-        a^{(0..3)} cancels to exact zeros.
+        One chebyshev_table at z = to_z(x), times c**d, gives all three; low is its degrees
+        below the basis, betas = low (W S)^T with W S the switching series times w**d_j, and
+        a = T_{8..} - betas B, B the boundary basis table, one order at a time.  The orders
+        0..3 of betas are the exact Kronecker rows at x_i and x_f, so a^{(0..3)} is exactly 0
+        there.  beta(x) . v is more accurate as low @ _beta_series(v) than as betas @ v: its
+        terms cancel in the series, before the derivatives grow them.
         """
         dm, m = self.basis.domain_map, self.basis.m
-        table = chebyshev_table(np.ravel(z), START_DEGREE - 1 + m, max_order)
+        table = chebyshev_table(np.ravel(z), self.basis.max_degree, max_order)
         table *= _chain_factors(dm.c, max_order + 1)
         table = table.transpose(0, 2, 1)
-        betas = table[..., :START_DEGREE] @ self._beta_series(_UNIT_ROWS).T
+        low = np.ascontiguousarray(table[..., :START_DEGREE])
+        betas = low @ self._beta_series(_UNIT_ROWS).T
         x = np.ravel(x)
         for d in range(min(max_order + 1, 4)):
             betas[d, x == dm.x_i] = _UNIT_ROWS[2 * d]
@@ -225,7 +227,7 @@ class ConstrainedExpression:
         for row, h, beta in zip(a, table[..., START_DEGREE:], betas):
             np.subtract(h, beta @ self.boundary_basis_table, out=row)
         shape = (max_order + 1,) + np.shape(z)
-        return a.reshape(shape + (m,)), betas.reshape(shape + (8,))
+        return tuple(rows.reshape(shape + rows.shape[-1:]) for rows in (a, betas, low))
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); tabulates orders 0..order."""
@@ -234,7 +236,7 @@ class ConstrainedExpression:
         return self._rows(x, z, order)[0][order]
 
     def _beta_series(self, v) -> np.ndarray:
-        """The Chebyshev series in z of beta(x) . v, (w**d_j v_j) @ the switching series."""
+        """The series in z of beta(x) . v, (w**d_j v_j) @ the switching series, per row of v."""
         w = self.bc.x_f - self.bc.x_i
         return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ self.switching._cheb
 

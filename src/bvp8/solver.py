@@ -22,9 +22,7 @@ from .basis import (
     check_integer, check_order, check_real, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
-from .expression import (
-    CONSTRAINT_ORDERS, UNIT_COEFFS, BoundaryConditions, ConstrainedExpression, _chain_factors,
-)
+from .expression import UNIT_COEFFS, BoundaryConditions, ConstrainedExpression, _chain_factors
 
 _FD_STEP = 1e-7
 
@@ -107,17 +105,17 @@ class SolverConfig:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (z, a, s, ends): the CGL nodes, a^{(d)} and beta^{(d)} at the
-        nodes of [0, 1], shapes (9, n, m) and (9, n, 8), and basis.table([-1, 1], 3)."""
+        """Read-only (z, a, low, ends): the CGL nodes, a^{(d)} and 2**d T_{0..7}^{(d)}(z) at
+        the nodes of [0, 1] (_rows), and basis.table([-1, 1], 3)."""
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
         basis = ChebyshevBasis(self.m_basis, bc.domain_map)
         ends = basis.table([-1.0, 1.0], 3)
         ce = ConstrainedExpression.build(basis, bc, ends)
         grid = make_grid(bc.domain_map, self.n_points)
-        a, s = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
-        for table in (a, s, ends):
+        a, _, low = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
+        for table in (a, low, ends):
             table.flags.writeable = False
-        return grid.z_nodes, a, s, ends
+        return grid.z_nodes, a, low, ends
 
     @cached_property
     def _precond(self) -> np.ndarray:
@@ -185,12 +183,13 @@ class Solution:
 
         a(x) . xi = sum_k xi_k T_{8+k}(z) - beta(x) . (B xi), B the boundary basis
         table, so s_0 holds xi at degrees 8 and up and, at degrees 0..7, minus the
-        series of the xi correction beta(x) . (B xi) (ce._beta_series); s_d is its
-        x derivative from chebyshev_derivatives.  Built on the first call, not by solve().
+        series of the xi correction, xi times that of beta(x) . B_k per column B_k
+        (ce._beta_series): nearby xi round alike, where forming B xi first would not.
+        s_d is its x derivative.  Built on the first call, not by solve().
         """
         ce, xi = self.expression, self.report.xi
         series = np.concatenate([np.zeros(START_DEGREE), xi])
-        series[:START_DEGREE] -= ce._beta_series(ce.boundary_basis_table @ xi)
+        series[:START_DEGREE] -= xi @ ce._beta_series(ce.boundary_basis_table.T)
         return chebyshev_derivatives(series, ce.basis.domain_map.c)
 
     def __call__(self, x, order: int = 0):
@@ -227,19 +226,18 @@ def build_system(
 
 
 class _CollocationTables:
-    """config's tables a_1, s on [0, 1], read on [x_i, x_f] through the scales w**-d.
+    """config's tables a_1, low on [0, 1], read on [x_i, x_f] through the scales w**-d.
 
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and
-    b^{(d)}(x) = w**-d s^{(d)}(t) . (w**d_j v_j) for boundary values v, so the
+    b^{(d)}(x) = w**-d low^{(d)}(t) @ ce._beta_series(v) for boundary values v, so the
     states and partials rows are scaled, never a table; on [0, 1] by exactly 1.
     ce and grid must be what build_system makes from config; nothing here checks.
     """
 
     def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid, config: SolverConfig):
-        _, self.a, s, _ = config._tables
-        w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
-        self.scale = w ** -np.arange(MAX_ORDER + 1.0)
-        self._b = s @ (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.constraint_values)
+        _, self.a, low, _ = config._tables
+        self.x, self.scale = grid.x_nodes, (ce.bc.x_f - ce.bc.x_i) ** -np.arange(MAX_ORDER + 1.0)
+        self._b = low @ ce._beta_series(ce.constraint_values)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).

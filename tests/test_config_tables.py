@@ -28,7 +28,7 @@ from bvp8.solver import (
 
 from test_domains import moved
 from switching_oracle import unit_linear_solve
-from test_one_pass_tables import PerOrderTables, state_terms
+from test_one_pass_tables import PerOrderTables
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
 
@@ -125,11 +125,11 @@ def test_preconditioner_is_built_by_solve_not_by_assembly(n_points, m_basis):
 
 def test_replaced_config_builds_its_own_tables():
     config = SolverConfig(n_points=11, m_basis=10)
-    _, a, s, ends = config._tables
+    _, a, low, ends = config._tables
     wider = dataclasses.replace(config, n_points=31)
-    _, a31, s31, ends31 = wider._tables
+    _, a31, low31, ends31 = wider._tables
     assert a.shape == (9, 11, 10) and a31.shape == (9, 31, 10)
-    assert s.shape == (9, 11, 8) and s31.shape == (9, 31, 8)
+    assert low.shape == (9, 11, 8) and low31.shape == (9, 31, 8)
     assert np.array_equal(ends, ends31) and ends is not ends31
     assert config._tables[1] is a
 
@@ -211,11 +211,13 @@ def test_shared_config_matches_fresh_configs_on_moved_domains():
 def test_p5_states_no_further_from_exact_than_per_domain_tables(n_points, m_basis):
     # At the solved xi, the states read from the [0, 1] tables are at least as
     # close to the exact derivatives as those of tables built on p5's own
-    # domain through the monomials, or within 2 eps of the size of their terms
-    # (|s| |w**d_j v_j| + |a| |xi|, times w**-d).  Measured: the [0, 1] tables
-    # read 0.3-1.3 eps of their terms at orders 0..7, the per-domain ones
-    # 12-67 eps at orders 0..3 and 0.2-0.5 eps at orders 5..7, where b^(d)
-    # sums eight terms up to 1e6 that cancel to about 100.
+    # domain through the monomials, at every order but 7.  There b^(7) is a
+    # sum of eight constants up to 1e6 that cancel to about 122, and both
+    # paths read the order-7 states at the roundoff of those terms: 9.0e-11
+    # against 9.6e-11 at (31, 30).  The [0, 1] path sums b's terms in the
+    # Chebyshev series, before the derivatives grow them; summed after
+    # tabulating the switching values it would lose at orders 5 and 6.  The
+    # closest order is 6 at (31, 30): 2.9e-11 against 3.3e-11.
     problem = benchmark("p5").problem
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     xi = solve(problem, config).report.xi
@@ -223,5 +225,5 @@ def test_p5_states_no_further_from_exact_than_per_domain_tables(n_points, m_basi
     exact = np.array([problem.exact(grid.x_nodes, d) for d in range(9)])
     new = np.max(np.abs(_CollocationTables(ce, grid, config).states(xi) - exact), axis=1)
     old = np.max(np.abs(PerOrderTables(ce, grid).states(xi) - exact), axis=1)
-    floor = 2 * np.finfo(float).eps * np.max(state_terms(config, ce, xi), axis=1)
-    assert np.all(new <= np.maximum(old, floor)), (new, old, floor)
+    orders = [0, 1, 2, 3, 4, 5, 6, 8]
+    assert np.all(new[orders] <= old[orders]), (new, old)

@@ -22,7 +22,7 @@ import pytest
 
 from bvp8.basis import START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_table, make_grid
 from bvp8.expression import (
-    CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression, SwitchingFunctions,
+    CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression, SwitchingFunctions,
 )
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
@@ -109,8 +109,10 @@ def oracle_tables(problem, ce, grid):
 
 
 def state_terms(config, ce, xi):
-    """|s| |w**d_j v_j| + |a| |xi| times w**-d: the size of the terms of each state."""
-    _, a, s, _ = config._tables
+    """|s| |w**d_j v_j| + |a| |xi| times w**-d: the size of the terms of each state,
+    s the switching values on [0, 1], which the config's table low reads."""
+    _, a, low, _ = config._tables
+    s = low @ UNIT_CHEB.T
     w = ce.bc.x_f - ce.bc.x_i
     v = w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.constraint_values
     return (np.abs(s) @ np.abs(v) + np.abs(a) @ np.abs(xi)) * w ** -np.arange(9.0)[:, None]
@@ -193,12 +195,14 @@ class TestCollocationTables:
 
 @pytest.mark.parametrize("n_points, m_basis", SIZES)
 def test_switching_values_match_the_monomials(n_points, m_basis):
-    # The config's s, read from the Chebyshev series, against polyval of the
-    # monomial coefficients at the [0, 1] nodes; measured to 3.3e-14.
-    _, _, s, _ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
+    # The switching values s the config's table reads, its degrees 0..7 times
+    # the Chebyshev series, against polyval of the monomial coefficients at
+    # the [0, 1] nodes; measured to 3.3e-14.
+    _, _, low, _ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
+    s = low @ UNIT_CHEB.T
     x = make_grid(DomainMap(0.0, 1.0), n_points).x_nodes
     sw = SwitchingFunctions.closed_form(0.0, 1.0)
-    want = np.stack([switching_values(sw, x, d) for d in range(9)])
+    want = np.stack([switching_values(sw, x, d, snap=False) for d in range(9)])
     assert_rows_close(s[:8], want[:8], 5e-14)
     assert np.all(s[8] == 0.0) and np.all(want[8] == 0.0)
 
@@ -212,10 +216,13 @@ def assert_exact_ends(a, betas):
 
 @pytest.mark.parametrize("n_points, m_basis", SIZES)
 def test_tables_are_exact_at_the_ends(n_points, m_basis):
-    # Criterion 02 reads the constraints through these rows to 1e-12, and the
-    # b^(d) rows of orders 0..3 hold the boundary data there.
-    _, a, s, _ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
-    assert_exact_ends(a, s)
+    # Criterion 02 reads the constraints through these rows to 1e-12.  The
+    # switching values of _rows at the config's nodes, from which the table a
+    # was formed, are the exact Kronecker rows there.
+    config = SolverConfig(n_points=n_points, m_basis=m_basis)
+    ce, grid = build_system(benchmark("p1").problem, config)  # p1 is on [0, 1]
+    _, betas, _ = ce._rows(grid.x_nodes, grid.z_nodes, 8)
+    assert_exact_ends(config._tables[1], betas)
 
 
 @pytest.mark.parametrize("case", [("p1", x_i, x_i + w) for x_i in (-10.0, 5.0, 30.0)
@@ -226,7 +233,7 @@ def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
     for n_points, m_basis in SIZES:
         ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
         x, z = ce.basis.domain_map.checked_z(grid.x_nodes)
-        a, betas = ce._rows(x, z, 8)
+        a, betas, _ = ce._rows(x, z, 8)
         assert_exact_ends(a, betas)
         ends = np.array([problem.bc.x_i, problem.bc.x_f])
         assert all(np.all(ce.a_row(ends, d) == 0.0) for d in range(4))
@@ -271,9 +278,9 @@ def test_rows_match_the_monomials_at_any_points(construction, x_i, x_f):
     for x in xs:
         x, z = dm.checked_z(x)
         for max_order in range(9):
-            a, betas = ce._rows(x, z, max_order)
+            a, betas, low = ce._rows(x, z, max_order)
             assert a.shape == (max_order + 1,) + np.shape(x) + (m,)
-            assert betas.shape == (max_order + 1,) + np.shape(x) + (8,)
+            assert betas.shape == low.shape == (max_order + 1,) + np.shape(x) + (8,)
             for d in range(max_order + 1):
                 want = switching_values(sw, x, d)
                 gap = np.abs(betas[d] - want) / scale[d]

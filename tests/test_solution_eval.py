@@ -138,8 +138,8 @@ def test_list_matches_array():
             assert got.shape == x.shape and np.array_equal(got, sol(x, d))
             assert ce.a_row(x, d).shape == x.shape + (10,)
             assert ce.eval(x, d, sol.report.xi).shape == x.shape
-        a, betas = ce._rows(x, ce.basis.domain_map.to_z(x), 8)
-        assert a.shape == (9,) + x.shape + (10,) and betas.shape == (9,) + x.shape + (8,)
+        a, betas, low = ce._rows(x, ce.basis.domain_map.to_z(x), 8)
+        assert a.shape == (9,) + x.shape + (10,) and betas.shape == low.shape == (9,) + x.shape + (8,)
 
 
 @pytest.mark.parametrize("order", [9, -1])

@@ -339,7 +339,8 @@ class TestQFreeLstsq:
 
 
 #: p5-e3-11 stops at the iteration cap with error 9.2e3, where the gated and
-#: forced-QR runs' values agree to 11 eps of max|y|.
+#: forced-QR runs' values agree to 1.8 eps of max|y| (5.0 at worst over 400
+#: relative changes of 1e-14 in its xi).
 VALUES_GAP_EPS = {"p5-e3-11": 12}
 
 
