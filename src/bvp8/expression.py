@@ -18,10 +18,9 @@ series in z = 2 t - 1: UNIT_CHEB holds the same polynomials exactly (coefficient
 sums at most 1.25, where the powers of t reach 210).  beta_j^{(d)}(x) is c**d
 times the z derivative of its series, scaled by w**d_j, so accuracy does not
 depend on where the domain sits or how wide it is.  The collocation tables and
-a(x) come from one Chebyshev table of the degrees 0..7+m, whose first eight
-degrees carry the switching functions; the tables read b as those degrees times
-b's series.  Elsewhere b and a solution's xi correction beta(x) . (B xi) are
-Clenshaw passes over the series.
+a(x) come from one Chebyshev table of the degrees 0..7+m, whose first eight degrees
+carry the switching functions; the tables read b as those degrees times b's series.
+Elsewhere b and a solution's xi correction are Clenshaw passes over the series.
 """
 
 from __future__ import annotations
@@ -206,12 +205,10 @@ class ConstrainedExpression:
     def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, betas, low): a^{(d)}(x), beta^{(d)}(x) and c**d T_{0..7}^{(d)}(z), d <= max_order.
 
-        One chebyshev_table at z = to_z(x), times c**d, gives all three; low is its degrees
-        below the basis, betas = low (W S)^T with W S the switching series times w**d_j, and
-        a = T_{8..} - betas B, B the boundary basis table, one order at a time.  The orders
-        0..3 of betas are the exact Kronecker rows at x_i and x_f, so a^{(0..3)} is exactly 0
-        there.  beta(x) . v is more accurate as low @ _beta_series(v) than as betas @ v: its
-        terms cancel in the series, before the derivatives grow them.
+        One chebyshev_table at z, times c**d, gives all three: low is its degrees below the basis,
+        betas = low (W S)^T (S the switching series, W = w**d_j), and a = T_{8..} - betas B (B the
+        boundary basis table), one order at a time.  betas of orders 0..3 are the exact Kronecker
+        rows at x_i and x_f, so there a^{(0..3)} = 0.  Read beta(x) . v as low @ _beta_series(v).
         """
         dm, m = self.basis.domain_map, self.basis.m
         table = chebyshev_table(np.ravel(z), self.basis.max_degree, max_order)

@@ -22,7 +22,10 @@ from .basis import (
     check_integer, check_order, check_real, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
-from .expression import UNIT_COEFFS, BoundaryConditions, ConstrainedExpression, _chain_factors
+from .expression import (
+    CONSTRAINT_ORDERS, UNIT_CHEB, UNIT_COEFFS, BoundaryConditions, ConstrainedExpression,
+    _chain_factors,
+)
 
 _FD_STEP = 1e-7
 
@@ -181,11 +184,10 @@ class Solution:
     def _derivative_series(self) -> list:
         """Chebyshev series s_d in z of a^{(d)}(x) . xi for d = 0..8.
 
-        a(x) . xi = sum_k xi_k T_{8+k}(z) - beta(x) . (B xi), B the boundary basis
-        table, so s_0 holds xi at degrees 8 and up and, at degrees 0..7, minus the
-        series of the xi correction, xi times that of beta(x) . B_k per column B_k
-        (ce._beta_series): nearby xi round alike, where forming B xi first would not.
-        s_d is its x derivative.  Built on the first call, not by solve().
+        a(x) . xi = sum_k xi_k T_{8+k}(z) - beta(x) . (B xi), B the boundary basis table, so
+        s_0 holds xi at degrees 8 and up and, at degrees 0..7, minus xi times the series of
+        beta(x) . B_k per column B_k (ce._beta_series), which rounds alike for nearby xi, where
+        B xi would not; s_d is its x derivative.  Built on the first call, not by solve().
         """
         ce, xi = self.expression, self.report.xi
         series = np.concatenate([np.zeros(START_DEGREE), xi])
@@ -228,16 +230,17 @@ def build_system(
 class _CollocationTables:
     """config's tables a_1, low on [0, 1], read on [x_i, x_f] through the scales w**-d.
 
-    With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and
-    b^{(d)}(x) = w**-d low^{(d)}(t) @ ce._beta_series(v) for boundary values v, so the
-    states and partials rows are scaled, never a table; on [0, 1] by exactly 1.
-    ce and grid must be what build_system makes from config; nothing here checks.
+    With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
+    w**-d low^{(d)}(t) @ ((w**d_j v_j) @ UNIT_CHEB) for boundary values v, whose terms cancel
+    in the series before d/dx grows them.  So states and partials rows are scaled, never a
+    table; on [0, 1] by exactly 1.  ce and grid must be what build_system makes from config.
     """
 
     def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid, config: SolverConfig):
         _, self.a, low, _ = config._tables
-        self.x, self.scale = grid.x_nodes, (ce.bc.x_f - ce.bc.x_i) ** -np.arange(MAX_ORDER + 1.0)
-        self._b = low @ ce._beta_series(ce.constraint_values)
+        w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
+        self.scale = w ** -np.arange(MAX_ORDER + 1.0)
+        self._b = low @ (w ** np.array(CONSTRAINT_ORDERS, float) * ce.constraint_values @ UNIT_CHEB)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).
@@ -468,7 +471,7 @@ def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
         step = _lstsq_step(jac, loss, precond)
         if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(xi)):
             converged_by = StopReason.CONVERGED
-            floor = _FLOOR_EPS * np.finfo(float).eps * float(np.linalg.norm(states[MAX_ORDER]))
+            floor = _FLOOR_EPS * math.ulp(1.0) * float(np.linalg.norm(states[MAX_ORDER]))
             found = _line_search(residual, tables, xi, step, norm + floor, 0.0, shortest=1.0)
         else:
             decrease = 2.0 * _ARMIJO_C * (float(np.linalg.norm(jac @ step)) / norm) ** 2
