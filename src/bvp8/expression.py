@@ -17,10 +17,12 @@ powers of t = (x - x_i) / w with w = x_f - x_i, and are read only as Chebyshev
 series in z = 2 t - 1: UNIT_CHEB holds the same polynomials exactly (coefficient
 sums at most 1.25, where the powers of t reach 210).  beta_j^{(d)}(x) is c**d
 times the z derivative of its series, scaled by w**d_j, so accuracy does not
-depend on where the domain sits or how wide it is.  The collocation tables and
-a(x) come from one Chebyshev table of the degrees 0..7+m, whose first eight degrees
-carry the switching functions; the tables read b as those degrees times b's series.
-Elsewhere b and a solution's xi correction are Clenshaw passes over the series.
+depend on where the domain sits or how wide it is.  a(x) is then one linear map
+of the Chebyshev terms of degrees 0..7+m, a^{(d)}(x) = c**d T^{(d)}(z) @ M, with
+the same (8 + m, m) matrix M (series_map) on every domain; a solution's xi
+correction is the series M @ xi.  b is the switching series times the scaled
+constraint values: the tables read it through degrees 0..7 of their Chebyshev
+table, evaluation by a Clenshaw pass.
 """
 
 from __future__ import annotations
@@ -66,14 +68,6 @@ UNIT_CHEB = np.array([
     [-5 / 12288, -5 / 49152, 5 / 8192, 3 / 16384, -1 / 4096, -5 / 49152, 1 / 24576, 1 / 49152],
 ])
 UNIT_CHEB.flags.writeable = False
-
-_UNIT_ROWS = np.eye(8)
-_UNIT_ROWS.flags.writeable = False
-
-
-def _chain_factors(c: float, orders: int) -> np.ndarray:
-    """c**d for d = 0..orders-1, shaped (orders, 1, 1)."""
-    return np.array([c**d for d in range(orders)]).reshape(-1, 1, 1)
 
 
 def constraint_locations(x_i: float, x_f: float):
@@ -124,12 +118,12 @@ class BoundaryConditions:
 
 @dataclass(frozen=True, eq=False)
 class SwitchingFunctions:
-    """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk.
+    """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk, as monomial rows.
 
     Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in ascending
     powers of t = (x - x_i) / w, w = x_f - x_i, on domain_map's [x_i, x_f].  There,
-    beta_j(x) = w**d_j u_j(t).  The rows are read only as their Chebyshev series
-    in z (_cheb), by ConstrainedExpression.
+    beta_j(x) = w**d_j u_j(t).  closed_form is the checked record of UNIT_COEFFS; the
+    constrained expression reads the same polynomials as UNIT_CHEB, not these rows.
     """
 
     coeffs: np.ndarray
@@ -145,22 +139,8 @@ class SwitchingFunctions:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __reduce__(self):
-        # Copies and pickles rebuild through __init__: read-only coeffs, no cached _cheb.
+        # Copies and pickles rebuild through __init__, so their coeffs stay read-only.
         return type(self), (self.coeffs, self.domain_map)
-
-    @cached_property
-    def _cheb(self) -> np.ndarray:
-        """The rows as read-only Chebyshev series in z = 2 t - 1: UNIT_CHEB for UNIT_COEFFS,
-        other rows converted by numpy.polynomial (imported only then)."""
-        if np.array_equal(self.coeffs, UNIT_COEFFS):
-            return UNIT_CHEB
-        from numpy.polynomial import Chebyshev, Polynomial
-        cheb = np.zeros((8, 8))
-        for row, coeffs in zip(cheb, self.coeffs):
-            series = Polynomial(coeffs, [-1, 1], [0, 1]).convert(kind=Chebyshev).coef
-            row[:series.size] = series
-        cheb.flags.writeable = False
-        return cheb
 
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
@@ -172,59 +152,55 @@ class SwitchingFunctions:
 class ConstrainedExpression:
     """y(x, xi) = a(x)^T xi + b(x) with the eight constraints embedded exactly.
 
-    `boundary_basis_table` caches the constraint operators applied to the
-    basis terms: row k holds c**d_k * h^{(d_k)} at the endpoint of the k-th
-    constraint.  Subtracting the switching combination of those rows from h
-    makes every component of a vanish under every constraint operator.
+    `series_map` M, shape (8 + m, m), carries xi to the Chebyshev series in z of
+    a(x) . xi over the degrees 0..7+m, so a^{(d)}(x) = c**d T^{(d)}(z) @ M.  Rows 8..
+    are the identity, the basis terms; rows 0..7 subtract the switching series
+    times the constraint operators applied to those terms, -(W UNIT_CHEB)^T E with
+    W = diag(2**d_j) and E = basis.table([-1, 1], 3).  Since w**d_j (2/w)**d_j =
+    2**d_j, M is the same on every domain.
     """
 
     basis: ChebyshevBasis
-    switching: SwitchingFunctions
     bc: BoundaryConditions
-    boundary_basis_table: np.ndarray
+    series_map: np.ndarray
     constraint_values: np.ndarray
 
     @classmethod
     def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions,
-              ends=None) -> "ConstrainedExpression":
+              series_map=None) -> "ConstrainedExpression":
         dm = basis.domain_map
         if dm != bc.domain_map:
             raise ConfigurationError(
                 f"basis domain [{dm.x_i}, {dm.x_f}] does not match "
                 f"constraint domain [{bc.x_i}, {bc.x_f}]"
             )
-        switching = SwitchingFunctions(UNIT_COEFFS, dm)
-        if ends is None:  # else basis.table([-1, 1], 3), built once by the caller
-            ends = basis.table([dm.z_0, dm.z_f], 3)
-        table = (_chain_factors(dm.c, 4) * ends).reshape(8, basis.m)
-        table.flags.writeable = False
+        if series_map is None:  # else the map of an m-term basis, built once by the caller
+            ends = basis.table([dm.z_0, dm.z_f], 3).reshape(8, basis.m)
+            low = -(UNIT_CHEB.T * 2.0 ** np.array(CONSTRAINT_ORDERS)) @ ends
+            series_map = np.concatenate([low, np.eye(basis.m)])
+            series_map.flags.writeable = False
         values = bc.interleaved()
         values.flags.writeable = False
-        return cls(basis, switching, bc, table, values)
+        return cls(basis, bc, series_map, values)
 
-    def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, betas, low): a^{(d)}(x), beta^{(d)}(x) and c**d T_{0..7}^{(d)}(z), d <= max_order.
+    def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a, low): a^{(d)}(x) and c**d T_{0..7}^{(d)}(z) for d <= max_order.
 
-        One chebyshev_table at z, times c**d, gives all three: low is its degrees below the basis,
-        betas = low (W S)^T (S the switching series, W = w**d_j), and a = T_{8..} - betas B (B the
-        boundary basis table), one order at a time.  betas of orders 0..3 are the exact Kronecker
-        rows at x_i and x_f, so there a^{(0..3)} = 0.  Read beta(x) . v as low @ _beta_series(v).
+        One chebyshev_table at z, times c**d, gives both: low is its degrees below the
+        basis and a = low @ series_map[:8] plus its degrees 8.., with a^{(0..3)} set to
+        the exact zeros of the constraints at x_i and x_f.  Read b(x) as low @ _beta_series(v).
         """
-        dm, m = self.basis.domain_map, self.basis.m
+        dm = self.basis.domain_map
         table = chebyshev_table(np.ravel(z), self.basis.max_degree, max_order)
-        table *= _chain_factors(dm.c, max_order + 1)
+        table *= np.array([dm.c**d for d in range(max_order + 1)]).reshape(-1, 1, 1)
         table = table.transpose(0, 2, 1)
         low = np.ascontiguousarray(table[..., :START_DEGREE])
-        betas = low @ self._beta_series(_UNIT_ROWS).T
+        a = low @ self.series_map[:START_DEGREE]
+        a += table[..., START_DEGREE:]
         x = np.ravel(x)
-        for d in range(min(max_order + 1, 4)):
-            betas[d, x == dm.x_i] = _UNIT_ROWS[2 * d]
-            betas[d, x == dm.x_f] = _UNIT_ROWS[2 * d + 1]
-        a = np.empty(table.shape[:2] + (m,))
-        for row, h, beta in zip(a, table[..., START_DEGREE:], betas):
-            np.subtract(h, beta @ self.boundary_basis_table, out=row)
+        a[:4, (x == dm.x_i) | (x == dm.x_f)] = 0.0
         shape = (max_order + 1,) + np.shape(z)
-        return tuple(rows.reshape(shape + rows.shape[-1:]) for rows in (a, betas, low))
+        return a.reshape(shape + (self.basis.m,)), low.reshape(shape + (START_DEGREE,))
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); tabulates orders 0..order."""
@@ -235,7 +211,7 @@ class ConstrainedExpression:
     def _beta_series(self, v) -> np.ndarray:
         """The series in z of beta(x) . v, (w**d_j v_j) @ the switching series, per row of v."""
         w = self.bc.x_f - self.bc.x_i
-        return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ self.switching._cheb
+        return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ UNIT_CHEB
 
     @cached_property
     def _b_series(self) -> list:

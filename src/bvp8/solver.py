@@ -18,14 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, chebyshev_derivatives,
-    check_integer, check_order, check_real, clenshaw, make_grid,
+    MAX_ORDER, ChebyshevBasis, CollocationGrid, chebyshev_derivatives, check_integer,
+    check_order, check_real, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
-from .expression import (
-    CONSTRAINT_ORDERS, UNIT_CHEB, UNIT_COEFFS, BoundaryConditions, ConstrainedExpression,
-    _chain_factors,
-)
+from .expression import BoundaryConditions, ConstrainedExpression
 
 _FD_STEP = 1e-7
 
@@ -65,6 +62,12 @@ class BvpProblem:
     is_linear: bool
     partials: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     exact: Optional[Callable] = None
+
+    def __post_init__(self):
+        if not isinstance(self.bc, BoundaryConditions):
+            raise ConfigurationError(f"bc must be a BoundaryConditions, got {self.bc!r}")
+        if not isinstance(self.is_linear, (bool, np.bool_)):
+            raise ConfigurationError(f"is_linear must be a bool, got {self.is_linear!r}")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -108,17 +111,15 @@ class SolverConfig:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (z, a, low, ends): the CGL nodes, a^{(d)} and 2**d T_{0..7}^{(d)}(z) at
-        the nodes of [0, 1] (_rows), and basis.table([-1, 1], 3)."""
+        """Read-only (z, a, low, series_map): the CGL nodes, a^{(d)} and 2**d T_{0..7}^{(d)}(z)
+        at the nodes of [0, 1] (_rows), and the expression's series_map, the same on any domain."""
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
-        basis = ChebyshevBasis(self.m_basis, bc.domain_map)
-        ends = basis.table([-1.0, 1.0], 3)
-        ce = ConstrainedExpression.build(basis, bc, ends)
+        ce = ConstrainedExpression.build(ChebyshevBasis(self.m_basis, bc.domain_map), bc)
         grid = make_grid(bc.domain_map, self.n_points)
-        a, _, low = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
-        for table in (a, low, ends):
+        a, low = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
+        for table in (a, low):
             table.flags.writeable = False
-        return grid.z_nodes, a, low, ends
+        return grid.z_nodes, a, low, ce.series_map
 
     @cached_property
     def _precond(self) -> np.ndarray:
@@ -134,6 +135,13 @@ class SolverConfig:
 
 
 _DEFAULT_CONFIG = SolverConfig()
+
+
+def _checked(config) -> SolverConfig:
+    """config if it is a SolverConfig; else ConfigurationError."""
+    if not isinstance(config, SolverConfig):
+        raise ConfigurationError(f"config must be a SolverConfig, got {config!r}")
+    return config
 
 
 class StopReason(enum.Enum):
@@ -184,15 +192,12 @@ class Solution:
     def _derivative_series(self) -> list:
         """Chebyshev series s_d in z of a^{(d)}(x) . xi for d = 0..8.
 
-        a(x) . xi = sum_k xi_k T_{8+k}(z) - beta(x) . (B xi), B the boundary basis table, so
-        s_0 holds xi at degrees 8 and up and, at degrees 0..7, minus xi times the series of
-        beta(x) . B_k per column B_k (ce._beta_series), which rounds alike for nearby xi, where
-        B xi would not; s_d is its x derivative.  Built on the first call, not by solve().
+        s_0 = series_map @ xi: xi at degrees 8 and up and, at degrees 0..7, xi folded through
+        the per-column switching series of series_map, which rounds alike for nearby xi; s_d
+        is its x derivative.  Built on the first call, not by solve().
         """
-        ce, xi = self.expression, self.report.xi
-        series = np.concatenate([np.zeros(START_DEGREE), xi])
-        series[:START_DEGREE] -= xi @ ce._beta_series(ce.boundary_basis_table.T)
-        return chebyshev_derivatives(series, ce.basis.domain_map.c)
+        ce = self.expression
+        return chebyshev_derivatives(ce.series_map @ self.report.xi, ce.basis.domain_map.c)
 
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
@@ -221,9 +226,9 @@ def build_system(
     problem: BvpProblem, config: SolverConfig
 ) -> tuple[ConstrainedExpression, CollocationGrid]:
     """Constrained expression and collocation grid for a problem, from config's tables."""
-    z, _, _, ends = config._tables
+    z, _, _, series_map = config._tables
     dm = problem.bc.domain_map
-    ce = ConstrainedExpression.build(ChebyshevBasis(config.m_basis, dm), problem.bc, ends)
+    ce = ConstrainedExpression.build(ChebyshevBasis(config.m_basis, dm), problem.bc, series_map)
     return ce, make_grid(dm, config.n_points, z)
 
 
@@ -231,8 +236,8 @@ class _CollocationTables:
     """config's tables a_1, low on [0, 1], read on [x_i, x_f] through the scales w**-d.
 
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
-    w**-d low^{(d)}(t) @ ((w**d_j v_j) @ UNIT_CHEB) for boundary values v, whose terms cancel
-    in the series before d/dx grows them.  So states and partials rows are scaled, never a
+    w**-d low^{(d)}(t) @ ce._beta_series(v) for boundary values v, whose terms cancel in the
+    series before d/dx grows them.  So states and partials rows are scaled, never a
     table; on [0, 1] by exactly 1.  ce and grid must be what build_system makes from config.
     """
 
@@ -240,7 +245,7 @@ class _CollocationTables:
         _, self.a, low, _ = config._tables
         w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
         self.scale = w ** -np.arange(MAX_ORDER + 1.0)
-        self._b = low @ (w ** np.array(CONSTRAINT_ORDERS, float) * ce.constraint_values @ UNIT_CHEB)
+        self._b = low @ ce._beta_series(ce.constraint_values)
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).
@@ -319,17 +324,16 @@ def assemble_loss_and_jacobian(
 
     loss[k] = F(x_k, state) and jac[k, :] = sum_d dF/dy^{(d)} a^{(d)}(x_k),
     the chain rule through the constrained expression.  The tables come from
-    `config`, by default a new SolverConfig of the grid's and basis's sizes;
-    a ce or grid that build_system would not make from it raises ConfigurationError.
+    `config`, by default a new SolverConfig of the grid's and basis's sizes; a config
+    that is not a SolverConfig, or a ce or grid that build_system would not make from
+    it, raises ConfigurationError.
     """
-    config = config or SolverConfig(grid.n_points, ce.basis.m)
-    z, _, _, ends = config._tables
-    dm, sw, x = ce.bc.domain_map, ce.switching, grid.x_nodes
-    ends_rows = (_chain_factors(dm.c, 4) * ends).reshape(8, -1)
-    arrays = ((grid.z_nodes, z), (sw.coeffs, UNIT_COEFFS), (ce.boundary_basis_table, ends_rows))
+    config = _checked(SolverConfig(grid.n_points, ce.basis.m) if config is None else config)
+    z, _, _, series_map = config._tables
+    dm, x = ce.bc.domain_map, grid.x_nodes
     if not (grid.n_points == config.n_points and ce.basis == ChebyshevBasis(config.m_basis, dm)
-            and sw.domain_map == dm and (x[0], x[-1]) == (dm.x_i, dm.x_f)
-            and all(np.array_equal(*pair) for pair in arrays)):
+            and (x[0], x[-1]) == (dm.x_i, dm.x_f) and np.array_equal(grid.z_nodes, z)
+            and np.array_equal(ce.series_map, series_map)):
         raise ConfigurationError(f"expression and grid do not match the tables of {config}")
     xi = check_real("xi", xi, (ce.basis.m,))
     tables = _CollocationTables(ce, grid, config)
@@ -492,9 +496,7 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     Both rules share one set-up and one residual evaluation at xi = 0.  Replace
     the problem with is_linear=False to run Gauss-Newton on a linear problem.
     """
-    config = config if config is not None else _DEFAULT_CONFIG
-    if not isinstance(config, SolverConfig):
-        raise ConfigurationError(f"config must be a SolverConfig, got {config!r}")
+    config = _checked(_DEFAULT_CONFIG if config is None else config)
     ce, grid = build_system(problem, config)
     tables = _CollocationTables(ce, grid, config)
     partials, used_fd = _resolve_partials(problem)

@@ -5,8 +5,8 @@ builds the same eight polynomials independently: the support matrix applies
 the eight constraint operators to the monomials 1, x, .., x^7, and column j
 of its inverse lists the coefficients of beta_{j+1}.  On [0, 1] the
 coefficients in x are the unit-domain coefficients in t, so the result is a
-drop-in SwitchingFunctions for expressions on [0, 1].  The package reads the
-switching functions only as Chebyshev series; switching_values evaluates
+drop-in SwitchingFunctions on [0, 1].  The package reads the switching
+functions only as their exact Chebyshev series; switching_values evaluates
 them from the monomial coefficients instead, with numpy's polyder and
 polyval, and kronecker_matrix certifies either construction by that plain
 evaluation at the constraints.

@@ -18,16 +18,15 @@ import pytest
 
 import bvp8.basis
 import bvp8.expression
-from bvp8.basis import CollocationGrid, DomainMap, make_grid
+from bvp8.basis import ChebyshevBasis, CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
-from bvp8.expression import UNIT_COEFFS, ConstrainedExpression, SwitchingFunctions
+from bvp8.expression import ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import (
     SolverConfig, _CollocationTables, assemble_loss_and_jacobian, build_system, solve,
 )
 
 from test_domains import moved
-from switching_oracle import unit_linear_solve
 from test_one_pass_tables import PerOrderTables
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
@@ -38,7 +37,7 @@ MOVED = [(x_i, x_i + w) for x_i in (-10.0, 0.0, 1.0, 5.0, 10.0, 30.0) for w in (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of chebyshev_table calls, from basis (the ends table) and expression (the tables)."""
+    """Counts of chebyshev_table calls, from basis (for series_map) and expression (the tables)."""
     counts = {"chebyshev_table": 0}
     table = bvp8.basis.chebyshev_table
 
@@ -62,7 +61,7 @@ def test_second_solve_builds_no_table(name, calls):
     config = SolverConfig(n_points=31, m_basis=30)
     problem = benchmark(name).problem
     solve(problem, config)
-    assert calls["chebyshev_table"] == 2  # the ends table and the order-8 table
+    assert calls["chebyshev_table"] == 2  # the ends of series_map and the order-8 table
     calls.update(chebyshev_table=0)
     solve(problem, config)
     assert calls == {"chebyshev_table": 0}
@@ -70,9 +69,9 @@ def test_second_solve_builds_no_table(name, calls):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_second_solve_builds_no_switching_derivatives(name, monkeypatch):
-    # beta^(d) is tabulated only by ConstrainedExpression._rows, once, in the
-    # config's first solve; a second solve and evaluating either solution
-    # tabulate none.
+    # The Chebyshev terms of the switching series are tabulated only by
+    # ConstrainedExpression._rows, once, in the config's first solve; a second
+    # solve and evaluating either solution tabulate none.
     calls = []
     rows = ConstrainedExpression._rows
 
@@ -125,12 +124,13 @@ def test_preconditioner_is_built_by_solve_not_by_assembly(n_points, m_basis):
 
 def test_replaced_config_builds_its_own_tables():
     config = SolverConfig(n_points=11, m_basis=10)
-    _, a, low, ends = config._tables
+    _, a, low, series_map = config._tables
     wider = dataclasses.replace(config, n_points=31)
-    _, a31, low31, ends31 = wider._tables
+    _, a31, low31, series_map31 = wider._tables
     assert a.shape == (9, 11, 10) and a31.shape == (9, 31, 10)
     assert low.shape == (9, 11, 8) and low31.shape == (9, 31, 8)
-    assert np.array_equal(ends, ends31) and ends is not ends31
+    assert series_map.shape == (18, 10)
+    assert np.array_equal(series_map, series_map31) and series_map is not series_map31
     assert config._tables[1] is a
 
 
@@ -154,19 +154,19 @@ def test_tables_of_another_size_or_basis_rejected():
 
 
 def test_expression_or_grid_not_built_from_the_config_rejected():
-    # The tables hold the closed-form switching functions, the config's ends
-    # table and its CGL nodes on ce's domain; any other expression or grid
-    # would be assembled from rows that are not its own.
+    # The tables hold the config's series_map, its basis and its CGL nodes on
+    # ce's domain; any other expression or grid would be assembled from rows
+    # that are not its own.
     problem = benchmark("p2").problem
     ce, grid = build_system(problem, SolverConfig())
-    table = ce.boundary_basis_table.copy()
-    table[0, 0] = np.nextafter(table[0, 0], np.inf)
+    series_map = ce.series_map.copy()
+    series_map[0, 0] = np.nextafter(series_map[0, 0], np.inf)
     wider = DomainMap(0.0, 2.0)
     z = np.linspace(-1.0, 1.0, 11)
     others = [
-        (dataclasses.replace(ce, switching=unit_linear_solve()), grid),
-        (dataclasses.replace(ce, switching=SwitchingFunctions(UNIT_COEFFS, wider)), grid),
-        (dataclasses.replace(ce, boundary_basis_table=table), grid),
+        (dataclasses.replace(ce, series_map=series_map), grid),
+        (dataclasses.replace(ce, series_map=ce.series_map[:-1]), grid),
+        (dataclasses.replace(ce, basis=ChebyshevBasis(10, wider)), grid),
         (ce, make_grid(wider, 11)),
         (ce, CollocationGrid(11, z, ce.basis.domain_map.to_x(z))),
     ]

@@ -125,5 +125,4 @@ def test_solve_shares_the_problems_domain_map(name):
     sol = solve(problem)
     dm = problem.bc.domain_map
     assert sol.expression.basis.domain_map is dm
-    assert sol.expression.switching.domain_map is dm
     assert sol.expression.bc is problem.bc

@@ -19,7 +19,8 @@ from bvp8.expression import (
     constraint_locations,
 )
 
-from switching_oracle import kronecker_matrix, support_matrix, unit_linear_solve
+from switching_oracle import kronecker_matrix, support_matrix, switching_values, unit_linear_solve
+from test_one_pass_tables import per_order_a_row
 
 # Monomial coefficients (ascending degree) of the eight switching functions
 # on [0, 1].  Every entry is an exactly representable rational.
@@ -47,12 +48,14 @@ def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
 
 
 def betas(sw, x, d):
-    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) as the package tabulates them, by ConstrainedExpression._rows."""
+    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) on sw's domain as the package reads them: beta_j is
+    b of the boundary data e_j, so column j is b_value of the expression with that data."""
     dm = sw.domain_map
-    bc = BoundaryConditions(dm.x_i, dm.x_f, (0.0,) * 4, (0.0,) * 4)
-    ce = dataclasses.replace(ConstrainedExpression.build(ChebyshevBasis(1, dm), bc), switching=sw)
-    x, z = dm.checked_z(x)
-    return ce._rows(x, z, d)[1][d]
+    basis = ChebyshevBasis(1, dm)
+    return np.stack([
+        ConstrainedExpression.build(basis, BoundaryConditions(dm.x_i, dm.x_f, e[0::2], e[1::2]))
+        .b_value(x, d) for e in np.eye(8)
+    ], axis=-1)
 
 
 class TestSwitchingClosedForm:
@@ -100,28 +103,23 @@ class TestSwitchingClosedForm:
 
 
 class TestSwitchingCopies:
-    """Copies and pickles carry only the fields and come back like a new object:
-    read-only coeffs, and the Chebyshev series rebuilt at the first read."""
+    """Copies and pickles carry only the fields and come back like a new object,
+    with read-only coeffs."""
 
     @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
     def test_copy_is_read_only_and_evaluates_alike(self, how):
         sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(-0.4, 1.7))
         xs = np.linspace(-0.4, 1.7, 9)
-        want = sw._cheb  # converts and caches the series
         clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                  "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how](sw)
-        assert "_cheb" not in vars(clone)
         assert not clone.coeffs.flags.writeable
         assert clone.domain_map == sw.domain_map
-        assert np.array_equal(clone._cheb, want)
-        assert not clone._cheb.flags.writeable
         for d in range(9):
-            assert np.array_equal(betas(clone, xs, d), betas(sw, xs, d)), d
+            assert np.array_equal(switching_values(clone, xs, d), switching_values(sw, xs, d)), d
 
     def test_pickle_carries_no_series(self):
         sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(0.0, 1.0))
-        sw._cheb
-        assert b"_cheb" not in pickle.dumps(sw)
+        assert set(vars(sw)) == {"coeffs", "domain_map"}
         assert len(pickle.dumps(sw)) < 2 * 8 * 8 * 8
 
 
@@ -140,8 +138,8 @@ class TestSwitchingLinearSolve:
 
 
 class TestSwitchingEval:
-    """The switching values the tables hold, read from the Chebyshev series, and
-    the order check of a_row, the public tabulation of those rows."""
+    """The switching values as b_value reads them, from the Chebyshev series, and
+    the order check of a_row, the public tabulation of the xi rows."""
 
     def test_symmetry_midpoint(self):
         sw = SwitchingFunctions.closed_form(0.0, 1.0)
@@ -313,14 +311,17 @@ class TestConstrainedExpression:
         assert_allclose(fd, exact, rtol=1e-5, atol=1e-5 * scale)
 
     def test_oracle_switching_agrees(self):
+        # The expression against one built by hand from the support-matrix
+        # switching functions: a per-order row and b from their monomials.
         bc = BoundaryConditions(0.0, 1.0, (1.0, 2.0, 3.0, 4.0), (4.0, 3.0, 2.0, 1.0))
         a = build_unit_ce(bc=bc)
-        b = dataclasses.replace(a, switching=unit_linear_solve())
+        sw = unit_linear_solve()
         xs = np.linspace(0.0, 1.0, 13)
         xi = np.full(10, 0.1)
         for order in (0, 3, 8):
             va = np.array([a.eval(x, order, xi) for x in xs])
-            vb = np.array([b.eval(x, order, xi) for x in xs])
+            vb = (per_order_a_row(a, xs, order, sw) @ xi
+                  + switching_values(sw, xs, order) @ a.constraint_values)
             assert_allclose(vb, va, rtol=1e-9, atol=1e-9 * max(1.0, np.max(np.abs(va))))
 
     def test_wrong_coefficient_shape_rejected(self):

@@ -1,21 +1,21 @@
 """The collocation tables against per-order constructions through the monomials.
 
 The oracles are the nested-loop Chebyshev recurrence, and the a rows built
-one order at a time from it with the switching values of switching_oracle
-(polyval of the monomial coefficients), stacked with the single-order b rows,
-those switching values times the constraint values.  The package reads the
-switching functions as Chebyshev series instead, so the two agree to measured
-roundoff bounds, not bit for bit: the a rows to 2e-13 of max|a^(d)|, the
-switching values s and the states to 5e-14 of the size of their terms.  At
-the endpoints both give exact zeros in a^(0..3) and the exact Kronecker rows.
+one order at a time from it, c**d h^(d)(z) - beta^(d)(x) B, with the switching
+values of switching_oracle (polyval of the monomial coefficients) and the
+boundary basis table B = c**d_k T^(d_k)(z_k) of the basis terms at the
+constraints, stacked with the single-order b rows, those switching values
+times the constraint values.  The package reads a(x) as its Chebyshev table
+times one matrix, series_map, instead, so the two agree to measured roundoff
+bounds, not bit for bit: the a rows to 2e-13 of max|a^(d)|, the switching
+values s and the states to 5e-14 of the size of their terms.  At the
+endpoints both give exact zeros in a^(0..3).
 
 The solver reads its config's tables, built on [0, 1], on any domain of
 width w through the scales w**-d.  A problem on [0, 1] is compared with the
 per-order tables of its own expression; one on another domain (p5) with the
 per-order tables of the same problem moved to [0, 1], read with those scales.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from bvp8.expression import (
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
 
-from switching_oracle import switching_values, unit_linear_solve
+from switching_oracle import switching_values
 from test_domains import moved
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
@@ -57,22 +57,43 @@ def loop_chebyshev_table(z, max_degree, max_order):
     return table
 
 
-def per_order_a_row(ce, x, d):
-    """a^{(d)}(x) at 1-D x, one order at a time: c**d h^{(d)}(z) - beta^{(d)}(x) B."""
+def boundary_table(basis):
+    """B, row k c**d_k T^{(d_k)}(z_k) of the m basis terms at the k-th constraint."""
+    dm = basis.domain_map
+    rows = np.empty((8, basis.m))
+    for k, d in enumerate(CONSTRAINT_ORDERS):
+        z = dm.z_0 if k % 2 == 0 else dm.z_f
+        rows[k] = dm.c**d * loop_chebyshev_table(z, basis.max_degree, d)[d, START_DEGREE:]
+    return rows
+
+
+def closed_form(ce):
+    """The closed-form switching functions of ce's domain."""
+    dm = ce.basis.domain_map
+    return SwitchingFunctions.closed_form(dm.x_i, dm.x_f)
+
+
+def per_order_a_row(ce, x, d, sw=None):
+    """a^{(d)}(x) at 1-D x, one order at a time: c**d h^{(d)}(z) - beta^{(d)}(x) B.
+
+    beta are the switching functions sw, by default the closed form.
+    """
     dm = ce.basis.domain_map
     h = loop_chebyshev_table(dm.to_z(x), ce.basis.max_degree, d)[d, START_DEGREE:].T
-    return dm.c**d * h - switching_values(ce.switching, x, d) @ ce.boundary_basis_table
+    return dm.c**d * h - switching_values(sw or closed_form(ce), x, d) @ boundary_table(ce.basis)
 
 
 class PerOrderTables:
-    """Collocation tables stacked from rows built one order at a time."""
+    """Collocation tables stacked from rows built one order at a time, with the switching
+    functions sw, by default the closed form."""
 
     scale = np.ones(9)  # the tables are read where they were built
 
-    def __init__(self, ce, grid):
+    def __init__(self, ce, grid, sw=None):
+        sw = sw or closed_form(ce)
         self.x = grid.x_nodes
-        self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d) for d in range(9)])
-        self.b = np.stack([switching_values(ce.switching, grid.x_nodes, d) @ ce.constraint_values
+        self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d, sw) for d in range(9)])
+        self.b = np.stack([switching_values(sw, grid.x_nodes, d) @ ce.constraint_values
                            for d in range(9)])
 
     def states(self, xi):
@@ -165,15 +186,19 @@ class TestCollocationTables:
         rows = [ce.a_row(grid.x_nodes, d) for d in range(9)]
         assert_rows_close(rows, [per_order_a_row(ce, grid.x_nodes, d) for d in range(9)], 2e-13)
 
-    def test_boundary_table_matches_per_constraint_rows(self, name, n_points, m_basis):
+    def test_series_map_matches_per_constraint_rows(self, name, n_points, m_basis):
+        # a vanishes under every constraint operator: the row T^(d_k)(z_k) of
+        # the degrees 0..7+m at the k-th constraint, from the loop recurrence,
+        # times series_map is 0 up to the rounding of its terms (measured
+        # 2.0e-16 of them).  With the identity in rows 8.., that fixes the map.
         _, ce, _ = self.setup_problem(name, n_points, m_basis)
-        basis = ce.basis
-        dm = basis.domain_map
-        want = np.empty((8, basis.m))
-        for k, d in enumerate((0, 0, 1, 1, 2, 2, 3, 3)):
-            z = dm.z_0 if k % 2 == 0 else dm.z_f
-            want[k] = dm.c**d * loop_chebyshev_table(z, basis.max_degree, d)[d, START_DEGREE:]
-        assert np.array_equal(ce.boundary_basis_table, want)
+        series_map = ce.series_map
+        rows = np.array([loop_chebyshev_table(-1.0 if k % 2 == 0 else 1.0, ce.basis.max_degree, d)[d]
+                         for k, d in enumerate(CONSTRAINT_ORDERS)])
+        assert series_map.shape == (8 + m_basis, m_basis) and not series_map.flags.writeable
+        assert np.array_equal(series_map[START_DEGREE:], np.eye(m_basis))
+        terms = np.abs(rows) @ np.abs(series_map)
+        assert np.all(np.abs(rows @ series_map) <= 4 * np.finfo(float).eps * terms)
 
     def test_states_and_jacobian_match_per_order_tables(self, name, n_points, m_basis):
         # Measured: the states to 2.1e-14 of their terms, the Jacobian to
@@ -207,22 +232,60 @@ def test_switching_values_match_the_monomials(n_points, m_basis):
     assert np.all(s[8] == 0.0) and np.all(want[8] == 0.0)
 
 
-def assert_exact_ends(a, betas):
-    """a^(0..3) exactly 0 and betas exactly the Kronecker rows at the first (x_i) and last (x_f) x."""
+def assert_exact_ends(a):
+    """a^(0..3) exactly 0 at the first (x_i) and last (x_f) x."""
     for d in range(4):
         assert np.all(a[d, [0, -1]] == 0.0), d
-        assert np.array_equal(betas[d, [0, -1]], np.eye(8)[[2 * d, 2 * d + 1]]), d
 
 
 @pytest.mark.parametrize("n_points, m_basis", SIZES)
 def test_tables_are_exact_at_the_ends(n_points, m_basis):
     # Criterion 02 reads the constraints through these rows to 1e-12.  The
-    # switching values of _rows at the config's nodes, from which the table a
-    # was formed, are the exact Kronecker rows there.
+    # config's table a and _rows at its nodes hold the exact zeros there.
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     ce, grid = build_system(benchmark("p1").problem, config)  # p1 is on [0, 1]
-    _, betas, _ = ce._rows(grid.x_nodes, grid.z_nodes, 8)
-    assert_exact_ends(config._tables[1], betas)
+    a, _ = ce._rows(grid.x_nodes, grid.z_nodes, 8)
+    assert_exact_ends(config._tables[1])
+    assert np.array_equal(a, config._tables[1])
+
+
+def build_on(x_i, x_f, m_basis):
+    """An expression of m_basis terms on [x_i, x_f], its map built by build."""
+    bc = BoundaryConditions(x_i, x_f, (1.0, -2.0, 0.5, 3.0), (0.25, 1.5, -1.0, 2.0))
+    return ConstrainedExpression.build(ChebyshevBasis(m_basis, bc.domain_map), bc)
+
+
+@pytest.mark.parametrize("n_points, m_basis", SIZES)
+@pytest.mark.parametrize("x_i, x_f", DOMAINS)
+def test_series_map_is_the_same_on_every_domain(x_i, x_f, n_points, m_basis):
+    # Row j of the switching part scales by w**d_j (2/w)**d_j = 2**d_j, which
+    # the map holds exactly, so every domain has the config's map, bit for bit.
+    config = SolverConfig(n_points=n_points, m_basis=m_basis)
+    series_map = build_on(x_i, x_f, m_basis).series_map
+    assert not series_map.flags.writeable
+    assert np.array_equal(series_map, config._tables[3])
+
+
+@pytest.mark.parametrize("n_points, m_basis", SIZES)
+@pytest.mark.parametrize("x_i, x_f", DOMAINS)
+def test_a_row_is_the_scaled_config_table_on_every_domain(x_i, x_f, n_points, m_basis):
+    # a^(d)(x) = w**-d a_1^(d)(t): the table of [x_i, x_f] at the config's
+    # nodes z is the config's [0, 1] table times w**-d, measured to 6.4e-16
+    # of max|a^(d)| (the scales c**d and w**-d 2**d round apart).  a_row reads
+    # the nodes x at to_z(x), up to 1.8e-14 off z on [-10, -9.9], so it is
+    # compared bit for bit with the table there.  a^(0..3) is exactly 0 at
+    # both ends in all three.
+    config = SolverConfig(n_points=n_points, m_basis=m_basis)
+    z, a, _, _ = config._tables
+    ce = build_on(x_i, x_f, m_basis)
+    dm = ce.basis.domain_map
+    x = make_grid(dm, n_points, z).x_nodes
+    table = ce._rows(x, z, 8)[0]
+    assert_rows_close(table, (x_f - x_i) ** -np.arange(9.0)[:, None, None] * a, 1e-14)
+    rows = np.stack([ce.a_row(x, d) for d in range(9)])
+    assert np.array_equal(rows, ce._rows(x, dm.to_z(x), 8)[0])
+    for got in (a, table, rows):
+        assert_exact_ends(got)
 
 
 @pytest.mark.parametrize("case", [("p1", x_i, x_i + w) for x_i in (-10.0, 5.0, 30.0)
@@ -233,8 +296,8 @@ def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
     for n_points, m_basis in SIZES:
         ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
         x, z = ce.basis.domain_map.checked_z(grid.x_nodes)
-        a, betas, _ = ce._rows(x, z, 8)
-        assert_exact_ends(a, betas)
+        a, _ = ce._rows(x, z, 8)
+        assert_exact_ends(a)
         ends = np.array([problem.bc.x_i, problem.bc.x_f])
         assert all(np.all(ce.a_row(ends, d) == 0.0) for d in range(4))
         for d in range(9):
@@ -252,24 +315,20 @@ def points(x_i, x_f, rng):
 
 
 @pytest.mark.parametrize("x_i, x_f", DOMAINS)
-@pytest.mark.parametrize("construction", ["closed_form", "linear_solve"])
-def test_rows_match_the_monomials_at_any_points(construction, x_i, x_f):
+def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     # _rows of an expression on [x_i, x_f] against polyval of the monomial
-    # coefficients, for every max_order and for scalar, 1-D and 2-D points.
-    # The support-matrix rows are not exact rationals and reach _rows through
-    # their converted series (_cheb); both are built on [0, 1] and moved.
-    # Compared per order in unit-domain terms, the betas divided by
-    # w**(d_j - d); measured to 3.4e-14 of max|u^(d)| on the domain (and
-    # exactly 0 at order 8).  Both snap orders 0..3 to the Kronecker rows at
-    # the ends, so there they agree exactly.
+    # coefficients, for every max_order and for scalar, 1-D and 2-D points:
+    # its degrees 0..7, low, times the switching series (_beta_series of the
+    # unit rows) are the switching values.  Compared per order in unit-domain
+    # terms, the values divided by w**(d_j - d); measured to 3.4e-14 of
+    # max|u^(d)| on the domain (and exactly 0 at order 8).  a^(0..3) is
+    # exactly 0 at the ends.
     dm = DomainMap(x_i, x_f)
-    if construction == "closed_form":
-        sw = SwitchingFunctions.closed_form(x_i, x_f)
-    else:
-        sw = SwitchingFunctions(unit_linear_solve().coeffs, dm)
+    sw = SwitchingFunctions.closed_form(x_i, x_f)
     m = 6
     bc = BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
-    ce = dataclasses.replace(ConstrainedExpression.build(ChebyshevBasis(m, dm), bc), switching=sw)
+    ce = ConstrainedExpression.build(ChebyshevBasis(m, dm), bc)
+    series = ce._beta_series(np.eye(8))
     scale = (x_f - x_i) ** (np.array(CONSTRAINT_ORDERS, dtype=float) - np.arange(9.0)[:, None])
     xs = points(x_i, x_f, np.random.default_rng(7))
     # max|u^(d)| over the domain, from the (N,) array, which holds both ends.
@@ -278,13 +337,11 @@ def test_rows_match_the_monomials_at_any_points(construction, x_i, x_f):
     for x in xs:
         x, z = dm.checked_z(x)
         for max_order in range(9):
-            a, betas, low = ce._rows(x, z, max_order)
+            a, low = ce._rows(x, z, max_order)
             assert a.shape == (max_order + 1,) + np.shape(x) + (m,)
-            assert betas.shape == low.shape == (max_order + 1,) + np.shape(x) + (8,)
+            assert low.shape == (max_order + 1,) + np.shape(x) + (8,)
             for d in range(max_order + 1):
-                want = switching_values(sw, x, d)
-                gap = np.abs(betas[d] - want) / scale[d]
-                assert np.max(gap) <= 5e-14 * size[d], (x, max_order, d)
+                gap = np.abs(low[d] @ series.T - switching_values(sw, x, d, snap=False)) / scale[d]
+                assert np.max(gap, initial=0.0) <= 5e-14 * size[d], (x, max_order, d)
                 if d < 4:
-                    for end in (x_i, x_f):
-                        assert np.array_equal(betas[d][x == end], want[x == end]), (end, d)
+                    assert np.all(a[d][(x == x_i) | (x == x_f)] == 0.0), d

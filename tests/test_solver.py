@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import bvp8
 import bvp8.solver as solver_module
 from bvp8.errors import ConfigurationError, EvaluationError, SingularSystemError
-from bvp8.expression import BoundaryConditions
+from bvp8.expression import BoundaryConditions, SwitchingFunctions
 from bvp8.problems import benchmark
 from bvp8.solver import (
     BvpProblem,
@@ -27,8 +27,8 @@ from bvp8.solver import (
     solve,
 )
 
-from switching_oracle import unit_linear_solve
-from test_one_pass_tables import PerOrderTables
+from switching_oracle import switching_values, unit_linear_solve
+from test_one_pass_tables import PerOrderTables, per_order_a_row
 
 
 def normal_equations_lstsq(a, rhs):
@@ -64,7 +64,7 @@ class TestIdentityEquality:
             (first.report, second.report),
             (first.grid, second.grid),
             (first.expression, second.expression),
-            (first.expression.switching, second.expression.switching),
+            (SwitchingFunctions.closed_form(0.0, 1.0), SwitchingFunctions.closed_form(0.0, 1.0)),
             (benchmark("p2"), benchmark("p2")),
         ]
         for a, b in pairs:
@@ -782,20 +782,21 @@ class TestSolveNonlinear:
         # Gauss-Newton on an expression whose switching functions come from
         # the support-matrix inverse lands on the same solution.  The solver's
         # tables hold the closed form, so the loop assembles from per-order
-        # tables of the oracle expression.
+        # tables of the oracle expression, and reads it the same way.
+        sw = unit_linear_solve()
         for name in ("p2", "p6"):
             entry = benchmark(name)
             a = solve(entry.problem)
             ce, grid = build_system(entry.problem, a.config)
-            ce = dataclasses.replace(ce, switching=unit_linear_solve())
-            tables = PerOrderTables(ce, grid)
+            tables = PerOrderTables(ce, grid, sw)
             xi = np.zeros(a.config.m_basis)
             for _ in range(3):
                 loss = entry.problem.residual(grid.x_nodes, tables.states(xi))
                 jac = _jacobian(entry.problem.partials, tables, tables.states(xi))
                 xi = xi - lstsq_scaled_qr(jac, loss)
-            va = a(entry.table_points)
-            vb = ce.eval(entry.table_points, 0, xi)
+            x = entry.table_points
+            va = a(x)
+            vb = per_order_a_row(ce, x, 0, sw) @ xi + switching_values(sw, x, 0) @ ce.constraint_values
             assert np.max(np.abs(va - vb)) < 1e-11
 
 
@@ -872,6 +873,18 @@ def test_input_errors_are_configuration_errors():
     (lambda sol, ce, grid: sol(0.5 + 0j), r"^x must be real numbers, got \(0\.5\+0j\)$"),
     (lambda sol, ce, grid: sol([0.5, None]), r"^x must be real numbers, got \[0\.5, None\]$"),
     (lambda sol, ce, grid: solve(sol.problem, "x"), "^config must be a SolverConfig, got 'x'$"),
+    (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, np.zeros(10), "x"),
+     "^config must be a SolverConfig, got 'x'$"),
+    (lambda sol, ce, grid: assemble_linear(sol.problem, ce, grid, "x"),
+     "^config must be a SolverConfig, got 'x'$"),
+    (lambda sol, ce, grid: dataclasses.replace(sol.problem, bc=None),
+     "^bc must be a BoundaryConditions, got None$"),
+    (lambda sol, ce, grid: dataclasses.replace(sol.problem, bc=sol.problem.domain),
+     r"^bc must be a BoundaryConditions, got \(0\.0, 1\.0\)$"),
+    (lambda sol, ce, grid: dataclasses.replace(sol.problem, is_linear="no"),
+     "^is_linear must be a bool, got 'no'$"),
+    (lambda sol, ce, grid: dataclasses.replace(sol.problem, is_linear=1),
+     "^is_linear must be a bool, got 1$"),
     (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, np.zeros(3)),
      r"^xi must have shape \(10,\), got \(3,\)$"),
     (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, ["a"] * 10),
@@ -882,6 +895,17 @@ def test_bad_inputs_named_in_configuration_errors(call, match):
     sol = solve(benchmark("p1").problem)
     with pytest.raises(ConfigurationError, match=match):
         call(sol, *build_system(sol.problem, sol.config))
+
+
+def test_numpy_bool_is_linear_accepted():
+    problem = benchmark("p1").problem
+    want = solve(problem).report
+    for flag in (np.True_, np.bool_(True)):
+        got = solve(dataclasses.replace(problem, is_linear=flag)).report
+        assert got.converged_by is StopReason.LINEAR_SINGLE_SHOT
+        assert np.array_equal(got.xi, want.xi)
+    got = solve(dataclasses.replace(problem, is_linear=np.False_)).report
+    assert got.converged_by is StopReason.CONVERGED
 
 
 def test_integer_x_reads_as_float64():
