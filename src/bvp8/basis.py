@@ -52,17 +52,21 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
 def clenshaw(z, c):
     """numpy's chebval(z, c) for a 1-D float64 series c, bit for bit, in place.
 
-    The same recurrence and operand order, c0 = c[-i] - c1, c1 = c0_old + c1 * 2z, then c0 + c1 z
-    (c1 = 0 for one term), as three ufunc calls per degree into three reused buffers.
+    The same recurrence and operand order, c0 = c[-i] - c1, c1 = c0_old + c1 * 2z, then c0 + c1 z,
+    as three ufunc calls per degree into reused buffers, seeded as chebval's first step leaves it:
+    c0 = c[-3] - c[-1] (a scalar), c1 = c[-1] 2z + c[-2].  One or two terms give c[0] + c[1] z.
     """
     z, c = np.asarray(z), (c.tolist() if len(c) > 1 else [c[0], 0.0])
-    x2, c0, c1, tmp = 2 * z, np.full(z.shape, c[-2]), np.full(z.shape, c[-1]), np.empty(z.shape)
-    for i in range(3, len(c) + 1):
+    if len(c) == 2:
+        return (c[0] + c[1] * z)[()]
+    x2, c0, tmp = 2 * z, c[-3] - c[-1], np.empty(z.shape)
+    c1 = np.add(np.multiply(c[-1], x2, tmp), c[-2], np.empty(z.shape))
+    for i in range(4, len(c) + 1):
         np.multiply(c1, x2, tmp)
         np.subtract(c[-i], c1, c1)
         tmp += c0
-        c0, c1, tmp = c1, tmp, c0
-    return np.add(c0, np.multiply(c1, z, c1), c0)[()]
+        c0, c1, tmp = c1, tmp, c0 if i > 4 else np.empty(z.shape)
+    return np.add(c0, np.multiply(c1, z, c1), c1)[()]
 
 
 def chebyshev_derivatives(series, c) -> list:
@@ -173,13 +177,12 @@ class DomainMap:
     def checked_z(self, x) -> tuple:
         """(x as float64, to_z(x)); ConfigurationError naming the first x outside [x_i, x_f].
 
-        The test is check_unit_interval's, |z| <= 1 + 1e-12, stated in x; NaN fails it.
+        The test is check_unit_interval's, |z| <= 1 + 1e-12, as z.min() and z.max(); NaN fails it.
         """
         x = check_real("x", x)
-        z = self.to_z(x)
-        inside = np.abs(z) <= 1.0 + 1e-12
-        if not np.all(inside):
-            first = float(np.ravel(x)[np.argmin(np.ravel(inside))])
+        z = np.asarray(self.to_z(x))
+        if z.size and not -1.0 - 1e-12 <= z.min() <= z.max() <= 1.0 + 1e-12:
+            first = float(np.ravel(x)[np.argmin(np.ravel(np.abs(z) <= 1.0 + 1e-12))])
             raise ConfigurationError(f"x={first!r} outside [{self.x_i}, {self.x_f}]")
         return x, z
 

@@ -19,10 +19,10 @@ sums at most 1.25, where the powers of t reach 210).  beta_j^{(d)}(x) is c**d
 times the z derivative of its series, scaled by w**d_j, so accuracy does not
 depend on where the domain sits or how wide it is.  a(x) is then one linear map
 of the Chebyshev terms of degrees 0..7+m, a^{(d)}(x) = c**d T^{(d)}(z) @ M, with
-the same (8 + m, m) matrix M (series_map) on every domain; a solution's xi
-correction is the series M @ xi.  b is the switching series times the scaled
-constraint values: the tables read it through degrees 0..7 of their Chebyshev
-table, evaluation by a Clenshaw pass.
+the same (8 + m, m) matrix M (series_map) on every domain.  b is the switching
+series times the scaled constraint values: the tables read it through degrees
+0..7 of their Chebyshev table, and a solution adds it to M @ xi, one series of y
+per order, read by one Clenshaw pass.
 """
 
 from __future__ import annotations
@@ -220,8 +220,8 @@ class ConstrainedExpression:
         return chebyshev_derivatives(series, self.basis.domain_map.c)
 
     def _snap(self, x, order: int, y):
-        """y with the boundary data of orders 0..3 at x_i and x_f, where they hold exactly."""
-        if order < 4:
+        """y with the exact boundary data of orders 0..3 at x_i and x_f, if x reaches either."""
+        if order < 4 and x.size and (x.min() <= self.bc.x_i or x.max() >= self.bc.x_f):
             right = np.where(x == self.bc.x_f, self.bc.right_values[order], y)
             y = np.where(x == self.bc.x_i, self.bc.left_values[order], right)[()]
         return y

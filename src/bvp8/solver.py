@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, CollocationGrid, chebyshev_derivatives, check_integer,
-    check_order, check_real, clenshaw, make_grid,
+    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, chebyshev_derivatives,
+    check_integer, check_order, check_real, clenshaw, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
@@ -177,6 +177,15 @@ class SolveReport:
     solution_norm: float
     used_fd_partials: bool = False
 
+    def __post_init__(self):  # read-only copies: a report cannot drift from its solution
+        for name in ("xi", "residual_norm_history"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__, read-only alike
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True, eq=False)
 class Solution:
@@ -190,30 +199,29 @@ class Solution:
 
     @cached_property
     def _derivative_series(self) -> list:
-        """Chebyshev series s_d in z of a^{(d)}(x) . xi for d = 0..8.
+        """Read-only series in z of y^{(d)}(x), d = 0..8, from the first call: c**d d^d/dz^d of y's.
 
-        s_0 = series_map @ xi: xi at degrees 8 and up and, at degrees 0..7, xi folded through
-        the per-column switching series of series_map, which rounds alike for nearby xi; s_d
-        is its x derivative.  Built on the first call, not by solve().
+        y's series is series_map @ xi, that of a(x) . xi, plus b's at degrees 0..7.
         """
         ce = self.expression
-        return chebyshev_derivatives(ce.series_map @ self.report.xi, ce.basis.domain_map.c)
+        series = ce.series_map @ self.report.xi
+        series[:START_DEGREE] += ce._beta_series(ce.constraint_values)
+        out = chebyshev_derivatives(series, ce.basis.domain_map.c)
+        for s in out:
+            s.flags.writeable = False
+        return out
 
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
 
-        With xi fixed, y^{(d)}(x) = s_d(z) + b_d(z) for the Chebyshev series s_d of
-        a^{(d)}(x) . xi (cached per solution) and b_d of b^{(d)} (cached per expression):
-        two in-place Clenshaw passes, numpy's chebval bit for bit.  No basis table is
-        built and no switching value tabulated.  At x_i and x_f the orders 0..3
-        return the boundary data exactly.  Equals expression.eval(x, order, xi) to
-        rounding; a scalar x gives a numpy scalar.
+        With xi fixed, y^{(d)} is one Chebyshev series in z, cached per solution, read by one
+        in-place Clenshaw pass (numpy's chebval bit for bit): no basis table, no switching
+        value.  At x_i and x_f the orders 0..3 return the boundary data exactly.  Equals
+        expression.eval(x, order, xi) to rounding; a scalar x gives a numpy scalar.
         """
         order = check_order(order)
-        ce = self.expression
-        x, z = ce.basis.domain_map.checked_z(x)
-        y = clenshaw(z, self._derivative_series[order]) + clenshaw(z, ce._b_series[order])
-        return ce._snap(x, order, y)
+        x, z = self.expression.basis.domain_map.checked_z(x)
+        return self.expression._snap(x, order, clenshaw(z, self._derivative_series[order]))
 
     def error(self, x):
         """Absolute error against the problem's exact solution."""
@@ -506,5 +514,5 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
         _single_shot(partials, tables, start, precond) if problem.is_linear
         else _gauss_newton(problem.residual, partials, tables, start, precond,
                            config.max_iterations))
-    report = SolveReport(xi, iterations, np.array(history), converged_by, history[-1], used_fd)
+    report = SolveReport(xi, iterations, history, converged_by, history[-1], used_fd)
     return Solution(problem, ce, grid, report, config)

@@ -1,5 +1,7 @@
 """Tests for the Chebyshev basis, derivative recurrence, and collocation grid."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,29 @@ class TestDomainMap:
         z = rng.uniform(-1.0, 1.0, size=100)
         back = dm.to_z(dm.to_x(z))
         assert np.all(np.abs(back - z) <= 5 * np.spacing(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_checked_z_names_the_first_bad_x(self, bad):
+        # min(z) and max(z) carry a NaN or an inf from any position.
+        dm = DomainMap(-0.7, 2.9)
+        for x in ([0.1, 2.0, bad, 5.0, np.nan], [[0.1, 0.2], [0.3, bad]]):
+            with pytest.raises(ConfigurationError, match=rf"^x={re.escape(repr(bad))} outside"):
+                dm.checked_z(x)
+        with pytest.raises(ConfigurationError, match=r"^x=-0\.75 outside \[-0\.7, 2\.9\]$"):
+            dm.checked_z([0.1, -0.75, bad])
+
+    def test_checked_z_tolerance_and_empty_x(self):
+        dm = DomainMap(-0.7, 2.9)
+        inside = dm.to_x(np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
+        assert inside[0] < dm.x_i and inside[1] > dm.x_f
+        x, z = dm.checked_z(inside)
+        assert np.array_equal(x, inside) and np.all(np.abs(np.abs(z) - 1.0 - 5e-13) <= 1e-15)
+        for z_out in (-1.0 - 2e-12, 1.0 + 2e-12):
+            with pytest.raises(ConfigurationError, match="outside"):
+                dm.checked_z([0.0, dm.to_x(z_out)])
+        for empty in ([], np.zeros((0, 3))):
+            x, z = dm.checked_z(empty)
+            assert x.shape == z.shape == np.shape(empty) and x.dtype == np.float64
 
 
 class TestChebyshevBasis:

@@ -2,7 +2,7 @@
 
 basis.clenshaw (Solution.__call__ and b_value) must give numpy's chebval bit
 for bit: same shape, same dtype and the same bytes, for every series length
-and for scalar, 1-D and 2-D points.
+and for scalar, 0-d, empty, 1-D and 2-D points.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ def same_bits(got, expected) -> bool:
 def test_clenshaw_is_chebval(length):
     rng = np.random.default_rng(length)
     c = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 8, length)
-    for z in (0.37, -1.0, 1.0, np.float64(-0.81), np.array(0.25),
+    for z in (0.37, -1.0, 1.0, np.float64(-0.81), np.array(0.25), np.zeros(0), np.zeros((0, 3)),
               rng.uniform(-1.2, 1.2, 301), rng.uniform(-1.0, 1.0, (2, 3))):
         got, expected = clenshaw(z, c), chebyshev.chebval(z, c)
         assert same_bits(got, expected), (length, z)
@@ -36,3 +36,22 @@ def test_clenshaw_leaves_its_inputs_alone():
     z = np.linspace(-1.0, 1.0, 9)
     z.flags.writeable = False
     assert same_bits(clenshaw(z, c), chebyshev.chebval(z, c))
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param([-0.0], id="one-term-c0-plus-0z"),
+    pytest.param([0.0, -0.0], id="two-term-c0-plus-c1z"),
+    pytest.param([-0.0, 0.0, -0.0], id="three-term-seed-only"),
+    pytest.param([0.0, -0.0, 0.0, -0.0], id="four-term-seed-and-one-step"),
+    pytest.param([0.0, -0.0, 0.0, -0.0, 0.0], id="five-term-reused-buffers"),
+])
+def test_clenshaw_seeding_branches(c):
+    # Signed zeros and non-finite z expose any change of operand or order:
+    # -0.0 + 0.0 is +0.0, and 0 * inf is NaN.
+    c = np.array(c)
+    z = np.array([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        for points in (z, z.reshape(3, 3), *z[:4], np.array(-0.0)):
+            got, expected = clenshaw(points, c), chebyshev.chebval(points, c)
+            assert same_bits(got, expected), (c, points)
+            assert type(got) is type(expected)

@@ -1,10 +1,11 @@
-"""Solution.__call__ (Clenshaw on the cached derivative series) against ce.eval.
+"""Solution.__call__ (one Clenshaw pass over the cached series of y^(d)) against ce.eval.
 
 ConstrainedExpression.eval builds a(x) from the Chebyshev table for any xi
 and serves as the oracle for the fixed-xi read path of a solved Solution.
 chebval_oracle is the same read path in plain numpy, chebval of the cached
-series of a . xi and of b plus the endpoint snap, which Solution.__call__ must
-match bit for bit.
+series of y^(d) plus the endpoint snap, which Solution.__call__ must match
+bit for bit.  tests/test_series_eval.py holds the two-pass read, a . xi and b
+summed as values, as the oracle of that one series.
 """
 
 import functools
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from bvp8 import SolverConfig, basis, expression, solve
+from bvp8 import SolverConfig, basis, expression, solve, solver
 from bvp8.errors import ConfigurationError
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
@@ -33,11 +34,11 @@ def eval_points(sol):
 
 
 def chebval_oracle(sol, x, d):
-    """y^{(d)}(x) as numpy's chebval of the cached series s_d and b_d, then the endpoint snap."""
+    """y^{(d)}(x) as numpy's chebval of the cached series of y^{(d)}, then the endpoint snap."""
     x = np.asarray(x)
     ce, bc = sol.expression, sol.problem.bc
     z = ce.basis.domain_map.to_z(x)
-    y = chebyshev.chebval(z, sol._derivative_series[d]) + chebyshev.chebval(z, ce._b_series[d])
+    y = chebyshev.chebval(z, sol._derivative_series[d])
     if d < 4:
         right = np.where(x == bc.x_f, bc.right_values[d], y)
         y = np.where(x == bc.x_i, bc.left_values[d], right)[()]
@@ -91,6 +92,64 @@ def test_switching_work_skipped(monkeypatch):
     # The control: the patched method does count.
     sol.expression.a_row(0.5, 8)
     assert calls == ["_rows"]
+
+
+def test_one_clenshaw_pass_per_read(monkeypatch):
+    # y^(d) is one series: b's own series (_b_series) is not read.
+    sol = solved("p3", 31, 30)
+    passes, b_reads = [], []
+    real_clenshaw, b_series = basis.clenshaw, ConstrainedExpression._b_series
+
+    def counted(z, c):
+        passes.append(len(c))
+        return real_clenshaw(z, c)
+
+    def read_b(ce):
+        b_reads.append(ce)
+        return b_series.__get__(ce, ConstrainedExpression)
+
+    for module in (basis, expression, solver):
+        monkeypatch.setattr(module, "clenshaw", counted)
+    monkeypatch.setattr(ConstrainedExpression, "_b_series", property(read_b))
+    for form, x in x_forms(sol).items():
+        for d in ORDERS:
+            passes.clear()
+            sol(x, d)
+            assert passes == [len(sol._derivative_series[d])] and b_reads == [], (form, d)
+    # The control: b_value reads b's series by one counted pass.
+    passes.clear()
+    sol.expression.b_value(0.5, 2)
+    assert passes == [6] and b_reads == [sol.expression]
+
+
+def test_cached_series_are_read_only():
+    sol = solve(benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30))
+    series = sol._derivative_series
+    assert [len(s) for s in series] == [38 - d for d in ORDERS]
+    for s in series:
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] += 1.0
+
+
+def test_snap_finds_the_ends_anywhere_in_x():
+    # The snap runs when min(x) <= x_i or max(x) >= x_f; a point inside the
+    # 1e-12 tolerance beyond an end must not hide that end elsewhere in x.
+    sol = solved("p6", 31, 30)
+    bc, dm = sol.problem.bc, sol.expression.basis.domain_map
+    below, above = dm.to_x(np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
+    assert below < bc.x_i and above > bc.x_f
+    x = dm.to_x(np.array([[-0.5, 0.25, 0.9, 0.0], [0.1, 0.0, -0.3, 0.0], [0.4, 0.7, 0.2, 0.0]]))
+    left, right, both = x.copy(), x.copy(), x.copy()
+    left[0, 0], left[:, -1] = below, bc.x_i
+    right[0, 0], right[1, 1] = above, bc.x_f
+    both[1, 1], both[:, -1] = bc.x_f, bc.x_i
+    for points in (left, right, both):
+        for d in ORDERS:
+            got = sol(points, d)
+            assert np.array_equal(got, chebval_oracle(sol, points, d)), d
+            if d < 4:
+                assert np.all(got[points == bc.x_i] == bc.left_values[d])
+                assert np.all(got[points == bc.x_f] == bc.right_values[d])
 
 
 @pytest.mark.parametrize("n,m", SIZES)

@@ -1,8 +1,10 @@
 """Tests for system assembly, least squares, and the two stepping rules of solve."""
 
+import copy
 import dataclasses
 import importlib.util
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from bvp8.expression import BoundaryConditions, SwitchingFunctions
 from bvp8.problems import benchmark
 from bvp8.solver import (
     BvpProblem,
+    SolveReport,
     SolverConfig,
     StopReason,
     _CollocationTables,
@@ -71,6 +74,35 @@ class TestIdentityEquality:
             assert (a == b) is False and (a != b) is True, type(a).__name__
             assert (a == a) is True and hash(a) == hash(a)
             assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("copy_of", [lambda report: report, copy.copy, copy.deepcopy,
+                                     lambda report: pickle.loads(pickle.dumps(report))],
+                         ids=["report", "copy", "deepcopy", "pickle"])
+def test_report_arrays_are_read_only(copy_of):
+    # With a writeable xi, sol.report.xi[0] += 1e-3 on p4 moved
+    # expression.eval(0.5, 0, sol.report.xi) from 1.64872 to 1.77672 while
+    # sol(0.5) kept reading 1.64872, and nothing flagged it.
+    sol = solve(benchmark("p4").problem)
+    report = copy_of(sol.report)
+    assert type(report) is SolveReport
+    for f in dataclasses.fields(SolveReport):
+        assert np.array_equal(getattr(report, f.name), getattr(sol.report, f.name)), f.name
+    for array in (report.xi, report.residual_norm_history):
+        assert array.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1e-3
+    assert np.array_equal(sol.report.xi, solve(benchmark("p4").problem).report.xi)
+
+
+def test_report_keeps_read_only_copies_of_its_arrays():
+    xi, history = np.arange(3.0), [2, 1]
+    report = SolveReport(xi, 1, history, StopReason.CONVERGED, 1.0)
+    xi[0] = 5.0
+    assert xi.flags.writeable and report.xi.tolist() == [0.0, 1.0, 2.0]
+    assert report.residual_norm_history.dtype == np.float64
+    assert report.residual_norm_history.tolist() == [2.0, 1.0]
+    assert not report.xi.flags.writeable and not report.residual_norm_history.flags.writeable
 
 
 def test_public_names_resolve():
