@@ -15,6 +15,7 @@ from .solver import Solution, SolverConfig, StopReason, solve
 _GOOD_STOPS = frozenset({StopReason.CONVERGED, StopReason.LINEAR_SINGLE_SHOT})
 
 _COLUMNS = ("x", "tfc", "exact", "abs_error", "reference_error")
+_REPORT_COLUMNS = ("order", "mean_abs_error")
 _CELL_WIDTH = 24
 
 
@@ -75,32 +76,16 @@ def _error_rows(entry: problems.BenchmarkEntry, sol: Solution, n_points: int):
     ]
 
 
-def _render_csv(rows) -> str:
-    lines = [",".join(_COLUMNS)]
-    for row in rows:
-        lines.append(",".join("" if v is None else _format(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _render_table(rows) -> str:
-    lines = ["".join(name.rjust(_CELL_WIDTH) for name in _COLUMNS)]
-    for row in rows:
-        lines.append(
-            "".join(("" if v is None else _format(v)).rjust(_CELL_WIDTH) for v in row)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _render_derivative_report(report: np.ndarray, fmt: str) -> str:
+def _render(header, rows, fmt: str, widths) -> str:
+    """The header, then one line per row: comma-separated cells in csv, else each right-aligned
+    to its width.  A float is _format's, an int its digits, a missing value empty."""
+    lines = [header] + [
+        ["" if v is None else str(v) if isinstance(v, int) else _format(v) for v in row]
+        for row in rows
+    ]
     if fmt == "csv":
-        lines = ["order,mean_abs_error"]
-        for order, value in enumerate(report):
-            lines.append(f"{order},{_format(value)}")
-    else:
-        lines = ["order".rjust(8) + "mean_abs_error".rjust(_CELL_WIDTH)]
-        for order, value in enumerate(report):
-            lines.append(str(order).rjust(8) + _format(value).rjust(_CELL_WIDTH))
-    return "\n".join(lines) + "\n"
+        return "".join(",".join(line) + "\n" for line in lines)
+    return "".join("".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
 
 
 def _info_lines(sol: Solution) -> list[str]:
@@ -123,7 +108,6 @@ def run(args: argparse.Namespace) -> int:
         m_basis=args.m_basis,
         max_iterations=args.max_iter,
     )
-    render = _render_csv if args.fmt == "csv" else _render_table
     # Info lines go to stderr in csv mode so stdout stays machine readable.
     info_stream = sys.stderr if (args.fmt == "csv" and args.out is None) else sys.stdout
     extension = "csv" if args.fmt == "csv" else "txt"
@@ -136,10 +120,11 @@ def run(args: argparse.Namespace) -> int:
         sol = solve(entry.problem, config)
         if sol.report.converged_by not in _GOOD_STOPS:
             status = 1
-        body = render(_error_rows(entry, sol, args.error_points))
+        rows = _error_rows(entry, sol, args.error_points)
+        body = _render(_COLUMNS, rows, args.fmt, (_CELL_WIDTH,) * len(_COLUMNS))
         if args.derivative_report:
-            report = problems.derivative_errors(sol, args.error_points)
-            body += "\n" + _render_derivative_report(report, args.fmt)
+            report = enumerate(problems.derivative_errors(sol, args.error_points))
+            body += "\n" + _render(_REPORT_COLUMNS, report, args.fmt, (8, _CELL_WIDTH))
         info = _info_lines(sol)
         if len(names) > 1 or info:
             print(f"problem {name}", file=info_stream)

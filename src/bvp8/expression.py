@@ -20,15 +20,14 @@ times the z derivative of its series, scaled by w**d_j, so accuracy does not
 depend on where the domain sits or how wide it is.  a(x) is then one linear map
 of the Chebyshev terms of degrees 0..7+m, a^{(d)}(x) = c**d T^{(d)}(z) @ M, with
 the same (8 + m, m) matrix M (series_map) on every domain.  b is the switching
-series times the scaled constraint values: the tables read it through degrees
-0..7 of their Chebyshev table, and a solution adds it to M @ xi, one series of y
-per order, read by one Clenshaw pass.
+series times the scaled constraint values; the tables read it through degrees
+0..7 of their Chebyshev table.  M @ xi plus b's series is one series of y per
+order, and one Clenshaw pass over it is sol(x, d), eval and b_value (xi = 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -156,8 +155,8 @@ class ConstrainedExpression:
     a(x) . xi over the degrees 0..7+m, so a^{(d)}(x) = c**d T^{(d)}(z) @ M.  Rows 8..
     are the identity, the basis terms; rows 0..7 subtract the switching series
     times the constraint operators applied to those terms, -(W UNIT_CHEB)^T E with
-    W = diag(2**d_j) and E = basis.table([-1, 1], 3).  Since w**d_j (2/w)**d_j =
-    2**d_j, M is the same on every domain.
+    W = diag(2**d_j) and E = chebyshev_table([-1, 1], .., 3) of the basis degrees,
+    in constraint order.  Since w**d_j (2/w)**d_j = 2**d_j, M is the same on every domain.
     """
 
     basis: ChebyshevBasis
@@ -175,7 +174,8 @@ class ConstrainedExpression:
                 f"constraint domain [{bc.x_i}, {bc.x_f}]"
             )
         if series_map is None:  # else the map of an m-term basis, built once by the caller
-            ends = basis.table([dm.z_0, dm.z_f], 3).reshape(8, basis.m)
+            ends = chebyshev_table([dm.z_0, dm.z_f], basis.max_degree, 3)[:, START_DEGREE:]
+            ends = ends.transpose(0, 2, 1).reshape(8, basis.m)
             low = -(UNIT_CHEB.T * 2.0 ** np.array(CONSTRAINT_ORDERS)) @ ends
             series_map = np.concatenate([low, np.eye(basis.m)])
             series_map.flags.writeable = False
@@ -213,26 +213,31 @@ class ConstrainedExpression:
         w = self.bc.x_f - self.bc.x_i
         return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ UNIT_CHEB
 
-    @cached_property
-    def _b_series(self) -> list:
-        """Chebyshev series of b^{(d)} in z for d = 0..8; order d keeps 8 - d terms (one at 8)."""
-        series = self._beta_series(self.constraint_values)
-        return chebyshev_derivatives(series, self.basis.domain_map.c)
+    def _series(self, xi) -> list:
+        """Read-only series in z of y^{(d)}, d = 0..8: series_map @ xi plus b's, c**d d^d/dz^d."""
+        series = self.series_map @ xi
+        series[:START_DEGREE] += self._beta_series(self.constraint_values)
+        out = chebyshev_derivatives(series, self.basis.domain_map.c)
+        for s in out:
+            s.flags.writeable = False
+        return out
 
-    def _snap(self, x, order: int, y):
-        """y with the exact boundary data of orders 0..3 at x_i and x_f, if x reaches either."""
+    def _read(self, x, order: int, series: list):
+        """y^{(order)}(x) from the series of _series: one Clenshaw pass (numpy's chebval bit
+        for bit), with the exact boundary data of orders 0..3 where x is x_i or x_f."""
+        order = check_order(order)
+        x, z = self.basis.domain_map.checked_z(x)
+        y = clenshaw(z, series[order])
         if order < 4 and x.size and (x.min() <= self.bc.x_i or x.max() >= self.bc.x_f):
             right = np.where(x == self.bc.x_f, self.bc.right_values[order], y)
             y = np.where(x == self.bc.x_i, self.bc.left_values[order], right)[()]
         return y
 
-    def b_value(self, x, order: int = 0):
-        """b^{(order)}(x), the xi = 0 candidate: one Clenshaw pass over the switching series."""
-        order = check_order(order)
-        x, z = self.basis.domain_map.checked_z(x)
-        return self._snap(x, order, clenshaw(z, self._b_series[order]))
-
     def eval(self, x, order: int = 0, xi=None):
-        """y^{(order)}(x, xi)."""
+        """y^{(order)}(x, xi): one Clenshaw pass over the series of y^{(order)} (_series)."""
         xi = check_real("xi", xi, (self.basis.m,))
-        return self.a_row(x, order) @ xi + self.b_value(x, order)
+        return self._read(x, order, self._series(xi))
+
+    def b_value(self, x, order: int = 0):
+        """b^{(order)}(x), the xi = 0 candidate: eval(x, order, 0), the same one read."""
+        return self.eval(x, order, np.zeros(self.basis.m))

@@ -18,8 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, START_DEGREE, ChebyshevBasis, CollocationGrid, chebyshev_derivatives,
-    check_integer, check_order, check_real, clenshaw, make_grid,
+    MAX_ORDER, ChebyshevBasis, CollocationGrid, check_integer, check_real, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
@@ -197,19 +196,13 @@ class Solution:
     report: SolveReport
     config: SolverConfig
 
+    def __getstate__(self) -> dict:  # a copy builds its own read-only series
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def _derivative_series(self) -> list:
-        """Read-only series in z of y^{(d)}(x), d = 0..8, from the first call: c**d d^d/dz^d of y's.
-
-        y's series is series_map @ xi, that of a(x) . xi, plus b's at degrees 0..7.
-        """
-        ce = self.expression
-        series = ce.series_map @ self.report.xi
-        series[:START_DEGREE] += ce._beta_series(ce.constraint_values)
-        out = chebyshev_derivatives(series, ce.basis.domain_map.c)
-        for s in out:
-            s.flags.writeable = False
-        return out
+        """Read-only series in z of y^{(d)}(x), d = 0..8, built by the first call (_series)."""
+        return self.expression._series(self.report.xi)
 
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
@@ -217,11 +210,9 @@ class Solution:
         With xi fixed, y^{(d)} is one Chebyshev series in z, cached per solution, read by one
         in-place Clenshaw pass (numpy's chebval bit for bit): no basis table, no switching
         value.  At x_i and x_f the orders 0..3 return the boundary data exactly.  Equals
-        expression.eval(x, order, xi) to rounding; a scalar x gives a numpy scalar.
+        expression.eval(x, order, xi) bit for bit; a scalar x gives a numpy scalar.
         """
-        order = check_order(order)
-        x, z = self.expression.basis.domain_map.checked_z(x)
-        return self.expression._snap(x, order, clenshaw(z, self._derivative_series[order]))
+        return self.expression._read(x, order, self._derivative_series)
 
     def error(self, x):
         """Absolute error against the problem's exact solution."""

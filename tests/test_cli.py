@@ -145,6 +145,51 @@ class TestDerivativeReport:
         assert report == expected
 
 
+def oracle_render_csv(rows):
+    lines = [",".join(cli._COLUMNS)]
+    for row in rows:
+        lines.append(",".join("" if v is None else cli._format(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render_table(rows):
+    lines = ["".join(name.rjust(24) for name in cli._COLUMNS)]
+    for row in rows:
+        lines.append("".join(("" if v is None else cli._format(v)).rjust(24) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render_derivative_report(report, fmt):
+    if fmt == "csv":
+        lines = ["order,mean_abs_error"]
+        for order, value in enumerate(report):
+            lines.append(f"{order},{cli._format(value)}")
+    else:
+        lines = ["order".rjust(8) + "mean_abs_error".rjust(24)]
+        for order, value in enumerate(report):
+            lines.append(str(order).rjust(8) + cli._format(value).rjust(24))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render(header, rows, fmt, widths):
+    """The three renderers that cli._render replaced, chosen by header: the byte oracle."""
+    if header == ("order", "mean_abs_error"):
+        return oracle_render_derivative_report([value for _, value in rows], fmt)
+    return (oracle_render_csv if fmt == "csv" else oracle_render_table)(rows)
+
+
+class TestOneRenderer:
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    @pytest.mark.parametrize("extra", [[], ["--derivative-report"], ["--error-points", "5"],
+                                       ["--derivative-report", "--error-points", "5"]])
+    def test_bytes_match_the_three_renderers(self, fmt, extra, capsys, monkeypatch):
+        argv = ["--problem", "all", "--format", fmt] + extra
+        got = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "_render", oracle_render)
+        want = run_cli(argv, capsys)
+        assert got == want and got[1]
+
+
 class TestDefaults:
     def test_solver_defaults_mirror_solver_config(self):
         args = cli.build_parser().parse_args(["--problem", "p1"])

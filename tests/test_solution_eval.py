@@ -1,20 +1,23 @@
-"""Solution.__call__ (one Clenshaw pass over the cached series of y^(d)) against ce.eval.
+"""Solution.__call__ (one Clenshaw pass over the cached series of y^(d)) against its oracles.
 
-ConstrainedExpression.eval builds a(x) from the Chebyshev table for any xi
-and serves as the oracle for the fixed-xi read path of a solved Solution.
-chebval_oracle is the same read path in plain numpy, chebval of the cached
-series of y^(d) plus the endpoint snap, which Solution.__call__ must match
-bit for bit.  tests/test_series_eval.py holds the two-pass read, a . xi and b
-summed as values, as the oracle of that one series.
+sol(x, d), ce.eval and ce.b_value share one read, a Clenshaw pass over the
+expression's series of y^(d).  The table read, a_row(x, d) @ xi + b_value(x, d)
+with a(x) from the Chebyshev table, is the oracle for that read.  chebval_oracle
+is the same read path in plain numpy, chebval of the cached series of y^(d)
+plus the endpoint snap, which Solution.__call__ must match bit for bit.
+tests/test_series_eval.py holds the two-pass read, a . xi and b summed as
+values, as the oracle of that one series.
 """
 
+import copy
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from bvp8 import SolverConfig, basis, expression, solve, solver
+from bvp8 import SolverConfig, basis, expression, solve
 from bvp8.errors import ConfigurationError
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
@@ -95,31 +98,46 @@ def test_switching_work_skipped(monkeypatch):
 
 
 def test_one_clenshaw_pass_per_read(monkeypatch):
-    # y^(d) is one series: b's own series (_b_series) is not read.
-    sol = solved("p3", 31, 30)
-    passes, b_reads = [], []
-    real_clenshaw, b_series = basis.clenshaw, ConstrainedExpression._b_series
+    # sol, eval and b_value each read y^(d) by one pass over one series of all
+    # 8 + m terms (b's carries the m zeros of M @ 0); a solution builds its series once.
+    sol = dataclasses.replace(solved("p3", 31, 30))  # a fresh Solution: no series cached
+    ce, xi = sol.expression, sol.report.xi
+    passes, builds = [], []
+    real_clenshaw, real_series = basis.clenshaw, ConstrainedExpression._series
 
     def counted(z, c):
         passes.append(len(c))
         return real_clenshaw(z, c)
 
-    def read_b(ce):
-        b_reads.append(ce)
-        return b_series.__get__(ce, ConstrainedExpression)
+    def counted_series(ce, xi):
+        builds.append(ce)
+        return real_series(ce, xi)
 
-    for module in (basis, expression, solver):
+    for module in (basis, expression):
         monkeypatch.setattr(module, "clenshaw", counted)
-    monkeypatch.setattr(ConstrainedExpression, "_b_series", property(read_b))
+    monkeypatch.setattr(ConstrainedExpression, "_series", counted_series)
     for form, x in x_forms(sol).items():
         for d in ORDERS:
-            passes.clear()
-            sol(x, d)
-            assert passes == [len(sol._derivative_series[d])] and b_reads == [], (form, d)
-    # The control: b_value reads b's series by one counted pass.
-    passes.clear()
-    sol.expression.b_value(0.5, 2)
-    assert passes == [6] and b_reads == [sol.expression]
+            for read in (sol, lambda x, d: ce.eval(x, d, xi), ce.b_value):
+                passes.clear()
+                read(x, d)
+                assert passes == [38 - d], (form, d)
+    assert len(builds) == 1 + 2 * len(x_forms(sol)) * len(ORDERS)
+    builds.clear()
+    sol(0.5, 3)
+    assert builds == []
+
+
+def test_copies_read_alike_from_read_only_series():
+    # A deep copy used to carry the cached series over as writeable arrays.
+    sol = solve(benchmark("p1").problem, SolverConfig(n_points=31, m_basis=30))
+    sol(0.5)
+    x = eval_points(sol)
+    for clone in (copy.copy(sol), copy.deepcopy(sol)):
+        for d in ORDERS:
+            assert np.array_equal(clone(x, d), sol(x, d)), d
+        assert not any(s.flags.writeable for s in clone._derivative_series)
+    assert not any(s.flags.writeable for s in sol._derivative_series)
 
 
 def test_cached_series_are_read_only():
@@ -155,14 +173,17 @@ def test_snap_finds_the_ends_anywhere_in_x():
 @pytest.mark.parametrize("n,m", SIZES)
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_matches_expression_eval(name, n, m):
+    # The table read is the oracle; eval is the solution's own read.
     sol = solved(name, n, m)
+    ce, xi = sol.expression, sol.report.xi
     x = eval_points(sol)
     for d in ORDERS:
-        oracle = sol.expression.eval(x, d, sol.report.xi)
+        oracle = ce.a_row(x, d) @ xi + ce.b_value(x, d)
         got = sol(x, d)
         assert got.shape == x.shape
         tol = 1e-14 * max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(got - oracle)) <= tol, f"order {d}"
+        assert np.array_equal(ce.eval(x, d, xi), got), f"order {d}"
 
 
 @pytest.mark.parametrize("n,m", SIZES)
@@ -266,9 +287,12 @@ def test_builds_no_chebyshev_table(monkeypatch):
     for module in (basis, expression):
         monkeypatch.setattr(module, "chebyshev_table", counting)
     x = eval_points(sol)
+    ce = sol.expression
     for d in ORDERS:
         sol(x, d)
+        ce.eval(x, d, sol.report.xi)
+        ce.b_value(x, d)
     assert calls == []
-    # The control: the expression tabulates every point, in one table.
-    sol.expression.eval(x, 0, sol.report.xi)
+    # The control: a_row tabulates every point, in one table.
+    ce.a_row(x, 0)
     assert len(calls) == 1 and np.size(calls[0][0]) == x.size
