@@ -8,7 +8,7 @@ embedding, and keeping them would make the collocation system rank deficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,6 +119,29 @@ def check_real(name: str, value, shape=None) -> np.ndarray:
     return out.astype(float, copy=False)
 
 
+class ReadOnlyArrays:
+    """Base of a frozen dataclass whose fields named in _arrays hold read-only float64 arrays.
+
+    A read-only float64 array that owns its data is kept; any other value is copied, so a
+    caller's array keeps its flags and no one writes through a base.  Copies and pickles
+    rebuild through __init__, so theirs are read-only too.
+    """
+
+    _arrays: tuple = ()
+
+    def __post_init__(self):
+        for name in self._arrays:
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.dtype == np.float64
+                    and not value.flags.writeable and value.base is None):
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def check_domain(x_i, x_f) -> tuple[float, float]:
     """(x_i, x_f) as Python floats; ConfigurationError unless the solver can scale [x_i, x_f].
 
@@ -200,9 +223,10 @@ class ChebyshevBasis:
 
 
 @dataclass(frozen=True, eq=False)
-class CollocationGrid:
+class CollocationGrid(ReadOnlyArrays):
     """Chebyshev-Gauss-Lobatto nodes in both coordinate systems; equal only to itself."""
 
+    _arrays = ("z_nodes", "x_nodes")
     n_points: int
     z_nodes: np.ndarray
     x_nodes: np.ndarray

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_derivatives, chebyshev_table, check_order,
-    check_real, clenshaw,
+    START_DEGREE, ChebyshevBasis, DomainMap, ReadOnlyArrays, chebyshev_derivatives,
+    chebyshev_table, check_order, check_real, clenshaw,
 )
 from .errors import ConfigurationError
 
@@ -116,7 +116,7 @@ class BoundaryConditions:
 
 
 @dataclass(frozen=True, eq=False)
-class SwitchingFunctions:
+class SwitchingFunctions(ReadOnlyArrays):
     """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk, as monomial rows.
 
     Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in ascending
@@ -125,21 +125,16 @@ class SwitchingFunctions:
     constrained expression reads the same polynomials as UNIT_CHEB, not these rows.
     """
 
+    _arrays = ("coeffs",)
     coeffs: np.ndarray
     domain_map: DomainMap
 
     def __post_init__(self):
         if not isinstance(self.domain_map, DomainMap):
             raise ConfigurationError(f"expected a DomainMap, got {self.domain_map!r}")
-        coeffs = np.array(self.coeffs, dtype=float)
-        if coeffs.shape != (8, 8):
-            raise ConfigurationError(f"expected (8, 8) coefficients, got {coeffs.shape}")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through __init__, so their coeffs stay read-only.
-        return type(self), (self.coeffs, self.domain_map)
+        super().__post_init__()
+        if self.coeffs.shape != (8, 8):
+            raise ConfigurationError(f"expected (8, 8) coefficients, got {self.coeffs.shape}")
 
     @classmethod
     def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
@@ -148,7 +143,7 @@ class SwitchingFunctions:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstrainedExpression:
+class ConstrainedExpression(ReadOnlyArrays):
     """y(x, xi) = a(x)^T xi + b(x) with the eight constraints embedded exactly.
 
     `series_map` M, shape (8 + m, m), carries xi to the Chebyshev series in z of
@@ -159,6 +154,7 @@ class ConstrainedExpression:
     in constraint order.  Since w**d_j (2/w)**d_j = 2**d_j, M is the same on every domain.
     """
 
+    _arrays = ("series_map", "constraint_values")
     basis: ChebyshevBasis
     bc: BoundaryConditions
     series_map: np.ndarray

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, CollocationGrid, check_integer, check_real, make_grid,
+    MAX_ORDER, ChebyshevBasis, CollocationGrid, ReadOnlyArrays, check_integer, check_real,
+    make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
@@ -50,9 +51,9 @@ class BvpProblem:
     known, feeds error tables and reports.
 
     Callbacks run with numpy warnings silenced, so an overflow gives inf.  A
-    callback that raises, gives a non-finite value or the wrong shape is
-    reported as an EvaluationError; at a Gauss-Newton trial step it rejects
-    that step instead.
+    callback that raises, gives a complex or non-finite value or the wrong
+    shape is reported as an EvaluationError; at a Gauss-Newton trial step it
+    rejects that step instead.
     """
 
     name: str
@@ -156,7 +157,7 @@ class StopReason(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(ReadOnlyArrays):
     """Outcome of one solve: coefficients, iteration trace, stop reason.
 
     residual_norm_history[0] is the norm at xi = 0 and one entry follows per
@@ -169,21 +170,13 @@ class SolveReport:
     or from a QR where their gate declines (see _lstsq_step).
     """
 
+    _arrays = ("xi", "residual_norm_history")  # a report cannot drift from its solution
     xi: np.ndarray
     iterations: int
     residual_norm_history: np.ndarray
     converged_by: StopReason
     solution_norm: float
     used_fd_partials: bool = False
-
-    def __post_init__(self):  # read-only copies: a report cannot drift from its solution
-        for name in ("xi", "residual_norm_history"):
-            array = np.array(getattr(self, name), dtype=float)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    def __reduce__(self):  # copies and pickles rebuild through __init__, read-only alike
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,28 +275,30 @@ def _resolve_partials(problem: BvpProblem) -> tuple[Callable, bool]:
 def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_shape=()):
     """fn(x, states), one call for all nodes, as a float64 array of shape (n,) + row_shape.
 
-    An exception from fn, a result of another shape, or a non-finite value
-    becomes an EvaluationError naming fn (and both shapes, or the first
-    non-finite node's x); a Bvp8Error raised by fn passes through.
+    An exception from fn, a complex result, a result of another shape, or a
+    non-finite value becomes an EvaluationError naming fn (and both shapes, or
+    the first non-finite node's x); a Bvp8Error raised by fn passes through.
+    fn runs in its caller's error state: solve's silences numpy's warnings.
     """
     expected = (x.size,) + row_shape
     try:
-        with np.errstate(all="ignore"):
-            result = fn(x, states)
+        result = fn(x, states)
     except Bvp8Error:
         raise
     except Exception as exc:
         raise EvaluationError(f"{name} raised {type(exc).__name__}: {exc}") from exc
     try:
-        out = np.asarray(result, dtype=float)
+        out = np.asarray(result)
+        if out.dtype.kind == "c":  # a float cast would drop the imaginary part
+            raise EvaluationError(f"{name} must give real numbers, got {out.dtype} values")
+        out = out.astype(float, copy=False)
     except (TypeError, ValueError):  # ragged or non-numeric results
         out = None
     if out is None or out.shape != expected:
         got = "a non-numeric result" if out is None else out.shape
         raise EvaluationError(f"{name} must give shape {expected} over the nodes, got {got}")
-    bad = np.nonzero(~np.isfinite(out))[0]
-    if bad.size:
-        k = bad[0]
+    if not np.isfinite(out).all():
+        k = np.nonzero(~np.isfinite(out))[0][0]
         raise EvaluationError(f"{name} is not finite at x={float(x[k])!r} (got {out[k].tolist()!r})")
     return out
 
@@ -335,9 +330,10 @@ def assemble_loss_and_jacobian(
             and np.array_equal(ce.series_map, series_map)):
         raise ConfigurationError(f"expression and grid do not match the tables of {config}")
     xi = check_real("xi", xi, (ce.basis.m,))
-    tables = _CollocationTables(ce, grid, config)
-    _, states, loss, _ = _evaluate(problem.residual, tables, xi)
-    return loss, _jacobian(_resolve_partials(problem)[0], tables, states)
+    with np.errstate(all="ignore"):  # callbacks and states overflow to inf, not a warning
+        tables = _CollocationTables(ce, grid, config)
+        _, states, loss, _ = _evaluate(problem.residual, tables, xi)
+        return loss, _jacobian(_resolve_partials(problem)[0], tables, states)
 
 
 def assemble_linear(
@@ -404,10 +400,10 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.nda
     with np.errstate(all="ignore"):
         k = jac @ precond
         gram = k.T @ k
-        d = np.sqrt(np.diag(gram))
-        gram /= np.outer(d, d)
+        d = np.sqrt(gram.diagonal())
+        gram /= d[:, None] * d
         try:
-            pivot = np.min(np.diag(np.linalg.cholesky(gram)))
+            pivot = np.linalg.cholesky(gram).diagonal().min()
         except np.linalg.LinAlgError:
             pivot = 0.0
         if pivot >= _PRECOND_PIVOT:
@@ -415,12 +411,16 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.nda
     return lstsq_scaled_qr(jac, rhs)
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a real 1-D vector by one BLAS dot: np.linalg.norm(v) bit for bit, no wrapper."""
+    return math.sqrt(v @ v)
+
+
 def _evaluate(residual: Callable, tables: _CollocationTables, xi: np.ndarray):
-    """(xi, states, loss, ||loss||) at xi; states or a norm that overflow give inf, not a warning."""
-    with np.errstate(all="ignore"):
-        states = tables.states(xi)
-        loss = _at_nodes("residual", residual, tables.x, states)
-        return xi, states, loss, float(np.linalg.norm(loss))
+    """(xi, states, loss, ||loss||) at xi; in solve's error state, an overflow gives inf."""
+    states = tables.states(xi)
+    loss = _at_nodes("residual", residual, tables.x, states)
+    return xi, states, loss, _norm(loss)
 
 
 def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_LENGTH):
@@ -448,7 +448,7 @@ def _single_shot(partials, tables, start, precond):
     _, states, b, norm = start
     a = _jacobian(partials, tables, states)
     xi = _lstsq_step(a, -b, precond)
-    return xi, 1, [norm, float(np.linalg.norm(a @ xi + b))], StopReason.LINEAR_SINGLE_SHOT
+    return xi, 1, [norm, _norm(a @ xi + b)], StopReason.LINEAR_SINGLE_SHOT
 
 
 def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
@@ -472,12 +472,12 @@ def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
         iterations += 1
         jac = _jacobian(partials, tables, states)
         step = _lstsq_step(jac, loss, precond)
-        if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(xi)):
+        if _norm(step) <= _STEP_TOL * (1.0 + _norm(xi)):
             converged_by = StopReason.CONVERGED
-            floor = _FLOOR_EPS * math.ulp(1.0) * float(np.linalg.norm(states[MAX_ORDER]))
+            floor = _FLOOR_EPS * math.ulp(1.0) * _norm(states[MAX_ORDER])
             found = _line_search(residual, tables, xi, step, norm + floor, 0.0, shortest=1.0)
         else:
-            decrease = 2.0 * _ARMIJO_C * (float(np.linalg.norm(jac @ step)) / norm) ** 2
+            decrease = 2.0 * _ARMIJO_C * (_norm(jac @ step) / norm) ** 2
             found = _line_search(residual, tables, xi, step, norm, decrease)
             if found is None:
                 converged_by = StopReason.STALLED
@@ -497,13 +497,14 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     """
     config = _checked(_DEFAULT_CONFIG if config is None else config)
     ce, grid = build_system(problem, config)
-    tables = _CollocationTables(ce, grid, config)
-    partials, used_fd = _resolve_partials(problem)
-    start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
-    precond = config._precond
-    xi, iterations, history, converged_by = (
-        _single_shot(partials, tables, start, precond) if problem.is_linear
-        else _gauss_newton(problem.residual, partials, tables, start, precond,
-                           config.max_iterations))
+    with np.errstate(all="ignore"):  # one error state for every callback, norm and step
+        tables = _CollocationTables(ce, grid, config)
+        partials, used_fd = _resolve_partials(problem)
+        start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+        precond = config._precond
+        xi, iterations, history, converged_by = (
+            _single_shot(partials, tables, start, precond) if problem.is_linear
+            else _gauss_newton(problem.residual, partials, tables, start, precond,
+                               config.max_iterations))
     report = SolveReport(xi, iterations, history, converged_by, history[-1], used_fd)
     return Solution(problem, ce, grid, report, config)

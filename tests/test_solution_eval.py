@@ -12,6 +12,7 @@ values, as the oracle of that one series.
 import copy
 import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from numpy.polynomial import chebyshev
 
 from bvp8 import SolverConfig, basis, expression, solve
 from bvp8.errors import ConfigurationError
+from bvp8.basis import CollocationGrid
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
@@ -138,6 +140,69 @@ def test_copies_read_alike_from_read_only_series():
             assert np.array_equal(clone(x, d), sol(x, d)), d
         assert not any(s.flags.writeable for s in clone._derivative_series)
     assert not any(s.flags.writeable for s in sol._derivative_series)
+
+
+#: The arrays of a solution's expression and grid, each read-only.
+READ_ONLY_FIELDS = {ConstrainedExpression: ("series_map", "constraint_values"),
+                    CollocationGrid: ("z_nodes", "x_nodes")}
+
+
+def assert_read_only_alike(clone, original):
+    assert type(clone) is type(original)
+    for name in READ_ONLY_FIELDS[type(original)]:
+        array = getattr(clone, name)
+        assert array.dtype == np.float64 and np.array_equal(array, getattr(original, name)), name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1.0
+
+
+def test_deep_copy_keeps_expression_and_grid_read_only():
+    # A deep copy used to carry series_map, constraint_values and the nodes
+    # over as writeable arrays; one write before the first call moved d(0.5)
+    # by 9.4e-9.
+    sol = solve(benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30))
+    clone = copy.deepcopy(sol)
+    assert_read_only_alike(clone.expression, sol.expression)
+    assert_read_only_alike(clone.grid, sol.grid)
+    x = eval_points(sol)
+    for d in ORDERS:
+        assert np.array_equal(clone(x, d), sol(x, d)), d
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("part", ["expression", "grid"])
+def test_expression_and_grid_copies_are_read_only(how, part):
+    sol = solved("p6", 31, 30)
+    clone_of = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how]
+    original = getattr(sol, part)
+    clone = clone_of(original)
+    assert_read_only_alike(clone, original)
+    if part == "expression":
+        x = eval_points(sol)
+        for d in ORDERS:
+            assert np.array_equal(clone.eval(x, d, sol.report.xi), sol(x, d)), d
+
+
+def test_writeable_arrays_are_copied_not_frozen():
+    # The classes keep read-only copies and leave the caller's arrays writeable.
+    sol = solved("p1", 11, 10)
+    z, x = sol.grid.z_nodes.copy(), sol.grid.x_nodes.copy()
+    series_map, values = sol.expression.series_map.copy(), [0, 1, 0, 1, 0, 1, 0, 1]
+    grid = CollocationGrid(z.size, z, x)
+    ce = ConstrainedExpression(sol.expression.basis, sol.problem.bc, series_map, values)
+    assert_read_only_alike(grid, sol.grid)
+    assert ce.constraint_values.tolist() == [0.0, 1.0] * 4
+    for array in (z, x, series_map):
+        assert array.flags.writeable
+    view = x.view()  # read-only, but writeable through its base
+    view.flags.writeable = False
+    assert CollocationGrid(x.size, view, view).x_nodes is not view
+    config = SolverConfig()  # a solve's read-only arrays are shared, not copied
+    z_nodes, _, _, series_map = config._tables
+    for name in ("p1", "p2"):
+        other = solve(benchmark(name).problem, config)
+        assert other.grid.z_nodes is z_nodes and other.expression.series_map is series_map
 
 
 def test_cached_series_are_read_only():

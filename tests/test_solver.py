@@ -645,6 +645,80 @@ class TestAssembly:
         with pytest.raises(EvaluationError, match=match):
             solve(problem)
 
+    @pytest.mark.parametrize("callback", ["residual", "partials"])
+    def test_complex_callback_result_rejected(self, callback):
+        # The float cast kept only the real part: p4 with residual + 1e-3j
+        # reported converged in two steps.
+        p4 = benchmark("p4").problem
+        problem = dataclasses.replace(
+            p4, **{callback: lambda x, y: getattr(p4, callback)(x, y) + 1e-3j})
+        match = rf"^{callback} must give real numbers, got complex128 values$"
+        with pytest.raises(EvaluationError, match=match):
+            solve(problem)
+        ce, grid = build_system(problem, SolverConfig())
+        with pytest.raises(EvaluationError, match=match):
+            assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+
+    def test_trial_with_complex_residual_is_rejected(self):
+        # Real at the start, complex at every trial: each trial is rejected.
+        p4 = benchmark("p4").problem
+        calls = []
+
+        def residual(x, y):
+            calls.append(x.size)
+            return p4.residual(x, y) + (1e-3j if len(calls) > 1 else 0.0)
+
+        report = solve(dataclasses.replace(p4, residual=residual)).report
+        assert report.converged_by is StopReason.STALLED
+        assert report.iterations == 1 and len(report.residual_norm_history) == 1
+        assert len(calls) > 2
+
+    @pytest.mark.parametrize("assemble", [
+        lambda problem, ce, grid: assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10)),
+        lambda problem, ce, grid: assemble_linear(problem, ce, grid),
+    ], ids=["loss_and_jacobian", "linear"])
+    def test_overflowing_residual_raises_evaluation_error_not_warning(self, assemble):
+        # Assembly silences numpy's warnings once for its callbacks and norms,
+        # so an overflow reaches the finiteness check as inf.
+        p1 = benchmark("p1").problem
+        problem = dataclasses.replace(p1, residual=lambda x, y: (y[8] + 1.0) * 1e300 * 1e300)
+        ce, grid = build_system(problem, SolverConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="residual is not finite at x="):
+                assemble(problem, ce, grid)
+
+
+class TestNorm:
+    """solver._norm is np.linalg.norm of a real vector bit for bit, by one BLAS dot."""
+
+    @staticmethod
+    def vectors():
+        rng = np.random.default_rng(21)
+        for size in (0, 1, 11, 481):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+            yield v
+            for special in (np.inf, -np.inf, np.nan, 1e200, -1e200, 5e-324, 2.2e-308):
+                if size:
+                    w = v.copy()
+                    w[size // 2] = special
+                    yield w
+            yield np.full(size, 5e-324)
+            yield np.full(size, 1e200)
+        states = rng.standard_normal((9, 481))
+        yield states[8]
+        yield states[:, 3]  # strided
+
+    def test_equals_linalg_norm_bit_for_bit(self):
+        count = 0
+        with np.errstate(all="ignore"):  # as in solve: an overflow gives inf
+            for v in self.vectors():
+                got, want = solver_module._norm(v), np.linalg.norm(v)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (v.size, want)
+                count += 1
+        assert count == 4 * 3 + 3 * 7 + 2  # 3 per size, 7 specials per nonempty size, 2 rows
+
 
 class TestSolveLinear:
     def test_report_shape(self):
