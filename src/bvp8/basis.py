@@ -20,6 +20,8 @@ MAX_ORDER = 8
 #: Degree of the first basis term; degrees 0..7 duplicate the support span.
 START_DEGREE = 8
 
+_HALF_EPS = 0.5 * np.finfo(float).eps
+
 
 def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
     """Tabulate d^p T_k / dz^p for p = 0..max_order and k = 0..max_degree.
@@ -77,14 +79,40 @@ def chebyshev_derivatives(series, c) -> list:
     len(series) - d terms; a constant's derivative is the one-term zero series.
     """
     k = np.arange(len(series))
-    odd_gap = (k > k[:, None]) & ((k - k[:, None]) % 2 == 1)
-    deriv = np.where(odd_gap, 2.0 * c * k, 0.0)
+    deriv = 2.0 * c * k * ((k ^ k[:, None]) & (k > k[:, None]))  # j > k, j - k odd
     deriv[0] /= 2.0
     out = [series]
     for _ in range(MAX_ORDER):
         size = out[-1].size
         out.append(deriv[:size - 1, :size] @ out[-1] if size > 1 else np.zeros(1))
     return out
+
+
+def chop(series: list) -> list:
+    """Each series cut to its shortest head that drops at most eps/2 ||c||_1 and chops to itself.
+
+    A head c[:k] drops the tail |c_k| + |c_k+1| + ..  It chops to itself when k = 1 or its
+    last coefficient exceeds eps/2 of the head's own |c| sum, so chop(chop(s)) is chop(s); the
+    longest droppable tail alone can leave a last term below that, which a second chop drops.
+    A series with no such head, or whose |c| sum is not finite (an inf or NaN coefficient), is
+    kept whole.  Since |T_k(z)| <= 1 on |z| <= 1, a read moves by at most eps/2 ||c||_1, below
+    the rounding of its Clenshaw pass.  One pass over the series zero-padded into one
+    read-only array; the heads are views of its rows.
+    """
+    sizes = [len(s) for s in series]
+    table = np.zeros((len(series), max(sizes) + 1))
+    for row, s in zip(table, series):
+        row[:len(s)] = s
+    table.flags.writeable = False
+    mag = np.abs(table)
+    tol = np.add.accumulate(mag, axis=1)
+    tol *= _HALF_EPS  # [:, k - 1]: eps/2 ||c[:k]||_1
+    tails = np.add.accumulate(mag[:, ::-1], axis=1)[:, ::-1]  # [:, k]: |c_k| + |c_k+1| + ..
+    ends = mag[:, :-1] > tol[:, :-1]
+    ends[:, 0] = True
+    ends &= (tails[:, 1:] <= tol[:, -1:]) & np.isfinite(tol[:, -1:])
+    ends[range(len(sizes)), [k - 1 for k in sizes]] = True
+    return [row[:k] for row, k in zip(table, (ends.argmax(axis=1) + 1).tolist())]
 
 
 def check_integer(name: str, value) -> int:

@@ -22,7 +22,9 @@ of the Chebyshev terms of degrees 0..7+m, a^{(d)}(x) = c**d T^{(d)}(z) @ M, with
 the same (8 + m, m) matrix M (series_map) on every domain.  b is the switching
 series times the scaled constraint values; the tables read it through degrees
 0..7 of their Chebyshev table.  M @ xi plus b's series is one series of y per
-order, and one Clenshaw pass over it is sol(x, d), eval and b_value (xi = 0).
+order, chopped once at roundoff (basis.chop: a value moves by at most eps/2 of the
+series' coefficient sum), and one Clenshaw pass over it is sol(x, d), eval and
+b_value (xi = 0).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .basis import (
     START_DEGREE, ChebyshevBasis, DomainMap, ReadOnlyArrays, chebyshev_derivatives,
-    chebyshev_table, check_order, check_real, clenshaw,
+    chebyshev_table, check_order, check_real, chop, clenshaw,
 )
 from .errors import ConfigurationError
 
@@ -210,17 +212,20 @@ class ConstrainedExpression(ReadOnlyArrays):
         return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ UNIT_CHEB
 
     def _series(self, xi) -> list:
-        """Read-only series in z of y^{(d)}, d = 0..8: series_map @ xi plus b's, c**d d^d/dz^d."""
+        """Read-only series in z of y^{(d)}, d = 0..8: series_map @ xi plus b's, c**d d^d/dz^d.
+
+        Each is chopped once (basis.chop): its shortest head that drops at most eps/2 of its
+        coefficient sum and chops to itself, so a read moves by at most that.  b's (xi = 0)
+        drops the m zeros of M @ 0; a series holding an inf or NaN is kept whole.
+        """
         series = self.series_map @ xi
         series[:START_DEGREE] += self._beta_series(self.constraint_values)
-        out = chebyshev_derivatives(series, self.basis.domain_map.c)
-        for s in out:
-            s.flags.writeable = False
-        return out
+        return chop(chebyshev_derivatives(series, self.basis.domain_map.c))
 
     def _read(self, x, order: int, series: list):
-        """y^{(order)}(x) from the series of _series: one Clenshaw pass (numpy's chebval bit
-        for bit), with the exact boundary data of orders 0..3 where x is x_i or x_f."""
+        """y^{(order)}(x) from the chopped series of _series: one Clenshaw pass (numpy's chebval
+        of that stored series bit for bit), with the exact boundary data of orders 0..3 where x
+        is x_i or x_f."""
         order = check_order(order)
         x, z = self.basis.domain_map.checked_z(x)
         y = clenshaw(z, series[order])
@@ -230,7 +235,7 @@ class ConstrainedExpression(ReadOnlyArrays):
         return y
 
     def eval(self, x, order: int = 0, xi=None):
-        """y^{(order)}(x, xi): one Clenshaw pass over the series of y^{(order)} (_series)."""
+        """y^{(order)}(x, xi): one Clenshaw pass over the chopped series of _series(xi)."""
         xi = check_real("xi", xi, (self.basis.m,))
         return self._read(x, order, self._series(xi))
 

@@ -194,16 +194,18 @@ class Solution:
 
     @cached_property
     def _derivative_series(self) -> list:
-        """Read-only series in z of y^{(d)}(x), d = 0..8, built by the first call (_series)."""
+        """The read-only chopped series of y^{(d)}, d = 0..8, built by the first call (_series)."""
         return self.expression._series(self.report.xi)
 
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
 
-        With xi fixed, y^{(d)} is one Chebyshev series in z, cached per solution, read by one
-        in-place Clenshaw pass (numpy's chebval bit for bit): no basis table, no switching
-        value.  At x_i and x_f the orders 0..3 return the boundary data exactly.  Equals
-        expression.eval(x, order, xi) bit for bit; a scalar x gives a numpy scalar.
+        With xi fixed, y^{(d)} is one Chebyshev series in z, chopped at roundoff and cached per
+        solution, read by one in-place Clenshaw pass (numpy's chebval of the stored series bit
+        for bit): no basis table, no switching value.  The chop moves a value by at most eps/2
+        of the unchopped series' coefficient sum.  At x_i and x_f the orders 0..3 return the
+        boundary data exactly.  Equals expression.eval(x, order, xi) bit for bit; a scalar x
+        gives a numpy scalar.
         """
         return self.expression._read(x, order, self._derivative_series)
 
@@ -395,19 +397,19 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.nda
     equations lose no digits (Blendenpik's right preconditioning).  The Cholesky factor of G
     holds the scaled QR pivots of K and serves only as the gate (one LU solve of G costs
     less than two of its triangles): a failed factor or a pivot below _PRECOND_PIVOT falls
-    back to lstsq_scaled_qr(jac, rhs), which also names a rank-deficient column.
+    back to lstsq_scaled_qr(jac, rhs), which also names a rank-deficient column.  It runs
+    in its caller's error state; solve's silences numpy's warnings, such as a zero column's 0/0.
     """
-    with np.errstate(all="ignore"):
-        k = jac @ precond
-        gram = k.T @ k
-        d = np.sqrt(gram.diagonal())
-        gram /= d[:, None] * d
-        try:
-            pivot = np.linalg.cholesky(gram).diagonal().min()
-        except np.linalg.LinAlgError:
-            pivot = 0.0
-        if pivot >= _PRECOND_PIVOT:
-            return precond @ (np.linalg.solve(gram, (k.T @ rhs) / d) / d)
+    k = jac @ precond
+    gram = k.T @ k
+    d = np.sqrt(gram.diagonal())
+    gram /= d[:, None] * d
+    try:
+        pivot = np.linalg.cholesky(gram).diagonal().min()
+    except np.linalg.LinAlgError:
+        pivot = 0.0
+    if pivot >= _PRECOND_PIVOT:
+        return precond @ (np.linalg.solve(gram, (k.T @ rhs) / d) / d)
     return lstsq_scaled_qr(jac, rhs)
 
 

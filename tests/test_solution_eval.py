@@ -24,6 +24,8 @@ from bvp8.basis import CollocationGrid
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
+from test_chop import unchopped
+
 SIZES = [(11, 10), (31, 30), (481, 60)]
 ORDERS = range(9)
 
@@ -100,10 +102,13 @@ def test_switching_work_skipped(monkeypatch):
 
 
 def test_one_clenshaw_pass_per_read(monkeypatch):
-    # sol, eval and b_value each read y^(d) by one pass over one series of all
-    # 8 + m terms (b's carries the m zeros of M @ 0); a solution builds its series once.
+    # sol, eval and b_value each read y^(d) by one pass over one stored series,
+    # chopped from the 8 + m - d terms of order d (b's drops the m zeros of M @ 0);
+    # a solution builds its series once.
     sol = dataclasses.replace(solved("p3", 31, 30))  # a fresh Solution: no series cached
     ce, xi = sol.expression, sol.report.xi
+    kept, kept_b = ([len(s) for s in ce._series(v)] for v in (xi, np.zeros(30)))
+    assert all(max(k, k_b) <= 38 - d for d, (k, k_b) in enumerate(zip(kept, kept_b)))
     passes, builds = [], []
     real_clenshaw, real_series = basis.clenshaw, ConstrainedExpression._series
 
@@ -120,10 +125,11 @@ def test_one_clenshaw_pass_per_read(monkeypatch):
     monkeypatch.setattr(ConstrainedExpression, "_series", counted_series)
     for form, x in x_forms(sol).items():
         for d in ORDERS:
-            for read in (sol, lambda x, d: ce.eval(x, d, xi), ce.b_value):
+            for read, lengths in ((sol, kept), (lambda x, d: ce.eval(x, d, xi), kept),
+                                  (ce.b_value, kept_b)):
                 passes.clear()
                 read(x, d)
-                assert passes == [38 - d], (form, d)
+                assert passes == [lengths[d]], (form, d)
     assert len(builds) == 1 + 2 * len(x_forms(sol)) * len(ORDERS)
     builds.clear()
     sol(0.5, 3)
@@ -206,9 +212,12 @@ def test_writeable_arrays_are_copied_not_frozen():
 
 
 def test_cached_series_are_read_only():
+    # Each stored series is the chop of the 38 - d terms of order d.
     sol = solve(benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30))
     series = sol._derivative_series
-    assert [len(s) for s in series] == [38 - d for d in ORDERS]
+    chopped = basis.chop(unchopped(sol.expression, sol.report.xi))
+    assert [len(s) for s in series] == [len(s) for s in chopped]
+    assert all(len(s) <= 38 - d for d, s in zip(ORDERS, series))
     for s in series:
         with pytest.raises(ValueError, match="read-only"):
             s[0] += 1.0
