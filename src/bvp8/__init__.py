@@ -8,7 +8,7 @@ minimized over a Chebyshev coefficient vector by collocation least squares.
 from . import problems
 from .basis import ChebyshevBasis, CollocationGrid, DomainMap, chebyshev_table, make_grid
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
-from .expression import BoundaryConditions, ConstrainedExpression, SwitchingFunctions
+from .expression import BoundaryConditions, ConstrainedExpression
 from .solver import (
     BvpProblem,
     Solution,
@@ -39,7 +39,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "StopReason",
-    "SwitchingFunctions",
     "assemble_linear",
     "assemble_loss_and_jacobian",
     "build_system",

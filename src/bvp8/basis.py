@@ -242,6 +242,8 @@ class ChebyshevBasis:
     domain_map: DomainMap
 
     def __post_init__(self):
+        if not isinstance(self.domain_map, DomainMap):
+            raise ConfigurationError(f"domain_map must be a DomainMap, got {self.domain_map!r}")
         if check_integer("m", self.m) < 1:
             raise ConfigurationError(f"need at least one basis term, got m={self.m}")
 
@@ -268,6 +270,8 @@ def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> Collocation
     x_f so boundary rows see the exact constraint locations.  `z_nodes`, when
     given, are the read-only z nodes of an n_points grid built before.
     """
+    if not isinstance(domain_map, DomainMap):
+        raise ConfigurationError(f"domain_map must be a DomainMap, got {domain_map!r}")
     n = check_integer("n_points", n_points)
     if n < 2:
         raise ConfigurationError(f"need at least 2 grid points, got {n_points}")

@@ -12,19 +12,19 @@ where every component of a vanishes under every constraint operator and b
 interpolates the constraint values, so the boundary conditions hold for any
 coefficient vector xi.
 
-The switching functions come from one exact table, UNIT_COEFFS on [0, 1] in
-powers of t = (x - x_i) / w with w = x_f - x_i, and are read only as Chebyshev
-series in z = 2 t - 1: UNIT_CHEB holds the same polynomials exactly (coefficient
-sums at most 1.25, where the powers of t reach 210).  beta_j^{(d)}(x) is c**d
+The switching functions come from one exact table, UNIT_CHEB: row j holds the
+switching polynomial u_j(t) on [0, 1], t = (x - x_i) / w with w = x_f - x_i, as
+its Chebyshev series in z = 2 t - 1 (coefficient sums at most 1.25, where the
+powers of t reach 210), and beta_j(x) = w**d_j u_j(t).  beta_j^{(d)}(x) is c**d
 times the z derivative of its series, scaled by w**d_j, so accuracy does not
 depend on where the domain sits or how wide it is.  a(x) is then one linear map
 of the Chebyshev terms of degrees 0..7+m, a^{(d)}(x) = c**d T^{(d)}(z) @ M, with
 the same (8 + m, m) matrix M (series_map) on every domain.  b is the switching
 series times the scaled constraint values; the tables read it through degrees
 0..7 of their Chebyshev table.  M @ xi plus b's series is one series of y per
-order, chopped once at roundoff (basis.chop: a value moves by at most eps/2 of the
-series' coefficient sum), and one Clenshaw pass over it is sol(x, d), eval and
-b_value (xi = 0).
+order, chopped once at roundoff (basis.chop: a value moves by at most eps/2 of
+the series' coefficient sum), and one Clenshaw pass over it is sol(x, d), eval
+and b_value (xi = 0).
 """
 
 from __future__ import annotations
@@ -42,22 +42,9 @@ from .errors import ConfigurationError
 #: Derivative order of each constraint, alternating left/right endpoint.
 CONSTRAINT_ORDERS = (0, 0, 1, 1, 2, 2, 3, 3)
 
-#: Coefficients of the switching functions on [0, 1] in ascending powers,
-#: one row per constraint.  Every entry is an exactly representable rational.
-UNIT_COEFFS = np.array([
-    [1.0, 0.0, 0.0, 0.0, -35.0, 84.0, -70.0, 20.0],
-    [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0],
-    [0.0, 1.0, 0.0, 0.0, -20.0, 45.0, -36.0, 10.0],
-    [0.0, 0.0, 0.0, 0.0, -15.0, 39.0, -34.0, 10.0],
-    [0.0, 0.0, 0.5, 0.0, -5.0, 10.0, -7.5, 2.0],
-    [0.0, 0.0, 0.0, 0.0, 2.5, -7.0, 6.5, -2.0],
-    [0.0, 0.0, 0.0, 1 / 6, -2 / 3, 1.0, -2 / 3, 1 / 6],
-    [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
-])
-UNIT_COEFFS.flags.writeable = False
-
-#: The rows of UNIT_COEFFS as exact Chebyshev series in z, u_j((1 + z) / 2) =
-#: sum_k UNIT_CHEB[j, k] T_k(z).  Rows 0-5 are dyadic; rows 6-7 round once.
+#: The switching polynomials u_j on [0, 1], u_j^{(d_k)}(t_k) = delta_jk, as exact Chebyshev
+#: series in z: u_j((1 + z) / 2) = sum_k UNIT_CHEB[j, k] T_k(z).  Rows 0-5 are dyadic; rows
+#: 6-7 round once.
 UNIT_CHEB = np.array([
     [1 / 2, -1225 / 2048, 0.0, 245 / 2048, 0.0, -49 / 2048, 0.0, 5 / 2048],
     [1 / 2, 1225 / 2048, 0.0, -245 / 2048, 0.0, 49 / 2048, 0.0, -5 / 2048],
@@ -69,13 +56,6 @@ UNIT_CHEB = np.array([
     [-5 / 12288, -5 / 49152, 5 / 8192, 3 / 16384, -1 / 4096, -5 / 49152, 1 / 24576, 1 / 49152],
 ])
 UNIT_CHEB.flags.writeable = False
-
-
-def constraint_locations(x_i: float, x_f: float):
-    """The eight (location, derivative order) pairs in canonical order."""
-    return tuple(
-        (x_i if k % 2 == 0 else x_f, d) for k, d in enumerate(CONSTRAINT_ORDERS)
-    )
 
 
 @dataclass(frozen=True)
@@ -101,13 +81,8 @@ class BoundaryConditions:
 
     @classmethod
     def from_callable(cls, x_i: float, x_f: float, fn) -> "BoundaryConditions":
-        """Read the eight constraint values from fn(x, order)."""
-        return cls(
-            x_i,
-            x_f,
-            tuple(float(fn(x_i, d)) for d in range(4)),
-            tuple(float(fn(x_f, d)) for d in range(4)),
-        )
+        """Read the eight constraint values from fn(x, order), checked as the fields are."""
+        return cls(x_i, x_f, [fn(x_i, d) for d in range(4)], [fn(x_f, d) for d in range(4)])
 
     def interleaved(self) -> np.ndarray:
         """The eight values in canonical constraint order."""
@@ -115,33 +90,6 @@ class BoundaryConditions:
         out[0::2] = self.left_values
         out[1::2] = self.right_values
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class SwitchingFunctions(ReadOnlyArrays):
-    """Eight degree-7 polynomials with beta_j^{(d_k)}(x_k) = delta_jk, as monomial rows.
-
-    Row j of `coeffs` holds u_{j+1}, the switching function on [0, 1], in ascending
-    powers of t = (x - x_i) / w, w = x_f - x_i, on domain_map's [x_i, x_f].  There,
-    beta_j(x) = w**d_j u_j(t).  closed_form is the checked record of UNIT_COEFFS; the
-    constrained expression reads the same polynomials as UNIT_CHEB, not these rows.
-    """
-
-    _arrays = ("coeffs",)
-    coeffs: np.ndarray
-    domain_map: DomainMap
-
-    def __post_init__(self):
-        if not isinstance(self.domain_map, DomainMap):
-            raise ConfigurationError(f"expected a DomainMap, got {self.domain_map!r}")
-        super().__post_init__()
-        if self.coeffs.shape != (8, 8):
-            raise ConfigurationError(f"expected (8, 8) coefficients, got {self.coeffs.shape}")
-
-    @classmethod
-    def closed_form(cls, x_i: float, x_f: float) -> "SwitchingFunctions":
-        """The switching functions of [x_i, x_f]: UNIT_COEFFS, read at t."""
-        return cls(UNIT_COEFFS, DomainMap(x_i, x_f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -284,7 +284,7 @@ def benchmark(name: str) -> BenchmarkEntry:
     """Look up one benchmark entry by name (p1..p7)."""
     try:
         factory = PROBLEM_FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigurationError(
             f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
         ) from None

@@ -1,25 +1,56 @@
-"""Switching functions on [0, 1] by inverting the support matrix: a test oracle.
+"""The switching functions in monomial form: a test oracle.
 
-The package evaluates the exact rational table UNIT_COEFFS.  This module
-builds the same eight polynomials independently: the support matrix applies
-the eight constraint operators to the monomials 1, x, .., x^7, and column j
-of its inverse lists the coefficients of beta_{j+1}.  On [0, 1] the
-coefficients in x are the unit-domain coefficients in t, so the result is a
-drop-in SwitchingFunctions on [0, 1].  The package reads the switching
-functions only as their exact Chebyshev series; switching_values evaluates
-them from the monomial coefficients instead, with numpy's polyder and
-polyval, and kronecker_matrix certifies either construction by that plain
-evaluation at the constraints.
+The package reads the eight switching polynomials only as their exact
+Chebyshev series, UNIT_CHEB.  This module keeps them in powers of t: the exact
+rational table UNIT_COEFFS, and an independent construction by the support
+matrix, which applies the eight constraint operators to the monomials 1, x,
+.., x^7; column j of its inverse lists the coefficients of beta_{j+1}.  On
+[0, 1] the coefficients in x are the unit-domain coefficients in t.
+switching_values evaluates either from the monomial coefficients, with numpy's
+polyder and polyval, and kronecker_matrix certifies either by that plain
+evaluation at the constraints.  exact_unit_cheb converts UNIT_COEFFS to
+Chebyshev series in rational arithmetic, rounding each coefficient once.
 """
 
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from bvp8.basis import DomainMap
 from bvp8.errors import SingularSystemError
-from bvp8.expression import CONSTRAINT_ORDERS, SwitchingFunctions, constraint_locations
+from bvp8.expression import CONSTRAINT_ORDERS
+
+#: Coefficients of the switching functions u_j on [0, 1] in ascending powers of t,
+#: one row per constraint.  Every entry is an exactly representable rational.
+UNIT_COEFFS = np.array([
+    [1.0, 0.0, 0.0, 0.0, -35.0, 84.0, -70.0, 20.0],
+    [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0],
+    [0.0, 1.0, 0.0, 0.0, -20.0, 45.0, -36.0, 10.0],
+    [0.0, 0.0, 0.0, 0.0, -15.0, 39.0, -34.0, 10.0],
+    [0.0, 0.0, 0.5, 0.0, -5.0, 10.0, -7.5, 2.0],
+    [0.0, 0.0, 0.0, 0.0, 2.5, -7.0, 6.5, -2.0],
+    [0.0, 0.0, 0.0, 1 / 6, -2 / 3, 1.0, -2 / 3, 1 / 6],
+    [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
+])
+UNIT_COEFFS.flags.writeable = False
+
+
+class Switching(NamedTuple):
+    """Switching functions on domain_map's [x_i, x_f]: row j of coeffs is u_{j+1} in
+    ascending powers of t = (x - x_i) / w, and beta_j(x) = w**d_j u_j(t)."""
+
+    coeffs: np.ndarray
+    domain_map: DomainMap
+
+
+def constraint_locations(x_i: float, x_f: float):
+    """The eight (location, derivative order) pairs in canonical order."""
+    return tuple(
+        (x_i if k % 2 == 0 else x_f, d) for k, d in enumerate(CONSTRAINT_ORDERS)
+    )
 
 
 def support_matrix(x_i: float, x_f: float) -> np.ndarray:
@@ -35,7 +66,7 @@ def support_matrix(x_i: float, x_f: float) -> np.ndarray:
     return mat
 
 
-def unit_linear_solve() -> SwitchingFunctions:
+def unit_linear_solve() -> Switching:
     """The [0, 1] switching functions from the inverse of the support matrix.
 
     A pivot check on the QR factors guards against a numerically singular
@@ -48,10 +79,10 @@ def unit_linear_solve() -> SwitchingFunctions:
         raise SingularSystemError(
             f"support matrix is numerically singular (pivot {pivots[j]:.3e} at column {j})"
         )
-    return SwitchingFunctions(np.linalg.inv(mat).T, DomainMap(0.0, 1.0))
+    return Switching(np.linalg.inv(mat).T, DomainMap(0.0, 1.0))
 
 
-def switching_values(sw: SwitchingFunctions, x, d: int, snap: bool = True) -> np.ndarray:
+def switching_values(sw: Switching, x, d: int, snap: bool = True) -> np.ndarray:
     """beta_1^{(d)}(x) .. beta_8^{(d)}(x), shape x.shape + (8,), from the monomial coefficients.
 
     beta_j(x) = w**d_j u_j(t), t = (x - x_i) / w, so beta_j^{(d)}(x) is polyval of the d-th
@@ -70,7 +101,7 @@ def switching_values(sw: SwitchingFunctions, x, d: int, snap: bool = True) -> np
     return vals
 
 
-def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
+def kronecker_matrix(sw: Switching) -> np.ndarray:
     """K[k, j] = beta_{j+1}^{(d_k)}(x_k) by plain, unsnapped polynomial evaluation.
 
     Certifies the construction itself: the identity up to rounding.
@@ -79,3 +110,33 @@ def kronecker_matrix(sw: SwitchingFunctions) -> np.ndarray:
         switching_values(sw, x, d, snap=False)
         for x, d in constraint_locations(sw.domain_map.x_i, sw.domain_map.x_f)
     ])
+
+
+def _times_t(series):
+    """The Chebyshev series of t * p(z), t = (1 + z) / 2, for p's series."""
+    out = [Fraction(0)] * (len(series) + 1)
+    for k, a in enumerate(series):
+        out[k] += a / 2
+        if k == 0:
+            out[1] += a / 2
+        else:
+            out[k + 1] += a / 4
+            out[k - 1] += a / 4
+    return out
+
+
+def exact_unit_cheb() -> np.ndarray:
+    """The rows of UNIT_COEFFS as Chebyshev series in z = 2 t - 1, exact and then rounded once.
+
+    Horner in t on Chebyshev series, in rationals; every UNIT_COEFFS entry is a rational
+    with denominator at most 6.
+    """
+    rows = []
+    for powers in UNIT_COEFFS.tolist():
+        series = [Fraction(0)]
+        for a in reversed(powers):
+            series = _times_t(series)
+            series[0] += Fraction(a).limit_denominator(6)
+        assert not any(series[8:])
+        rows.append([float(c) for c in series[:8]])
+    return np.array(rows)

@@ -10,32 +10,17 @@ import math
 import numpy as np
 
 from bvp8.basis import ChebyshevBasis, DomainMap
-from bvp8.expression import ConstrainedExpression, SwitchingFunctions, constraint_locations
+from bvp8.expression import UNIT_CHEB, ConstrainedExpression
 from bvp8.problems import all_benchmarks, benchmark, derivative_error_report
 from bvp8.solver import (
     SolverConfig,
-    assemble_linear,
     assemble_loss_and_jacobian,
     build_system,
     lstsq_scaled_qr,
     solve,
 )
 
-from switching_oracle import unit_linear_solve
-
-# Switching-function monomial coefficients on [0, 1], ascending degree.
-# All entries are exact rationals: the closed form must hit them to the
-# last floating-point digit.
-UNIT_COEFFS = np.array([
-    [1.0, 0.0, 0.0, 0.0, -35.0, 84.0, -70.0, 20.0],
-    [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0],
-    [0.0, 1.0, 0.0, 0.0, -20.0, 45.0, -36.0, 10.0],
-    [0.0, 0.0, 0.0, 0.0, -15.0, 39.0, -34.0, 10.0],
-    [0.0, 0.0, 0.5, 0.0, -5.0, 10.0, -7.5, 2.0],
-    [0.0, 0.0, 0.0, 0.0, 2.5, -7.0, 6.5, -2.0],
-    [0.0, 0.0, 0.0, 1 / 6, -2 / 3, 1.0, -2 / 3, 1 / 6],
-    [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
-])
+from switching_oracle import UNIT_COEFFS, constraint_locations, exact_unit_cheb, unit_linear_solve
 
 
 def _report(number: int, label: str, ok: bool, detail: str = ""):
@@ -45,16 +30,17 @@ def _report(number: int, label: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_switching_function_forms():
-    closed = SwitchingFunctions.closed_form(0.0, 1.0)
+    # The package's one form, UNIT_CHEB, against the exact rational Chebyshev series
+    # of the monomial table: the series must hit it to the last floating-point digit.
+    exact = exact_unit_cheb()
     solved = unit_linear_solve()
-    nonzero = UNIT_COEFFS != 0.0
-    rel = np.max(
-        np.abs(closed.coeffs[nonzero] - UNIT_COEFFS[nonzero]) / np.abs(UNIT_COEFFS[nonzero]))
-    zeros_exact = np.all(closed.coeffs[~nonzero] == 0.0)
+    nonzero = exact != 0.0
+    rel = np.max(np.abs(UNIT_CHEB[nonzero] - exact[nonzero]) / np.abs(exact[nonzero]))
+    zeros_exact = np.all(UNIT_CHEB[~nonzero] == 0.0)
     solve_gap = np.max(np.abs(solved.coeffs - UNIT_COEFFS)) / np.max(np.abs(UNIT_COEFFS))
     ok = rel <= 1e-15 and zeros_exact and solve_gap <= 1e-10
-    _report(1, "switching-function closed forms", ok,
-            f"closed-form rel {rel:.2e}, linear-solve rel {solve_gap:.2e}")
+    _report(1, "switching-function forms", ok,
+            f"Chebyshev-series rel {rel:.2e}, linear-solve rel {solve_gap:.2e}")
 
 
 def test_criterion_02_constraint_embedding():

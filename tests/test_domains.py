@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import bvp8.basis
-from bvp8.basis import DomainMap
+from bvp8.basis import ChebyshevBasis, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
-from bvp8.expression import UNIT_COEFFS, BoundaryConditions, SwitchingFunctions
+from bvp8.expression import BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, solve
 
@@ -59,8 +59,6 @@ def test_unusable_domain_rejected(x_i, x_f):
         BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
     with pytest.raises(ConfigurationError, match="domain"):
         DomainMap(x_i, x_f)
-    with pytest.raises(ConfigurationError, match="domain"):
-        SwitchingFunctions.closed_form(x_i, x_f)
 
 
 @pytest.mark.parametrize("x_i, x_f, name", [
@@ -86,8 +84,14 @@ def test_endpoints_kept_as_floats():
 
 @pytest.mark.parametrize("domain", [(0.0, 1.0), [0.0, 1.0], None])
 def test_switching_functions_take_a_domain_map(domain):
-    with pytest.raises(ConfigurationError, match="expected a DomainMap"):
-        SwitchingFunctions(UNIT_COEFFS, domain)
+    # The expression reads the switching functions on its basis's DomainMap, and
+    # the grid maps its nodes by one.  A tuple domain used to build a basis that
+    # build and make_grid then failed on with a raw AttributeError; None was accepted.
+    bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
+    for build in (lambda: ConstrainedExpression.build(ChebyshevBasis(10, domain), bc),
+                  lambda: ChebyshevBasis(10, domain), lambda: make_grid(domain, 11)):
+        with pytest.raises(ConfigurationError, match="^domain_map must be a DomainMap, got "):
+            build()
 
 
 def counting_check_domain(monkeypatch) -> list:

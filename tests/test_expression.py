@@ -1,9 +1,7 @@
 """Tests for switching functions and the constrained expression."""
 
-import copy
 import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -11,29 +9,18 @@ from numpy.testing import assert_allclose
 
 from bvp8.basis import ChebyshevBasis, DomainMap
 from bvp8.errors import ConfigurationError
-from bvp8.expression import (
-    CONSTRAINT_ORDERS,
-    BoundaryConditions,
-    ConstrainedExpression,
-    SwitchingFunctions,
+from bvp8.expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
+
+from switching_oracle import (
+    UNIT_COEFFS,
+    Switching,
     constraint_locations,
+    kronecker_matrix,
+    support_matrix,
+    switching_values,
+    unit_linear_solve,
 )
-
-from switching_oracle import kronecker_matrix, support_matrix, switching_values, unit_linear_solve
 from test_one_pass_tables import per_order_a_row
-
-# Monomial coefficients (ascending degree) of the eight switching functions
-# on [0, 1].  Every entry is an exactly representable rational.
-UNIT_COEFFS = np.array([
-    [1.0, 0.0, 0.0, 0.0, -35.0, 84.0, -70.0, 20.0],
-    [0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0],
-    [0.0, 1.0, 0.0, 0.0, -20.0, 45.0, -36.0, 10.0],
-    [0.0, 0.0, 0.0, 0.0, -15.0, 39.0, -34.0, 10.0],
-    [0.0, 0.0, 0.5, 0.0, -5.0, 10.0, -7.5, 2.0],
-    [0.0, 0.0, 0.0, 0.0, 2.5, -7.0, 6.5, -2.0],
-    [0.0, 0.0, 0.0, 1 / 6, -2 / 3, 1.0, -2 / 3, 1 / 6],
-    [0.0, 0.0, 0.0, 0.0, -1 / 6, 0.5, -0.5, 1 / 6],
-])
 
 
 def kronecker_bound(sw):
@@ -47,10 +34,9 @@ def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
     return BoundaryConditions(0.0, 1.0, tuple(left), tuple(right))
 
 
-def betas(sw, x, d):
-    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) on sw's domain as the package reads them: beta_j is
+def betas(dm, x, d):
+    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) on dm's domain as the package reads them: beta_j is
     b of the boundary data e_j, so column j is b_value of the expression with that data."""
-    dm = sw.domain_map
     basis = ChebyshevBasis(1, dm)
     return np.stack([
         ConstrainedExpression.build(basis, BoundaryConditions(dm.x_i, dm.x_f, e[0::2], e[1::2]))
@@ -59,29 +45,21 @@ def betas(sw, x, d):
 
 
 class TestSwitchingClosedForm:
-    def test_unit_domain_coefficients(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        assert_allclose(sw.coeffs, UNIT_COEFFS, rtol=1e-15, atol=0)
-
-    def test_degenerate_domain_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SwitchingFunctions.closed_form(1.0, 0.5)
-
     def test_kronecker_values_on_unit_domain(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        row = betas(sw, 0.0, 0)
+        dm = DomainMap(0.0, 1.0)
+        row = betas(dm, 0.0, 0)
         assert row[0] == 1.0 and np.all(row[1:] == 0.0)
-        assert betas(sw, 1.0, 0)[0] == 0.0
-        assert betas(sw, 0.0, 1)[0] == 0.0
+        assert betas(dm, 1.0, 0)[0] == 0.0
+        assert betas(dm, 0.0, 1)[0] == 0.0
 
     @pytest.mark.parametrize("x_i,x_f", [(0.0, 1.0), (0.0, np.expm1(0.5)), (-2.0, 3.0)])
     def test_kronecker_matrix_near_identity(self, x_i, x_f):
-        sw = SwitchingFunctions.closed_form(x_i, x_f)
+        sw = Switching(UNIT_COEFFS, DomainMap(x_i, x_f))
         tol = 1e-10 * np.max(np.abs(sw.coeffs))
         assert np.max(np.abs(kronecker_matrix(sw) - np.eye(8))) <= tol
 
     def test_kronecker_matrix_on_offset_domain(self):
-        sw = SwitchingFunctions.closed_form(0.0, np.expm1(0.5))
+        sw = Switching(UNIT_COEFFS, DomainMap(0.0, np.expm1(0.5)))
         assert np.all(np.abs(kronecker_matrix(sw) - np.eye(8)) <= kronecker_bound(sw))
 
     def test_kronecker_by_evaluation_on_random_domains(self):
@@ -91,43 +69,19 @@ class TestSwitchingClosedForm:
         for _ in range(200):
             x_i = rng.uniform(-30.0, 30.0)
             x_f = x_i + rng.uniform(0.01, 10.0)
-            sw = SwitchingFunctions.closed_form(x_i, x_f)
+            sw = Switching(UNIT_COEFFS, DomainMap(x_i, x_f))
             assert np.all(np.abs(kronecker_matrix(sw) - np.eye(8)) <= kronecker_bound(sw))
 
     def test_symmetric_domain_seventh_function(self):
         # On [-1, 1] the seventh function is (x-1)^4 (x+1)^3 / 96.
-        sw = SwitchingFunctions.closed_form(-1.0, 1.0)
         xs = np.linspace(-1.0, 1.0, 41)
-        assert_allclose(betas(sw, xs, 0)[:, 6], (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0,
-                        rtol=0, atol=1e-15)
-
-
-class TestSwitchingCopies:
-    """Copies and pickles carry only the fields and come back like a new object,
-    with read-only coeffs."""
-
-    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
-    def test_copy_is_read_only_and_evaluates_alike(self, how):
-        sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(-0.4, 1.7))
-        xs = np.linspace(-0.4, 1.7, 9)
-        clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-                 "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how](sw)
-        assert not clone.coeffs.flags.writeable
-        assert clone.domain_map == sw.domain_map
-        for d in range(9):
-            assert np.array_equal(switching_values(clone, xs, d), switching_values(sw, xs, d)), d
-
-    def test_pickle_carries_no_series(self):
-        sw = SwitchingFunctions(unit_linear_solve().coeffs, DomainMap(0.0, 1.0))
-        assert set(vars(sw)) == {"coeffs", "domain_map"}
-        assert len(pickle.dumps(sw)) < 2 * 8 * 8 * 8
+        assert_allclose(betas(DomainMap(-1.0, 1.0), xs, 0)[:, 6],
+                        (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0, rtol=0, atol=1e-15)
 
 
 class TestSwitchingLinearSolve:
     def test_agrees_with_closed_form_on_unit_domain(self):
-        a = SwitchingFunctions.closed_form(0.0, 1.0)
-        b = unit_linear_solve()
-        assert_allclose(b.coeffs, a.coeffs, rtol=1e-10, atol=1e-10)
+        assert_allclose(unit_linear_solve().coeffs, UNIT_COEFFS, rtol=1e-10, atol=1e-10)
 
     def test_support_matrix_first_rows(self):
         mat = support_matrix(0.0, 2.0)
@@ -142,28 +96,25 @@ class TestSwitchingEval:
     the order check of a_row, the public tabulation of the xi rows."""
 
     def test_symmetry_midpoint(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
-        assert betas(sw, 0.5, 0)[1] == pytest.approx(0.5, abs=1e-15)
+        assert betas(DomainMap(0.0, 1.0), 0.5, 0)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_order_eight_is_zero(self):
-        sw = SwitchingFunctions.closed_form(-0.4, 1.7)
-        assert np.all(betas(sw, 0.3, 8) == 0.0)
+        assert np.all(betas(DomainMap(-0.4, 1.7), 0.3, 8) == 0.0)
 
     def test_endpoint_rows_are_exact_units(self):
-        sw = SwitchingFunctions.closed_form(0.0, np.expm1(0.5))
-        dm = sw.domain_map
+        dm = DomainMap(0.0, np.expm1(0.5))
         for k, (x, d) in enumerate(constraint_locations(dm.x_i, dm.x_f)):
-            row = betas(sw, x, d)
+            row = betas(dm, x, d)
             expected = np.zeros(8)
             expected[k] = 1.0
             assert np.all(row == expected)
 
     def test_array_evaluation_matches_scalar(self):
-        sw = SwitchingFunctions.closed_form(0.0, 1.0)
+        dm = DomainMap(0.0, 1.0)
         xs = np.array([0.0, 0.3, 1.0])
-        batch = betas(sw, xs, 1)
+        batch = betas(dm, xs, 1)
         for k, x in enumerate(xs):
-            assert_allclose(batch[k], betas(sw, float(x), 1), atol=0)
+            assert_allclose(batch[k], betas(dm, float(x), 1), atol=0)
 
     def test_order_out_of_range_rejected(self):
         ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
@@ -193,6 +144,21 @@ class TestBoundaryConditions:
         bc = BoundaryConditions.from_callable(0.0, 1.0, lambda x, d: x + d)
         assert bc.left_values == (0.0, 1.0, 2.0, 3.0)
         assert bc.right_values == (1.0, 2.0, 3.0, 4.0)
+        # numpy scalars and 0-d arrays read as the floats they hold.
+        values = [np.float64(0.1), np.array(1 / 3), np.float32(0.2), 7]
+        bc = BoundaryConditions.from_callable(-1.0, 2.0, lambda x, d: values[d])
+        assert bc.left_values == bc.right_values == tuple(float(v) for v in values)
+
+    @pytest.mark.parametrize("value, match", [
+        (np.ones(1), r"must have shape \(4,\), got \(4, 1\)"),
+        ("1", "must be real numbers"),
+    ])
+    def test_from_callable_checks_the_values(self, value, match):
+        # float() of each value raised a raw TypeError for the shape-(1,) array
+        # and read the string as 1.0.
+        fn = lambda x, d: value if x == 0.0 else 0.0
+        with pytest.raises(ConfigurationError, match=f"^left_values {match}"):
+            BoundaryConditions.from_callable(0.0, 1.0, fn)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ConfigurationError):

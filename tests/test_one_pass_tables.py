@@ -21,13 +21,11 @@ import numpy as np
 import pytest
 
 from bvp8.basis import START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_table, make_grid
-from bvp8.expression import (
-    CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression, SwitchingFunctions,
-)
+from bvp8.expression import CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
 
-from switching_oracle import switching_values
+from switching_oracle import UNIT_COEFFS, Switching, switching_values
 from test_domains import moved
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
@@ -67,30 +65,29 @@ def boundary_table(basis):
     return rows
 
 
-def closed_form(ce):
-    """The closed-form switching functions of ce's domain."""
-    dm = ce.basis.domain_map
-    return SwitchingFunctions.closed_form(dm.x_i, dm.x_f)
+def monomials(ce):
+    """The switching functions of ce's domain in monomial form, the rows UNIT_COEFFS."""
+    return Switching(UNIT_COEFFS, ce.basis.domain_map)
 
 
 def per_order_a_row(ce, x, d, sw=None):
     """a^{(d)}(x) at 1-D x, one order at a time: c**d h^{(d)}(z) - beta^{(d)}(x) B.
 
-    beta are the switching functions sw, by default the closed form.
+    beta are the switching functions sw, by default UNIT_COEFFS.
     """
     dm = ce.basis.domain_map
     h = loop_chebyshev_table(dm.to_z(x), ce.basis.max_degree, d)[d, START_DEGREE:].T
-    return dm.c**d * h - switching_values(sw or closed_form(ce), x, d) @ boundary_table(ce.basis)
+    return dm.c**d * h - switching_values(sw or monomials(ce), x, d) @ boundary_table(ce.basis)
 
 
 class PerOrderTables:
     """Collocation tables stacked from rows built one order at a time, with the switching
-    functions sw, by default the closed form."""
+    functions sw, by default UNIT_COEFFS."""
 
     scale = np.ones(9)  # the tables are read where they were built
 
     def __init__(self, ce, grid, sw=None):
-        sw = sw or closed_form(ce)
+        sw = sw or monomials(ce)
         self.x = grid.x_nodes
         self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d, sw) for d in range(9)])
         self.b = np.stack([switching_values(sw, grid.x_nodes, d) @ ce.constraint_values
@@ -226,7 +223,7 @@ def test_switching_values_match_the_monomials(n_points, m_basis):
     _, _, low, _ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
     s = low @ UNIT_CHEB.T
     x = make_grid(DomainMap(0.0, 1.0), n_points).x_nodes
-    sw = SwitchingFunctions.closed_form(0.0, 1.0)
+    sw = Switching(UNIT_COEFFS, DomainMap(0.0, 1.0))
     want = np.stack([switching_values(sw, x, d, snap=False) for d in range(9)])
     assert_rows_close(s[:8], want[:8], 5e-14)
     assert np.all(s[8] == 0.0) and np.all(want[8] == 0.0)
@@ -324,7 +321,7 @@ def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     # max|u^(d)| on the domain (and exactly 0 at order 8).  a^(0..3) is
     # exactly 0 at the ends.
     dm = DomainMap(x_i, x_f)
-    sw = SwitchingFunctions.closed_form(x_i, x_f)
+    sw = Switching(UNIT_COEFFS, dm)
     m = 6
     bc = BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
     ce = ConstrainedExpression.build(ChebyshevBasis(m, dm), bc)

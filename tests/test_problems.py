@@ -171,6 +171,10 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="nope"):
             benchmark("nope")
+        # An unhashable name used to raise a raw TypeError.
+        for name in (["p1"], {"p1": 1}, 1, None):
+            with pytest.raises(ConfigurationError, match=r"^unknown problem "):
+                benchmark(name)
 
     def test_entries_are_fresh_per_call(self):
         a = benchmark("p1")

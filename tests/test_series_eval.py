@@ -1,7 +1,7 @@
 """b and the solution read path as Chebyshev series in z.
 
 UNIT_CHEB must hold the switching polynomials of UNIT_COEFFS exactly, as
-Chebyshev series in z = 2 t - 1; the oracle here converts them in rational
+Chebyshev series in z = 2 t - 1; switching_oracle converts them in rational
 arithmetic.  b_value, one Clenshaw pass over those series, must agree with
 the switching values of the monomial coefficients (switching_oracle) times
 the constraint values to roundoff on any domain; a solution's one series of
@@ -9,19 +9,17 @@ y^(d) must read as the two-pass sum of a . xi and b; and a solution read
 through the series must be accurate to a few ulps where the solve is.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
 from bvp8 import SolverConfig, solve
-from bvp8.basis import chebyshev_derivatives
-from bvp8.expression import UNIT_CHEB, UNIT_COEFFS, SwitchingFunctions
+from bvp8.basis import DomainMap, chebyshev_derivatives
+from bvp8.expression import UNIT_CHEB
 from bvp8.problems import PROBLEM_NAMES, benchmark
 from bvp8.solver import build_system
 
-from switching_oracle import switching_values
+from switching_oracle import UNIT_COEFFS, Switching, exact_unit_cheb, switching_values
 from test_domains import moved
 
 #: p1 and p6 moved as in tests/test_domains.py, and p5 stretched to [0, e**k - 1].
@@ -32,34 +30,8 @@ MOVED = ([("p1", x_i, x_i + w) for x_i in (-10.0, 0.0, 1.0, 5.0, 10.0, 30.0)
          + [("p5", 0.0, float(np.expm1(k))) for k in (1, 2, 3)])
 
 
-def times_t(series):
-    """The Chebyshev series of t * p(z), t = (1 + z) / 2, for p's series."""
-    out = [Fraction(0)] * (len(series) + 1)
-    for k, a in enumerate(series):
-        out[k] += a / 2
-        if k == 0:
-            out[1] += a / 2
-        else:
-            out[k + 1] += a / 4
-            out[k - 1] += a / 4
-    return out
-
-
-def exact_unit_cheb_row(powers):
-    """Horner in t on Chebyshev series, in rationals: the series of sum_p powers[p] t**p."""
-    series = [Fraction(0)]
-    for a in reversed(powers):
-        series = times_t(series)
-        series[0] += a
-    assert not any(series[8:])
-    return series[:8]
-
-
 def test_unit_cheb_is_exact():
-    # Every UNIT_COEFFS entry is a rational with denominator at most 6.
-    rows = [exact_unit_cheb_row([Fraction(c).limit_denominator(6) for c in row])
-            for row in UNIT_COEFFS.tolist()]
-    want = np.array([[float(c) for c in row] for row in rows])
+    want = exact_unit_cheb()
     assert np.all(np.abs(UNIT_CHEB - want) <= np.spacing(np.abs(want)))
     assert not UNIT_CHEB.flags.writeable
     # The same polynomials as the powers of t, which round to a few 1e-15.
@@ -97,7 +69,7 @@ def test_b_value_matches_switching_values(problem):
     b_series = chebyshev_derivatives(ce._beta_series(values), ce.basis.domain_map.c)
     assert [len(s) for s in b_series] == [8, 7, 6, 5, 4, 3, 2, 1, 1]
     for d in range(9):
-        betas = switching_values(SwitchingFunctions.closed_form(x_i, x_f), x, d)
+        betas = switching_values(Switching(UNIT_COEFFS, DomainMap(x_i, x_f)), x, d)
         got, want = ce.b_value(x, d), betas @ values
         assert got.shape == x.shape
         # Roundoff of the sum beta_j v_j: measured up to 133 eps of its

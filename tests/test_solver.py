@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import bvp8
 import bvp8.solver as solver_module
 from bvp8.errors import ConfigurationError, EvaluationError, SingularSystemError
-from bvp8.expression import BoundaryConditions, SwitchingFunctions
+from bvp8.expression import BoundaryConditions
 from bvp8.problems import benchmark
 from bvp8.solver import (
     BvpProblem,
@@ -67,7 +67,6 @@ class TestIdentityEquality:
             (first.report, second.report),
             (first.grid, second.grid),
             (first.expression, second.expression),
-            (SwitchingFunctions.closed_form(0.0, 1.0), SwitchingFunctions.closed_form(0.0, 1.0)),
             (benchmark("p2"), benchmark("p2")),
         ]
         for a, b in pairs:
