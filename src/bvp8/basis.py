@@ -34,8 +34,12 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
     seeded with T_0 = 1 and T_1 = z.  Each degree is one whole-array step over
     all orders p >= 1, with the same operations per element as the scalar
     recurrence.  `z` may be a scalar or an array; the result has shape
-    (max_order + 1, max_degree + 1) + z.shape.
+    (max_order + 1, max_degree + 1) + z.shape.  Sizes that are not integers >= 0
+    raise ConfigurationError.
     """
+    for name, size in (("max_degree", max_degree), ("max_order", max_order)):
+        if check_integer(name, size) < 0:
+            raise ConfigurationError(f"{name} must be at least 0, got {size}")
     z = np.asarray(z, dtype=float)
     table = np.zeros((max_order + 1, max_degree + 1) + z.shape)
     table[0, 0] = 1.0
@@ -120,6 +124,13 @@ def check_integer(name: str, value) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_instance(name: str, value, cls: type):
+    """value if it is a cls; else ConfigurationError naming the argument."""
+    if not isinstance(value, cls):
+        raise ConfigurationError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def check_order(order) -> int:
@@ -242,8 +253,7 @@ class ChebyshevBasis:
     domain_map: DomainMap
 
     def __post_init__(self):
-        if not isinstance(self.domain_map, DomainMap):
-            raise ConfigurationError(f"domain_map must be a DomainMap, got {self.domain_map!r}")
+        check_instance("domain_map", self.domain_map, DomainMap)
         if check_integer("m", self.m) < 1:
             raise ConfigurationError(f"need at least one basis term, got m={self.m}")
 
@@ -270,8 +280,7 @@ def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> Collocation
     x_f so boundary rows see the exact constraint locations.  `z_nodes`, when
     given, are the read-only z nodes of an n_points grid built before.
     """
-    if not isinstance(domain_map, DomainMap):
-        raise ConfigurationError(f"domain_map must be a DomainMap, got {domain_map!r}")
+    check_instance("domain_map", domain_map, DomainMap)
     n = check_integer("n_points", n_points)
     if n < 2:
         raise ConfigurationError(f"need at least 2 grid points, got {n_points}")

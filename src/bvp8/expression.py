@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import (
     START_DEGREE, ChebyshevBasis, DomainMap, ReadOnlyArrays, chebyshev_derivatives,
-    chebyshev_table, check_order, check_real, chop, clenshaw,
+    chebyshev_table, check_instance, check_order, check_real, chop, clenshaw,
 )
 from .errors import ConfigurationError
 
@@ -113,7 +113,8 @@ class ConstrainedExpression(ReadOnlyArrays):
     @classmethod
     def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions,
               series_map=None) -> "ConstrainedExpression":
-        dm = basis.domain_map
+        check_instance("bc", bc, BoundaryConditions)
+        dm = check_instance("basis", basis, ChebyshevBasis).domain_map
         if dm != bc.domain_map:
             raise ConfigurationError(
                 f"basis domain [{dm.x_i}, {dm.x_f}] does not match "

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, CollocationGrid, ReadOnlyArrays, check_integer, check_real,
-    make_grid,
+    MAX_ORDER, ChebyshevBasis, CollocationGrid, ReadOnlyArrays, check_instance, check_integer,
+    check_real, make_grid,
 )
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
@@ -30,12 +30,14 @@ _FD_STEP = 1e-7
 #: it applies that step unless the residual norm rises past its roundoff floor,
 #: _FLOOR_EPS * eps * ||y^(8)||_2 at the nodes.  _ARMIJO_C is the sufficient-decrease
 #: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length the
-#: backtracking line search tries; _PRECOND_PIVOT is _lstsq_step's pivot floor.
+#: backtracking line search tries; _PRECOND_PIVOT is _lstsq_step's pivot floor, and
+#: _NEUMANN_NORM the largest ||G - I||_F it solves by a Neumann series.
 _STEP_TOL = 1e-10
 _FLOOR_EPS = 16
 _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
 _PRECOND_PIVOT = 0.1
+_NEUMANN_NORM = 1e-2
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,7 @@ class BvpProblem:
     exact: Optional[Callable] = None
 
     def __post_init__(self):
-        if not isinstance(self.bc, BoundaryConditions):
-            raise ConfigurationError(f"bc must be a BoundaryConditions, got {self.bc!r}")
+        check_instance("bc", self.bc, BoundaryConditions)
         if not isinstance(self.is_linear, (bool, np.bool_)):
             raise ConfigurationError(f"is_linear must be a bool, got {self.is_linear!r}")
 
@@ -137,13 +138,6 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _checked(config) -> SolverConfig:
-    """config if it is a SolverConfig; else ConfigurationError."""
-    if not isinstance(config, SolverConfig):
-        raise ConfigurationError(f"config must be a SolverConfig, got {config!r}")
-    return config
-
-
 class StopReason(enum.Enum):
     """Why an iteration stopped; stalled and max_iterations are reported, never raised."""
 
@@ -167,7 +161,8 @@ class SolveReport(ReadOnlyArrays):
     _gauss_newton).  `iterations` counts the steps computed; a step that stalled,
     or a converged one that would raise the norm past that floor, is not applied
     and adds no entry.  Each step comes from the preconditioned normal equations,
-    or from a QR where their gate declines (see _lstsq_step).
+    solved by a Neumann series or an LU solve, or from a QR where their gate
+    declines; the bound ||G - I||_F passes the gate without a factor (see _lstsq_step).
     """
 
     _arrays = ("xi", "residual_norm_history")  # a report cannot drift from its solution
@@ -324,7 +319,8 @@ def assemble_loss_and_jacobian(
     that is not a SolverConfig, or a ce or grid that build_system would not make from
     it, raises ConfigurationError.
     """
-    config = _checked(SolverConfig(grid.n_points, ce.basis.m) if config is None else config)
+    config = SolverConfig(grid.n_points, ce.basis.m) if config is None else config
+    check_instance("config", config, SolverConfig)
     z, _, _, series_map = config._tables
     dm, x = ce.bc.domain_map, grid.x_nodes
     if not (grid.n_points == config.n_points and ce.basis == ChebyshevBasis(config.m_basis, dm)
@@ -394,23 +390,39 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.nda
 
     With precond = R^-1 of the order-8 table (SolverConfig._precond), K is near orthonormal
     up to its column norms d, so G = (K/d)^T (K/d) is near the identity and its normal
-    equations lose no digits (Blendenpik's right preconditioning).  The Cholesky factor of G
-    holds the scaled QR pivots of K and serves only as the gate (one LU solve of G costs
-    less than two of its triangles): a failed factor or a pivot below _PRECOND_PIVOT falls
-    back to lstsq_scaled_qr(jac, rhs), which also names a rank-deficient column.  It runs
-    in its caller's error state; solve's silences numpy's warnings, such as a zero column's 0/0.
+    equations lose no digits (Blendenpik's right preconditioning).  They are gated by the
+    Cholesky factor of G, the scaled QR pivots of K.  G has a unit diagonal, so each pivot is
+    at least sqrt(1 - e), e = ||G - I||_F, and e <= 1 - _PRECOND_PIVOT**2 - 0.01 (for rounding)
+    passes with no factor.  Otherwise a failed factor or a pivot below _PRECOND_PIVOT falls
+    back to lstsq_scaled_qr(jac, rhs), which also names a rank-deficient column.  G y = v is
+    solved as the Neumann sum of (I - G)^j v for e <= _NEUMANN_NORM, up to the first j whose
+    tail bound e^(j+1) / (1 - e) is below half an ulp of ||y|| (3 or 4 terms on p1-p6), else
+    by one LU solve.  It runs in its caller's error state; solve's silences numpy's warnings,
+    such as a zero column's 0/0.
     """
     k = jac @ precond
     gram = k.T @ k
     d = np.sqrt(gram.diagonal())
     gram /= d[:, None] * d
-    try:
-        pivot = np.linalg.cholesky(gram).diagonal().min()
-    except np.linalg.LinAlgError:
-        pivot = 0.0
-    if pivot >= _PRECOND_PIVOT:
-        return precond @ (np.linalg.solve(gram, (k.T @ rhs) / d) / d)
-    return lstsq_scaled_qr(jac, rhs)
+    neg = np.identity(d.size) - gram
+    e = _norm(neg.ravel())
+    if not e <= 1.0 - _PRECOND_PIVOT ** 2 - 0.01:  # nan, from a zero column, is not
+        try:
+            pivot = np.linalg.cholesky(gram).diagonal().min()
+        except np.linalg.LinAlgError:
+            pivot = 0.0
+        if not pivot >= _PRECOND_PIVOT:
+            return lstsq_scaled_qr(jac, rhs)
+    v = (k.T @ rhs) / d
+    if e > _NEUMANN_NORM:
+        return precond @ (np.linalg.solve(gram, v) / d)
+    y = term = v
+    tail = e / (1.0 - e)  # ||G^-1 v - y|| <= tail ||v|| <= tail (1 + e) ||G^-1 v||
+    while tail * (1.0 + e) > 0.25 * math.ulp(1.0):  # eps/4 of a norm is at most half its ulp
+        term = neg @ term
+        y = y + term
+        tail *= e
+    return precond @ (y / d)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -497,7 +509,8 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     Both rules share one set-up and one residual evaluation at xi = 0.  Replace
     the problem with is_linear=False to run Gauss-Newton on a linear problem.
     """
-    config = _checked(_DEFAULT_CONFIG if config is None else config)
+    check_instance("problem", problem, BvpProblem)
+    config = check_instance("config", _DEFAULT_CONFIG if config is None else config, SolverConfig)
     ce, grid = build_system(problem, config)
     with np.errstate(all="ignore"):  # one error state for every callback, norm and step
         tables = _CollocationTables(ce, grid, config)

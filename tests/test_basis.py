@@ -44,6 +44,23 @@ class TestChebyshevTable:
         assert table[1, 2] == pytest.approx(4 * 0.3, abs=1e-15)
         assert table[2, 2] == pytest.approx(4.0, abs=1e-15)
 
+    @pytest.mark.parametrize("max_degree, max_order, match", [
+        (-1, 2, r"^max_degree must be at least 0, got -1$"),
+        (3, -1, r"^max_order must be at least 0, got -1$"),
+        ("a", 2, r"^max_degree must be an integer, got 'a'$"),
+        (3.0, 2, r"^max_degree must be an integer, got 3\.0$"),
+        (3, True, r"^max_order must be an integer, got True$"),
+    ])
+    def test_bad_sizes_named(self, max_degree, max_order, match):
+        # Each used to raise a raw IndexError or TypeError, or, for True, to build.
+        with pytest.raises(ConfigurationError, match=match):
+            chebyshev_table(0.5, max_degree, max_order)
+
+    def test_zero_sizes_and_numpy_integers_accepted(self):
+        assert np.array_equal(chebyshev_table([0.5, 0.25], 0, 0), [[[1.0, 1.0]]])
+        assert np.array_equal(chebyshev_table(0.3, np.int64(2), np.uint8(2)),
+                              chebyshev_table(0.3, 2, 2))
+
 
 class TestDomainMap:
     def test_slope(self):

@@ -31,8 +31,8 @@ MOVED = ([("p1", x_i, x_i + w) for x_i in (-10.0, 0.0, 1.0, 5.0, 10.0, 30.0)
 
 
 def test_unit_cheb_is_exact():
-    want = exact_unit_cheb()
-    assert np.all(np.abs(UNIT_CHEB - want) <= np.spacing(np.abs(want)))
+    # Each entry is its exact rational rounded once: a one-ulp move fails.
+    assert np.array_equal(UNIT_CHEB, exact_unit_cheb())
     assert not UNIT_CHEB.flags.writeable
     # The same polynomials as the powers of t, which round to a few 1e-15.
     z = np.linspace(-1.0, 1.0, 41)

@@ -1,11 +1,13 @@
 """Tests for system assembly, least squares, and the two stepping rules of solve."""
 
+import contextlib
 import copy
 import dataclasses
 import importlib.util
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 import bvp8
 import bvp8.solver as solver_module
 from bvp8.errors import ConfigurationError, EvaluationError, SingularSystemError
-from bvp8.expression import BoundaryConditions
+from bvp8.expression import BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import (
     BvpProblem,
@@ -292,6 +294,57 @@ def gate_pivot(jac, precond):
     return float(np.min(np.diag(np.linalg.cholesky(k.T @ k))))
 
 
+@contextlib.contextmanager
+def recorded_factors():
+    """The list of matrices np.linalg.cholesky factors inside the block."""
+    grams, real = [], np.linalg.cholesky
+
+    def recording(a):
+        grams.append(np.array(a))
+        return real(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", recording)
+        yield grams
+
+
+def normal_system(jac, rhs, precond):
+    """(G, v, d) as _lstsq_step forms them: G = (K/d)^T (K/d), v = (K/d)^T rhs, K = jac precond."""
+    k = jac @ precond
+    gram = k.T @ k
+    d = np.sqrt(gram.diagonal())
+    gram /= d[:, None] * d
+    return gram, (k.T @ rhs) / d, d
+
+
+def lu_step(jac, rhs, precond):
+    """precond G^-1 v / d by one LU solve of G: every step of the gated normal equations before
+    the Neumann solve, and still the step where ||G - I||_F > _NEUMANN_NORM."""
+    gram, v, d = normal_system(jac, rhs, precond)
+    return precond @ (np.linalg.solve(gram, v) / d)
+
+
+def exact_step(jac, rhs, precond):
+    """precond G^-1 v / d for _lstsq_step's rounded G, v and d, in rationals, rounded once.
+
+    G^-1 v is the LU solve plus its correction G^-1 (v - G y), with the residual formed exactly:
+    the correction is itself good to a few eps, so their sum is exact to about eps**2.
+    """
+    dot = lambda row, x: sum(Fraction(r) * xk for r, xk in zip(row, x))
+    gram, v, d = normal_system(jac, rhs, precond)
+    y = [Fraction(t) for t in np.linalg.solve(gram, v).tolist()]
+    residual = [float(Fraction(vi) - dot(row, y)) for vi, row in zip(v.tolist(), gram.tolist())]
+    correction = np.linalg.solve(gram, residual).tolist()
+    z = [(yi + Fraction(ci)) / Fraction(di) for yi, ci, di in zip(y, correction, d.tolist())]
+    return np.array([float(dot(row, z)) for row in precond.tolist()])
+
+
+def gram_off_identity(jac, precond):
+    """||G - I||_F, G the column-scaled Gram of jac @ precond, the norm _lstsq_step certifies."""
+    gram = normal_system(jac, np.zeros(len(jac)), precond)[0]
+    return float(np.linalg.norm(gram - np.identity(len(gram))))
+
+
 def max_error(sol):
     x = np.linspace(*sol.problem.domain, 101)
     return float(np.max(np.abs(sol(x) - sol.problem.exact(x, 0))))
@@ -378,8 +431,9 @@ VALUES_GAP_EPS = {"p5-e3-11": 12}
 class TestPreconditionedStep:
     """Every least-squares step is solved by the column-scaled normal equations
     of J P, P = R^-1 of the order-8 table, gated by their Cholesky pivots, with
-    lstsq_scaled_qr as the fallback.  Every solve must stop, count and land as
-    its forced-QR run does."""
+    lstsq_scaled_qr as the fallback.  The bound ||G - I||_F <= 0.98 certifies
+    the gate without the factor.  Every solve must stop, count and land as its
+    forced-QR run does."""
 
     @pytest.mark.parametrize("make,n_points,m_basis", certificate_cases())
     def test_matches_qr_only_run(self, make, n_points, m_basis, request):
@@ -417,39 +471,79 @@ class TestPreconditionedStep:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_benchmark_solves_pass_the_gate_without_qr(self, name, n_points, m_basis):
         # The floor is 0.1; the smallest pivot measured is about 0.89 (p7).
+        # ||G - I||_F is 5.7e-8 to 3.0e-5 on p1-p6 and 0.75 to 0.82 on p7, so
+        # every step is certified and none is factored.  p1-p6 solve G by the
+        # Neumann series, within 2.0 eps of the exact step of the rounded G,
+        # v and d where the LU solve is within 4.2 eps; p7 keeps the LU solve,
+        # bit for bit.
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        eps = np.finfo(float).eps
         for gauss_newton in (False, True):
-            sol, steps, qr_systems = run_recorded(
-                benchmark(name).problem, config, gauss_newton=gauss_newton)
+            with recorded_factors() as factored:
+                sol, steps, qr_systems = run_recorded(
+                    benchmark(name).problem, config, gauss_newton=gauss_newton)
             assert sol.report.converged_by in (StopReason.CONVERGED,
                                                StopReason.LINEAR_SINGLE_SHOT)
-            assert qr_systems == []
+            assert qr_systems == [] and factored == []
             assert len(steps) == sol.report.iterations
-            for a, _, _ in steps:
+            for a, rhs, step in steps:
                 assert gate_pivot(a, config._precond) >= 0.5
+                off = gram_off_identity(a, config._precond)
+                assert (off > solver_module._NEUMANN_NORM) is (name == "p7")
+                if name == "p7":
+                    assert np.array_equal(step, lu_step(a, rhs, config._precond))
+                else:
+                    want = exact_step(a, rhs, config._precond)
+                    assert np.linalg.norm(step - want) <= 4 * eps * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_certificate_bound_decides_the_factor(self, above):
+        # G = I + c (e_0 e_1^T + e_1 e_0^T) / sqrt(2) has ||G - I||_F = c and
+        # eigenvalues 1 +- c / sqrt(2), so its pivots pass the 0.1 floor for any
+        # c near the bound 1 - 0.1**2 - 0.01 = 0.98: just below it, the step
+        # is not factored; just above, it is.  Both take the LU step.
+        c = 0.98 + (1e-4 if above else -1e-4)
+        gram = np.identity(5)
+        gram[0, 1] = gram[1, 0] = c / math.sqrt(2.0)
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 5)))
+        a, rhs, precond = q @ np.linalg.cholesky(gram).T, rng.standard_normal(30), np.eye(5)
+        assert (gram_off_identity(a, precond) > 0.98) is above
+        with recorded_factors() as factored:
+            step = solver_module._lstsq_step(a, rhs, precond)
+        assert len(factored) == above
+        assert np.array_equal(step, lu_step(a, rhs, precond))
 
     def test_damped_solve_counts_every_step_once(self):
         # p5 on [0, e^3 - 1] backtracks before it converges in 8 steps; the
-        # gate declines each of them (pivots 0.011 to below 0.1), so the QR
-        # solves all.
+        # certificate leaves every step open (||G - I||_F above 0.98), so
+        # each is factored, and the gate declines each of them (pivots 0.011
+        # to below 0.1), so the QR solves all.
         config = SolverConfig(n_points=481, m_basis=60)
-        sol, steps, qr_systems = run_recorded(stretched_p5(3), config)
+        with recorded_factors() as factored:
+            sol, steps, qr_systems = run_recorded(stretched_p5(3), config)
         assert sol.report.converged_by is StopReason.CONVERGED
-        assert sol.report.iterations > 2
-        assert len(qr_systems) == len(steps) == sol.report.iterations
+        assert sol.report.iterations == 8
+        assert len(qr_systems) == len(steps) == len(factored) == sol.report.iterations
 
     def test_failed_cholesky_gives_the_qr_only_result(self, monkeypatch):
+        # A certified step never factors G, so these steps go without the
+        # preconditioner: ||G - I||_F of the bare J is far above the bound.
         config = SolverConfig(n_points=481, m_basis=60)
         wants = [run_recorded(benchmark(name).problem, config, gate=False)[0]
                  for name in ALL_NAMES]
+        monkeypatch.setitem(config.__dict__, "_precond", np.eye(60))
+        factored = []
 
         def failing(a):
+            factored.append(a)
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         for name, want in zip(ALL_NAMES, wants):
+            factored.clear()
             got, steps, qr_systems = run_recorded(benchmark(name).problem, config)
-            assert len(qr_systems) == len(steps) == got.report.iterations
+            assert len(qr_systems) == len(steps) == len(factored) == got.report.iterations
             assert np.array_equal(got.report.xi, want.report.xi)
             assert np.array_equal(got.report.residual_norm_history,
                                   want.report.residual_norm_history)
@@ -1001,6 +1095,23 @@ def test_bad_inputs_named_in_configuration_errors(call, match):
     sol = solve(benchmark("p1").problem)
     with pytest.raises(ConfigurationError, match=match):
         call(sol, *build_system(sol.problem, sol.config))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda ce: solve("p1"), "^problem must be a BvpProblem, got 'p1'$",
+                 id="solve-str"),
+    pytest.param(lambda ce: solve(None), "^problem must be a BvpProblem, got None$",
+                 id="solve-None"),
+    pytest.param(lambda ce: ConstrainedExpression.build(ce.basis, None),
+                 "^bc must be a BoundaryConditions, got None$", id="build-bc-None"),
+    pytest.param(lambda ce: ConstrainedExpression.build(None, ce.bc),
+                 "^basis must be a ChebyshevBasis, got None$", id="build-basis-None"),
+])
+def test_wrong_argument_types_named(call, match):
+    # Each used to raise a raw AttributeError.
+    ce, _ = build_system(benchmark("p1").problem, SolverConfig())
+    with pytest.raises(ConfigurationError, match=match):
+        call(ce)
 
 
 def test_numpy_bool_is_linear_accepted():
