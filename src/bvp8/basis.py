@@ -34,13 +34,13 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
     seeded with T_0 = 1 and T_1 = z.  Each degree is one whole-array step over
     all orders p >= 1, with the same operations per element as the scalar
     recurrence.  `z` may be a scalar or an array; the result has shape
-    (max_order + 1, max_degree + 1) + z.shape.  Sizes that are not integers >= 0
-    raise ConfigurationError.
+    (max_order + 1, max_degree + 1) + z.shape.  A `z` that is not real numbers
+    (check_real) and sizes that are not integers >= 0 raise ConfigurationError.
     """
     for name, size in (("max_degree", max_degree), ("max_order", max_order)):
         if check_integer(name, size) < 0:
             raise ConfigurationError(f"{name} must be at least 0, got {size}")
-    z = np.asarray(z, dtype=float)
+    z = check_real("z", z)
     table = np.zeros((max_order + 1, max_degree + 1) + z.shape)
     table[0, 0] = 1.0
     if max_degree >= 1:

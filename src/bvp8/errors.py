@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one wrapper of a user callback."""
 
 
 class Bvp8Error(Exception):
@@ -14,4 +14,14 @@ class SingularSystemError(Bvp8Error, RuntimeError):
 
 
 class EvaluationError(Bvp8Error, RuntimeError):
-    """A residual or partials callback raised, or gave a non-finite value."""
+    """A residual, partials or boundary callback raised, or gave a non-finite value."""
+
+
+def call_callback(name: str, fn, *args):
+    """fn(*args); an exception from fn is an EvaluationError naming `name`, a Bvp8Error passes."""
+    try:
+        return fn(*args)
+    except Bvp8Error:
+        raise
+    except Exception as exc:
+        raise EvaluationError(f"{name} raised {type(exc).__name__}: {exc}") from exc

@@ -37,7 +37,7 @@ from .basis import (
     START_DEGREE, ChebyshevBasis, DomainMap, ReadOnlyArrays, chebyshev_derivatives,
     chebyshev_table, check_instance, check_order, check_real, chop, clenshaw,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, call_callback
 
 #: Derivative order of each constraint, alternating left/right endpoint.
 CONSTRAINT_ORDERS = (0, 0, 1, 1, 2, 2, 3, 3)
@@ -81,8 +81,13 @@ class BoundaryConditions:
 
     @classmethod
     def from_callable(cls, x_i: float, x_f: float, fn) -> "BoundaryConditions":
-        """Read the eight constraint values from fn(x, order), checked as the fields are."""
-        return cls(x_i, x_f, [fn(x_i, d) for d in range(4)], [fn(x_f, d) for d in range(4)])
+        """Read the eight constraint values from fn(x, order), checked as the fields are.
+
+        An exception from fn is an EvaluationError naming x and the order; a Bvp8Error passes.
+        """
+        left, right = ([call_callback(f"boundary callback at x={x!r}, order {d}", fn, x, d)
+                        for d in range(4)] for x in (x_i, x_f))
+        return cls(x_i, x_f, left, right)
 
     def interleaved(self) -> np.ndarray:
         """The eight values in canonical constraint order."""

@@ -21,7 +21,7 @@ from .basis import (
     MAX_ORDER, ChebyshevBasis, CollocationGrid, ReadOnlyArrays, check_instance, check_integer,
     check_real, make_grid,
 )
-from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
+from .errors import ConfigurationError, EvaluationError, SingularSystemError, call_callback
 from .expression import BoundaryConditions, ConstrainedExpression
 
 _FD_STEP = 1e-7
@@ -30,8 +30,9 @@ _FD_STEP = 1e-7
 #: it applies that step unless the residual norm rises past its roundoff floor,
 #: _FLOOR_EPS * eps * ||y^(8)||_2 at the nodes.  _ARMIJO_C is the sufficient-decrease
 #: constant of the Armijo test and _MIN_STEP_LENGTH the shortest step length the
-#: backtracking line search tries; _PRECOND_PIVOT is _lstsq_step's pivot floor, and
-#: _NEUMANN_NORM the largest ||G - I||_F it solves by a Neumann series.
+#: backtracking line search tries; _PRECOND_PIVOT is the pivot floor that _lstsq_step's one
+#: gate, ||G - I||_F <= 1 - _PRECOND_PIVOT**2 - 0.01, guarantees, and _NEUMANN_NORM the
+#: largest ||G - I||_F it solves by a Neumann series.
 _STEP_TOL = 1e-10
 _FLOOR_EPS = 16
 _ARMIJO_C = 1e-4
@@ -161,8 +162,8 @@ class SolveReport(ReadOnlyArrays):
     _gauss_newton).  `iterations` counts the steps computed; a step that stalled,
     or a converged one that would raise the norm past that floor, is not applied
     and adds no entry.  Each step comes from the preconditioned normal equations,
-    solved by a Neumann series or an LU solve, or from a QR where their gate
-    declines; the bound ||G - I||_F passes the gate without a factor (see _lstsq_step).
+    solved by a Neumann series or an LU solve where the bound ||G - I||_F passes
+    their one gate, or else from the QR (see _lstsq_step).
     """
 
     _arrays = ("xi", "residual_norm_history")  # a report cannot drift from its solution
@@ -278,12 +279,7 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
     fn runs in its caller's error state: solve's silences numpy's warnings.
     """
     expected = (x.size,) + row_shape
-    try:
-        result = fn(x, states)
-    except Bvp8Error:
-        raise
-    except Exception as exc:
-        raise EvaluationError(f"{name} raised {type(exc).__name__}: {exc}") from exc
+    result = call_callback(name, fn, x, states)
     try:
         out = np.asarray(result)
         if out.dtype.kind == "c":  # a float cast would drop the imaginary part
@@ -356,12 +352,12 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     on R_11 gives w, which is then unscaled.  The rank check reads only the m
     pivots of R_11: the last diagonal entry is 0 for a consistent system.
     Scaling is a conditioning aid only.  A zero column or a scaled pivot
-    below 1e-13 raises SingularSystemError naming the offending column.
+    below 1e-13 raises SingularSystemError naming the offending column; an a
+    or rhs that is not real numbers (check_real), ConfigurationError naming it.
     A solve takes its steps from _lstsq_step, which falls back to this when
     its gate declines; tests compare the steps with it as the reference.
     """
-    a = np.asarray(a, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    a, rhs = check_real("a", a), check_real("rhs", rhs)
     if a.ndim != 2 or rhs.shape != (a.shape[0],):
         raise ConfigurationError(f"shape mismatch: a {a.shape}, rhs {rhs.shape}")
     rows, m = a.shape
@@ -390,15 +386,14 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.nda
 
     With precond = R^-1 of the order-8 table (SolverConfig._precond), K is near orthonormal
     up to its column norms d, so G = (K/d)^T (K/d) is near the identity and its normal
-    equations lose no digits (Blendenpik's right preconditioning).  They are gated by the
-    Cholesky factor of G, the scaled QR pivots of K.  G has a unit diagonal, so each pivot is
-    at least sqrt(1 - e), e = ||G - I||_F, and e <= 1 - _PRECOND_PIVOT**2 - 0.01 (for rounding)
-    passes with no factor.  Otherwise a failed factor or a pivot below _PRECOND_PIVOT falls
-    back to lstsq_scaled_qr(jac, rhs), which also names a rank-deficient column.  G y = v is
-    solved as the Neumann sum of (I - G)^j v for e <= _NEUMANN_NORM, up to the first j whose
-    tail bound e^(j+1) / (1 - e) is below half an ulp of ||y|| (3 or 4 terms on p1-p6), else
-    by one LU solve.  It runs in its caller's error state; solve's silences numpy's warnings,
-    such as a zero column's 0/0.
+    equations lose no digits (Blendenpik's right preconditioning).  One bound gates them: G
+    has a unit diagonal, so each scaled QR pivot of K is at least sqrt(1 - e), e = ||G - I||_F,
+    and e <= 1 - _PRECOND_PIVOT**2 - 0.01 (for rounding) keeps them above _PRECOND_PIVOT.  Any
+    other step, a nan e from a zero column too, is lstsq_scaled_qr(jac, rhs) with no factor of
+    G; the QR also names a rank-deficient column.  G y = v is solved as the Neumann sum of
+    (I - G)^j v for e <= _NEUMANN_NORM, up to the first j whose tail bound e^(j+1) / (1 - e)
+    is below half an ulp of ||y|| (3 or 4 terms on p1-p6), else by one LU solve.  It runs in
+    its caller's error state; solve's silences numpy's warnings, such as a zero column's 0/0.
     """
     k = jac @ precond
     gram = k.T @ k
@@ -407,12 +402,7 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.nda
     neg = np.identity(d.size) - gram
     e = _norm(neg.ravel())
     if not e <= 1.0 - _PRECOND_PIVOT ** 2 - 0.01:  # nan, from a zero column, is not
-        try:
-            pivot = np.linalg.cholesky(gram).diagonal().min()
-        except np.linalg.LinAlgError:
-            pivot = 0.0
-        if not pivot >= _PRECOND_PIVOT:
-            return lstsq_scaled_qr(jac, rhs)
+        return lstsq_scaled_qr(jac, rhs)
     v = (k.T @ rhs) / d
     if e > _NEUMANN_NORM:
         return precond @ (np.linalg.solve(gram, v) / d)

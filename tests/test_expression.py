@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bvp8.basis import ChebyshevBasis, DomainMap
-from bvp8.errors import ConfigurationError
+from bvp8.errors import ConfigurationError, EvaluationError
 from bvp8.expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
 
 from switching_oracle import (
@@ -159,6 +159,27 @@ class TestBoundaryConditions:
         fn = lambda x, d: value if x == 0.0 else 0.0
         with pytest.raises(ConfigurationError, match=f"^left_values {match}"):
             BoundaryConditions.from_callable(0.0, 1.0, fn)
+
+    @pytest.mark.parametrize("fn, message", [
+        (lambda x, d: 1 / 0, "at x=0.0, order 0 raised ZeroDivisionError: division by zero"),
+        (lambda x, d: math.exp(1000), "at x=0.0, order 0 raised OverflowError: math range error"),
+        (lambda x, d: 1.0 / (2.5 - x) if d == 2 else 0.0,
+         "at x=2.5, order 2 raised ZeroDivisionError: float division by zero"),
+    ], ids=["zero-division", "overflow", "right-end-order-2"])
+    def test_from_callable_names_a_raising_callback(self, fn, message):
+        # Each exception used to reach the caller raw.
+        with pytest.raises(EvaluationError, match=f"^boundary callback {message}$"):
+            BoundaryConditions.from_callable(0.0, 2.5, fn)
+
+    def test_from_callable_passes_a_package_error_through(self):
+        raised = ConfigurationError("from the callback")
+
+        def fn(x, d):
+            raise raised
+
+        with pytest.raises(ConfigurationError) as info:
+            BoundaryConditions.from_callable(0.0, 1.0, fn)
+        assert info.value is raised
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -288,7 +288,7 @@ def run_recorded(problem, config, gate=True, gauss_newton=True):
 
 
 def gate_pivot(jac, precond):
-    """Smallest Cholesky pivot of the column-scaled Gram of jac @ precond, as _lstsq_step gates."""
+    """Smallest scaled QR pivot of jac @ precond, read from the Cholesky factor of its Gram."""
     k = jac @ precond
     k = k / np.linalg.norm(k, axis=0)
     return float(np.min(np.diag(np.linalg.cholesky(k.T @ k))))
@@ -430,18 +430,20 @@ VALUES_GAP_EPS = {"p5-e3-11": 12}
 
 class TestPreconditionedStep:
     """Every least-squares step is solved by the column-scaled normal equations
-    of J P, P = R^-1 of the order-8 table, gated by their Cholesky pivots, with
-    lstsq_scaled_qr as the fallback.  The bound ||G - I||_F <= 0.98 certifies
-    the gate without the factor.  Every solve must stop, count and land as its
-    forced-QR run does."""
+    of J P, P = R^-1 of the order-8 table, where the bound ||G - I||_F <= 0.98
+    certifies them, and by lstsq_scaled_qr where it does not; no step factors
+    G by Cholesky.  Every solve must stop, count and land as its forced-QR run
+    does."""
 
     @pytest.mark.parametrize("make,n_points,m_basis", certificate_cases())
     def test_matches_qr_only_run(self, make, n_points, m_basis, request):
         case = request.node.callspec.id
         problem = make()
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
-        want, _, _ = run_recorded(problem, config, gate=False)
-        got, steps, _ = run_recorded(problem, config)
+        with recorded_factors() as factored:
+            want, _, _ = run_recorded(problem, config, gate=False)
+            got, steps, _ = run_recorded(problem, config)
+        assert factored == []
         assert got.report.converged_by is want.report.converged_by
         assert got.report.iterations == want.report.iterations
         # Both apply or both decline the converging step (the roundoff floor
@@ -500,8 +502,9 @@ class TestPreconditionedStep:
     def test_certificate_bound_decides_the_factor(self, above):
         # G = I + c (e_0 e_1^T + e_1 e_0^T) / sqrt(2) has ||G - I||_F = c and
         # eigenvalues 1 +- c / sqrt(2), so its pivots pass the 0.1 floor for any
-        # c near the bound 1 - 0.1**2 - 0.01 = 0.98: just below it, the step
-        # is not factored; just above, it is.  Both take the LU step.
+        # c near the bound 1 - 0.1**2 - 0.01 = 0.98.  The bound alone decides:
+        # just below it the step is the LU step, just above it the QR's.
+        # Neither side factors G.
         c = 0.98 + (1e-4 if above else -1e-4)
         gram = np.identity(5)
         gram[0, 1] = gram[1, 0] = c / math.sqrt(2.0)
@@ -511,39 +514,33 @@ class TestPreconditionedStep:
         assert (gram_off_identity(a, precond) > 0.98) is above
         with recorded_factors() as factored:
             step = solver_module._lstsq_step(a, rhs, precond)
-        assert len(factored) == above
-        assert np.array_equal(step, lu_step(a, rhs, precond))
+        assert factored == []
+        want = lstsq_scaled_qr(a, rhs) if above else lu_step(a, rhs, precond)
+        assert np.array_equal(step, want)
 
     def test_damped_solve_counts_every_step_once(self):
         # p5 on [0, e^3 - 1] backtracks before it converges in 8 steps; the
-        # certificate leaves every step open (||G - I||_F above 0.98), so
-        # each is factored, and the gate declines each of them (pivots 0.011
-        # to below 0.1), so the QR solves all.
+        # certificate leaves every step open (||G - I||_F above 0.98), so the
+        # QR solves each of them, with no factor of G first.
         config = SolverConfig(n_points=481, m_basis=60)
         with recorded_factors() as factored:
             sol, steps, qr_systems = run_recorded(stretched_p5(3), config)
         assert sol.report.converged_by is StopReason.CONVERGED
         assert sol.report.iterations == 8
-        assert len(qr_systems) == len(steps) == len(factored) == sol.report.iterations
+        assert len(qr_systems) == len(steps) == sol.report.iterations and factored == []
+        for (_, _, step), (_, _, qr_step) in zip(steps, qr_systems):
+            assert step is qr_step
 
-    def test_failed_cholesky_gives_the_qr_only_result(self, monkeypatch):
-        # A certified step never factors G, so these steps go without the
-        # preconditioner: ||G - I||_F of the bare J is far above the bound.
+    def test_uncertified_steps_give_the_qr_only_result(self, monkeypatch):
+        # Without the preconditioner ||G - I||_F of the bare J is far above the
+        # bound, so every step is the QR's and the solve is the forced-QR run.
         config = SolverConfig(n_points=481, m_basis=60)
         wants = [run_recorded(benchmark(name).problem, config, gate=False)[0]
                  for name in ALL_NAMES]
         monkeypatch.setitem(config.__dict__, "_precond", np.eye(60))
-        factored = []
-
-        def failing(a):
-            factored.append(a)
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
         for name, want in zip(ALL_NAMES, wants):
-            factored.clear()
             got, steps, qr_systems = run_recorded(benchmark(name).problem, config)
-            assert len(qr_systems) == len(steps) == len(factored) == got.report.iterations
+            assert len(qr_systems) == len(steps) == got.report.iterations
             assert np.array_equal(got.report.xi, want.report.xi)
             assert np.array_equal(got.report.residual_norm_history,
                                   want.report.residual_norm_history)
@@ -556,14 +553,13 @@ class TestPreconditionedStep:
             solver_module._lstsq_step(a, np.ones(30), np.eye(5))
 
     def test_near_duplicate_column_falls_back_to_qr(self):
-        # Column 4 is column 0 plus 3e-8 noise: the scaled QR pivot 2.2e-8
-        # passes the QR's 1e-13 rank test, and the Cholesky factor resolves it
-        # as 2.6e-8, below the gate's floor.  An exact duplicate fails the
-        # factorization and the QR's rank test.
+        # Column 4 is column 0 plus 3e-8 noise: ||G - I||_F is above sqrt(2),
+        # so the QR solves it, and its scaled pivot 2.2e-8 passes the QR's
+        # 1e-13 rank test.  An exact duplicate fails the QR's rank test.
         rng = np.random.default_rng(21)
         a = rng.standard_normal((30, 5))
         a[:, 4] = a[:, 0] + 3e-8 * rng.standard_normal(30)
-        assert gate_pivot(a, np.eye(5)) < 1e-7
+        assert gate_pivot(a, np.eye(5)) < 1e-7 and gram_off_identity(a, np.eye(5)) > math.sqrt(2)
         step = solver_module._lstsq_step(a, np.ones(30), np.eye(5))
         assert np.array_equal(step, lstsq_scaled_qr(a, np.ones(30)))
         a[:, 4] = a[:, 0]
@@ -1106,9 +1102,18 @@ def test_bad_inputs_named_in_configuration_errors(call, match):
                  "^bc must be a BoundaryConditions, got None$", id="build-bc-None"),
     pytest.param(lambda ce: ConstrainedExpression.build(None, ce.bc),
                  "^basis must be a ChebyshevBasis, got None$", id="build-basis-None"),
+    pytest.param(lambda ce: lstsq_scaled_qr([["a"]], [1]),
+                 r"^a must be real numbers, got \[\['a'\]\]$", id="lstsq-a-str"),
+    pytest.param(lambda ce: lstsq_scaled_qr(np.ones((2, 1)), [1.0, 1j]),
+                 r"^rhs must be real numbers, got \[1\.0, 1j\]$", id="lstsq-rhs-complex"),
+    pytest.param(lambda ce: bvp8.chebyshev_table("a", 3, 1),
+                 "^z must be real numbers, got 'a'$", id="chebyshev_table-z-str"),
+    pytest.param(lambda ce: bvp8.chebyshev_table([0.5, 1j], 3, 1),
+                 r"^z must be real numbers, got \[0\.5, 1j\]$", id="chebyshev_table-z-complex"),
 ])
 def test_wrong_argument_types_named(call, match):
-    # Each used to raise a raw AttributeError.
+    # Each used to raise a raw AttributeError, or, for lstsq_scaled_qr and
+    # chebyshev_table, a raw ValueError or TypeError from a float conversion.
     ce, _ = build_system(benchmark("p1").problem, SolverConfig())
     with pytest.raises(ConfigurationError, match=match):
         call(ce)
