@@ -6,7 +6,7 @@ minimized over a Chebyshev coefficient vector by collocation least squares.
 """
 
 from . import problems
-from .basis import ChebyshevBasis, CollocationGrid, DomainMap, chebyshev_table, make_grid
+from .basis import CollocationGrid, DomainMap, chebyshev_table, make_grid
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
 from .solver import (
@@ -28,7 +28,6 @@ __all__ = [
     "BoundaryConditions",
     "Bvp8Error",
     "BvpProblem",
-    "ChebyshevBasis",
     "CollocationGrid",
     "ConfigurationError",
     "ConstrainedExpression",

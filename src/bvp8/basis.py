@@ -245,23 +245,6 @@ class DomainMap:
         return x, z
 
 
-@dataclass(frozen=True)
-class ChebyshevBasis:
-    """The m terms T_8 .. T_{8 + m - 1} on [-1, +1]."""
-
-    m: int
-    domain_map: DomainMap
-
-    def __post_init__(self):
-        check_instance("domain_map", self.domain_map, DomainMap)
-        if check_integer("m", self.m) < 1:
-            raise ConfigurationError(f"need at least one basis term, got m={self.m}")
-
-    @property
-    def max_degree(self) -> int:
-        return START_DEGREE + self.m - 1
-
-
 @dataclass(frozen=True, eq=False)
 class CollocationGrid(ReadOnlyArrays):
     """Chebyshev-Gauss-Lobatto nodes in both coordinate systems; equal only to itself."""

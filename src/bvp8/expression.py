@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    START_DEGREE, ChebyshevBasis, DomainMap, ReadOnlyArrays, chebyshev_derivatives,
-    chebyshev_table, check_instance, check_order, check_real, chop, clenshaw,
+    START_DEGREE, DomainMap, ReadOnlyArrays, chebyshev_derivatives, chebyshev_table,
+    check_instance, check_integer, check_order, check_real, chop, clenshaw,
 )
 from .errors import ConfigurationError, call_callback
 
@@ -99,41 +99,37 @@ class BoundaryConditions:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedExpression(ReadOnlyArrays):
-    """y(x, xi) = a(x)^T xi + b(x) with the eight constraints embedded exactly.
+    """y(x, xi) = a(x)^T xi + b(x) with the eight constraints of `bc` embedded exactly.
 
     `series_map` M, shape (8 + m, m), carries xi to the Chebyshev series in z of
     a(x) . xi over the degrees 0..7+m, so a^{(d)}(x) = c**d T^{(d)}(z) @ M.  Rows 8..
-    are the identity, the basis terms; rows 0..7 subtract the switching series
-    times the constraint operators applied to those terms, -(W UNIT_CHEB)^T E with
-    W = diag(2**d_j) and E = chebyshev_table([-1, 1], .., 3) of the basis degrees,
-    in constraint order.  Since w**d_j (2/w)**d_j = 2**d_j, M is the same on every domain.
+    are the identity, the basis terms T_8 .. T_{7+m}; rows 0..7 subtract the switching
+    series times the constraint operators applied to those terms, -(W UNIT_CHEB)^T E with
+    W = diag(2**d_j) and E = chebyshev_table([-1, 1], .., 3) of the basis degrees, in
+    constraint order.  Since w**d_j (2/w)**d_j = 2**d_j, M is the same on every domain.
     """
 
-    _arrays = ("series_map", "constraint_values")
-    basis: ChebyshevBasis
+    _arrays = ("series_map",)
     bc: BoundaryConditions
     series_map: np.ndarray
-    constraint_values: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.series_map.shape[1]
 
     @classmethod
-    def build(cls, basis: ChebyshevBasis, bc: BoundaryConditions,
-              series_map=None) -> "ConstrainedExpression":
+    def build(cls, bc: BoundaryConditions, m: int) -> "ConstrainedExpression":
+        """The expression of bc with the m basis terms; ConfigurationError naming a bad bc or m."""
         check_instance("bc", bc, BoundaryConditions)
-        dm = check_instance("basis", basis, ChebyshevBasis).domain_map
-        if dm != bc.domain_map:
-            raise ConfigurationError(
-                f"basis domain [{dm.x_i}, {dm.x_f}] does not match "
-                f"constraint domain [{bc.x_i}, {bc.x_f}]"
-            )
-        if series_map is None:  # else the map of an m-term basis, built once by the caller
-            ends = chebyshev_table([dm.z_0, dm.z_f], basis.max_degree, 3)[:, START_DEGREE:]
-            ends = ends.transpose(0, 2, 1).reshape(8, basis.m)
-            low = -(UNIT_CHEB.T * 2.0 ** np.array(CONSTRAINT_ORDERS)) @ ends
-            series_map = np.concatenate([low, np.eye(basis.m)])
-            series_map.flags.writeable = False
-        values = bc.interleaved()
-        values.flags.writeable = False
-        return cls(basis, bc, series_map, values)
+        m = check_integer("m", m)
+        if m < 1:
+            raise ConfigurationError(f"need at least one basis term, got m={m}")
+        ends = chebyshev_table([DomainMap.z_0, DomainMap.z_f], START_DEGREE + m - 1, 3)
+        ends = ends[:, START_DEGREE:].transpose(0, 2, 1).reshape(8, m)
+        low = -(UNIT_CHEB.T * 2.0 ** np.array(CONSTRAINT_ORDERS)) @ ends
+        series_map = np.concatenate([low, np.eye(m)])
+        series_map.flags.writeable = False
+        return cls(bc, series_map)
 
     def _rows(self, x, z, max_order: int) -> tuple[np.ndarray, np.ndarray]:
         """(a, low): a^{(d)}(x) and c**d T_{0..7}^{(d)}(z) for d <= max_order.
@@ -142,8 +138,8 @@ class ConstrainedExpression(ReadOnlyArrays):
         basis and a = low @ series_map[:8] plus its degrees 8.., with a^{(0..3)} set to
         the exact zeros of the constraints at x_i and x_f.  Read b(x) as low @ _beta_series(v).
         """
-        dm = self.basis.domain_map
-        table = chebyshev_table(np.ravel(z), self.basis.max_degree, max_order)
+        dm = self.bc.domain_map
+        table = chebyshev_table(np.ravel(z), START_DEGREE + self.m - 1, max_order)
         table *= np.array([dm.c**d for d in range(max_order + 1)]).reshape(-1, 1, 1)
         table = table.transpose(0, 2, 1)
         low = np.ascontiguousarray(table[..., :START_DEGREE])
@@ -152,12 +148,12 @@ class ConstrainedExpression(ReadOnlyArrays):
         x = np.ravel(x)
         a[:4, (x == dm.x_i) | (x == dm.x_f)] = 0.0
         shape = (max_order + 1,) + np.shape(z)
-        return a.reshape(shape + (self.basis.m,)), low.reshape(shape + (START_DEGREE,))
+        return a.reshape(shape + (self.m,)), low.reshape(shape + (START_DEGREE,))
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); tabulates orders 0..order."""
         order = check_order(order)
-        x, z = self.basis.domain_map.checked_z(x)
+        x, z = self.bc.domain_map.checked_z(x)
         return self._rows(x, z, order)[0][order]
 
     def _beta_series(self, v) -> np.ndarray:
@@ -173,15 +169,15 @@ class ConstrainedExpression(ReadOnlyArrays):
         drops the m zeros of M @ 0; a series holding an inf or NaN is kept whole.
         """
         series = self.series_map @ xi
-        series[:START_DEGREE] += self._beta_series(self.constraint_values)
-        return chop(chebyshev_derivatives(series, self.basis.domain_map.c))
+        series[:START_DEGREE] += self._beta_series(self.bc.interleaved())
+        return chop(chebyshev_derivatives(series, self.bc.domain_map.c))
 
     def _read(self, x, order: int, series: list):
         """y^{(order)}(x) from the chopped series of _series: one Clenshaw pass (numpy's chebval
         of that stored series bit for bit), with the exact boundary data of orders 0..3 where x
         is x_i or x_f."""
         order = check_order(order)
-        x, z = self.basis.domain_map.checked_z(x)
+        x, z = self.bc.domain_map.checked_z(x)
         y = clenshaw(z, series[order])
         if order < 4 and x.size and (x.min() <= self.bc.x_i or x.max() >= self.bc.x_f):
             right = np.where(x == self.bc.x_f, self.bc.right_values[order], y)
@@ -190,9 +186,9 @@ class ConstrainedExpression(ReadOnlyArrays):
 
     def eval(self, x, order: int = 0, xi=None):
         """y^{(order)}(x, xi): one Clenshaw pass over the chopped series of _series(xi)."""
-        xi = check_real("xi", xi, (self.basis.m,))
+        xi = check_real("xi", xi, (self.m,))
         return self._read(x, order, self._series(xi))
 
     def b_value(self, x, order: int = 0):
         """b^{(order)}(x), the xi = 0 candidate: eval(x, order, 0), the same one read."""
-        return self.eval(x, order, np.zeros(self.basis.m))
+        return self.eval(x, order, np.zeros(self.m))

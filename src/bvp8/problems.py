@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .basis import check_integer
+from .basis import check_instance, check_integer
 from .errors import ConfigurationError
 from .expression import BoundaryConditions
 from .solver import BvpProblem, Solution, SolverConfig, solve
@@ -299,8 +299,10 @@ def derivative_errors(sol: Solution, n_error_points: int = 11) -> np.ndarray:
     """Mean absolute error of y, y', .., y^(8) of a solution at equidistant points.
 
     Averages |y^{(d)} - exact^{(d)}| over n_error_points equidistant points
-    including the endpoints.  Requires an exact solution and at least 2 points.
+    including the endpoints.  Requires a Solution whose problem has an exact
+    solution, and at least 2 points; else ConfigurationError.
     """
+    check_instance("sol", sol, Solution)
     if check_integer("n_error_points", n_error_points) < 2:
         raise ConfigurationError(f"n_error_points must be at least 2, got {n_error_points}")
     problem = sol.problem
@@ -316,5 +318,6 @@ def derivative_error_report(
     entry: BenchmarkEntry, m_basis: int, n_error_points: int = 11
 ) -> np.ndarray:
     """derivative_errors of a solve with m_basis terms on m_basis + 1 points."""
+    check_instance("entry", entry, BenchmarkEntry)
     config = SolverConfig(n_points=m_basis + 1, m_basis=m_basis)
     return derivative_errors(solve(entry.problem, config), n_error_points)

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, ChebyshevBasis, CollocationGrid, ReadOnlyArrays, check_instance, check_integer,
-    check_real, make_grid,
+    MAX_ORDER, CollocationGrid, ReadOnlyArrays, check_instance, check_integer, check_real,
+    make_grid,
 )
 from .errors import ConfigurationError, EvaluationError, SingularSystemError, call_callback
 from .expression import BoundaryConditions, ConstrainedExpression
@@ -116,7 +116,7 @@ class SolverConfig:
         """Read-only (z, a, low, series_map): the CGL nodes, a^{(d)} and 2**d T_{0..7}^{(d)}(z)
         at the nodes of [0, 1] (_rows), and the expression's series_map, the same on any domain."""
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
-        ce = ConstrainedExpression.build(ChebyshevBasis(self.m_basis, bc.domain_map), bc)
+        ce = ConstrainedExpression.build(bc, self.m_basis)
         grid = make_grid(bc.domain_map, self.n_points)
         a, low = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
         for table in (a, low):
@@ -215,11 +215,12 @@ class Solution:
 def build_system(
     problem: BvpProblem, config: SolverConfig
 ) -> tuple[ConstrainedExpression, CollocationGrid]:
-    """Constrained expression and collocation grid for a problem, from config's tables."""
-    z, _, _, series_map = config._tables
-    dm = problem.bc.domain_map
-    ce = ConstrainedExpression.build(ChebyshevBasis(config.m_basis, dm), problem.bc, series_map)
-    return ce, make_grid(dm, config.n_points, z)
+    """Constrained expression and collocation grid for a problem, from config's tables;
+    a problem or config of the wrong type raises ConfigurationError naming it."""
+    check_instance("problem", problem, BvpProblem)
+    z, _, _, series_map = check_instance("config", config, SolverConfig)._tables
+    ce = ConstrainedExpression(problem.bc, series_map)
+    return ce, make_grid(problem.bc.domain_map, config.n_points, z)
 
 
 class _CollocationTables:
@@ -235,7 +236,7 @@ class _CollocationTables:
         _, self.a, low, _ = config._tables
         w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
         self.scale = w ** -np.arange(MAX_ORDER + 1.0)
-        self._b = low @ ce._beta_series(ce.constraint_values)
+        self._b = low @ ce._beta_series(ce.bc.interleaved())
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).
@@ -311,19 +312,20 @@ def assemble_loss_and_jacobian(
 
     loss[k] = F(x_k, state) and jac[k, :] = sum_d dF/dy^{(d)} a^{(d)}(x_k),
     the chain rule through the constrained expression.  The tables come from
-    `config`, by default a new SolverConfig of the grid's and basis's sizes; a config
-    that is not a SolverConfig, or a ce or grid that build_system would not make from
-    it, raises ConfigurationError.
+    `config`, by default a new SolverConfig of the grid's and expression's sizes.  An
+    argument of the wrong type, or a ce or grid that build_system would not make from
+    config, raises ConfigurationError.
     """
-    config = SolverConfig(grid.n_points, ce.basis.m) if config is None else config
-    check_instance("config", config, SolverConfig)
-    z, _, _, series_map = config._tables
+    check_instance("problem", problem, BvpProblem)
+    check_instance("ce", ce, ConstrainedExpression)
+    check_instance("grid", grid, CollocationGrid)
+    config = SolverConfig(grid.n_points, ce.m) if config is None else config
+    z, _, _, series_map = check_instance("config", config, SolverConfig)._tables
     dm, x = ce.bc.domain_map, grid.x_nodes
-    if not (grid.n_points == config.n_points and ce.basis == ChebyshevBasis(config.m_basis, dm)
-            and (x[0], x[-1]) == (dm.x_i, dm.x_f) and np.array_equal(grid.z_nodes, z)
+    if not ((x[0], x[-1]) == (dm.x_i, dm.x_f) and np.array_equal(grid.z_nodes, z)
             and np.array_equal(ce.series_map, series_map)):
         raise ConfigurationError(f"expression and grid do not match the tables of {config}")
-    xi = check_real("xi", xi, (ce.basis.m,))
+    xi = check_real("xi", xi, (ce.m,))
     with np.errstate(all="ignore"):  # callbacks and states overflow to inf, not a warning
         tables = _CollocationTables(ce, grid, config)
         _, states, loss, _ = _evaluate(problem.residual, tables, xi)
@@ -336,11 +338,13 @@ def assemble_linear(
     """Matrix and offset of the collocated linear system A xi + b = 0.
 
     For a linear problem the Jacobian is state independent and the loss is
-    affine in xi, so evaluating both at xi = 0 recovers A and b exactly.
+    affine in xi, so evaluating both at xi = 0 recovers A and b exactly.  Arguments are
+    checked as assemble_loss_and_jacobian checks them.
     """
-    if not problem.is_linear:
+    if not check_instance("problem", problem, BvpProblem).is_linear:
         raise ConfigurationError(f"problem {problem.name!r} is not linear")
-    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(ce.basis.m), config)
+    check_instance("ce", ce, ConstrainedExpression)
+    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(ce.m), config)
     return jac, loss
 
 
@@ -351,9 +355,10 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     2-norm, gives R = [[R_11, Q^T rhs], [0, +-||residual||]]; one LAPACK solve
     on R_11 gives w, which is then unscaled.  The rank check reads only the m
     pivots of R_11: the last diagonal entry is 0 for a consistent system.
-    Scaling is a conditioning aid only.  A zero column or a scaled pivot
-    below 1e-13 raises SingularSystemError naming the offending column; an a
-    or rhs that is not real numbers (check_real), ConfigurationError naming it.
+    Scaling is a conditioning aid only.  A zero or non-finite column, or a
+    scaled pivot below 1e-13, raises SingularSystemError naming the offending
+    column; an a or rhs that is not real numbers (check_real), an rhs that is
+    not finite or an a with no columns, ConfigurationError naming it.
     A solve takes its steps from _lstsq_step, which falls back to this when
     its gate declines; tests compare the steps with it as the reference.
     """
@@ -361,8 +366,16 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or rhs.shape != (a.shape[0],):
         raise ConfigurationError(f"shape mismatch: a {a.shape}, rhs {rhs.shape}")
     rows, m = a.shape
+    if m == 0:
+        raise ConfigurationError(f"system has no columns: a {a.shape}")
     if rows < m:
         raise ConfigurationError(f"system is underdetermined: {rows} rows < {m} columns")
+    bad = np.nonzero(~np.isfinite(rhs))[0]
+    if bad.size:
+        raise ConfigurationError(f"rhs must be finite, got {rhs[bad[0]]} at row {bad[0]}")
+    bad = np.nonzero(~np.isfinite(a).all(axis=0))[0]
+    if bad.size:
+        raise SingularSystemError(f"column {bad[0]} of the system matrix is not finite")
     norms = np.linalg.norm(a, axis=0)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
@@ -499,8 +512,7 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     Both rules share one set-up and one residual evaluation at xi = 0.  Replace
     the problem with is_linear=False to run Gauss-Newton on a linear problem.
     """
-    check_instance("problem", problem, BvpProblem)
-    config = check_instance("config", _DEFAULT_CONFIG if config is None else config, SolverConfig)
+    config = _DEFAULT_CONFIG if config is None else config
     ce, grid = build_system(problem, config)
     with np.errstate(all="ignore"):  # one error state for every callback, norm and step
         tables = _CollocationTables(ce, grid, config)

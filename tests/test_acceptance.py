@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from bvp8.basis import ChebyshevBasis, DomainMap
 from bvp8.expression import UNIT_CHEB, ConstrainedExpression
 from bvp8.problems import all_benchmarks, benchmark, derivative_error_report
 from bvp8.solver import (
@@ -48,8 +47,7 @@ def test_criterion_02_constraint_embedding():
     worst = 0.0
     for name, entry in all_benchmarks().items():
         bc = entry.problem.bc
-        basis = ChebyshevBasis(10, DomainMap(bc.x_i, bc.x_f))
-        ce = ConstrainedExpression.build(basis, bc)
+        ce = ConstrainedExpression.build(bc, 10)
         values = bc.interleaved()
         locs = constraint_locations(bc.x_i, bc.x_f)
         for _ in range(100):

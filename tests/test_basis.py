@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bvp8.basis import START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_table, make_grid
+from bvp8.basis import START_DEGREE, DomainMap, chebyshev_table, make_grid
 from bvp8.errors import ConfigurationError
+from bvp8.expression import BoundaryConditions, ConstrainedExpression
 
 UNIT_MAP = DomainMap(0.0, 1.0)
+UNIT_BC = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
 
 
 def chebyshev_oracle(k, z):
@@ -146,26 +148,26 @@ class TestChebyshevBasis:
         assert_allclose(basis_terms(-1.0, 1, 1), [-64.0], atol=1e-12)
 
     def test_term_degrees_skip_supports(self):
-        assert ChebyshevBasis(3, UNIT_MAP).max_degree == 10
+        assert ConstrainedExpression.build(UNIT_BC, 3).series_map.shape == (11, 3)  # degrees 0..10
         z = 0.37
         expected = [chebyshev_oracle(k, z) for k in (8, 9, 10)]
         assert_allclose(basis_terms(z, 3, 0), expected, atol=1e-12)
 
     def test_nonpositive_m_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ChebyshevBasis(0, UNIT_MAP)
+        with pytest.raises(ConfigurationError, match=r"^need at least one basis term, got m=0$"):
+            ConstrainedExpression.build(UNIT_BC, 0)
 
     @pytest.mark.parametrize("m", [10.0, 10.5, np.float64(10.0), True, np.True_, "10", None])
     def test_non_integer_m_rejected(self, m):
         # 10.0 used to build and fail later with a raw TypeError, True to give m=1.
-        with pytest.raises(ConfigurationError, match="m must be an integer"):
-            ChebyshevBasis(m, UNIT_MAP)
+        with pytest.raises(ConfigurationError, match="^m must be an integer"):
+            ConstrainedExpression.build(UNIT_BC, m)
 
     @pytest.mark.parametrize("m", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_integer_m_accepted(self, m):
-        basis = ChebyshevBasis(m, UNIT_MAP)
-        assert basis.max_degree == 10
-        assert basis == ChebyshevBasis(3, UNIT_MAP)
+        ce = ConstrainedExpression.build(UNIT_BC, m)
+        assert type(ce.m) is int and ce.m == 3
+        assert np.array_equal(ce.series_map, ConstrainedExpression.build(UNIT_BC, 3).series_map)
 
     def test_array_shape(self):
         out = basis_terms(np.linspace(-1, 1, 7), 4, 2)

@@ -18,7 +18,7 @@ import pytest
 
 import bvp8.basis
 import bvp8.expression
-from bvp8.basis import ChebyshevBasis, CollocationGrid, DomainMap, make_grid
+from bvp8.basis import CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import benchmark
@@ -154,7 +154,7 @@ def test_tables_of_another_size_or_basis_rejected():
 
 
 def test_expression_or_grid_not_built_from_the_config_rejected():
-    # The tables hold the config's series_map, its basis and its CGL nodes on
+    # The tables hold the config's series_map and its CGL nodes on
     # ce's domain; any other expression or grid would be assembled from rows
     # that are not its own.
     problem = benchmark("p2").problem
@@ -166,9 +166,9 @@ def test_expression_or_grid_not_built_from_the_config_rejected():
     others = [
         (dataclasses.replace(ce, series_map=series_map), grid),
         (dataclasses.replace(ce, series_map=ce.series_map[:-1]), grid),
-        (dataclasses.replace(ce, basis=ChebyshevBasis(10, wider)), grid),
+        (dataclasses.replace(ce, bc=dataclasses.replace(ce.bc, x_f=2.0)), grid),
         (ce, make_grid(wider, 11)),
-        (ce, CollocationGrid(11, z, ce.basis.domain_map.to_x(z))),
+        (ce, CollocationGrid(11, z, ce.bc.domain_map.to_x(z))),
     ]
     for other_ce, other_grid in others:
         with pytest.raises(ConfigurationError, match="do not match"):

@@ -1,15 +1,20 @@
 """Tests for switching functions and the constrained expression."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bvp8.basis import ChebyshevBasis, DomainMap
+import bvp8
+import bvp8.basis
+from bvp8.basis import DomainMap
 from bvp8.errors import ConfigurationError, EvaluationError
 from bvp8.expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
+from bvp8.problems import benchmark
+from bvp8.solver import SolverConfig, solve
 
 from switching_oracle import (
     UNIT_COEFFS,
@@ -37,9 +42,8 @@ def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
 def betas(dm, x, d):
     """beta_1^{(d)}(x) .. beta_8^{(d)}(x) on dm's domain as the package reads them: beta_j is
     b of the boundary data e_j, so column j is b_value of the expression with that data."""
-    basis = ChebyshevBasis(1, dm)
     return np.stack([
-        ConstrainedExpression.build(basis, BoundaryConditions(dm.x_i, dm.x_f, e[0::2], e[1::2]))
+        ConstrainedExpression.build(BoundaryConditions(dm.x_i, dm.x_f, e[0::2], e[1::2]), 1)
         .b_value(x, d) for e in np.eye(8)
     ], axis=-1)
 
@@ -117,19 +121,19 @@ class TestSwitchingEval:
             assert_allclose(batch[k], betas(dm, float(x), 1), atol=0)
 
     def test_order_out_of_range_rejected(self):
-        ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
+        ce = ConstrainedExpression.build(unit_bc(), 4)
         with pytest.raises(ValueError):
             ce.a_row(0.5, 9)
 
     @pytest.mark.parametrize(
         "order", [2.0, 2.5, True, np.True_, "2", None, np.array(2.0), np.array([2])])
     def test_non_integer_order_rejected(self, order):
-        ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
+        ce = ConstrainedExpression.build(unit_bc(), 4)
         with pytest.raises(ValueError, match="order must be an integer in 0..8"):
             ce.a_row(0.5, order)
 
     def test_numpy_integer_order_accepted(self):
-        ce = ConstrainedExpression.build(ChebyshevBasis(4, DomainMap(0.0, 1.0)), unit_bc())
+        ce = ConstrainedExpression.build(unit_bc(), 4)
         x = np.array([0.0, 0.3, 1.0])
         assert np.array_equal(ce.a_row(x, np.int64(2)), ce.a_row(x, 2))
         assert np.array_equal(ce.a_row(x, np.uint8(0)), ce.a_row(x, 0))
@@ -223,15 +227,28 @@ class TestBoundaryConditions:
 
 def build_unit_ce(m=10, bc=None):
     bc = bc if bc is not None else unit_bc()
-    basis = ChebyshevBasis(m, DomainMap(bc.x_i, bc.x_f))
-    return ConstrainedExpression.build(basis, bc)
+    return ConstrainedExpression.build(bc, m)
 
 
 class TestConstrainedExpression:
-    def test_domain_mismatch_rejected(self):
-        basis = ChebyshevBasis(10, DomainMap(0.0, 2.0))
-        with pytest.raises(ConfigurationError):
-            ConstrainedExpression.build(basis, unit_bc())
+    def test_fields_are_the_boundary_conditions_and_the_series_map(self):
+        # m, the domain and the constraint values are read from these two.
+        assert [f.name for f in dataclasses.fields(ConstrainedExpression)] == ["bc", "series_map"]
+        assert list(inspect.signature(ConstrainedExpression.build).parameters) == ["bc", "m"]
+        assert not hasattr(bvp8, "ChebyshevBasis") and not hasattr(bvp8.basis, "ChebyshevBasis")
+        bc = BoundaryConditions(-2.0, 3.0, (1.0, -2.0, 0.5, 3.0), (0.25, 1.5, -1.0, 2.0))
+        ce = ConstrainedExpression.build(bc, 7)
+        assert ce.m == 7 and ce.series_map.shape == (15, 7)
+        assert ce.bc is bc and ce.bc.domain_map is bc.domain_map
+
+    def test_a_solve_builds_no_expression_map(self, monkeypatch):
+        # build_system wraps the config's series_map; only the config's tables call build.
+        problem, config = benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30)
+        want = solve(problem, config)
+        monkeypatch.setattr(ConstrainedExpression, "build", None)
+        got = solve(problem, config)
+        assert got.expression.series_map is config._tables[3]
+        assert np.array_equal(got.report.xi, want.report.xi)
 
     def test_a_row_vanishes_at_constraints(self):
         ce = build_unit_ce()
@@ -317,7 +334,7 @@ class TestConstrainedExpression:
         for order in (0, 3, 8):
             va = np.array([a.eval(x, order, xi) for x in xs])
             vb = (per_order_a_row(a, xs, order, sw) @ xi
-                  + switching_values(sw, xs, order) @ a.constraint_values)
+                  + switching_values(sw, xs, order) @ a.bc.interleaved())
             assert_allclose(vb, va, rtol=1e-9, atol=1e-9 * max(1.0, np.max(np.abs(va))))
 
     def test_wrong_coefficient_shape_rejected(self):

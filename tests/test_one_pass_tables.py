@@ -20,7 +20,7 @@ per-order tables of the same problem moved to [0, 1], read with those scales.
 import numpy as np
 import pytest
 
-from bvp8.basis import START_DEGREE, ChebyshevBasis, DomainMap, chebyshev_table, make_grid
+from bvp8.basis import START_DEGREE, DomainMap, chebyshev_table, make_grid
 from bvp8.expression import CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
@@ -55,19 +55,19 @@ def loop_chebyshev_table(z, max_degree, max_order):
     return table
 
 
-def boundary_table(basis):
-    """B, row k c**d_k T^{(d_k)}(z_k) of the m basis terms at the k-th constraint."""
-    dm = basis.domain_map
-    rows = np.empty((8, basis.m))
+def boundary_table(ce):
+    """B, row k c**d_k T^{(d_k)}(z_k) of ce's m basis terms at the k-th constraint."""
+    dm = ce.bc.domain_map
+    rows = np.empty((8, ce.m))
     for k, d in enumerate(CONSTRAINT_ORDERS):
         z = dm.z_0 if k % 2 == 0 else dm.z_f
-        rows[k] = dm.c**d * loop_chebyshev_table(z, basis.max_degree, d)[d, START_DEGREE:]
+        rows[k] = dm.c**d * loop_chebyshev_table(z, START_DEGREE + ce.m - 1, d)[d, START_DEGREE:]
     return rows
 
 
 def monomials(ce):
     """The switching functions of ce's domain in monomial form, the rows UNIT_COEFFS."""
-    return Switching(UNIT_COEFFS, ce.basis.domain_map)
+    return Switching(UNIT_COEFFS, ce.bc.domain_map)
 
 
 def per_order_a_row(ce, x, d, sw=None):
@@ -75,9 +75,9 @@ def per_order_a_row(ce, x, d, sw=None):
 
     beta are the switching functions sw, by default UNIT_COEFFS.
     """
-    dm = ce.basis.domain_map
-    h = loop_chebyshev_table(dm.to_z(x), ce.basis.max_degree, d)[d, START_DEGREE:].T
-    return dm.c**d * h - switching_values(sw or monomials(ce), x, d) @ boundary_table(ce.basis)
+    dm = ce.bc.domain_map
+    h = loop_chebyshev_table(dm.to_z(x), START_DEGREE + ce.m - 1, d)[d, START_DEGREE:].T
+    return dm.c**d * h - switching_values(sw or monomials(ce), x, d) @ boundary_table(ce)
 
 
 class PerOrderTables:
@@ -90,7 +90,7 @@ class PerOrderTables:
         sw = sw or monomials(ce)
         self.x = grid.x_nodes
         self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d, sw) for d in range(9)])
-        self.b = np.stack([switching_values(sw, grid.x_nodes, d) @ ce.constraint_values
+        self.b = np.stack([switching_values(sw, grid.x_nodes, d) @ ce.bc.interleaved()
                            for d in range(9)])
 
     def states(self, xi):
@@ -111,7 +111,7 @@ class UnitDomainTables(PerOrderTables):
         values = problem.bc.interleaved() * w ** np.array(CONSTRAINT_ORDERS, dtype=float)
         unit = DomainMap(0.0, 1.0)
         bc = BoundaryConditions(0.0, 1.0, tuple(values[0::2]), tuple(values[1::2]))
-        super().__init__(ConstrainedExpression.build(ChebyshevBasis(m_basis, unit), bc),
+        super().__init__(ConstrainedExpression.build(bc, m_basis),
                          make_grid(unit, grid.n_points))
         self.x = grid.x_nodes
         self.scale = w ** -np.arange(9.0)
@@ -123,7 +123,7 @@ class UnitDomainTables(PerOrderTables):
 def oracle_tables(problem, ce, grid):
     if problem.domain == (0.0, 1.0):
         return PerOrderTables(ce, grid)
-    return UnitDomainTables(problem, grid, ce.basis.m)
+    return UnitDomainTables(problem, grid, ce.m)
 
 
 def state_terms(config, ce, xi):
@@ -132,7 +132,7 @@ def state_terms(config, ce, xi):
     _, a, low, _ = config._tables
     s = low @ UNIT_CHEB.T
     w = ce.bc.x_f - ce.bc.x_i
-    v = w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.constraint_values
+    v = w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.bc.interleaved()
     return (np.abs(s) @ np.abs(v) + np.abs(a) @ np.abs(xi)) * w ** -np.arange(9.0)[:, None]
 
 
@@ -190,7 +190,8 @@ class TestCollocationTables:
         # 2.0e-16 of them).  With the identity in rows 8.., that fixes the map.
         _, ce, _ = self.setup_problem(name, n_points, m_basis)
         series_map = ce.series_map
-        rows = np.array([loop_chebyshev_table(-1.0 if k % 2 == 0 else 1.0, ce.basis.max_degree, d)[d]
+        rows = np.array([loop_chebyshev_table(-1.0 if k % 2 == 0 else 1.0,
+                                              START_DEGREE + ce.m - 1, d)[d]
                          for k, d in enumerate(CONSTRAINT_ORDERS)])
         assert series_map.shape == (8 + m_basis, m_basis) and not series_map.flags.writeable
         assert np.array_equal(series_map[START_DEGREE:], np.eye(m_basis))
@@ -249,7 +250,7 @@ def test_tables_are_exact_at_the_ends(n_points, m_basis):
 def build_on(x_i, x_f, m_basis):
     """An expression of m_basis terms on [x_i, x_f], its map built by build."""
     bc = BoundaryConditions(x_i, x_f, (1.0, -2.0, 0.5, 3.0), (0.25, 1.5, -1.0, 2.0))
-    return ConstrainedExpression.build(ChebyshevBasis(m_basis, bc.domain_map), bc)
+    return ConstrainedExpression.build(bc, m_basis)
 
 
 @pytest.mark.parametrize("n_points, m_basis", SIZES)
@@ -275,7 +276,7 @@ def test_a_row_is_the_scaled_config_table_on_every_domain(x_i, x_f, n_points, m_
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     z, a, _, _ = config._tables
     ce = build_on(x_i, x_f, m_basis)
-    dm = ce.basis.domain_map
+    dm = ce.bc.domain_map
     x = make_grid(dm, n_points, z).x_nodes
     table = ce._rows(x, z, 8)[0]
     assert_rows_close(table, (x_f - x_i) ** -np.arange(9.0)[:, None, None] * a, 1e-14)
@@ -292,7 +293,7 @@ def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
     problem = moved(*case)
     for n_points, m_basis in SIZES:
         ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        x, z = ce.basis.domain_map.checked_z(grid.x_nodes)
+        x, z = ce.bc.domain_map.checked_z(grid.x_nodes)
         a, _ = ce._rows(x, z, 8)
         assert_exact_ends(a)
         ends = np.array([problem.bc.x_i, problem.bc.x_f])
@@ -324,7 +325,7 @@ def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     sw = Switching(UNIT_COEFFS, dm)
     m = 6
     bc = BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
-    ce = ConstrainedExpression.build(ChebyshevBasis(m, dm), bc)
+    ce = ConstrainedExpression.build(bc, m)
     series = ce._beta_series(np.eye(8))
     scale = (x_f - x_i) ** (np.array(CONSTRAINT_ORDERS, dtype=float) - np.arange(9.0)[:, None])
     xs = points(x_i, x_f, np.random.default_rng(7))

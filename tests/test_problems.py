@@ -200,6 +200,21 @@ class TestDerivativeErrorReport:
         with pytest.raises(ConfigurationError):
             derivative_error_report(bare, m_basis=10)
 
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: derivative_errors("x"), "^sol must be a Solution, got 'x'$",
+                     id="errors-str"),
+        pytest.param(lambda: derivative_errors(benchmark("p1")), "^sol must be a Solution, got ",
+                     id="errors-entry"),
+        pytest.param(lambda: derivative_error_report("x", 10),
+                     "^entry must be a BenchmarkEntry, got 'x'$", id="report-str"),
+        pytest.param(lambda: derivative_error_report(solve(benchmark("p1").problem), 10),
+                     "^entry must be a BenchmarkEntry, got ", id="report-solution"),
+    ])
+    def test_wrong_argument_types_named(self, call, match):
+        # Each used to raise a raw AttributeError.
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+
     @pytest.mark.parametrize("count", [0, 1, -3, 2.5, 11.0, True, "11"])
     def test_point_count_checked(self, count):
         # 0 used to give NaNs and a RuntimeWarning, 2.5 a raw TypeError.

@@ -65,8 +65,8 @@ def test_b_value_matches_switching_values(problem):
     ce, grid = build_system(problem, SolverConfig())
     x_i, x_f = problem.domain
     x = np.concatenate([grid.x_nodes, np.random.default_rng(2).uniform(x_i, x_f, 300)])
-    values = ce.constraint_values
-    b_series = chebyshev_derivatives(ce._beta_series(values), ce.basis.domain_map.c)
+    values = ce.bc.interleaved()
+    b_series = chebyshev_derivatives(ce._beta_series(values), ce.bc.domain_map.c)
     assert [len(s) for s in b_series] == [8, 7, 6, 5, 4, 3, 2, 1, 1]
     for d in range(9):
         betas = switching_values(Switching(UNIT_COEFFS, DomainMap(x_i, x_f)), x, d)
@@ -84,9 +84,9 @@ def test_b_value_matches_switching_values(problem):
 def two_pass_read(sol, x, d):
     """(y^{(d)}(x) as chebval of a . xi's series plus chebval of b's, snapped; the series' size)."""
     ce, bc = sol.expression, sol.problem.bc
-    z = ce.basis.domain_map.to_z(x)
-    s_d = chebyshev_derivatives(ce.series_map @ sol.report.xi, ce.basis.domain_map.c)[d]
-    b_d = chebyshev_derivatives(ce._beta_series(ce.constraint_values), ce.basis.domain_map.c)[d]
+    z = ce.bc.domain_map.to_z(x)
+    s_d = chebyshev_derivatives(ce.series_map @ sol.report.xi, ce.bc.domain_map.c)[d]
+    b_d = chebyshev_derivatives(ce._beta_series(ce.bc.interleaved()), ce.bc.domain_map.c)[d]
     y = chebyshev.chebval(z, s_d) + chebyshev.chebval(z, b_d)
     if d < 4:
         y = np.where(x == bc.x_f, bc.right_values[d], y)

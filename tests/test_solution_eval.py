@@ -44,7 +44,7 @@ def chebval_oracle(sol, x, d):
     """y^{(d)}(x) as numpy's chebval of the cached series of y^{(d)}, then the endpoint snap."""
     x = np.asarray(x)
     ce, bc = sol.expression, sol.problem.bc
-    z = ce.basis.domain_map.to_z(x)
+    z = ce.bc.domain_map.to_z(x)
     y = chebyshev.chebval(z, sol._derivative_series[d])
     if d < 4:
         right = np.where(x == bc.x_f, bc.right_values[d], y)
@@ -149,7 +149,7 @@ def test_copies_read_alike_from_read_only_series():
 
 
 #: The arrays of a solution's expression and grid, each read-only.
-READ_ONLY_FIELDS = {ConstrainedExpression: ("series_map", "constraint_values"),
+READ_ONLY_FIELDS = {ConstrainedExpression: ("series_map",),
                     CollocationGrid: ("z_nodes", "x_nodes")}
 
 
@@ -163,7 +163,7 @@ def assert_read_only_alike(clone, original):
 
 
 def test_deep_copy_keeps_expression_and_grid_read_only():
-    # A deep copy used to carry series_map, constraint_values and the nodes
+    # A deep copy used to carry series_map and the nodes
     # over as writeable arrays; one write before the first call moved d(0.5)
     # by 9.4e-9.
     sol = solve(benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30))
@@ -194,11 +194,10 @@ def test_writeable_arrays_are_copied_not_frozen():
     # The classes keep read-only copies and leave the caller's arrays writeable.
     sol = solved("p1", 11, 10)
     z, x = sol.grid.z_nodes.copy(), sol.grid.x_nodes.copy()
-    series_map, values = sol.expression.series_map.copy(), [0, 1, 0, 1, 0, 1, 0, 1]
-    grid = CollocationGrid(z.size, z, x)
-    ce = ConstrainedExpression(sol.expression.basis, sol.problem.bc, series_map, values)
-    assert_read_only_alike(grid, sol.grid)
-    assert ce.constraint_values.tolist() == [0.0, 1.0] * 4
+    series_map = sol.expression.series_map.copy()
+    assert_read_only_alike(CollocationGrid(z.size, z, x), sol.grid)
+    for given in (series_map, series_map.tolist()):
+        assert_read_only_alike(ConstrainedExpression(sol.problem.bc, given), sol.expression)
     for array in (z, x, series_map):
         assert array.flags.writeable
     view = x.view()  # read-only, but writeable through its base
@@ -227,7 +226,7 @@ def test_snap_finds_the_ends_anywhere_in_x():
     # The snap runs when min(x) <= x_i or max(x) >= x_f; a point inside the
     # 1e-12 tolerance beyond an end must not hide that end elsewhere in x.
     sol = solved("p6", 31, 30)
-    bc, dm = sol.problem.bc, sol.expression.basis.domain_map
+    bc, dm = sol.problem.bc, sol.expression.bc.domain_map
     below, above = dm.to_x(np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
     assert below < bc.x_i and above > bc.x_f
     x = dm.to_x(np.array([[-0.5, 0.25, 0.9, 0.0], [0.1, 0.0, -0.3, 0.0], [0.4, 0.7, 0.2, 0.0]]))
@@ -292,7 +291,7 @@ def test_list_matches_array():
             assert got.shape == x.shape and np.array_equal(got, sol(x, d))
             assert ce.a_row(x, d).shape == x.shape + (10,)
             assert ce.eval(x, d, sol.report.xi).shape == x.shape
-        a, low = ce._rows(x, ce.basis.domain_map.to_z(x), 8)
+        a, low = ce._rows(x, ce.bc.domain_map.to_z(x), 8)
         assert a.shape == (9,) + x.shape + (10,) and low.shape == (9,) + x.shape + (8,)
 
 
