@@ -84,10 +84,10 @@ class SolverConfig:
     terms.  m_basis may not exceed n_points - 1, otherwise the least-squares
     system is underdetermined.
 
-    A config builds its collocation tables on [0, 1] at its first solve and
-    reuses them in every solve with it, on any domain, as it does the
-    least-squares preconditioner; neither is a field, and a copy or an
-    unpickled config builds its own.
+    A config builds its collocation tables on [0, 1] at its first solve and reuses them in
+    every solve with it, on any domain, as it does the least-squares preconditioner P and
+    the table a P, a second (9, n, m) table (2.08 MB at (481, 60)); none is a field, and a
+    copy or an unpickled config builds its own.
     """
 
     n_points: int = 11
@@ -124,16 +124,18 @@ class SolverConfig:
         return grid.z_nodes, a, low, ce.series_map
 
     @cached_property
-    def _precond(self) -> np.ndarray:
-        """Read-only (m, m) P = R^-1, R the triangle of the QR of the [0, 1] table a^{(8)}.
+    def _precond(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (P, a P): P = R^-1, R the triangle of the QR of the [0, 1] table a^{(8)}.
 
-        y^{(8)} enters every equation, so J P is near orthonormal up to its column
-        scales (_lstsq_step).  Apart from _tables, so assembly alone never builds it.
+        y^{(8)} enters every equation, so K = J P is near orthonormal up to its column scales
+        (_lstsq_step), and a step forms K from a P as J from a.  Apart from _tables, so
+        assembly alone never builds them.
         """
-        r = np.linalg.qr(self._tables[1][MAX_ORDER], mode="r")
-        precond = np.linalg.inv(r)
-        precond.flags.writeable = False
-        return precond
+        precond = np.linalg.inv(np.linalg.qr(self._tables[1][MAX_ORDER], mode="r"))
+        pair = precond, self._tables[1] @ precond
+        for table in pair:
+            table.flags.writeable = False
+        return pair
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -161,9 +163,9 @@ class SolveReport(ReadOnlyArrays):
     converging last one, which may raise it by at most its roundoff floor (see
     _gauss_newton).  `iterations` counts the steps computed; a step that stalled,
     or a converged one that would raise the norm past that floor, is not applied
-    and adds no entry.  Each step comes from the preconditioned normal equations,
-    solved by a Neumann series or an LU solve where the bound ||G - I||_F passes
-    their one gate, or else from the QR (see _lstsq_step).
+    and adds no entry.  Each step solves the normal equations of K = J P, formed from the
+    config's table a P, by a Neumann series or an LU solve where the bound ||G - I||_F
+    passes their one gate; any other is the QR's of J, the one step to form J (_lstsq_step).
     """
 
     _arrays = ("xi", "residual_norm_history")  # a report cannot drift from its solution
@@ -248,6 +250,10 @@ class _CollocationTables:
         states.flags.writeable = False
         return states
 
+    def rows(self, partials: Callable, states: np.ndarray) -> np.ndarray:
+        """(n, 9) rows dF/dy(x_k) * scale at states, the state matrix states(xi)."""
+        return _at_nodes("partials", partials, self.x, states, (MAX_ORDER + 1,)) * self.scale
+
 
 def _fd_partials(residual: Callable) -> Callable:
     """Central-difference fallback for dF/dy^{(d)}: two residual calls per order."""
@@ -297,11 +303,10 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
     return out
 
 
-def _jacobian(partials: Callable, tables: _CollocationTables, states: np.ndarray) -> np.ndarray:
-    """Rows (dF/dy(x_k) * scale) @ a[:, k, :] at states, the state matrix tables.states(xi)."""
-    rows = _at_nodes("partials", partials, tables.x, states, (MAX_ORDER + 1,)) * tables.scale
-    # One gemv per node on the strided a[:, k, :], as in a loop: bit-identical (einsum is not).
-    return np.matmul(rows[:, None, :], tables.a.transpose(1, 0, 2))[:, 0, :]
+def _jacobian(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows rows[k] @ table[:, k, :]: J from the table a, K = J P from the table a P."""
+    # A gemv per node on the strided table[:, k, :], as in a loop: bit-identical (einsum is not).
+    return np.matmul(rows[:, None, :], table.transpose(1, 0, 2))[:, 0, :]
 
 
 def assemble_loss_and_jacobian(
@@ -329,7 +334,7 @@ def assemble_loss_and_jacobian(
     with np.errstate(all="ignore"):  # callbacks and states overflow to inf, not a warning
         tables = _CollocationTables(ce, grid, config)
         _, states, loss, _ = _evaluate(problem.residual, tables, xi)
-        return loss, _jacobian(_resolve_partials(problem)[0], tables, states)
+        return loss, _jacobian(tables.rows(_resolve_partials(problem)[0], states), tables.a)
 
 
 def assemble_linear(
@@ -355,10 +360,11 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     2-norm, gives R = [[R_11, Q^T rhs], [0, +-||residual||]]; one LAPACK solve
     on R_11 gives w, which is then unscaled.  The rank check reads only the m
     pivots of R_11: the last diagonal entry is 0 for a consistent system.
-    Scaling is a conditioning aid only.  A zero or non-finite column, or a
-    scaled pivot below 1e-13, raises SingularSystemError naming the offending
-    column; an a or rhs that is not real numbers (check_real), an rhs that is
-    not finite or an a with no columns, ConfigurationError naming it.
+    Scaling is a conditioning aid only; each column's norm is taken after an exact
+    division by the power of two of its largest |a_ij|, so no square overflows or
+    underflows.  A zero or non-finite column, or a scaled pivot below 1e-13, raises
+    SingularSystemError naming the offending column; an a or rhs that is not real numbers
+    (check_real), an rhs that is not finite or an a with no columns, ConfigurationError.
     A solve takes its steps from _lstsq_step, which falls back to this when
     its gate declines; tests compare the steps with it as the reference.
     """
@@ -376,10 +382,11 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     bad = np.nonzero(~np.isfinite(a).all(axis=0))[0]
     if bad.size:
         raise SingularSystemError(f"column {bad[0]} of the system matrix is not finite")
-    norms = np.linalg.norm(a, axis=0)
-    zero = np.nonzero(norms == 0.0)[0]
+    largest, power = np.frexp(np.max(np.abs(a), axis=0))
+    zero = np.nonzero(largest == 0.0)[0]
     if zero.size:
         raise SingularSystemError(f"column {zero[0]} of the system matrix is identically zero")
+    norms = np.ldexp(np.linalg.norm(np.ldexp(a, -power), axis=0), power)
     aug = np.empty((rows, m + 1))
     np.divide(a, norms, out=aug[:, :m])
     aug[:, m] = rhs
@@ -394,38 +401,43 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r[:m, :m], r[:m, m]) / norms
 
 
-def _lstsq_step(jac: np.ndarray, rhs: np.ndarray, precond: np.ndarray) -> np.ndarray:
-    """lstsq(jac, rhs) as precond y, y by the column-scaled normal equations of K = jac precond.
+def _lstsq_step(k: np.ndarray, rhs: np.ndarray, precond: np.ndarray, rows: np.ndarray,
+                a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(step, J step), step = lstsq(J, rhs) = precond y, y by the column-scaled normal
+    equations of K = J precond, formed from the table a precond (SolverConfig._precond).
 
-    With precond = R^-1 of the order-8 table (SolverConfig._precond), K is near orthonormal
-    up to its column norms d, so G = (K/d)^T (K/d) is near the identity and its normal
-    equations lose no digits (Blendenpik's right preconditioning).  One bound gates them: G
-    has a unit diagonal, so each scaled QR pivot of K is at least sqrt(1 - e), e = ||G - I||_F,
-    and e <= 1 - _PRECOND_PIVOT**2 - 0.01 (for rounding) keeps them above _PRECOND_PIVOT.  Any
-    other step, a nan e from a zero column too, is lstsq_scaled_qr(jac, rhs) with no factor of
-    G; the QR also names a rank-deficient column.  G y = v is solved as the Neumann sum of
+    With precond = R^-1 of the order-8 table, K is near orthonormal up to its column norms d,
+    so G = (K/d)^T (K/d) is near the identity and its normal equations lose no digits
+    (Blendenpik's right preconditioning).  One bound gates them: G has a unit diagonal, so
+    each scaled QR pivot of K is at least sqrt(1 - e), e = ||G - I||_F, and e <= 1 -
+    _PRECOND_PIVOT**2 - 0.01 (for rounding) keeps them above _PRECOND_PIVOT.  Any other step,
+    a nan e from a zero column too, is lstsq_scaled_qr(J, rhs), the only one to form J =
+    _jacobian(rows, a), with no factor of G.  G y = v is solved as the Neumann sum of
     (I - G)^j v for e <= _NEUMANN_NORM, up to the first j whose tail bound e^(j+1) / (1 - e)
-    is below half an ulp of ||y|| (3 or 4 terms on p1-p6), else by one LU solve.  It runs in
-    its caller's error state; solve's silences numpy's warnings, such as a zero column's 0/0.
+    is below half an ulp of ||y|| (3 or 4 terms on p1-p6), else by one LU solve; J step is
+    K (y / d).  It runs in its caller's error state; solve's silences numpy's warnings.
     """
-    k = jac @ precond
     gram = k.T @ k
     d = np.sqrt(gram.diagonal())
     gram /= d[:, None] * d
     neg = np.identity(d.size) - gram
     e = _norm(neg.ravel())
     if not e <= 1.0 - _PRECOND_PIVOT ** 2 - 0.01:  # nan, from a zero column, is not
-        return lstsq_scaled_qr(jac, rhs)
+        jac = _jacobian(rows, a)
+        step = lstsq_scaled_qr(jac, rhs)
+        return step, jac @ step
     v = (k.T @ rhs) / d
     if e > _NEUMANN_NORM:
-        return precond @ (np.linalg.solve(gram, v) / d)
-    y = term = v
-    tail = e / (1.0 - e)  # ||G^-1 v - y|| <= tail ||v|| <= tail (1 + e) ||G^-1 v||
-    while tail * (1.0 + e) > 0.25 * math.ulp(1.0):  # eps/4 of a norm is at most half its ulp
-        term = neg @ term
-        y = y + term
-        tail *= e
-    return precond @ (y / d)
+        y = np.linalg.solve(gram, v)
+    else:
+        y = term = v
+        tail = e / (1.0 - e)  # ||G^-1 v - y|| <= tail ||v|| <= tail (1 + e) ||G^-1 v||
+        while tail * (1.0 + e) > 0.25 * math.ulp(1.0):  # eps/4 of a norm is at most half its ulp
+            term = neg @ term
+            y = y + term
+            tail *= e
+    y = y / d
+    return precond @ y, k @ y
 
 
 def _norm(v: np.ndarray) -> float:
@@ -460,18 +472,23 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
     return None
 
 
+def _step(partials, tables, states, rhs, precond):
+    """_lstsq_step at states, its K = J P formed from precond = (P, a P), config._precond."""
+    rows = tables.rows(partials, states)
+    return _lstsq_step(_jacobian(rows, precond[1]), rhs, precond[0], rows, tables.a)
+
+
 def _single_shot(partials, tables, start, precond):
-    """One shot xi = lstsq(a, -b) by _lstsq_step, for the affine loss a xi + b read at xi = 0."""
+    """One shot xi = lstsq(a, -b) by _step, for the affine loss a xi + b read at xi = 0."""
     _, states, b, norm = start
-    a = _jacobian(partials, tables, states)
-    xi = _lstsq_step(a, -b, precond)
-    return xi, 1, [norm, _norm(a @ xi + b)], StopReason.LINEAR_SINGLE_SHOT
+    xi, a_xi = _step(partials, tables, states, -b, precond)
+    return xi, 1, [norm, _norm(a_xi + b)], StopReason.LINEAR_SINGLE_SHOT
 
 
 def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
     """Gauss-Newton from the evaluated start with a backtracking line search.
 
-    Each step solves lstsq(J, loss) for the update by _lstsq_step.  When the
+    Each step solves lstsq(J, loss) for the update by _step.  When the
     full update is below _STEP_TOL * (1 + ||xi||) the solve has converged;
     that last update is applied unless it raises the residual norm past the
     roundoff floor _FLOOR_EPS * eps * ||y^(8)||_2, y^(8) at the current nodes.
@@ -487,14 +504,13 @@ def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
 
     while iterations < max_iterations:
         iterations += 1
-        jac = _jacobian(partials, tables, states)
-        step = _lstsq_step(jac, loss, precond)
+        step, j_step = _step(partials, tables, states, loss, precond)
         if _norm(step) <= _STEP_TOL * (1.0 + _norm(xi)):
             converged_by = StopReason.CONVERGED
             floor = _FLOOR_EPS * math.ulp(1.0) * _norm(states[MAX_ORDER])
             found = _line_search(residual, tables, xi, step, norm + floor, 0.0, shortest=1.0)
         else:
-            decrease = 2.0 * _ARMIJO_C * (_norm(jac @ step) / norm) ** 2
+            decrease = 2.0 * _ARMIJO_C * (_norm(j_step) / norm) ** 2
             found = _line_search(residual, tables, xi, step, norm, decrease)
             if found is None:
                 converged_by = StopReason.STALLED
@@ -518,10 +534,9 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
         tables = _CollocationTables(ce, grid, config)
         partials, used_fd = _resolve_partials(problem)
         start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
-        precond = config._precond
         xi, iterations, history, converged_by = (
-            _single_shot(partials, tables, start, precond) if problem.is_linear
-            else _gauss_newton(problem.residual, partials, tables, start, precond,
+            _single_shot(partials, tables, start, config._precond) if problem.is_linear
+            else _gauss_newton(problem.residual, partials, tables, start, config._precond,
                                config.max_iterations))
     report = SolveReport(xi, iterations, history, converged_by, history[-1], used_fd)
     return Solution(problem, ce, grid, report, config)

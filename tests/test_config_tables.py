@@ -4,9 +4,9 @@ A config builds its tables on its first solve.  Later solves with it, on
 any domain, build no Chebyshev table, and give the same bits as a fresh
 config.  The cache is
 invisible to equality and hashing, read-only, and not carried by copies or
-pickles.  The least-squares preconditioner is cached apart, at the first
-solve, so assembly alone never builds it.  A solve assembles only an
-expression and grid built from its config's tables.
+pickles.  The least-squares preconditioner P and the table a P are cached
+apart, at the first solve, so assembly alone never builds them.  A solve
+assembles only an expression and grid built from its config's tables.
 """
 
 import copy
@@ -99,27 +99,35 @@ def test_default_config_is_shared(calls):
 
 
 def test_cached_arrays_are_read_only():
-    tables = SolverConfig()._tables
-    for table in tables:
+    config = SolverConfig()
+    for table in (*config._tables, *config._precond):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
+    # P and a P own their data: no writeable array can reach them.
+    assert all(table.flags.owndata for table in config._precond)
 
 
 @pytest.mark.parametrize("n_points, m_basis", [(11, 10), (31, 30), (481, 60)])
 def test_preconditioner_is_built_by_solve_not_by_assembly(n_points, m_basis):
     # P = R^-1, R of the QR of the order-8 table: a^(8) P has orthonormal
-    # columns, to 3e-9 at (481, 60), where cond(R) is 7e15.
+    # columns, to 3e-9 at (481, 60), where cond(R) is 7e15.  The table a P
+    # that each step forms K = J P from is a^(d) P for every order d, bit for bit.
     problem = benchmark("p4").problem
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     ce, grid = build_system(problem, config)
     assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m_basis), config)
     assert "_tables" in vars(config) and "_precond" not in vars(config)
     solve(problem, config)
-    precond = config._precond
+    assert "_precond" in vars(config)
+    precond, a_precond = config._precond
     assert not precond.flags.writeable and np.array_equal(precond, np.triu(precond))
-    q = config._tables[1][8] @ precond
+    a = config._tables[1]
+    q = a[8] @ precond
     assert np.max(np.abs(q.T @ q - np.eye(m_basis))) <= 1e-8
+    assert a_precond.shape == (9, n_points, m_basis) and not a_precond.flags.writeable
+    for d in range(9):
+        assert np.array_equal(a_precond[d], a[d] @ precond)
 
 
 def test_replaced_config_builds_its_own_tables():
@@ -184,7 +192,8 @@ def test_copies_build_their_own_read_only_tables(copy_of):
     copied = copy_of(config)
     assert copied == config and "_tables" not in vars(copied) and "_precond" not in vars(copied)
     assert len(pickle.dumps(config)) < 1000
-    for table, original in zip(copied._tables, config._tables):
+    for table, original in zip((*copied._tables, *copied._precond),
+                               (*config._tables, *config._precond)):
         assert table is not original and np.array_equal(table, original)
         assert not table.flags.writeable
 

@@ -120,6 +120,11 @@ class UnitDomainTables(PerOrderTables):
         return super().states(xi) * self.scale[:, None]
 
 
+def jacobian(partials, tables, states):
+    """J at states by the solver's per-node product, from tables' a: a config's or an oracle's."""
+    return _jacobian(_CollocationTables.rows(tables, partials, states), tables.a)
+
+
 def oracle_tables(problem, ce, grid):
     if problem.domain == (0.0, 1.0):
         return PerOrderTables(ce, grid)
@@ -211,8 +216,8 @@ class TestCollocationTables:
         gap = np.abs(tables.states(xi) - oracle.states(xi))
         assert np.all(np.max(gap, axis=1) <= 5e-14 * np.max(state_terms(config, ce, xi), axis=1))
         partials = problem.partials
-        jac = _jacobian(partials, oracle, oracle.states(xi))
-        gap = _jacobian(partials, tables, tables.states(xi)) - jac
+        jac = jacobian(partials, oracle, oracle.states(xi))
+        gap = jacobian(partials, tables, tables.states(xi)) - jac
         assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(jac))
 
 

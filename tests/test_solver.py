@@ -33,7 +33,7 @@ from bvp8.solver import (
 )
 
 from switching_oracle import switching_values, unit_linear_solve
-from test_one_pass_tables import PerOrderTables, per_order_a_row
+from test_one_pass_tables import PerOrderTables, jacobian, per_order_a_row
 
 
 def normal_equations_lstsq(a, rhs):
@@ -197,6 +197,21 @@ class TestLstsqScaledQr:
         with pytest.raises(SingularSystemError, match="column 1"):
             lstsq_scaled_qr(a, np.ones(4))
 
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_column_norm_neither_overflows_nor_underflows(self, power):
+        # The squares of a column near 2**600 overflow and those of one near 2**-600
+        # underflow; a norm taken after dividing by the power of two of its largest
+        # entry does neither, so the solve is the unscaled one's with no warning.
+        rng = np.random.default_rng(24)
+        a, rhs = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        want = lstsq_scaled_qr(a, rhs)
+        a[:, 2] *= 2.0 ** power
+        want[2] *= 2.0 ** -power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lstsq_scaled_qr(a, rhs)
+        assert_allclose(got, want, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_column_named_with_no_warning(self, bad):
         # An inf used to leak a RuntimeWarning from its 0/0 before the error; a
@@ -281,19 +296,20 @@ def certificate_cases():
 
 
 def run_recorded(problem, config, gate=True, gauss_newton=True):
-    """A solve, its (J, rhs, step) systems by _lstsq_step and the lstsq_scaled_qr fallbacks.
+    """A solve, its (J, K, rhs, step) systems by _lstsq_step and the lstsq_scaled_qr fallbacks.
 
-    The problem is solved by Gauss-Newton unless gauss_newton=False, which
-    solves it as given.  With gate=False the pivot floor is infinite, so
-    _lstsq_step declines every system and each step is lstsq_scaled_qr's: the
-    forced-QR run that gated solves are compared with.
+    K = J P is the matrix the solve formed from its config's table a P; J is formed here,
+    from the step's rows and a by the solve's product, for the oracles.  The problem is
+    solved by Gauss-Newton unless gauss_newton=False, which solves it as given.  With
+    gate=False the pivot floor is infinite, so _lstsq_step declines every system and each
+    step is lstsq_scaled_qr's: the forced-QR run that gated solves are compared with.
     """
     steps, qr_systems = [], []
     real_step, real_qr = solver_module._lstsq_step, solver_module.lstsq_scaled_qr
 
-    def recording_step(a, rhs, precond):
-        step = real_step(a, rhs, precond)
-        steps.append((np.array(a), np.array(rhs), step))
+    def recording_step(k, rhs, precond, rows, a):
+        step = real_step(k, rhs, precond, rows, a)
+        steps.append((_jacobian(rows, a), np.array(k), np.array(rhs), step[0]))
         return step
 
     def recording_qr(a, rhs):
@@ -312,9 +328,8 @@ def run_recorded(problem, config, gate=True, gauss_newton=True):
     return sol, steps, qr_systems
 
 
-def gate_pivot(jac, precond):
-    """Smallest scaled QR pivot of jac @ precond, read from the Cholesky factor of its Gram."""
-    k = jac @ precond
+def gate_pivot(k):
+    """Smallest scaled QR pivot of k, read from the Cholesky factor of its Gram."""
     k = k / np.linalg.norm(k, axis=0)
     return float(np.min(np.diag(np.linalg.cholesky(k.T @ k))))
 
@@ -333,30 +348,29 @@ def recorded_factors():
         yield grams
 
 
-def normal_system(jac, rhs, precond):
-    """(G, v, d) as _lstsq_step forms them: G = (K/d)^T (K/d), v = (K/d)^T rhs, K = jac precond."""
-    k = jac @ precond
+def normal_system(k, rhs):
+    """(G, v, d) as _lstsq_step forms them: G = (K/d)^T (K/d), v = (K/d)^T rhs."""
     gram = k.T @ k
     d = np.sqrt(gram.diagonal())
     gram /= d[:, None] * d
     return gram, (k.T @ rhs) / d, d
 
 
-def lu_step(jac, rhs, precond):
+def lu_step(k, rhs, precond):
     """precond G^-1 v / d by one LU solve of G: every step of the gated normal equations before
     the Neumann solve, and still the step where ||G - I||_F > _NEUMANN_NORM."""
-    gram, v, d = normal_system(jac, rhs, precond)
+    gram, v, d = normal_system(k, rhs)
     return precond @ (np.linalg.solve(gram, v) / d)
 
 
-def exact_step(jac, rhs, precond):
+def exact_step(k, rhs, precond):
     """precond G^-1 v / d for _lstsq_step's rounded G, v and d, in rationals, rounded once.
 
     G^-1 v is the LU solve plus its correction G^-1 (v - G y), with the residual formed exactly:
     the correction is itself good to a few eps, so their sum is exact to about eps**2.
     """
     dot = lambda row, x: sum(Fraction(r) * xk for r, xk in zip(row, x))
-    gram, v, d = normal_system(jac, rhs, precond)
+    gram, v, d = normal_system(k, rhs)
     y = [Fraction(t) for t in np.linalg.solve(gram, v).tolist()]
     residual = [float(Fraction(vi) - dot(row, y)) for vi, row in zip(v.tolist(), gram.tolist())]
     correction = np.linalg.solve(gram, residual).tolist()
@@ -364,10 +378,38 @@ def exact_step(jac, rhs, precond):
     return np.array([float(dot(row, z)) for row in precond.tolist()])
 
 
-def gram_off_identity(jac, precond):
-    """||G - I||_F, G the column-scaled Gram of jac @ precond, the norm _lstsq_step certifies."""
-    gram = normal_system(jac, np.zeros(len(jac)), precond)[0]
+def gram_off_identity(k):
+    """||G - I||_F, G the column-scaled Gram of k, the norm _lstsq_step certifies."""
+    gram = normal_system(k, np.zeros(len(k)))[0]
     return float(np.linalg.norm(gram - np.identity(len(gram))))
+
+
+def lstsq_step(a, rhs, precond):
+    """_lstsq_step's step for J = a: K = a precond, and J as rows of ones times the table a."""
+    k, rows = a @ precond, np.ones((len(a), 1))
+    return solver_module._lstsq_step(k, rhs, precond, rows, a[None])[0]
+
+
+def preconditioned_step(problem, config, xi, rhs):
+    """(step, J step) at xi as a solve takes it, K formed from the config's table a P."""
+    ce, grid = build_system(problem, config)
+    tables = _CollocationTables(ce, grid, config)
+    return solver_module._step(problem.partials, tables, tables.states(xi), rhs, config._precond)
+
+
+@contextlib.contextmanager
+def counted_j_products(config):
+    """The list of row counts of each J product, _jacobian of config's table a, in the block."""
+    calls, real = [], solver_module._jacobian
+
+    def counting(rows, table):
+        if table is config._tables[1]:
+            calls.append(len(rows))
+        return real(rows, table)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_jacobian", counting)
+        yield calls
 
 
 def max_error(sol):
@@ -399,7 +441,7 @@ class TestQFreeLstsq:
         # on it only to about 6e-10 of its own size, on a first step to 3e-15.
         assert len(gauss_newton_systems) >= 2 * 3 * 7
         worst = 0.0
-        for a, rhs, step, xi in gauss_newton_systems:
+        for a, _, rhs, step, xi in gauss_newton_systems:
             want = formed_q_lstsq(a, rhs)
             gap = np.linalg.norm(step - want)
             worst = max(worst, gap / max(np.linalg.norm(want), np.linalg.norm(xi)))
@@ -481,7 +523,7 @@ class TestPreconditionedStep:
         # last step agrees with the formed-Q oracle.
         assert len(steps) == got.report.iterations
         if got.report.converged_by is StopReason.CONVERGED:
-            a, rhs, step = steps[-1]
+            a, _, rhs, step = steps[-1]
             want_step = formed_q_lstsq(a, rhs)
             gap = np.linalg.norm(step - want_step)
             assert gap <= 1e-13 * max(np.linalg.norm(want_step), np.linalg.norm(xi))
@@ -494,25 +536,27 @@ class TestPreconditionedStep:
         # every step is certified and none is factored.  p1-p6 solve G by the
         # Neumann series, within 2.0 eps of the exact step of the rounded G,
         # v and d where the LU solve is within 4.2 eps; p7 keeps the LU solve,
-        # bit for bit.
+        # bit for bit.  Each step forms K = J P from the config's table a P and
+        # no J, which is formed from a only for a QR step.
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
         eps = np.finfo(float).eps
         for gauss_newton in (False, True):
-            with recorded_factors() as factored:
+            with recorded_factors() as factored, counted_j_products(config) as products:
                 sol, steps, qr_systems = run_recorded(
                     benchmark(name).problem, config, gauss_newton=gauss_newton)
             assert sol.report.converged_by in (StopReason.CONVERGED,
                                                StopReason.LINEAR_SINGLE_SHOT)
-            assert qr_systems == [] and factored == []
+            assert qr_systems == [] and factored == [] and products == []
             assert len(steps) == sol.report.iterations
-            for a, rhs, step in steps:
-                assert gate_pivot(a, config._precond) >= 0.5
-                off = gram_off_identity(a, config._precond)
+            precond = config._precond[0]
+            for _, k, rhs, step in steps:
+                assert gate_pivot(k) >= 0.5
+                off = gram_off_identity(k)
                 assert (off > solver_module._NEUMANN_NORM) is (name == "p7")
                 if name == "p7":
-                    assert np.array_equal(step, lu_step(a, rhs, config._precond))
+                    assert np.array_equal(step, lu_step(k, rhs, precond))
                 else:
-                    want = exact_step(a, rhs, config._precond)
+                    want = exact_step(k, rhs, precond)
                     assert np.linalg.norm(step - want) <= 4 * eps * np.linalg.norm(want)
 
     @pytest.mark.parametrize("above", [False, True])
@@ -528,9 +572,9 @@ class TestPreconditionedStep:
         rng = np.random.default_rng(23)
         q, _ = np.linalg.qr(rng.standard_normal((30, 5)))
         a, rhs, precond = q @ np.linalg.cholesky(gram).T, rng.standard_normal(30), np.eye(5)
-        assert (gram_off_identity(a, precond) > 0.98) is above
+        assert (gram_off_identity(a) > 0.98) is above
         with recorded_factors() as factored:
-            step = solver_module._lstsq_step(a, rhs, precond)
+            step = lstsq_step(a, rhs, precond)
         assert factored == []
         want = lstsq_scaled_qr(a, rhs) if above else lu_step(a, rhs, precond)
         assert np.array_equal(step, want)
@@ -538,15 +582,43 @@ class TestPreconditionedStep:
     def test_damped_solve_counts_every_step_once(self):
         # p5 on [0, e^3 - 1] backtracks before it converges in 8 steps; the
         # certificate leaves every step open (||G - I||_F above 0.98), so the
-        # QR solves each of them, with no factor of G first.
+        # QR solves each of them, with no factor of G first and one J product.
         config = SolverConfig(n_points=481, m_basis=60)
-        with recorded_factors() as factored:
+        with recorded_factors() as factored, counted_j_products(config) as products:
             sol, steps, qr_systems = run_recorded(stretched_p5(3), config)
         assert sol.report.converged_by is StopReason.CONVERGED
         assert sol.report.iterations == 8
         assert len(qr_systems) == len(steps) == sol.report.iterations and factored == []
-        for (_, _, step), (_, _, qr_step) in zip(steps, qr_systems):
+        assert products == [481] * 8
+        for (*_, step), (_, _, qr_step) in zip(steps, qr_systems):
             assert step is qr_step
+
+    def test_step_comes_with_its_jacobian_product(self):
+        # _lstsq_step gives J step with the step, for the Armijo test and the linear
+        # shot's residual: a QR step's as J @ step, a certified step's as K (y / d),
+        # which is J @ step to rounding, measured up to 5.4 eps of its terms |J| |step|.
+        steps = []
+        real = solver_module._lstsq_step
+
+        def recording(k, rhs, precond, rows, a):
+            result = real(k, rhs, precond, rows, a)
+            steps.append((_jacobian(rows, a), *result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_lstsq_step", recording)
+            for n_points, m_basis in SIZES:
+                config = SolverConfig(n_points=n_points, m_basis=m_basis)
+                for name in ALL_NAMES:
+                    solve(dataclasses.replace(benchmark(name).problem, is_linear=False), config)
+            certified = len(steps)
+            solve(stretched_p5(3), SolverConfig(n_points=481, m_basis=60))
+        eps = np.finfo(float).eps
+        for jac, step, j_step in steps[:certified]:
+            assert np.all(np.abs(j_step - jac @ step) <= 16 * eps * (np.abs(jac) @ np.abs(step)))
+        assert len(steps) == certified + 8
+        for jac, step, j_step in steps[certified:]:
+            assert np.array_equal(j_step, jac @ step)
 
     def test_uncertified_steps_give_the_qr_only_result(self, monkeypatch):
         # Without the preconditioner ||G - I||_F of the bare J is far above the
@@ -554,7 +626,7 @@ class TestPreconditionedStep:
         config = SolverConfig(n_points=481, m_basis=60)
         wants = [run_recorded(benchmark(name).problem, config, gate=False)[0]
                  for name in ALL_NAMES]
-        monkeypatch.setitem(config.__dict__, "_precond", np.eye(60))
+        monkeypatch.setitem(config.__dict__, "_precond", (np.eye(60), config._tables[1]))
         for name, want in zip(ALL_NAMES, wants):
             got, steps, qr_systems = run_recorded(benchmark(name).problem, config)
             assert len(qr_systems) == len(steps) == got.report.iterations
@@ -567,7 +639,7 @@ class TestPreconditionedStep:
         a[:, 2] = 0.0
         # In solve's error state, as every solve calls it: the zero column's 0/0 is nan.
         with pytest.raises(SingularSystemError, match="column 2 "), np.errstate(all="ignore"):
-            solver_module._lstsq_step(a, np.ones(30), np.eye(5))
+            lstsq_step(a, np.ones(30), np.eye(5))
 
     def test_near_duplicate_column_falls_back_to_qr(self):
         # Column 4 is column 0 plus 3e-8 noise: ||G - I||_F is above sqrt(2),
@@ -576,12 +648,12 @@ class TestPreconditionedStep:
         rng = np.random.default_rng(21)
         a = rng.standard_normal((30, 5))
         a[:, 4] = a[:, 0] + 3e-8 * rng.standard_normal(30)
-        assert gate_pivot(a, np.eye(5)) < 1e-7 and gram_off_identity(a, np.eye(5)) > math.sqrt(2)
-        step = solver_module._lstsq_step(a, np.ones(30), np.eye(5))
+        assert gate_pivot(a) < 1e-7 and gram_off_identity(a) > math.sqrt(2)
+        step = lstsq_step(a, np.ones(30), np.eye(5))
         assert np.array_equal(step, lstsq_scaled_qr(a, np.ones(30)))
         a[:, 4] = a[:, 0]
         with pytest.raises(SingularSystemError, match="rank deficient"):
-            solver_module._lstsq_step(a, np.ones(30), np.eye(5))
+            lstsq_step(a, np.ones(30), np.eye(5))
 
     def test_preconditioner_admits_an_ill_conditioned_system(self):
         # a = Q T, T with its columns near e_0, so the scaled cond(a) is 3e8:
@@ -594,14 +666,14 @@ class TestPreconditionedStep:
         t = np.diag(10.0 ** -np.arange(0.0, 10.0, 2.0))
         t[0] = 1.0
         a, rhs = q @ t, rng.standard_normal(30)
-        assert gate_pivot(a, np.eye(5)) < 0.1
+        assert gate_pivot(a) < 0.1
         qr_step = lstsq_scaled_qr(a, rhs)
-        assert np.array_equal(solver_module._lstsq_step(a, rhs, np.eye(5)), qr_step)
+        assert np.array_equal(lstsq_step(a, rhs, np.eye(5)), qr_step)
         precond = np.linalg.inv(t)
-        assert gate_pivot(a, precond) >= 0.99
+        assert gate_pivot(a @ precond) >= 0.99
         exact = np.linalg.solve(t, q.T @ rhs)
         error = lambda w: np.max(np.abs(w - exact) / np.abs(exact))
-        step = solver_module._lstsq_step(a, rhs, precond)
+        step = lstsq_step(a, rhs, precond)
         assert error(step) <= 1e-8 and error(step) <= error(qr_step)
 
     @pytest.mark.parametrize("n_points,m_basis", [(31, 30), (481, 60)])
@@ -847,10 +919,10 @@ class TestSolveLinear:
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
         r = solve(problem, config).report
         ce, grid = build_system(problem, config)
-        a, b = assemble_linear(problem, ce, grid, config)
-        xi = solver_module._lstsq_step(a, -b, config._precond)
+        _, b = assemble_linear(problem, ce, grid, config)
+        xi, a_xi = preconditioned_step(problem, config, np.zeros(m_basis), -b)
         assert np.array_equal(r.xi, xi)
-        want = [np.linalg.norm(b), np.linalg.norm(a @ xi + b)]
+        want = [np.linalg.norm(b), np.linalg.norm(a_xi + b)]
         assert r.residual_norm_history.tolist() == want
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p7"])
@@ -936,9 +1008,9 @@ class TestSolveNonlinear:
         assert sol.report.iterations == 1
         assert sol.report.converged_by is StopReason.CONVERGED
         ce, grid = build_system(problem, sol.config)
-        loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
-        assert np.array_equal(sol.report.xi,
-                              -solver_module._lstsq_step(jac, loss, sol.config._precond))
+        loss, _ = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+        step, _ = preconditioned_step(problem, sol.config, np.zeros(10), loss)
+        assert np.array_equal(sol.report.xi, -step)
 
     def test_ascent_direction_stalls(self):
         # Negated partials make every Gauss-Newton step an ascent direction.
@@ -1005,7 +1077,7 @@ class TestSolveNonlinear:
             xi = np.zeros(a.config.m_basis)
             for _ in range(3):
                 loss = entry.problem.residual(grid.x_nodes, tables.states(xi))
-                jac = _jacobian(entry.problem.partials, tables, tables.states(xi))
+                jac = jacobian(entry.problem.partials, tables, tables.states(xi))
                 xi = xi - lstsq_scaled_qr(jac, loss)
             x = entry.table_points
             va = a(x)
