@@ -60,7 +60,8 @@ UNIT_CHEB.flags.writeable = False
 
 @dataclass(frozen=True)
 class BoundaryConditions:
-    """Values of y, y', y'', y''' at both endpoints of [x_i, x_f], four finite floats each."""
+    """Values of y, y', y'', y''' at both endpoints of [x_i, x_f], four finite floats each;
+    _values in constraint order and b's series _beta = (w**d_j _values_j) @ UNIT_CHEB, read-only."""
 
     x_i: float
     x_f: float
@@ -78,6 +79,14 @@ class BoundaryConditions:
             if not np.all(np.isfinite(values)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(values.tolist()))
+        values = np.ravel([self.left_values, self.right_values], order="F")
+        beta = ((self.x_f - self.x_i) ** np.array(CONSTRAINT_ORDERS, float) * values) @ UNIT_CHEB
+        for name, array in (("_values", values), ("_beta", beta)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__, read-only too
+        return type(self), (self.x_i, self.x_f, self.left_values, self.right_values)
 
     @classmethod
     def from_callable(cls, x_i: float, x_f: float, fn) -> "BoundaryConditions":
@@ -90,11 +99,8 @@ class BoundaryConditions:
         return cls(x_i, x_f, left, right)
 
     def interleaved(self) -> np.ndarray:
-        """The eight values in canonical constraint order."""
-        out = np.empty(8)
-        out[0::2] = self.left_values
-        out[1::2] = self.right_values
-        return out
+        """The eight values in canonical constraint order, a new writable array."""
+        return self._values.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +142,7 @@ class ConstrainedExpression(ReadOnlyArrays):
 
         One chebyshev_table at z, times c**d, gives both: low is its degrees below the
         basis and a = low @ series_map[:8] plus its degrees 8.., with a^{(0..3)} set to
-        the exact zeros of the constraints at x_i and x_f.  Read b(x) as low @ _beta_series(v).
+        the exact zeros of the constraints at x_i and x_f.  Read b(x) as low @ bc._beta.
         """
         dm = self.bc.domain_map
         table = chebyshev_table(np.ravel(z), START_DEGREE + self.m - 1, max_order)
@@ -156,11 +162,6 @@ class ConstrainedExpression(ReadOnlyArrays):
         x, z = self.bc.domain_map.checked_z(x)
         return self._rows(x, z, order)[0][order]
 
-    def _beta_series(self, v) -> np.ndarray:
-        """The series in z of beta(x) . v, (w**d_j v_j) @ the switching series, per row of v."""
-        w = self.bc.x_f - self.bc.x_i
-        return (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * v) @ UNIT_CHEB
-
     def _series(self, xi) -> list:
         """Read-only series in z of y^{(d)}, d = 0..8: series_map @ xi plus b's, c**d d^d/dz^d.
 
@@ -169,7 +170,7 @@ class ConstrainedExpression(ReadOnlyArrays):
         drops the m zeros of M @ 0; a series holding an inf or NaN is kept whole.
         """
         series = self.series_map @ xi
-        series[:START_DEGREE] += self._beta_series(self.bc.interleaved())
+        series[:START_DEGREE] += self.bc._beta
         return chop(chebyshev_derivatives(series, self.bc.domain_map.c))
 
     def _read(self, x, order: int, series: list):

@@ -317,7 +317,9 @@ def derivative_errors(sol: Solution, n_error_points: int = 11) -> np.ndarray:
 def derivative_error_report(
     entry: BenchmarkEntry, m_basis: int, n_error_points: int = 11
 ) -> np.ndarray:
-    """derivative_errors of a solve with m_basis terms on m_basis + 1 points."""
+    """derivative_errors of a solve with m_basis (an integer >= 1) terms on m_basis + 1 points."""
     check_instance("entry", entry, BenchmarkEntry)
+    if check_integer("m_basis", m_basis) < 1:
+        raise ConfigurationError(f"m_basis must be at least 1, got {m_basis}")
     config = SolverConfig(n_points=m_basis + 1, m_basis=m_basis)
     return derivative_errors(solve(entry.problem, config), n_error_points)

@@ -39,6 +39,7 @@ _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
 _PRECOND_PIVOT = 0.1
 _NEUMANN_NORM = 1e-2
+_NEG_ORDERS = -np.arange(MAX_ORDER + 1.0)  # the exponents of the scales w**-d
 
 
 @dataclass(frozen=True)
@@ -229,23 +230,28 @@ class _CollocationTables:
     """config's tables a_1, low on [0, 1], read on [x_i, x_f] through the scales w**-d.
 
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
-    w**-d low^{(d)}(t) @ ce._beta_series(v) for boundary values v, whose terms cancel in the
-    series before d/dx grows them.  So states and partials rows are scaled, never a
-    table; on [0, 1] by exactly 1.  ce and grid must be what build_system makes from config.
+    w**-d low^{(d)}(t) @ bc._beta, the boundary values' switching series built once by bc,
+    whose terms cancel in the series before d/dx grows them.  So states (a @ xi, b added in
+    place) and partials rows are scaled, never a table; on [0, 1] by exactly 1.  ce and grid
+    must be what build_system makes from config.
     """
 
     def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid, config: SolverConfig):
         _, self.a, low, _ = config._tables
         w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
-        self.scale = w ** -np.arange(MAX_ORDER + 1.0)
-        self._b = low @ ce._beta_series(ce.bc.interleaved())
+        self.scale = w ** _NEG_ORDERS
+        self._b = low @ ce.bc._beta
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).
 
         At xi = 0 the states are b's, and the table a is not read.
         """
-        states = self._b + self.a @ xi if xi.any() else self._b.copy()
+        if xi.any():
+            states = self.a @ xi
+            states += self._b
+        else:
+            states = self._b.copy()
         states *= self.scale[:, None]
         states.flags.writeable = False
         return states
@@ -282,8 +288,9 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
 
     An exception from fn, a complex result, a result of another shape, or a
     non-finite value becomes an EvaluationError naming fn (and both shapes, or
-    the first non-finite node's x); a Bvp8Error raised by fn passes through.
-    fn runs in its caller's error state: solve's silences numpy's warnings.
+    the first non-finite node's x); a Bvp8Error raised by fn passes through.  A finite sum
+    has no inf or NaN term; only a result whose sum is not (or overflows) is scanned node by
+    node.  fn and the sum run in their caller's error state: solve's silences numpy's warnings.
     """
     expected = (x.size,) + row_shape
     result = call_callback(name, fn, x, states)
@@ -297,7 +304,7 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
     if out is None or out.shape != expected:
         got = "a non-numeric result" if out is None else out.shape
         raise EvaluationError(f"{name} must give shape {expected} over the nodes, got {got}")
-    if not np.isfinite(out).all():
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
         k = np.nonzero(~np.isfinite(out))[0][0]
         raise EvaluationError(f"{name} is not finite at x={float(x[k])!r} (got {out[k].tolist()!r})")
     return out
@@ -414,13 +421,15 @@ def _lstsq_step(k: np.ndarray, rhs: np.ndarray, precond: np.ndarray, rows: np.nd
     a nan e from a zero column too, is lstsq_scaled_qr(J, rhs), the only one to form J =
     _jacobian(rows, a), with no factor of G.  G y = v is solved as the Neumann sum of
     (I - G)^j v for e <= _NEUMANN_NORM, up to the first j whose tail bound e^(j+1) / (1 - e)
-    is below half an ulp of ||y|| (3 or 4 terms on p1-p6), else by one LU solve; J step is
-    K (y / d).  It runs in its caller's error state; solve's silences numpy's warnings.
+    is below half an ulp of ||y|| (3 or 4 terms on p1-p6), summed in place, else by one LU
+    solve; J step is K (y / d).  I - G is 0 - G plus 1 on its diagonal, np.identity(m) - G bit
+    for bit.  It runs in its caller's error state; solve's silences numpy's warnings.
     """
     gram = k.T @ k
     d = np.sqrt(gram.diagonal())
     gram /= d[:, None] * d
-    neg = np.identity(d.size) - gram
+    neg = 0.0 - gram  # -G exactly, then 1 - g_ii on the diagonal: I - G with no identity
+    neg.ravel()[::d.size + 1] += 1.0
     e = _norm(neg.ravel())
     if not e <= 1.0 - _PRECOND_PIVOT ** 2 - 0.01:  # nan, from a zero column, is not
         jac = _jacobian(rows, a)
@@ -434,9 +443,9 @@ def _lstsq_step(k: np.ndarray, rhs: np.ndarray, precond: np.ndarray, rows: np.nd
         tail = e / (1.0 - e)  # ||G^-1 v - y|| <= tail ||v|| <= tail (1 + e) ||G^-1 v||
         while tail * (1.0 + e) > 0.25 * math.ulp(1.0):  # eps/4 of a norm is at most half its ulp
             term = neg @ term
-            y = y + term
+            y += term
             tail *= e
-    y = y / d
+    y /= d
     return precond @ y, k @ y
 
 
@@ -538,5 +547,7 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
             _single_shot(partials, tables, start, config._precond) if problem.is_linear
             else _gauss_newton(problem.residual, partials, tables, start, config._precond,
                                config.max_iterations))
-    report = SolveReport(xi, iterations, history, converged_by, history[-1], used_fd)
+    norms = np.array(history)
+    xi.flags.writeable = norms.flags.writeable = False  # owned and read-only: the report keeps both
+    report = SolveReport(xi, iterations, norms, converged_by, history[-1], used_fd)
     return Solution(problem, ce, grid, report, config)

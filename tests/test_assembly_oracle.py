@@ -24,6 +24,7 @@ from bvp8.problems import benchmark
 from bvp8.solver import (
     SolverConfig,
     _CollocationTables,
+    _at_nodes,
     _fd_partials,
     assemble_loss_and_jacobian,
     build_system,
@@ -206,3 +207,38 @@ class TestNonfiniteReporting:
     def test_nan_matrix_is_singular(self):
         with pytest.raises(SingularSystemError, match="column 0"):
             lstsq_scaled_qr(np.full((4, 2), np.nan), np.ones(4))
+
+
+class TestFiniteCheck:
+    """_at_nodes passes a result whose sum is finite at once, and scans node by
+    node only a result whose sum is not: one with an inf or NaN, or finite
+    values whose sum overflows."""
+
+    X = np.linspace(0.0, 1.0, 11)
+    STATES = np.zeros((9, 11))
+
+    @pytest.mark.parametrize("row_shape", [(), (9,)], ids=["residual", "partials"])
+    def test_finite_values_whose_sum_overflows_pass(self, row_shape):
+        big = np.full((11,) + row_shape, 1e308)
+        with np.errstate(all="ignore"):  # solve's error state: the sum overflows to inf
+            assert not np.isfinite(big.sum())
+            out = _at_nodes("residual", lambda x, y: big, self.X, self.STATES, row_shape)
+        assert np.array_equal(out, big)
+
+    def test_overflowing_residual_passes_assembly(self):
+        p4 = benchmark("p4").problem
+        problem = dataclasses.replace(p4, residual=lambda x, y: np.full(x.shape, 1e308))
+        ce, grid = build_system(problem, SolverConfig())
+        loss, _ = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+        assert np.all(loss == 1e308)
+
+    @pytest.mark.parametrize("fill", [1.0, 1e308])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("row_shape", [(), (9,)], ids=["residual", "partials"])
+    def test_first_nonfinite_node_named(self, row_shape, bad, fill):
+        out = np.full((11,) + row_shape, fill)
+        out[7] = out[3] = bad
+        out[9] = -bad
+        with np.errstate(all="ignore"), pytest.raises(
+                EvaluationError, match=rf"^f is not finite at x={float(self.X[3])!r} \(got "):
+            _at_nodes("f", lambda x, y: out, self.X, self.STATES, row_shape)

@@ -37,7 +37,7 @@ def solved(name, n, m):
 def unchopped(ce, xi):
     """The nine series of y^(d), d = 0..8, before the chop."""
     series = ce.series_map @ xi
-    series[:8] += ce._beta_series(ce.bc.interleaved())
+    series[:8] += ce.bc._beta
     return chebyshev_derivatives(series, ce.bc.domain_map.c)
 
 

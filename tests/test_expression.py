@@ -1,8 +1,10 @@
 """Tests for switching functions and the constrained expression."""
 
+import copy
 import dataclasses
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ import bvp8
 import bvp8.basis
 from bvp8.basis import DomainMap
 from bvp8.errors import ConfigurationError, EvaluationError
-from bvp8.expression import CONSTRAINT_ORDERS, BoundaryConditions, ConstrainedExpression
+from bvp8.expression import (
+    CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression,
+)
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, solve
 
@@ -143,6 +147,33 @@ class TestBoundaryConditions:
     def test_interleaved_order(self):
         bc = BoundaryConditions(0.0, 1.0, (10.0, 11.0, 12.0, 13.0), (20.0, 21.0, 22.0, 23.0))
         assert_allclose(bc.interleaved(), [10, 20, 11, 21, 12, 22, 13, 23], atol=0)
+
+    def test_interleaved_is_a_fresh_writable_array(self):
+        bc = BoundaryConditions(0.0, 1.0, (10.0, 11.0, 12.0, 13.0), (20.0, 21.0, 22.0, 23.0))
+        values = bc.interleaved()
+        assert values.flags.writeable and values.dtype == np.float64
+        assert values is not bc.interleaved() and values.base is None
+        values[:] = -1.0
+        assert bc.interleaved().tolist() == [10, 20, 11, 21, 12, 22, 13, 23]
+
+    @pytest.mark.parametrize("copy_of", [lambda bc: bc, copy.copy, copy.deepcopy,
+                                         lambda bc: pickle.loads(pickle.dumps(bc))],
+                             ids=["bc", "copy", "deepcopy", "pickle"])
+    def test_values_and_series_built_once_are_read_only(self, copy_of):
+        # _values and b's series _beta are built with the bc and read by every
+        # solve; a copy or pickle rebuilds them, read-only too.
+        bc = BoundaryConditions(-1.5, 2.0, (1.0, -2.0, 3.0, 0.5), (0.25, 4.0, -1.0, 2.0))
+        other = copy_of(bc)
+        assert type(other) is BoundaryConditions and other == bc
+        assert other.domain_map == bc.domain_map
+        w = bc.x_f - bc.x_i
+        beta = (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * bc.interleaved()) @ UNIT_CHEB
+        assert np.array_equal(other._values, bc.interleaved())
+        assert np.array_equal(other._beta, beta)
+        for array in (other._values, other._beta):
+            assert array.dtype == np.float64 and array.shape == (8,)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_from_callable(self):
         bc = BoundaryConditions.from_callable(0.0, 1.0, lambda x, d: x + d)

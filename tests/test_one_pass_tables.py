@@ -321,8 +321,8 @@ def points(x_i, x_f, rng):
 def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     # _rows of an expression on [x_i, x_f] against polyval of the monomial
     # coefficients, for every max_order and for scalar, 1-D and 2-D points:
-    # its degrees 0..7, low, times the switching series (_beta_series of the
-    # unit rows) are the switching values.  Compared per order in unit-domain
+    # its degrees 0..7, low, times the switching series (w**d_j UNIT_CHEB[j]
+    # for each unit row) are the switching values.  Compared per order in unit-domain
     # terms, the values divided by w**(d_j - d); measured to 3.4e-14 of
     # max|u^(d)| on the domain (and exactly 0 at order 8).  a^(0..3) is
     # exactly 0 at the ends.
@@ -331,7 +331,7 @@ def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     m = 6
     bc = BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
     ce = ConstrainedExpression.build(bc, m)
-    series = ce._beta_series(np.eye(8))
+    series = ((bc.x_f - bc.x_i) ** np.array(CONSTRAINT_ORDERS, dtype=float) * np.eye(8)) @ UNIT_CHEB
     scale = (x_f - x_i) ** (np.array(CONSTRAINT_ORDERS, dtype=float) - np.arange(9.0)[:, None])
     xs = points(x_i, x_f, np.random.default_rng(7))
     # max|u^(d)| over the domain, from the (N,) array, which holds both ends.

@@ -225,3 +225,16 @@ class TestDerivativeErrorReport:
     def test_two_points_accepted(self):
         sol = solve(benchmark("p1").problem)
         assert derivative_errors(sol, 2).shape == (9,)
+
+    @pytest.mark.parametrize("m_basis, match", [
+        ("10", "^m_basis must be an integer, got '10'$"),
+        (None, "^m_basis must be an integer, got None$"),
+        (1.5, "^m_basis must be an integer, got 1.5$"),
+        (0, "^m_basis must be at least 1, got 0$"),
+        (-3, "^m_basis must be at least 1, got -3$"),
+    ])
+    def test_term_count_checked(self, m_basis, match):
+        # "10" and None used to raise a raw TypeError from m_basis + 1, and 0, -3
+        # and 1.5 errors about n_points ("need at least 2 grid points, got 1").
+        with pytest.raises(ConfigurationError, match=match):
+            derivative_error_report(benchmark("p1"), m_basis)

@@ -106,6 +106,25 @@ def test_report_keeps_read_only_copies_of_its_arrays():
     assert not report.xi.flags.writeable and not report.residual_norm_history.flags.writeable
 
 
+def test_solve_hands_the_report_arrays_it_owns(monkeypatch):
+    # solve gives SolveReport read-only xi and history that own their data, so
+    # ReadOnlyArrays keeps both instead of copying them.
+    given = []
+
+    class Recording(SolveReport):
+        def __post_init__(self):
+            given.append((self.xi, self.residual_norm_history))
+            super().__post_init__()
+
+    monkeypatch.setattr(solver_module, "SolveReport", Recording)
+    for name in ("p1", "p4"):
+        report = solve(benchmark(name).problem).report
+        xi, history = given.pop()
+        assert report.xi is xi and report.residual_norm_history is history
+        assert type(report.solution_norm) is float
+        assert report.solution_norm == history[-1]
+
+
 def test_public_names_resolve():
     # Every exported name resolves; the estimator front end is gone, and
     # solve is the one solve entry.
@@ -363,6 +382,27 @@ def lu_step(k, rhs, precond):
     return precond @ (np.linalg.solve(gram, v) / d)
 
 
+def identity_minus_gram_step(k, rhs, precond):
+    """(step, K y) of a certified step with I - G formed as np.identity(m) - G and the Neumann
+    terms summed out of place, the rules _lstsq_step now runs in place; None if the gate declines."""
+    gram, v, d = normal_system(k, rhs)
+    neg = np.identity(d.size) - gram
+    e = solver_module._norm(neg.ravel())
+    if not e <= 1.0 - solver_module._PRECOND_PIVOT ** 2 - 0.01:
+        return None
+    if e > solver_module._NEUMANN_NORM:
+        y = np.linalg.solve(gram, v)
+    else:
+        y = term = v
+        tail = e / (1.0 - e)
+        while tail * (1.0 + e) > 0.25 * math.ulp(1.0):
+            term = neg @ term
+            y = y + term
+            tail *= e
+    y = y / d
+    return precond @ y, k @ y
+
+
 def exact_step(k, rhs, precond):
     """precond G^-1 v / d for _lstsq_step's rounded G, v and d, in rationals, rounded once.
 
@@ -558,6 +598,28 @@ class TestPreconditionedStep:
                 else:
                     want = exact_step(k, rhs, precond)
                     assert np.linalg.norm(step - want) <= 4 * eps * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n_points,m_basis", SIZES)
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_steps_match_the_identity_minus_gram_oracle(self, name, n_points, m_basis):
+        # I - G as 0 - G plus 1 on the diagonal, and the Neumann sum in place, give
+        # np.identity(m) - G and the out-of-place sum bit for bit: the step and K y.
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        real, steps = solver_module._lstsq_step, []
+
+        def recording(k, rhs, precond, rows, a):
+            result = real(k, rhs, precond, rows, a)
+            steps.append((identity_minus_gram_step(np.array(k), np.array(rhs), precond), result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_lstsq_step", recording)
+            problem = benchmark(name).problem
+            for problem in (problem, dataclasses.replace(problem, is_linear=False)):
+                solve(problem, config)
+        assert steps and all(want is not None for want, _ in steps)
+        for want, got in steps:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("above", [False, True])
     def test_certificate_bound_decides_the_factor(self, above):
