@@ -222,7 +222,8 @@ class DomainMap:
     def to_z(self, x):
         # Snap the right endpoint so x_f maps to exactly z_f; the rounding of
         # c * (x_f - x_i) otherwise leaks into high-order basis derivatives.
-        # An array pays the snap's pass only if it reaches x_f.
+        # An array pays the snap's pass only if it reaches x_f.  Each step rounds
+        # monotonically (c > 0): before the snap, to_z(x.min()) is to_z(x).min().
         z = self.z_0 + self.c * (x - self.x_i)
         if np.ndim(x) == 0:
             return self.z_f if x == self.x_f else z
@@ -233,16 +234,25 @@ class DomainMap:
         return self.x_i + (z - self.z_0) / self.c
 
     def checked_z(self, x) -> tuple:
-        """(x as float64, to_z(x)); ConfigurationError naming the first x outside [x_i, x_f].
+        """(x as float64, to_z(x), x.min(), x.max()), the bounds as floats, inf and -inf if x is
+        empty; ConfigurationError naming the first x outside [x_i, x_f], with no warning.
 
-        The test is |z| <= 1 + 1e-12, as z.min() and z.max(); NaN fails it.
+        The test is |z| <= 1 + 1e-12 (NaN fails it) on the bounds mapped as floats, overflow to
+        inf: z.min() and z.max() bit for bit (to_z) but for the snap's ulps at x_f.  z is then
+        one buffer with to_z's operands and bits, so a read scans x only for its bounds.
         """
         x = check_real("x", x)
-        z = np.asarray(self.to_z(x))
-        if z.size and not -1.0 - 1e-12 <= z.min() <= z.max() <= 1.0 + 1e-12:
-            first = float(np.ravel(x)[np.argmin(np.ravel(np.abs(z) <= 1.0 + 1e-12))])
+        lo, hi = (float(x.min()), float(x.max())) if x.size else (np.inf, -np.inf)
+        z_lo, z_hi = self.z_0 + self.c * (lo - self.x_i), self.z_0 + self.c * (hi - self.x_i)
+        if x.size and not -1.0 - 1e-12 <= z_lo <= z_hi <= 1.0 + 1e-12:
+            with np.errstate(over="ignore"):
+                first = float(np.ravel(x)[np.argmin(np.ravel(np.abs(self.to_z(x)) <= 1.0 + 1e-12))])
             raise ConfigurationError(f"x={first!r} outside [{self.x_i}, {self.x_f}]")
-        return x, z
+        z = np.asarray(x - self.x_i)  # a new array, 0-d too
+        np.add(np.multiply(z, self.c, z), self.z_0, z)
+        if hi >= self.x_f:
+            np.copyto(z, self.z_f, where=x == self.x_f)
+        return x, z, lo, hi
 
 
 @dataclass(frozen=True, eq=False)

@@ -159,7 +159,7 @@ class ConstrainedExpression(ReadOnlyArrays):
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); tabulates orders 0..order."""
         order = check_order(order)
-        x, z = self.bc.domain_map.checked_z(x)
+        x, z, _, _ = self.bc.domain_map.checked_z(x)
         return self._rows(x, z, order)[0][order]
 
     def _series(self, xi) -> list:
@@ -176,11 +176,11 @@ class ConstrainedExpression(ReadOnlyArrays):
     def _read(self, x, order: int, series: list):
         """y^{(order)}(x) from the chopped series of _series: one Clenshaw pass (numpy's chebval
         of that stored series bit for bit), with the exact boundary data of orders 0..3 where x
-        is x_i or x_f."""
+        is x_i or x_f, gated by checked_z's bounds of x: no further pass unless x reaches one."""
         order = check_order(order)
-        x, z = self.bc.domain_map.checked_z(x)
+        x, z, lo, hi = self.bc.domain_map.checked_z(x)
         y = clenshaw(z, series[order])
-        if order < 4 and x.size and (x.min() <= self.bc.x_i or x.max() >= self.bc.x_f):
+        if order < 4 and (lo <= self.bc.x_i or hi >= self.bc.x_f):
             right = np.where(x == self.bc.x_f, self.bc.right_values[order], y)
             y = np.where(x == self.bc.x_i, self.bc.left_values[order], right)[()]
         return y

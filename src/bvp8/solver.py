@@ -199,12 +199,12 @@ class Solution:
     def __call__(self, x, order: int = 0):
         """y^{(order)}(x) for an integer order in 0..8, x in [x_i, x_f]; else ConfigurationError.
 
-        With xi fixed, y^{(d)} is one Chebyshev series in z, chopped at roundoff and cached per
-        solution, read by one in-place Clenshaw pass (numpy's chebval of the stored series bit
-        for bit): no basis table, no switching value.  The chop moves a value by at most eps/2
-        of the unchopped series' coefficient sum.  At x_i and x_f the orders 0..3 return the
-        boundary data exactly.  Equals expression.eval(x, order, xi) bit for bit; a scalar x
-        gives a numpy scalar.
+        With xi fixed, y^{(d)} is one Chebyshev series in z, chopped at roundoff (a value moves
+        by at most eps/2 of its coefficient sum), cached per solution and read by one in-place
+        Clenshaw pass (numpy's chebval of the stored series bit for bit).  x is checked on its
+        min and max mapped to z (DomainMap.checked_z), which are z.min() and z.max() as to_z
+        rounds monotonically.  At x_i and x_f the orders 0..3 return the boundary data exactly.
+        Equals expression.eval(x, order, xi) bit for bit; a scalar x gives a numpy scalar.
         """
         return self.expression._read(x, order, self._derivative_series)
 

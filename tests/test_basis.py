@@ -122,13 +122,13 @@ class TestDomainMap:
         dm = DomainMap(-0.7, 2.9)
         inside = dm.to_x(np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
         assert inside[0] < dm.x_i and inside[1] > dm.x_f
-        x, z = dm.checked_z(inside)
+        x, z, _, _ = dm.checked_z(inside)
         assert np.array_equal(x, inside) and np.all(np.abs(np.abs(z) - 1.0 - 5e-13) <= 1e-15)
         for z_out in (-1.0 - 2e-12, 1.0 + 2e-12):
             with pytest.raises(ConfigurationError, match="outside"):
                 dm.checked_z([0.0, dm.to_x(z_out)])
         for empty in ([], np.zeros((0, 3))):
-            x, z = dm.checked_z(empty)
+            x, z, _, _ = dm.checked_z(empty)
             assert x.shape == z.shape == np.shape(empty) and x.dtype == np.float64
 
 

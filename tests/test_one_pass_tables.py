@@ -298,7 +298,7 @@ def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
     problem = moved(*case)
     for n_points, m_basis in SIZES:
         ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        x, z = ce.bc.domain_map.checked_z(grid.x_nodes)
+        x, z, _, _ = ce.bc.domain_map.checked_z(grid.x_nodes)
         a, _ = ce._rows(x, z, 8)
         assert_exact_ends(a)
         ends = np.array([problem.bc.x_i, problem.bc.x_f])
@@ -338,7 +338,7 @@ def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     size = np.max(np.abs(np.stack([switching_values(sw, xs[5], d) for d in range(9)])
                          / scale[:, None]), axis=(1, 2))
     for x in xs:
-        x, z = dm.checked_z(x)
+        x, z, _, _ = dm.checked_z(x)
         for max_order in range(9):
             a, low = ce._rows(x, z, max_order)
             assert a.shape == (max_order + 1,) + np.shape(x) + (m,)
