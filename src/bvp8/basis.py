@@ -233,6 +233,14 @@ class DomainMap:
     def to_x(self, z):
         return self.x_i + (z - self.z_0) / self.c
 
+    def x_nodes(self, z_nodes) -> np.ndarray:
+        """The x nodes of a grid's z_nodes, z_0 first: to_x(z_nodes) with the ends snapped to
+        x_i and x_f, so boundary rows see the exact constraint locations; read-only."""
+        x = self.to_x(z_nodes)
+        x[0], x[-1] = self.x_i, self.x_f
+        x.flags.writeable = False
+        return x
+
     def checked_z(self, x) -> tuple:
         """(x as float64, to_z(x), x.min(), x.max()), the bounds as floats, inf and -inf if x is
         empty; ConfigurationError naming the first x outside [x_i, x_f], with no warning.
@@ -269,9 +277,9 @@ def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> Collocation
     """Build the CGL grid z_k = -cos(k pi / (n_points - 1)), k = 0..n_points-1.
 
     The grid is symmetrized exactly (upper half mirrors the lower half, odd
-    middle node forced to 0) and the mapped endpoints are snapped to x_i and
-    x_f so boundary rows see the exact constraint locations.  `z_nodes`, when
-    given, are the read-only z nodes of an n_points grid built before.
+    middle node forced to 0) and mapped by domain_map.x_nodes, the one map of
+    the nodes that a solve's tables use too.  `z_nodes`, when given, are the
+    read-only z nodes of an n_points grid built before.
     """
     check_instance("domain_map", domain_map, DomainMap)
     n = check_integer("n_points", n_points)
@@ -285,8 +293,4 @@ def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> Collocation
         if n % 2:
             z[half] = 0.0
         z.flags.writeable = False
-    x = domain_map.to_x(z)
-    x[0] = domain_map.x_i
-    x[-1] = domain_map.x_f
-    x.flags.writeable = False
-    return CollocationGrid(n, z, x)
+    return CollocationGrid(n, z, domain_map.x_nodes(z))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    START_DEGREE, DomainMap, ReadOnlyArrays, chebyshev_derivatives, chebyshev_table,
+    MAX_ORDER, START_DEGREE, DomainMap, ReadOnlyArrays, chebyshev_derivatives, chebyshev_table,
     check_instance, check_integer, check_order, check_real, chop, clenshaw,
 )
 from .errors import ConfigurationError, call_callback
@@ -61,7 +61,8 @@ UNIT_CHEB.flags.writeable = False
 @dataclass(frozen=True)
 class BoundaryConditions:
     """Values of y, y', y'', y''' at both endpoints of [x_i, x_f], four finite floats each;
-    _values in constraint order and b's series _beta = (w**d_j _values_j) @ UNIT_CHEB, read-only."""
+    read-only _values in constraint order, b's series _beta = (w**d_j _values_j) @ UNIT_CHEB,
+    and _scales = w**-d, d = 0..8, that read the tables of [0, 1] on [x_i, x_f], built once."""
 
     x_i: float
     x_f: float
@@ -80,8 +81,10 @@ class BoundaryConditions:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(values.tolist()))
         values = np.ravel([self.left_values, self.right_values], order="F")
-        beta = ((self.x_f - self.x_i) ** np.array(CONSTRAINT_ORDERS, float) * values) @ UNIT_CHEB
-        for name, array in (("_values", values), ("_beta", beta)):
+        w = self.x_f - self.x_i
+        beta = (w ** np.array(CONSTRAINT_ORDERS, float) * values) @ UNIT_CHEB
+        scales = w ** -np.arange(MAX_ORDER + 1.0)
+        for name, array in (("_values", values), ("_beta", beta), ("_scales", scales)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 

@@ -39,7 +39,6 @@ _ARMIJO_C = 1e-4
 _MIN_STEP_LENGTH = 1e-8
 _PRECOND_PIVOT = 0.1
 _NEUMANN_NORM = 1e-2
-_NEG_ORDERS = -np.arange(MAX_ORDER + 1.0)  # the exponents of the scales w**-d
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,16 @@ class Solution:
 
     problem: BvpProblem
     expression: ConstrainedExpression
-    grid: CollocationGrid
     report: SolveReport
     config: SolverConfig
 
-    def __getstate__(self) -> dict:  # a copy builds its own read-only series
+    def __getstate__(self) -> dict:  # a copy builds its own read-only series and grid
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def grid(self) -> CollocationGrid:
+        """The collocation grid of the solve, build_system's, built by the first read."""
+        return build_system(self.problem, self.config)[1]
 
     @cached_property
     def _derivative_series(self) -> list:
@@ -219,7 +222,8 @@ def build_system(
     problem: BvpProblem, config: SolverConfig
 ) -> tuple[ConstrainedExpression, CollocationGrid]:
     """Constrained expression and collocation grid for a problem, from config's tables;
-    a problem or config of the wrong type raises ConfigurationError naming it."""
+    a problem or config of the wrong type raises ConfigurationError naming it.  A solve makes
+    the same expression and only the grid's x nodes (_CollocationTables, Solution.grid)."""
     check_instance("problem", problem, BvpProblem)
     z, _, _, series_map = check_instance("config", config, SolverConfig)._tables
     ce = ConstrainedExpression(problem.bc, series_map)
@@ -227,19 +231,19 @@ def build_system(
 
 
 class _CollocationTables:
-    """config's tables a_1, low on [0, 1], read on [x_i, x_f] through the scales w**-d.
+    """config's tables a_1, low on [0, 1], read at the x nodes of ce's domain through bc._scales.
 
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
     w**-d low^{(d)}(t) @ bc._beta, the boundary values' switching series built once by bc,
     whose terms cancel in the series before d/dx grows them.  So states (a @ xi, b added in
-    place) and partials rows are scaled, never a table; on [0, 1] by exactly 1.  ce and grid
-    must be what build_system makes from config.
+    place) and partials rows are scaled by bc._scales = w**-d, built once by bc too, never a
+    table; on [0, 1] by exactly 1.  x is domain_map.x_nodes of config's z nodes, the x nodes of
+    build_system's grid bit for bit.  ce must be one that build_system makes from config.
     """
 
-    def __init__(self, ce: ConstrainedExpression, grid: CollocationGrid, config: SolverConfig):
-        _, self.a, low, _ = config._tables
-        w, self.x = ce.bc.x_f - ce.bc.x_i, grid.x_nodes
-        self.scale = w ** _NEG_ORDERS
+    def __init__(self, ce: ConstrainedExpression, config: SolverConfig):
+        z, self.a, low, _ = config._tables
+        self.x, self.scale = ce.bc.domain_map.x_nodes(z), ce.bc._scales
         self._b = low @ ce.bc._beta
 
     def states(self, xi: np.ndarray) -> np.ndarray:
@@ -247,7 +251,7 @@ class _CollocationTables:
 
         At xi = 0 the states are b's, and the table a is not read.
         """
-        if xi.any():
+        if np.count_nonzero(xi):  # xi.any(), in a quarter of its time
             states = self.a @ xi
             states += self._b
         else:
@@ -262,7 +266,9 @@ class _CollocationTables:
 
 
 def _fd_partials(residual: Callable) -> Callable:
-    """Central-difference fallback for dF/dy^{(d)}: two residual calls per order."""
+    """Central-difference fallback for dF/dy^{(d)}: two residual calls per order, each on a
+    read-only state matrix as BvpProblem promises, and each named in an EvaluationError."""
+    name = "residual (finite-difference partials)"
 
     def partials(x, y):
         out = np.empty(np.shape(x) + (MAX_ORDER + 1,))
@@ -271,7 +277,9 @@ def _fd_partials(residual: Callable) -> Callable:
             lo = np.array(y, dtype=float)
             hi[d] += _FD_STEP
             lo[d] -= _FD_STEP
-            out[..., d] = (residual(x, hi) - residual(x, lo)) / (2.0 * _FD_STEP)
+            hi.flags.writeable = lo.flags.writeable = False
+            out[..., d] = (call_callback(name, residual, x, hi)
+                           - call_callback(name, residual, x, lo)) / (2.0 * _FD_STEP)
         return out
 
     return partials
@@ -283,14 +291,16 @@ def _resolve_partials(problem: BvpProblem) -> tuple[Callable, bool]:
     return _fd_partials(problem.residual), True
 
 
-def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_shape=()):
+def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_shape=(),
+              checked=True):
     """fn(x, states), one call for all nodes, as a float64 array of shape (n,) + row_shape.
 
     An exception from fn, a complex result, a result of another shape, or a
     non-finite value becomes an EvaluationError naming fn (and both shapes, or
     the first non-finite node's x); a Bvp8Error raised by fn passes through.  A finite sum
     has no inf or NaN term; only a result whose sum is not (or overflows) is scanned node by
-    node.  fn and the sum run in their caller's error state: solve's silences numpy's warnings.
+    node (_scan).  checked=False leaves that test to the caller: _evaluate's is its loss's dot.
+    fn and the sum run in their caller's error state: solve's silences numpy's warnings.
     """
     expected = (x.size,) + row_shape
     result = call_callback(name, fn, x, states)
@@ -304,10 +314,16 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
     if out is None or out.shape != expected:
         got = "a non-numeric result" if out is None else out.shape
         raise EvaluationError(f"{name} must give shape {expected} over the nodes, got {got}")
-    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+    if checked and not math.isfinite(out.sum()):
+        _scan(name, out, x)
+    return out
+
+
+def _scan(name: str, out: np.ndarray, x: np.ndarray):
+    """EvaluationError naming name and the first node where out is not finite, if one is."""
+    if not np.isfinite(out).all():
         k = np.nonzero(~np.isfinite(out))[0][0]
         raise EvaluationError(f"{name} is not finite at x={float(x[k])!r} (got {out[k].tolist()!r})")
-    return out
 
 
 def _jacobian(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -333,13 +349,12 @@ def assemble_loss_and_jacobian(
     check_instance("grid", grid, CollocationGrid)
     config = SolverConfig(grid.n_points, ce.m) if config is None else config
     z, _, _, series_map = check_instance("config", config, SolverConfig)._tables
-    dm, x = ce.bc.domain_map, grid.x_nodes
-    if not ((x[0], x[-1]) == (dm.x_i, dm.x_f) and np.array_equal(grid.z_nodes, z)
-            and np.array_equal(ce.series_map, series_map)):
-        raise ConfigurationError(f"expression and grid do not match the tables of {config}")
-    xi = check_real("xi", xi, (ce.m,))
     with np.errstate(all="ignore"):  # callbacks and states overflow to inf, not a warning
-        tables = _CollocationTables(ce, grid, config)
+        tables = _CollocationTables(ce, config)
+        if not (np.array_equal(grid.x_nodes, tables.x) and np.array_equal(grid.z_nodes, z)
+                and np.array_equal(ce.series_map, series_map)):
+            raise ConfigurationError(f"expression and grid do not match the tables of {config}")
+        xi = check_real("xi", xi, (ce.m,))
         _, states, loss, _ = _evaluate(problem.residual, tables, xi)
         return loss, _jacobian(tables.rows(_resolve_partials(problem)[0], states), tables.a)
 
@@ -422,8 +437,10 @@ def _lstsq_step(k: np.ndarray, rhs: np.ndarray, precond: np.ndarray, rows: np.nd
     _jacobian(rows, a), with no factor of G.  G y = v is solved as the Neumann sum of
     (I - G)^j v for e <= _NEUMANN_NORM, up to the first j whose tail bound e^(j+1) / (1 - e)
     is below half an ulp of ||y|| (3 or 4 terms on p1-p6), summed in place, else by one LU
-    solve; J step is K (y / d).  I - G is 0 - G plus 1 on its diagonal, np.identity(m) - G bit
-    for bit.  It runs in its caller's error state; solve's silences numpy's warnings.
+    solve; J step is K (y / d).  On p1-p6 e is at most 3e-5 at (11, 10), (31, 30) and (481,
+    60), so every step is a Neumann sum; on p7, paper_default's median op, e is 0.75 to 0.82,
+    so every p7 step is the LU solve.  I - G is 0 - G plus 1 on its diagonal, np.identity(m) -
+    G bit for bit.  It runs in its caller's error state; solve's silences numpy's warnings.
     """
     gram = k.T @ k
     d = np.sqrt(gram.diagonal())
@@ -455,10 +472,16 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _evaluate(residual: Callable, tables: _CollocationTables, xi: np.ndarray):
-    """(xi, states, loss, ||loss||) at xi; in solve's error state, an overflow gives inf."""
+    """(xi, states, loss, ||loss||) at xi; in solve's error state, an overflow gives inf.
+
+    One dot is the norm (_norm's) and the finite test: only a loss whose dot is not finite
+    is scanned, which names its first inf or NaN node or, if it has none, gives norm inf."""
     states = tables.states(xi)
-    loss = _at_nodes("residual", residual, tables.x, states)
-    return xi, states, loss, _norm(loss)
+    loss = _at_nodes("residual", residual, tables.x, states, checked=False)
+    square = loss @ loss
+    if not math.isfinite(square):
+        _scan("residual", loss, tables.x)
+    return xi, states, loss, math.sqrt(square)
 
 
 def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_LENGTH):
@@ -537,10 +560,11 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     Both rules share one set-up and one residual evaluation at xi = 0.  Replace
     the problem with is_linear=False to run Gauss-Newton on a linear problem.
     """
-    config = _DEFAULT_CONFIG if config is None else config
-    ce, grid = build_system(problem, config)
+    check_instance("problem", problem, BvpProblem)
+    config = _DEFAULT_CONFIG if config is None else check_instance("config", config, SolverConfig)
+    ce = ConstrainedExpression(problem.bc, config._tables[3])  # build_system's, with no grid
     with np.errstate(all="ignore"):  # one error state for every callback, norm and step
-        tables = _CollocationTables(ce, grid, config)
+        tables = _CollocationTables(ce, config)
         partials, used_fd = _resolve_partials(problem)
         start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
         xi, iterations, history, converged_by = (
@@ -550,4 +574,4 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     norms = np.array(history)
     xi.flags.writeable = norms.flags.writeable = False  # owned and read-only: the report keeps both
     report = SolveReport(xi, iterations, norms, converged_by, history[-1], used_fd)
-    return Solution(problem, ce, grid, report, config)
+    return Solution(problem, ce, report, config)

@@ -90,7 +90,7 @@ def test_loss_and_jacobian_match_node_loops(name, n_points, m_basis, kind, fd):
     ce, grid = build_system(problem, config)
     xi = coefficients(kind, name, n_points, m_basis)
     loss, jac = assemble_loss_and_jacobian(problem, ce, grid, xi)
-    tables = _CollocationTables(ce, grid, config)
+    tables = _CollocationTables(ce, config)
     partials = _fd_partials(problem.residual) if fd else problem.partials
     width = problem.bc.x_f - problem.bc.x_i
     assert np.array_equal(loss, loop_loss_vector(problem.residual, tables, xi))
@@ -126,6 +126,19 @@ class TestCallCounts:
         report = solve(problem, SolverConfig(n_points=481, m_basis=60)).report
         assert report.iterations == 2
         want = {"residual": 3 + 2 * 18, "partials": 0} if fd else {"residual": 3, "partials": 2}
+        assert calls == want
+
+    @pytest.mark.parametrize("n_points, m_basis", SIZES)
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_benchmark_solve_call_counts(self, name, n_points, m_basis):
+        # A linear solve is one shot: the residual at xi = 0 and the partials
+        # there.  p4-p6 take two Gauss-Newton steps: the residual at xi = 0 and
+        # at each accepted step, the partials at each step.  A change that
+        # evaluates more callbacks per solve fails here.
+        calls = {"residual": 0, "partials": 0}
+        problem = counted(benchmark(name).problem, calls)
+        solve(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
+        want = {"residual": 1, "partials": 1} if problem.is_linear else {"residual": 3, "partials": 2}
         assert calls == want
 
 

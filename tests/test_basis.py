@@ -206,6 +206,16 @@ class TestMakeGrid:
         assert grid.x_nodes[0] == 0.0
         assert grid.x_nodes[-1] == np.expm1(0.5)
 
+    def test_right_end_snaps_where_the_map_rounds_off_it(self):
+        # On [-0.7, 2.9] to_x(1) misses 2.9 by rounding.  The grid ends at x_f
+        # exactly, and so do the x nodes that a solve maps by the same x_nodes.
+        dm = DomainMap(-0.7, 2.9)
+        assert dm.to_x(np.array([1.0]))[0] != 2.9
+        grid = make_grid(dm, 11)
+        assert grid.x_nodes[0] == -0.7 and grid.x_nodes[-1] == 2.9
+        x = dm.x_nodes(grid.z_nodes)
+        assert np.array_equal(x, grid.x_nodes) and not x.flags.writeable
+
     @pytest.mark.parametrize("n", [2, 3, 10, 11])
     def test_exact_symmetry(self, n):
         grid = make_grid(UNIT_MAP, n)

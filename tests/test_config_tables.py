@@ -171,7 +171,10 @@ def test_expression_or_grid_not_built_from_the_config_rejected():
     series_map[0, 0] = np.nextafter(series_map[0, 0], np.inf)
     wider = DomainMap(0.0, 2.0)
     z = np.linspace(-1.0, 1.0, 11)
+    x = grid.x_nodes.copy()
+    x[5] = np.nextafter(x[5], np.inf)  # its ends and z nodes are the config's
     others = [
+        (ce, CollocationGrid(11, grid.z_nodes, x)),
         (dataclasses.replace(ce, series_map=series_map), grid),
         (dataclasses.replace(ce, series_map=ce.series_map[:-1]), grid),
         (dataclasses.replace(ce, bc=dataclasses.replace(ce.bc, x_f=2.0)), grid),
@@ -232,7 +235,7 @@ def test_p5_states_no_further_from_exact_than_per_domain_tables(n_points, m_basi
     xi = solve(problem, config).report.xi
     ce, grid = build_system(problem, config)
     exact = np.array([problem.exact(grid.x_nodes, d) for d in range(9)])
-    new = np.max(np.abs(_CollocationTables(ce, grid, config).states(xi) - exact), axis=1)
+    new = np.max(np.abs(_CollocationTables(ce, config).states(xi) - exact), axis=1)
     old = np.max(np.abs(PerOrderTables(ce, grid).states(xi) - exact), axis=1)
     orders = [0, 1, 2, 3, 4, 5, 6, 8]
     assert np.all(new[orders] <= old[orders]), (new, old)

@@ -160,8 +160,9 @@ class TestBoundaryConditions:
                                          lambda bc: pickle.loads(pickle.dumps(bc))],
                              ids=["bc", "copy", "deepcopy", "pickle"])
     def test_values_and_series_built_once_are_read_only(self, copy_of):
-        # _values and b's series _beta are built with the bc and read by every
-        # solve; a copy or pickle rebuilds them, read-only too.
+        # _values, b's series _beta and the table scales _scales = w**-d are
+        # built with the bc and read by every solve; a copy or pickle rebuilds
+        # them, read-only too.
         bc = BoundaryConditions(-1.5, 2.0, (1.0, -2.0, 3.0, 0.5), (0.25, 4.0, -1.0, 2.0))
         other = copy_of(bc)
         assert type(other) is BoundaryConditions and other == bc
@@ -170,8 +171,9 @@ class TestBoundaryConditions:
         beta = (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * bc.interleaved()) @ UNIT_CHEB
         assert np.array_equal(other._values, bc.interleaved())
         assert np.array_equal(other._beta, beta)
-        for array in (other._values, other._beta):
-            assert array.dtype == np.float64 and array.shape == (8,)
+        assert np.array_equal(other._scales, w ** -np.arange(9.0))
+        for array in (other._values, other._beta, other._scales):
+            assert array.dtype == np.float64 and array.shape in ((8,), (9,))
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 

@@ -175,7 +175,7 @@ class TestCollocationTables:
         # Measured: a to 1.1e-13 of max|a^(d)|, b to 2.1e-14 of its terms.
         problem, ce, grid = self.setup_problem(name, n_points, m_basis)
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
-        tables = _CollocationTables(ce, grid, config)
+        tables = _CollocationTables(ce, config)
         oracle = oracle_tables(problem, ce, grid)
         assert tables.a.shape == (9, n_points, m_basis) and tables.a.flags.c_contiguous
         assert_rows_close(tables.a, oracle.a, 2e-13)
@@ -211,7 +211,7 @@ class TestCollocationTables:
         # The solved coefficients: nonzero, and small enough that p5's
         # exp(-8 y) stays finite.
         xi = solve(problem, config).report.xi
-        tables = _CollocationTables(ce, grid, config)
+        tables = _CollocationTables(ce, config)
         oracle = oracle_tables(problem, ce, grid)
         gap = np.abs(tables.states(xi) - oracle.states(xi))
         assert np.all(np.max(gap, axis=1) <= 5e-14 * np.max(state_terms(config, ce, xi), axis=1))

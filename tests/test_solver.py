@@ -432,8 +432,8 @@ def lstsq_step(a, rhs, precond):
 
 def preconditioned_step(problem, config, xi, rhs):
     """(step, J step) at xi as a solve takes it, K formed from the config's table a P."""
-    ce, grid = build_system(problem, config)
-    tables = _CollocationTables(ce, grid, config)
+    ce, _ = build_system(problem, config)
+    tables = _CollocationTables(ce, config)
     return solver_module._step(problem.partials, tables, tables.states(xi), rhs, config._precond)
 
 
@@ -600,6 +600,40 @@ class TestPreconditionedStep:
                     assert np.linalg.norm(step - want) <= 4 * eps * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n_points,m_basis", SIZES)
+    def test_each_benchmark_step_takes_its_path(self, n_points, m_basis):
+        # p1-p6 solve every step by the Neumann series and p7 by one LU solve of G,
+        # as given and by Gauss-Newton; no step takes the QR.  The path is read from
+        # the calls a step makes, not from its e = ||G - I||_F (about 0.8 on p7).
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        real_step, real_solve = solver_module._lstsq_step, np.linalg.solve
+        real_qr, paths, calls = solver_module.lstsq_scaled_qr, {}, []
+
+        def recording_step(k, rhs, precond, rows, a):
+            calls.clear()
+            result = real_step(k, rhs, precond, rows, a)
+            path = "qr" if "qr" in calls else {(): "neumann", ("lu",): "lu"}[tuple(calls)]
+            paths.setdefault(name, set()).add(path)
+            return result
+
+        def recording_qr(a, rhs):
+            calls.append("qr")
+            return real_qr(a, rhs)
+
+        def recording_solve(a, b):
+            calls.append("lu")
+            return real_solve(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_lstsq_step", recording_step)
+            mp.setattr(solver_module, "lstsq_scaled_qr", recording_qr)
+            mp.setattr(np.linalg, "solve", recording_solve)
+            for name in ALL_NAMES:
+                problem = benchmark(name).problem
+                for problem in (problem, dataclasses.replace(problem, is_linear=False)):
+                    solve(problem, config)
+        assert paths == {name: {"lu" if name == "p7" else "neumann"} for name in ALL_NAMES}
+
+    @pytest.mark.parametrize("n_points,m_basis", SIZES)
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_steps_match_the_identity_minus_gram_oracle(self, name, n_points, m_basis):
         # I - G as 0 - G plus 1 on the diagonal, and the Neumann sum in place, give
@@ -745,7 +779,7 @@ class TestPreconditionedStep:
         # _STEP_TOL in the coefficients is not negligible in the state.
         problem = benchmark("p5").problem
         sol = solve(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        states = _CollocationTables(sol.expression, sol.grid, sol.config).states(sol.report.xi)
+        states = _CollocationTables(sol.expression, sol.config).states(sol.report.xi)
         x = sol.grid.x_nodes
         assert np.max(np.abs(states[8] - problem.exact(x, 8))) <= 1e-10
 
@@ -1124,6 +1158,43 @@ class TestSolveNonlinear:
         assert fd.report.used_fd_partials
         assert not nofd.report.used_fd_partials
         assert_allclose(fd.report.xi, nofd.report.xi, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_points,m_basis", SIZES)
+    def test_fd_partials_pass_read_only_states(self, n_points, m_basis):
+        # BvpProblem promises every residual call a read-only state matrix, the
+        # finite-difference fallback's perturbed states too; they used to be
+        # writable copies, and this residual's error was reported as the partials'.
+        p4 = dataclasses.replace(benchmark("p4").problem, partials=None)
+        residual = p4.residual
+
+        def strict(x, y):
+            if y.flags.writeable:
+                raise ValueError("residual got a writable state matrix")
+            return residual(x, y)
+
+        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        want = solve(p4, config).report
+        got = solve(dataclasses.replace(p4, residual=strict), config).report
+        assert got.used_fd_partials and got.iterations == want.iterations
+        assert np.array_equal(got.xi, want.xi)
+        assert np.array_equal(got.residual_norm_history, want.residual_norm_history)
+
+    def test_fd_partials_name_the_residual_that_raised(self):
+        # The second residual call is the first of the finite differences.
+        residual, calls = benchmark("p4").problem.residual, []
+        exc = ValueError("boom")
+
+        def failing(x, y):
+            calls.append(1)
+            if len(calls) == 2:
+                raise exc
+            return residual(x, y)
+
+        problem = dataclasses.replace(benchmark("p4").problem, residual=failing, partials=None)
+        with pytest.raises(EvaluationError, match=r"^residual \(finite-difference partials\) "
+                                                  r"raised ValueError: boom$") as info:
+            solve(problem)
+        assert info.value.__cause__ is exc
 
     def test_oracle_switching_invariance(self):
         # Gauss-Newton on an expression whose switching functions come from
