@@ -188,7 +188,7 @@ class ConstrainedExpression(ReadOnlyArrays):
             y = np.where(x == self.bc.x_i, self.bc.left_values[order], right)[()]
         return y
 
-    def eval(self, x, order: int = 0, xi=None):
+    def eval(self, x, order: int, xi):
         """y^{(order)}(x, xi): one Clenshaw pass over the chopped series of _series(xi)."""
         xi = check_real("xi", xi, (self.m,))
         return self._read(x, order, self._series(xi))

@@ -84,10 +84,10 @@ class SolverConfig:
     terms.  m_basis may not exceed n_points - 1, otherwise the least-squares
     system is underdetermined.
 
-    A config builds its collocation tables on [0, 1] at its first solve and reuses them in
-    every solve with it, on any domain, as it does the least-squares preconditioner P and
-    the table a P, a second (9, n, m) table (2.08 MB at (481, 60)); none is a field, and a
-    copy or an unpickled config builds its own.
+    A config builds its collocation tables on [0, 1] at its first solve or assembly and reuses
+    them in every solve with it, on any domain, the least-squares preconditioner P and the table
+    a P among them, a second (9, n, m) table (2.08 MB at (481, 60)); none is a field, and a copy
+    or an unpickled config builds its own.  Fields are stored as int.
     """
 
     n_points: int = 11
@@ -96,7 +96,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            check_integer(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, check_integer(f.name, getattr(self, f.name)))
         if self.n_points < 2:
             raise ConfigurationError(f"need at least 2 grid points, got {self.n_points}")
         if not 1 <= self.m_basis <= self.n_points - 1:
@@ -112,30 +112,23 @@ class SolverConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (z, a, low, series_map): the CGL nodes, a^{(d)} and 2**d T_{0..7}^{(d)}(z)
-        at the nodes of [0, 1] (_rows), and the expression's series_map, the same on any domain."""
+    def _tables(self) -> tuple:
+        """Read-only (z, a, low, series_map, P, a P): the CGL nodes, a^{(d)} and 2**d
+        T_{0..7}^{(d)}(z) at the nodes of [0, 1] (_rows), the expression's series_map, the same
+        on any domain, P = R^-1, R the triangle of the QR of a^{(8)}, and the table a P.
+
+        y^{(8)} enters every equation, so K = J P is near orthonormal up to its column scales
+        (_lstsq_step), and a step forms K from a P as J from a.
+        """
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
         ce = ConstrainedExpression.build(bc, self.m_basis)
         grid = make_grid(bc.domain_map, self.n_points)
         a, low = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
-        for table in (a, low):
+        precond = np.linalg.inv(np.linalg.qr(a[MAX_ORDER], mode="r"))
+        a_precond = a @ precond
+        for table in (a, low, precond, a_precond):
             table.flags.writeable = False
-        return grid.z_nodes, a, low, ce.series_map
-
-    @cached_property
-    def _precond(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (P, a P): P = R^-1, R the triangle of the QR of the [0, 1] table a^{(8)}.
-
-        y^{(8)} enters every equation, so K = J P is near orthonormal up to its column scales
-        (_lstsq_step), and a step forms K from a P as J from a.  Apart from _tables, so
-        assembly alone never builds them.
-        """
-        precond = np.linalg.inv(np.linalg.qr(self._tables[1][MAX_ORDER], mode="r"))
-        pair = precond, self._tables[1] @ precond
-        for table in pair:
-            table.flags.writeable = False
-        return pair
+        return grid.z_nodes, a, low, ce.series_map, precond, a_precond
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -225,13 +218,13 @@ def build_system(
     a problem or config of the wrong type raises ConfigurationError naming it.  A solve makes
     the same expression and only the grid's x nodes (_CollocationTables, Solution.grid)."""
     check_instance("problem", problem, BvpProblem)
-    z, _, _, series_map = check_instance("config", config, SolverConfig)._tables
+    z, _, _, series_map, _, _ = check_instance("config", config, SolverConfig)._tables
     ce = ConstrainedExpression(problem.bc, series_map)
     return ce, make_grid(problem.bc.domain_map, config.n_points, z)
 
 
 class _CollocationTables:
-    """config's tables a_1, low on [0, 1], read at the x nodes of ce's domain through bc._scales.
+    """The collocated system of problem on ce's domain, from config's tables (_tables).
 
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
     w**-d low^{(d)}(t) @ bc._beta, the boundary values' switching series built once by bc,
@@ -239,12 +232,16 @@ class _CollocationTables:
     place) and partials rows are scaled by bc._scales = w**-d, built once by bc too, never a
     table; on [0, 1] by exactly 1.  x is domain_map.x_nodes of config's z nodes, the x nodes of
     build_system's grid bit for bit.  ce must be one that build_system makes from config.
+    partials is problem.partials, or central differences of its residual if it has none
+    (used_fd); precond and a_precond are config's P and a P.
     """
 
-    def __init__(self, ce: ConstrainedExpression, config: SolverConfig):
-        z, self.a, low, _ = config._tables
+    def __init__(self, ce: ConstrainedExpression, problem: BvpProblem, config: SolverConfig):
+        z, self.a, low, _, self.precond, self.a_precond = config._tables
         self.x, self.scale = ce.bc.domain_map.x_nodes(z), ce.bc._scales
         self._b = low @ ce.bc._beta
+        self.residual, self.used_fd = problem.residual, problem.partials is None
+        self.partials = _fd_partials(problem.residual) if self.used_fd else problem.partials
 
     def states(self, xi: np.ndarray) -> np.ndarray:
         """Read-only state matrix with column k = (y(x_k), y'(x_k), .., y^{(8)}(x_k)).
@@ -260,9 +257,26 @@ class _CollocationTables:
         states.flags.writeable = False
         return states
 
-    def rows(self, partials: Callable, states: np.ndarray) -> np.ndarray:
+    def evaluate(self, xi: np.ndarray):
+        """(xi, states, loss, ||loss||) at xi; in solve's error state, an overflow gives inf.
+
+        One dot is the norm (_norm's) and the finite test: only a loss whose dot is not finite
+        is scanned, which names its first inf or NaN node or, if it has none, gives norm inf."""
+        states = self.states(xi)
+        loss = _at_nodes("residual", self.residual, self.x, states, checked=False)
+        square = loss @ loss
+        if not math.isfinite(square):
+            _scan("residual", loss, self.x)
+        return xi, states, loss, math.sqrt(square)
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
         """(n, 9) rows dF/dy(x_k) * scale at states, the state matrix states(xi)."""
-        return _at_nodes("partials", partials, self.x, states, (MAX_ORDER + 1,)) * self.scale
+        return _at_nodes("partials", self.partials, self.x, states, (MAX_ORDER + 1,)) * self.scale
+
+    def step(self, states: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_lstsq_step at states, its K = J P formed from the table a P."""
+        rows = self.rows(states)
+        return _lstsq_step(_jacobian(rows, self.a_precond), rhs, self.precond, rows, self.a)
 
 
 def _fd_partials(residual: Callable) -> Callable:
@@ -285,12 +299,6 @@ def _fd_partials(residual: Callable) -> Callable:
     return partials
 
 
-def _resolve_partials(problem: BvpProblem) -> tuple[Callable, bool]:
-    if problem.partials is not None:
-        return problem.partials, False
-    return _fd_partials(problem.residual), True
-
-
 def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_shape=(),
               checked=True):
     """fn(x, states), one call for all nodes, as a float64 array of shape (n,) + row_shape.
@@ -299,7 +307,7 @@ def _at_nodes(name: str, fn: Callable, x: np.ndarray, states: np.ndarray, row_sh
     non-finite value becomes an EvaluationError naming fn (and both shapes, or
     the first non-finite node's x); a Bvp8Error raised by fn passes through.  A finite sum
     has no inf or NaN term; only a result whose sum is not (or overflows) is scanned node by
-    node (_scan).  checked=False leaves that test to the caller: _evaluate's is its loss's dot.
+    node (_scan).  checked=False leaves that test to the caller: evaluate's is its loss's dot.
     fn and the sum run in their caller's error state: solve's silences numpy's warnings.
     """
     expected = (x.size,) + row_shape
@@ -348,15 +356,15 @@ def assemble_loss_and_jacobian(
     check_instance("ce", ce, ConstrainedExpression)
     check_instance("grid", grid, CollocationGrid)
     config = SolverConfig(grid.n_points, ce.m) if config is None else config
-    z, _, _, series_map = check_instance("config", config, SolverConfig)._tables
+    z, _, _, series_map, _, _ = check_instance("config", config, SolverConfig)._tables
     with np.errstate(all="ignore"):  # callbacks and states overflow to inf, not a warning
-        tables = _CollocationTables(ce, config)
+        tables = _CollocationTables(ce, problem, config)
         if not (np.array_equal(grid.x_nodes, tables.x) and np.array_equal(grid.z_nodes, z)
                 and np.array_equal(ce.series_map, series_map)):
             raise ConfigurationError(f"expression and grid do not match the tables of {config}")
         xi = check_real("xi", xi, (ce.m,))
-        _, states, loss, _ = _evaluate(problem.residual, tables, xi)
-        return loss, _jacobian(tables.rows(_resolve_partials(problem)[0], states), tables.a)
+        _, states, loss, _ = tables.evaluate(xi)
+        return loss, _jacobian(tables.rows(states), tables.a)
 
 
 def assemble_linear(
@@ -426,7 +434,7 @@ def lstsq_scaled_qr(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _lstsq_step(k: np.ndarray, rhs: np.ndarray, precond: np.ndarray, rows: np.ndarray,
                 a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(step, J step), step = lstsq(J, rhs) = precond y, y by the column-scaled normal
-    equations of K = J precond, formed from the table a precond (SolverConfig._precond).
+    equations of K = J precond, formed from the table a precond (SolverConfig._tables).
 
     With precond = R^-1 of the order-8 table, K is near orthonormal up to its column norms d,
     so G = (K/d)^T (K/d) is near the identity and its normal equations lose no digits
@@ -471,20 +479,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _evaluate(residual: Callable, tables: _CollocationTables, xi: np.ndarray):
-    """(xi, states, loss, ||loss||) at xi; in solve's error state, an overflow gives inf.
-
-    One dot is the norm (_norm's) and the finite test: only a loss whose dot is not finite
-    is scanned, which names its first inf or NaN node or, if it has none, gives norm inf."""
-    states = tables.states(xi)
-    loss = _at_nodes("residual", residual, tables.x, states, checked=False)
-    square = loss @ loss
-    if not math.isfinite(square):
-        _scan("residual", loss, tables.x)
-    return xi, states, loss, math.sqrt(square)
-
-
-def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_LENGTH):
+def _line_search(tables, xi, step, norm, decrease, shortest=_MIN_STEP_LENGTH):
     """The first trial xi - alpha step, alpha = 1, 1/2, .. >= shortest, that passes Armijo.
 
     For f = ||r||^2 / 2 along the Gauss-Newton direction the test is
@@ -495,7 +490,7 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
     alpha = 1.0
     while alpha >= shortest:
         try:
-            trial = _evaluate(residual, tables, xi - alpha * step)
+            trial = tables.evaluate(xi - alpha * step)
         except EvaluationError:
             trial = None
         if trial is not None and trial[3] <= norm * math.sqrt(1.0 - alpha * decrease):
@@ -504,23 +499,17 @@ def _line_search(residual, tables, xi, step, norm, decrease, shortest=_MIN_STEP_
     return None
 
 
-def _step(partials, tables, states, rhs, precond):
-    """_lstsq_step at states, its K = J P formed from precond = (P, a P), config._precond."""
-    rows = tables.rows(partials, states)
-    return _lstsq_step(_jacobian(rows, precond[1]), rhs, precond[0], rows, tables.a)
-
-
-def _single_shot(partials, tables, start, precond):
-    """One shot xi = lstsq(a, -b) by _step, for the affine loss a xi + b read at xi = 0."""
+def _single_shot(tables, start):
+    """One shot xi = lstsq(a, -b) by tables.step, for the affine loss a xi + b read at xi = 0."""
     _, states, b, norm = start
-    xi, a_xi = _step(partials, tables, states, -b, precond)
+    xi, a_xi = tables.step(states, -b)
     return xi, 1, [norm, _norm(a_xi + b)], StopReason.LINEAR_SINGLE_SHOT
 
 
-def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
+def _gauss_newton(tables, start, max_iterations):
     """Gauss-Newton from the evaluated start with a backtracking line search.
 
-    Each step solves lstsq(J, loss) for the update by _step.  When the
+    Each step solves lstsq(J, loss) for the update by tables.step.  When the
     full update is below _STEP_TOL * (1 + ||xi||) the solve has converged;
     that last update is applied unless it raises the residual norm past the
     roundoff floor _FLOOR_EPS * eps * ||y^(8)||_2, y^(8) at the current nodes.
@@ -536,14 +525,14 @@ def _gauss_newton(residual, partials, tables, start, precond, max_iterations):
 
     while iterations < max_iterations:
         iterations += 1
-        step, j_step = _step(partials, tables, states, loss, precond)
+        step, j_step = tables.step(states, loss)
         if _norm(step) <= _STEP_TOL * (1.0 + _norm(xi)):
             converged_by = StopReason.CONVERGED
             floor = _FLOOR_EPS * math.ulp(1.0) * _norm(states[MAX_ORDER])
-            found = _line_search(residual, tables, xi, step, norm + floor, 0.0, shortest=1.0)
+            found = _line_search(tables, xi, step, norm + floor, 0.0, shortest=1.0)
         else:
             decrease = 2.0 * _ARMIJO_C * (_norm(j_step) / norm) ** 2
-            found = _line_search(residual, tables, xi, step, norm, decrease)
+            found = _line_search(tables, xi, step, norm, decrease)
             if found is None:
                 converged_by = StopReason.STALLED
         if found is not None:
@@ -564,14 +553,12 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     config = _DEFAULT_CONFIG if config is None else check_instance("config", config, SolverConfig)
     ce = ConstrainedExpression(problem.bc, config._tables[3])  # build_system's, with no grid
     with np.errstate(all="ignore"):  # one error state for every callback, norm and step
-        tables = _CollocationTables(ce, config)
-        partials, used_fd = _resolve_partials(problem)
-        start = _evaluate(problem.residual, tables, np.zeros(config.m_basis))
+        tables = _CollocationTables(ce, problem, config)
+        start = tables.evaluate(np.zeros(config.m_basis))
         xi, iterations, history, converged_by = (
-            _single_shot(partials, tables, start, config._precond) if problem.is_linear
-            else _gauss_newton(problem.residual, partials, tables, start, config._precond,
-                               config.max_iterations))
+            _single_shot(tables, start) if problem.is_linear
+            else _gauss_newton(tables, start, config.max_iterations))
     norms = np.array(history)
     xi.flags.writeable = norms.flags.writeable = False  # owned and read-only: the report keeps both
-    report = SolveReport(xi, iterations, norms, converged_by, history[-1], used_fd)
+    report = SolveReport(xi, iterations, norms, converged_by, history[-1], tables.used_fd)
     return Solution(problem, ce, report, config)

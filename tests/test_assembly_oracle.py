@@ -90,7 +90,7 @@ def test_loss_and_jacobian_match_node_loops(name, n_points, m_basis, kind, fd):
     ce, grid = build_system(problem, config)
     xi = coefficients(kind, name, n_points, m_basis)
     loss, jac = assemble_loss_and_jacobian(problem, ce, grid, xi)
-    tables = _CollocationTables(ce, config)
+    tables = _CollocationTables(ce, problem, config)
     partials = _fd_partials(problem.residual) if fd else problem.partials
     width = problem.bc.x_f - problem.bc.x_i
     assert np.array_equal(loss, loop_loss_vector(problem.residual, tables, xi))

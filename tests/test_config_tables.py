@@ -100,29 +100,29 @@ def test_default_config_is_shared(calls):
 
 def test_cached_arrays_are_read_only():
     config = SolverConfig()
-    for table in (*config._tables, *config._precond):
+    for table in config._tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
     # P and a P own their data: no writeable array can reach them.
-    assert all(table.flags.owndata for table in config._precond)
+    assert all(table.flags.owndata for table in config._tables[4:])
 
 
 @pytest.mark.parametrize("n_points, m_basis", [(11, 10), (31, 30), (481, 60)])
-def test_preconditioner_is_built_by_solve_not_by_assembly(n_points, m_basis):
+def test_preconditioner_is_built_with_the_tables(n_points, m_basis):
     # P = R^-1, R of the QR of the order-8 table: a^(8) P has orthonormal
     # columns, to 3e-9 at (481, 60), where cond(R) is 7e15.  The table a P
     # that each step forms K = J P from is a^(d) P for every order d, bit for bit.
+    # The one build of the tables makes them, so an assembly alone builds them too.
     problem = benchmark("p4").problem
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     ce, grid = build_system(problem, config)
     assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m_basis), config)
-    assert "_tables" in vars(config) and "_precond" not in vars(config)
+    tables = vars(config)["_tables"]
     solve(problem, config)
-    assert "_precond" in vars(config)
-    precond, a_precond = config._precond
+    assert config._tables is tables
+    _, a, _, _, precond, a_precond = tables
     assert not precond.flags.writeable and np.array_equal(precond, np.triu(precond))
-    a = config._tables[1]
     q = a[8] @ precond
     assert np.max(np.abs(q.T @ q - np.eye(m_basis))) <= 1e-8
     assert a_precond.shape == (9, n_points, m_basis) and not a_precond.flags.writeable
@@ -132,9 +132,9 @@ def test_preconditioner_is_built_by_solve_not_by_assembly(n_points, m_basis):
 
 def test_replaced_config_builds_its_own_tables():
     config = SolverConfig(n_points=11, m_basis=10)
-    _, a, low, series_map = config._tables
+    _, a, low, series_map, *_ = config._tables
     wider = dataclasses.replace(config, n_points=31)
-    _, a31, low31, series_map31 = wider._tables
+    _, a31, low31, series_map31, *_ = wider._tables
     assert a.shape == (9, 11, 10) and a31.shape == (9, 31, 10)
     assert low.shape == (9, 11, 8) and low31.shape == (9, 31, 8)
     assert series_map.shape == (18, 10)
@@ -193,10 +193,9 @@ def test_copies_build_their_own_read_only_tables(copy_of):
     config = SolverConfig(n_points=31, m_basis=30)
     solve(benchmark("p4").problem, config)
     copied = copy_of(config)
-    assert copied == config and "_tables" not in vars(copied) and "_precond" not in vars(copied)
+    assert copied == config and "_tables" not in vars(copied)
     assert len(pickle.dumps(config)) < 1000
-    for table, original in zip((*copied._tables, *copied._precond),
-                               (*config._tables, *config._precond)):
+    for table, original in zip(copied._tables, config._tables):
         assert table is not original and np.array_equal(table, original)
         assert not table.flags.writeable
 
@@ -235,7 +234,7 @@ def test_p5_states_no_further_from_exact_than_per_domain_tables(n_points, m_basi
     xi = solve(problem, config).report.xi
     ce, grid = build_system(problem, config)
     exact = np.array([problem.exact(grid.x_nodes, d) for d in range(9)])
-    new = np.max(np.abs(_CollocationTables(ce, config).states(xi) - exact), axis=1)
+    new = np.max(np.abs(_CollocationTables(ce, problem, config).states(xi) - exact), axis=1)
     old = np.max(np.abs(PerOrderTables(ce, grid).states(xi) - exact), axis=1)
     orders = [0, 1, 2, 3, 4, 5, 6, 8]
     assert np.all(new[orders] <= old[orders]), (new, old)

@@ -374,3 +374,12 @@ class TestConstrainedExpression:
         ce = build_unit_ce(m=5)
         with pytest.raises(ValueError):
             ce.eval(0.5, 0, np.zeros(6))
+
+    def test_eval_takes_order_and_xi_with_no_defaults(self):
+        # A default xi=None could only raise "xi must be real numbers, got None".
+        ce = build_unit_ce(m=5)
+        params = inspect.signature(ce.eval).parameters
+        assert all(params[name].default is inspect.Parameter.empty for name in ("order", "xi"))
+        with pytest.raises(TypeError, match="xi"):
+            ce.eval(0.5, 0)
+        assert ce.eval(0.5, 0, np.zeros(5)) == ce.b_value(0.5, 0)

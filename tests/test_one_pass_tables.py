@@ -17,6 +17,8 @@ per-order tables of its own expression; one on another domain (p5) with the
 per-order tables of the same problem moved to [0, 1], read with those scales.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,10 @@ class UnitDomainTables(PerOrderTables):
 
 
 def jacobian(partials, tables, states):
-    """J at states by the solver's per-node product, from tables' a: a config's or an oracle's."""
-    return _jacobian(_CollocationTables.rows(tables, partials, states), tables.a)
+    """J at states by the solver's rows and per-node product, from tables' x, scale and a: a
+    config's or an oracle's."""
+    reader = SimpleNamespace(x=tables.x, scale=tables.scale, partials=partials)
+    return _jacobian(_CollocationTables.rows(reader, states), tables.a)
 
 
 def oracle_tables(problem, ce, grid):
@@ -134,7 +138,7 @@ def oracle_tables(problem, ce, grid):
 def state_terms(config, ce, xi):
     """|s| |w**d_j v_j| + |a| |xi| times w**-d: the size of the terms of each state,
     s the switching values on [0, 1], which the config's table low reads."""
-    _, a, low, _ = config._tables
+    _, a, low, *_ = config._tables
     s = low @ UNIT_CHEB.T
     w = ce.bc.x_f - ce.bc.x_i
     v = w ** np.array(CONSTRAINT_ORDERS, dtype=float) * ce.bc.interleaved()
@@ -175,7 +179,7 @@ class TestCollocationTables:
         # Measured: a to 1.1e-13 of max|a^(d)|, b to 2.1e-14 of its terms.
         problem, ce, grid = self.setup_problem(name, n_points, m_basis)
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
-        tables = _CollocationTables(ce, config)
+        tables = _CollocationTables(ce, problem, config)
         oracle = oracle_tables(problem, ce, grid)
         assert tables.a.shape == (9, n_points, m_basis) and tables.a.flags.c_contiguous
         assert_rows_close(tables.a, oracle.a, 2e-13)
@@ -211,7 +215,7 @@ class TestCollocationTables:
         # The solved coefficients: nonzero, and small enough that p5's
         # exp(-8 y) stays finite.
         xi = solve(problem, config).report.xi
-        tables = _CollocationTables(ce, config)
+        tables = _CollocationTables(ce, problem, config)
         oracle = oracle_tables(problem, ce, grid)
         gap = np.abs(tables.states(xi) - oracle.states(xi))
         assert np.all(np.max(gap, axis=1) <= 5e-14 * np.max(state_terms(config, ce, xi), axis=1))
@@ -226,7 +230,7 @@ def test_switching_values_match_the_monomials(n_points, m_basis):
     # The switching values s the config's table reads, its degrees 0..7 times
     # the Chebyshev series, against polyval of the monomial coefficients at
     # the [0, 1] nodes; measured to 3.3e-14.
-    _, _, low, _ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
+    _, _, low, *_ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
     s = low @ UNIT_CHEB.T
     x = make_grid(DomainMap(0.0, 1.0), n_points).x_nodes
     sw = Switching(UNIT_COEFFS, DomainMap(0.0, 1.0))
@@ -279,7 +283,7 @@ def test_a_row_is_the_scaled_config_table_on_every_domain(x_i, x_f, n_points, m_
     # compared bit for bit with the table there.  a^(0..3) is exactly 0 at
     # both ends in all three.
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
-    z, a, _, _ = config._tables
+    z, a, *_ = config._tables
     ce = build_on(x_i, x_f, m_basis)
     dm = ce.bc.domain_map
     x = make_grid(dm, n_points, z).x_nodes

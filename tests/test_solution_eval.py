@@ -204,7 +204,7 @@ def test_writeable_arrays_are_copied_not_frozen():
     view.flags.writeable = False
     assert CollocationGrid(x.size, view, view).x_nodes is not view
     config = SolverConfig()  # a solve's read-only arrays are shared, not copied
-    z_nodes, _, _, series_map = config._tables
+    z_nodes, _, _, series_map, *_ = config._tables
     for name in ("p1", "p2"):
         other = solve(benchmark(name).problem, config)
         assert other.grid.z_nodes is z_nodes and other.expression.series_map is series_map

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import importlib.util
+import json
 import math
 import pickle
 import warnings
@@ -166,6 +167,12 @@ class TestSolverConfig:
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(np.int64(11), np.int32(10), np.uint8(5))
         assert solve(benchmark("p1").problem, cfg).report.xi.shape == (10,)
+
+    def test_fields_stored_as_int_round_trip_through_json(self):
+        cfg = SolverConfig(np.int64(11), np.int32(10), np.uint8(5))
+        assert all(type(getattr(cfg, f.name)) is int for f in dataclasses.fields(cfg))
+        text = json.dumps(dataclasses.asdict(cfg))
+        assert SolverConfig(**json.loads(text)) == cfg
 
 
 class TestLstsqScaledQr:
@@ -433,8 +440,8 @@ def lstsq_step(a, rhs, precond):
 def preconditioned_step(problem, config, xi, rhs):
     """(step, J step) at xi as a solve takes it, K formed from the config's table a P."""
     ce, _ = build_system(problem, config)
-    tables = _CollocationTables(ce, config)
-    return solver_module._step(problem.partials, tables, tables.states(xi), rhs, config._precond)
+    tables = _CollocationTables(ce, problem, config)
+    return tables.step(tables.states(xi), rhs)
 
 
 @contextlib.contextmanager
@@ -588,7 +595,7 @@ class TestPreconditionedStep:
                                                StopReason.LINEAR_SINGLE_SHOT)
             assert qr_systems == [] and factored == [] and products == []
             assert len(steps) == sol.report.iterations
-            precond = config._precond[0]
+            precond = config._tables[4]
             for _, k, rhs, step in steps:
                 assert gate_pivot(k) >= 0.5
                 off = gram_off_identity(k)
@@ -722,7 +729,8 @@ class TestPreconditionedStep:
         config = SolverConfig(n_points=481, m_basis=60)
         wants = [run_recorded(benchmark(name).problem, config, gate=False)[0]
                  for name in ALL_NAMES]
-        monkeypatch.setitem(config.__dict__, "_precond", (np.eye(60), config._tables[1]))
+        z, a, low, series_map, _, _ = config._tables
+        monkeypatch.setitem(config.__dict__, "_tables", (z, a, low, series_map, np.eye(60), a))
         for name, want in zip(ALL_NAMES, wants):
             got, steps, qr_systems = run_recorded(benchmark(name).problem, config)
             assert len(qr_systems) == len(steps) == got.report.iterations
@@ -779,7 +787,7 @@ class TestPreconditionedStep:
         # _STEP_TOL in the coefficients is not negligible in the state.
         problem = benchmark("p5").problem
         sol = solve(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        states = _CollocationTables(sol.expression, sol.config).states(sol.report.xi)
+        states = _CollocationTables(sol.expression, problem, sol.config).states(sol.report.xi)
         x = sol.grid.x_nodes
         assert np.max(np.abs(states[8] - problem.exact(x, 8))) <= 1e-10
 
@@ -1066,13 +1074,13 @@ class TestSolveNonlinear:
 
     def test_history_holds_accepted_iterates_only(self, monkeypatch):
         evaluated = []
-        real = solver_module._evaluate
+        real = _CollocationTables.evaluate
 
-        def recording(residual, tables, xi):
-            evaluated.append(real(residual, tables, xi))
+        def recording(tables, xi):
+            evaluated.append(real(tables, xi))
             return evaluated[-1]
 
-        monkeypatch.setattr(solver_module, "_evaluate", recording)
+        monkeypatch.setattr(_CollocationTables, "evaluate", recording)
         for name in ("p4", "p5", "p6"):
             r = solve(benchmark(name).problem).report
             h = r.residual_norm_history

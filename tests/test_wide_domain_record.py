@@ -16,10 +16,12 @@ import math
 import numpy as np
 import pytest
 
+import bvp8.solver as solver_module
 from bvp8 import BoundaryConditions, BvpProblem, SolverConfig, solve
 from bvp8.problems import benchmark
+from bvp8.solver import assemble_linear, build_system, lstsq_scaled_qr
 
-from test_solver import stretched_p5
+from test_solver import gram_off_identity, stretched_p5
 
 #: (k, n_points, m_basis, max_iterations, max error on 201 points) of p5 on [0, e^k - 1].
 STRETCHED = [
@@ -94,3 +96,23 @@ def test_linearized_p5_error(power, n_points, m_basis, recorded):
     # at k = 4 the near-square (61, 60) and (101, 100) still fail.
     sol = solve(linearized_p5(power), SolverConfig(n_points, m_basis))
     assert_on_record(max_error(sol) / power, recorded)
+
+
+@pytest.mark.parametrize("power,n_points,m_basis,e", [(3, 101, 100, 8.2), (4, 201, 200, 11.6)],
+                         ids=["e3-101-100", "e4-201-200"])
+def test_declined_linear_step_is_the_qr_of_j(monkeypatch, power, n_points, m_basis, e):
+    # The gate declines these shots: ||G - I||_F of K = J P reads e, far above 0.98, so
+    # the step is lstsq_scaled_qr(J, -b) bit for bit.  Taking it by the QR of K instead
+    # (P y, y = lstsq_scaled_qr(K, -b)) loses digits, as cond(P) is 1.4e19 to 5e23: the
+    # record's (101, 100), (201, 200) and (401, 200) errors rise 3-20x, and the last
+    # one, 2.66e-9 -> 4.31e-8 with one BLAS thread, still passes its 10x record.
+    problem, config = linearized_p5(power), SolverConfig(n_points, m_basis)
+    ce, grid = build_system(problem, config)
+    jac, b = assemble_linear(problem, ce, grid, config)
+    assert gram_off_identity(jac @ config._tables[4]) == pytest.approx(e, abs=0.05)
+    calls = []
+    monkeypatch.setattr(solver_module, "lstsq_scaled_qr",
+                        lambda a, rhs: calls.append(a) or lstsq_scaled_qr(a, rhs))
+    sol = solve(problem, config)
+    assert len(calls) == 1 and np.array_equal(calls[0], jac)
+    assert np.array_equal(sol.report.xi, lstsq_scaled_qr(jac, -b))
