@@ -6,7 +6,7 @@ minimized over a Chebyshev coefficient vector by collocation least squares.
 """
 
 from . import problems
-from .basis import CollocationGrid, DomainMap, chebyshev_table, make_grid
+from .basis import DomainMap, chebyshev_table
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
 from .solver import (
@@ -17,7 +17,6 @@ from .solver import (
     StopReason,
     assemble_linear,
     assemble_loss_and_jacobian,
-    build_system,
     lstsq_scaled_qr,
     solve,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "BoundaryConditions",
     "Bvp8Error",
     "BvpProblem",
-    "CollocationGrid",
     "ConfigurationError",
     "ConstrainedExpression",
     "DomainMap",
@@ -40,10 +38,8 @@ __all__ = [
     "StopReason",
     "assemble_linear",
     "assemble_loss_and_jacobian",
-    "build_system",
     "chebyshev_table",
     "lstsq_scaled_qr",
-    "make_grid",
     "problems",
     "solve",
     "__version__",

@@ -1,4 +1,4 @@
-"""Chebyshev basis terms, their derivatives, and the collocation grid.
+"""Chebyshev basis terms, their derivatives, and the collocation nodes.
 
 The solver expands the free part of the solution in Chebyshev polynomials of
 the first kind on [-1, +1], starting at degree 8: the lower degrees span the
@@ -234,7 +234,7 @@ class DomainMap:
         return self.x_i + (z - self.z_0) / self.c
 
     def x_nodes(self, z_nodes) -> np.ndarray:
-        """The x nodes of a grid's z_nodes, z_0 first: to_x(z_nodes) with the ends snapped to
+        """The x nodes of z_nodes (cgl_nodes), z_0 first: to_x(z_nodes) with the ends snapped to
         x_i and x_f, so boundary rows see the exact constraint locations; read-only."""
         x = self.to_x(z_nodes)
         x[0], x[-1] = self.x_i, self.x_f
@@ -263,34 +263,16 @@ class DomainMap:
         return x, z, lo, hi
 
 
-@dataclass(frozen=True, eq=False)
-class CollocationGrid(ReadOnlyArrays):
-    """Chebyshev-Gauss-Lobatto nodes in both coordinate systems; equal only to itself."""
+def cgl_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev-Gauss-Lobatto nodes z_k = -cos(k pi / (n - 1)), k = 0..n-1, read-only.
 
-    _arrays = ("z_nodes", "x_nodes")
-    n_points: int
-    z_nodes: np.ndarray
-    x_nodes: np.ndarray
-
-
-def make_grid(domain_map: DomainMap, n_points: int, z_nodes=None) -> CollocationGrid:
-    """Build the CGL grid z_k = -cos(k pi / (n_points - 1)), k = 0..n_points-1.
-
-    The grid is symmetrized exactly (upper half mirrors the lower half, odd
-    middle node forced to 0) and mapped by domain_map.x_nodes, the one map of
-    the nodes that a solve's tables use too.  `z_nodes`, when given, are the
-    read-only z nodes of an n_points grid built before.
+    Symmetrized exactly: the upper half mirrors the lower half and an odd middle node is 0.
+    n >= 2 is SolverConfig's check; DomainMap.x_nodes maps the nodes to a domain.
     """
-    check_instance("domain_map", domain_map, DomainMap)
-    n = check_integer("n_points", n_points)
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 grid points, got {n_points}")
-    z = z_nodes
-    if z is None:
-        z = -np.cos(np.pi * np.arange(n) / (n - 1))
-        half = n // 2
-        z[n - 1 - np.arange(half)] = -z[:half]
-        if n % 2:
-            z[half] = 0.0
-        z.flags.writeable = False
-    return CollocationGrid(n, z, domain_map.x_nodes(z))
+    z = -np.cos(np.pi * np.arange(n) / (n - 1))
+    half = n // 2
+    z[n - 1 - np.arange(half)] = -z[:half]
+    if n % 2:
+        z[half] = 0.0
+    z.flags.writeable = False
+    return z

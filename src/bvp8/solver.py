@@ -17,10 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import (
-    MAX_ORDER, CollocationGrid, ReadOnlyArrays, check_instance, check_integer, check_real,
-    make_grid,
-)
+from .basis import MAX_ORDER, ReadOnlyArrays, cgl_nodes, check_instance, check_integer, check_real
 from .errors import ConfigurationError, EvaluationError, SingularSystemError, call_callback
 from .expression import BoundaryConditions, ConstrainedExpression
 
@@ -78,16 +75,17 @@ class BvpProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, basis, and stopping configuration.
+    """The discretization, n_points CGL nodes and m_basis terms, and the iteration cap.
 
     Defaults reproduce the benchmark setup: 11 collocation points, 10 basis
     terms.  m_basis may not exceed n_points - 1, otherwise the least-squares
     system is underdetermined.
 
-    A config builds its collocation tables on [0, 1] at its first solve or assembly and reuses
-    them in every solve with it, on any domain, the least-squares preconditioner P and the table
-    a P among them, a second (9, n, m) table (2.08 MB at (481, 60)); none is a field, and a copy
-    or an unpickled config builds its own.  Fields are stored as int.
+    The config alone fixes a problem's constrained expression and nodes: it builds its
+    collocation tables on [0, 1] at its first solve or assembly and reuses them in every solve
+    with it, on any domain, the least-squares preconditioner P and the table a P among them, a
+    second (9, n, m) table (2.08 MB at (481, 60)); none is a field, and a copy or an unpickled
+    config builds its own.  Fields are stored as int.
     """
 
     n_points: int = 11
@@ -113,22 +111,22 @@ class SolverConfig:
 
     @cached_property
     def _tables(self) -> tuple:
-        """Read-only (z, a, low, series_map, P, a P): the CGL nodes, a^{(d)} and 2**d
-        T_{0..7}^{(d)}(z) at the nodes of [0, 1] (_rows), the expression's series_map, the same
-        on any domain, P = R^-1, R the triangle of the QR of a^{(8)}, and the table a P.
+        """Read-only (z, a, low, series_map, P, a P): the CGL nodes (cgl_nodes), a^{(d)} and
+        2**d T_{0..7}^{(d)}(z) at the nodes of [0, 1] (_rows), the expression's series_map, the
+        same on any domain, P = R^-1, R the triangle of the QR of a^{(8)}, and the table a P.
 
         y^{(8)} enters every equation, so K = J P is near orthonormal up to its column scales
         (_lstsq_step), and a step forms K from a P as J from a.
         """
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
         ce = ConstrainedExpression.build(bc, self.m_basis)
-        grid = make_grid(bc.domain_map, self.n_points)
-        a, low = ce._rows(grid.x_nodes, grid.z_nodes, MAX_ORDER)
+        z = cgl_nodes(self.n_points)
+        a, low = ce._rows(bc.domain_map.x_nodes(z), z, MAX_ORDER)
         precond = np.linalg.inv(np.linalg.qr(a[MAX_ORDER], mode="r"))
         a_precond = a @ precond
         for table in (a, low, precond, a_precond):
             table.flags.writeable = False
-        return grid.z_nodes, a, low, ce.series_map, precond, a_precond
+        return z, a, low, ce.series_map, precond, a_precond
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -172,20 +170,25 @@ class SolveReport(ReadOnlyArrays):
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """A solved problem: evaluate y and its derivatives anywhere in the domain."""
+    """A solved problem: evaluate y and its derivatives anywhere in the domain.
+
+    `expression` is the problem's constrained expression under `config` and `nodes` the x
+    nodes it was collocated at, both as the solve's _CollocationTables made them.
+    """
 
     problem: BvpProblem
     expression: ConstrainedExpression
     report: SolveReport
     config: SolverConfig
 
-    def __getstate__(self) -> dict:  # a copy builds its own read-only series and grid
+    def __getstate__(self) -> dict:  # a copy builds its own read-only series and nodes
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def grid(self) -> CollocationGrid:
-        """The collocation grid of the solve, build_system's, built by the first read."""
-        return build_system(self.problem, self.config)[1]
+    def nodes(self) -> np.ndarray:
+        """The read-only x nodes of the solve, _CollocationTables.x bit for bit, built by the
+        first read."""
+        return self.problem.bc.domain_map.x_nodes(self.config._tables[0])
 
     @cached_property
     def _derivative_series(self) -> list:
@@ -211,35 +214,28 @@ class Solution:
         return np.abs(self(x) - self.problem.exact(x, 0))
 
 
-def build_system(
-    problem: BvpProblem, config: SolverConfig
-) -> tuple[ConstrainedExpression, CollocationGrid]:
-    """Constrained expression and collocation grid for a problem, from config's tables;
-    a problem or config of the wrong type raises ConfigurationError naming it.  A solve makes
-    the same expression and only the grid's x nodes (_CollocationTables, Solution.grid)."""
-    check_instance("problem", problem, BvpProblem)
-    z, _, _, series_map, _, _ = check_instance("config", config, SolverConfig)._tables
-    ce = ConstrainedExpression(problem.bc, series_map)
-    return ce, make_grid(problem.bc.domain_map, config.n_points, z)
-
-
 class _CollocationTables:
-    """The collocated system of problem on ce's domain, from config's tables (_tables).
+    """The collocated system of problem under config, by default solve's shared one (_tables).
 
+    The one prelude of solve and both assemble functions: a problem or config of the wrong
+    type raises ConfigurationError naming it.  expression is problem.bc's constrained
+    expression, from config's series_map, and x is domain_map.x_nodes of config's z nodes.
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
     w**-d low^{(d)}(t) @ bc._beta, the boundary values' switching series built once by bc,
     whose terms cancel in the series before d/dx grows them.  So states (a @ xi, b added in
     place) and partials rows are scaled by bc._scales = w**-d, built once by bc too, never a
-    table; on [0, 1] by exactly 1.  x is domain_map.x_nodes of config's z nodes, the x nodes of
-    build_system's grid bit for bit.  ce must be one that build_system makes from config.
-    partials is problem.partials, or central differences of its residual if it has none
-    (used_fd); precond and a_precond are config's P and a P.
+    table; on [0, 1] by exactly 1.  partials is problem.partials, or central differences of
+    its residual if it has none (used_fd); precond and a_precond are config's P and a P.
     """
 
-    def __init__(self, ce: ConstrainedExpression, problem: BvpProblem, config: SolverConfig):
-        z, self.a, low, _, self.precond, self.a_precond = config._tables
-        self.x, self.scale = ce.bc.domain_map.x_nodes(z), ce.bc._scales
-        self._b = low @ ce.bc._beta
+    def __init__(self, problem: BvpProblem, config: Optional[SolverConfig] = None):
+        bc = check_instance("problem", problem, BvpProblem).bc
+        self.config = (_DEFAULT_CONFIG if config is None
+                       else check_instance("config", config, SolverConfig))
+        z, self.a, low, series_map, self.precond, self.a_precond = self.config._tables
+        self.expression = ConstrainedExpression(bc, series_map)
+        self.x, self.scale = bc.domain_map.x_nodes(z), bc._scales
+        self._b = low @ bc._beta
         self.residual, self.used_fd = problem.residual, problem.partials is None
         self.partials = _fd_partials(problem.residual) if self.used_fd else problem.partials
 
@@ -272,6 +268,11 @@ class _CollocationTables:
     def rows(self, states: np.ndarray) -> np.ndarray:
         """(n, 9) rows dF/dy(x_k) * scale at states, the state matrix states(xi)."""
         return _at_nodes("partials", self.partials, self.x, states, (MAX_ORDER + 1,)) * self.scale
+
+    def assemble(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(loss, J) at xi: the residual at the nodes and its xi Jacobian, from the table a."""
+        _, states, loss, _ = self.evaluate(xi)
+        return loss, _jacobian(self.rows(states), self.a)
 
     def step(self, states: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """_lstsq_step at states, its K = J P formed from the table a P."""
@@ -341,45 +342,35 @@ def _jacobian(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def assemble_loss_and_jacobian(
-    problem: BvpProblem, ce: ConstrainedExpression, grid: CollocationGrid, xi: np.ndarray,
-    config=None,
+    problem: BvpProblem, xi: np.ndarray, config: Optional[SolverConfig] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector and its xi Jacobian at the collocation nodes.
+    """Residual vector and its xi Jacobian at the collocation nodes of config.
 
     loss[k] = F(x_k, state) and jac[k, :] = sum_d dF/dy^{(d)} a^{(d)}(x_k),
-    the chain rule through the constrained expression.  The tables come from
-    `config`, by default a new SolverConfig of the grid's and expression's sizes.  An
-    argument of the wrong type, or a ce or grid that build_system would not make from
-    config, raises ConfigurationError.
+    the chain rule through the constrained expression, from the tables of `config`, by
+    default solve's.  A problem or config of the wrong type raises ConfigurationError, as
+    does an xi that is not config.m_basis real numbers.
     """
-    check_instance("problem", problem, BvpProblem)
-    check_instance("ce", ce, ConstrainedExpression)
-    check_instance("grid", grid, CollocationGrid)
-    config = SolverConfig(grid.n_points, ce.m) if config is None else config
-    z, _, _, series_map, _, _ = check_instance("config", config, SolverConfig)._tables
     with np.errstate(all="ignore"):  # callbacks and states overflow to inf, not a warning
-        tables = _CollocationTables(ce, problem, config)
-        if not (np.array_equal(grid.x_nodes, tables.x) and np.array_equal(grid.z_nodes, z)
-                and np.array_equal(ce.series_map, series_map)):
-            raise ConfigurationError(f"expression and grid do not match the tables of {config}")
-        xi = check_real("xi", xi, (ce.m,))
-        _, states, loss, _ = tables.evaluate(xi)
-        return loss, _jacobian(tables.rows(states), tables.a)
+        tables = _CollocationTables(problem, config)
+        return tables.assemble(check_real("xi", xi, (tables.config.m_basis,)))
 
 
 def assemble_linear(
-    problem: BvpProblem, ce: ConstrainedExpression, grid: CollocationGrid, config=None
+    problem: BvpProblem, config: Optional[SolverConfig] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matrix and offset of the collocated linear system A xi + b = 0.
 
     For a linear problem the Jacobian is state independent and the loss is
     affine in xi, so evaluating both at xi = 0 recovers A and b exactly.  Arguments are
-    checked as assemble_loss_and_jacobian checks them.
+    checked as assemble_loss_and_jacobian checks them; a nonlinear problem raises
+    ConfigurationError.
     """
-    if not check_instance("problem", problem, BvpProblem).is_linear:
-        raise ConfigurationError(f"problem {problem.name!r} is not linear")
-    check_instance("ce", ce, ConstrainedExpression)
-    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(ce.m), config)
+    with np.errstate(all="ignore"):
+        tables = _CollocationTables(problem, config)
+        if not problem.is_linear:
+            raise ConfigurationError(f"problem {problem.name!r} is not linear")
+        loss, jac = tables.assemble(np.zeros(tables.config.m_basis))
     return jac, loss
 
 
@@ -549,11 +540,9 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     Both rules share one set-up and one residual evaluation at xi = 0.  Replace
     the problem with is_linear=False to run Gauss-Newton on a linear problem.
     """
-    check_instance("problem", problem, BvpProblem)
-    config = _DEFAULT_CONFIG if config is None else check_instance("config", config, SolverConfig)
-    ce = ConstrainedExpression(problem.bc, config._tables[3])  # build_system's, with no grid
     with np.errstate(all="ignore"):  # one error state for every callback, norm and step
-        tables = _CollocationTables(ce, problem, config)
+        tables = _CollocationTables(problem, config)
+        config = tables.config
         start = tables.evaluate(np.zeros(config.m_basis))
         xi, iterations, history, converged_by = (
             _single_shot(tables, start) if problem.is_linear
@@ -561,4 +550,4 @@ def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solutio
     norms = np.array(history)
     xi.flags.writeable = norms.flags.writeable = False  # owned and read-only: the report keeps both
     report = SolveReport(xi, iterations, norms, converged_by, history[-1], tables.used_fd)
-    return Solution(problem, ce, report, config)
+    return Solution(problem, tables.expression, report, config)

@@ -27,7 +27,6 @@ from bvp8.solver import (
     _at_nodes,
     _fd_partials,
     assemble_loss_and_jacobian,
-    build_system,
     lstsq_scaled_qr,
     solve,
 )
@@ -87,10 +86,9 @@ def test_loss_and_jacobian_match_node_loops(name, n_points, m_basis, kind, fd):
     if fd:
         problem = dataclasses.replace(problem, partials=None)
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
-    ce, grid = build_system(problem, config)
     xi = coefficients(kind, name, n_points, m_basis)
-    loss, jac = assemble_loss_and_jacobian(problem, ce, grid, xi)
-    tables = _CollocationTables(ce, problem, config)
+    loss, jac = assemble_loss_and_jacobian(problem, xi, config)
+    tables = _CollocationTables(problem, config)
     partials = _fd_partials(problem.residual) if fd else problem.partials
     width = problem.bc.x_f - problem.bc.x_i
     assert np.array_equal(loss, loop_loss_vector(problem.residual, tables, xi))
@@ -112,8 +110,7 @@ class TestCallCounts:
     def test_one_call_per_evaluation(self, fd, want):
         calls = {"residual": 0, "partials": 0}
         problem = counted(benchmark("p4").problem, calls, fd)
-        ce, grid = build_system(problem, SolverConfig(n_points=31, m_basis=30))
-        assemble_loss_and_jacobian(problem, ce, grid, np.zeros(30))
+        assemble_loss_and_jacobian(problem, np.zeros(30), SolverConfig(n_points=31, m_basis=30))
         assert calls == want
 
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
@@ -143,8 +140,7 @@ class TestCallCounts:
 
 
 def node_x(problem, k):
-    _, grid = build_system(problem, SolverConfig())
-    return float(grid.x_nodes[k])
+    return float(_CollocationTables(problem).x[k])
 
 
 def failing(fn, x_nan=(), exc=None):
@@ -165,8 +161,7 @@ class TestCallbackFailures:
     def assemble(self, field, **failure):
         p4 = benchmark("p4").problem
         problem = dataclasses.replace(p4, **{field: failing(getattr(p4, field), **failure)})
-        ce, grid = build_system(problem, SolverConfig())
-        return assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+        return assemble_loss_and_jacobian(problem, np.zeros(10))
 
     def test_first_nonfinite_node_named(self, field):
         p4 = benchmark("p4").problem
@@ -192,9 +187,8 @@ class TestNonfiniteReporting:
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
         p4 = benchmark("p4").problem
         problem = dataclasses.replace(p4, bc=bc, residual=lambda x, y: np.full(x.shape, np.nan))
-        ce, grid = build_system(problem, SolverConfig())
         with pytest.raises(EvaluationError, match=r"^residual is not finite at x=0\.0 \(got nan\)$"):
-            assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+            assemble_loss_and_jacobian(problem, np.zeros(10))
 
     def test_nan_partials_on_linear_problem(self):
         # The one-shot path used to return an all-NaN xi.
@@ -241,8 +235,7 @@ class TestFiniteCheck:
     def test_overflowing_residual_passes_assembly(self):
         p4 = benchmark("p4").problem
         problem = dataclasses.replace(p4, residual=lambda x, y: np.full(x.shape, 1e308))
-        ce, grid = build_system(problem, SolverConfig())
-        loss, _ = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+        loss, _ = assemble_loss_and_jacobian(problem, np.zeros(10))
         assert np.all(loss == 1e308)
 
     @pytest.mark.parametrize("fill", [1.0, 1e308])

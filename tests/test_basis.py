@@ -1,4 +1,4 @@
-"""Tests for the Chebyshev basis, derivative recurrence, and collocation grid."""
+"""Tests for the Chebyshev basis, derivative recurrence, and collocation nodes."""
 
 import re
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bvp8.basis import START_DEGREE, DomainMap, chebyshev_table, make_grid
+from bvp8.basis import START_DEGREE, DomainMap, cgl_nodes, chebyshev_table
 from bvp8.errors import ConfigurationError
 from bvp8.expression import BoundaryConditions, ConstrainedExpression
+from bvp8.solver import SolverConfig
 
 UNIT_MAP = DomainMap(0.0, 1.0)
 UNIT_BC = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
@@ -185,59 +186,59 @@ class TestChebyshevBasis:
 
 
 class TestMakeGrid:
+    """The collocation grid: cgl_nodes in z, mapped to x by DomainMap.x_nodes; SolverConfig
+    checks its size."""
+
     def test_three_points(self):
-        grid = make_grid(UNIT_MAP, 3)
-        assert_allclose(grid.z_nodes, [-1.0, 0.0, 1.0], atol=0)
-        assert_allclose(grid.x_nodes, [0.0, 0.5, 1.0], atol=0)
+        z = cgl_nodes(3)
+        assert_allclose(z, [-1.0, 0.0, 1.0], atol=0)
+        assert_allclose(UNIT_MAP.x_nodes(z), [0.0, 0.5, 1.0], atol=0)
 
     def test_eleven_point_node(self):
-        grid = make_grid(UNIT_MAP, 11)
-        assert grid.z_nodes[1] == pytest.approx(-np.cos(np.pi / 10), abs=1e-15)
+        assert cgl_nodes(11)[1] == pytest.approx(-np.cos(np.pi / 10), abs=1e-15)
 
     def test_cosine_formula(self):
         n = 9
-        grid = make_grid(UNIT_MAP, n)
         k = np.arange(n)
-        assert_allclose(grid.z_nodes, -np.cos(np.pi * k / (n - 1)), atol=1e-15)
+        assert_allclose(cgl_nodes(n), -np.cos(np.pi * k / (n - 1)), atol=1e-15)
 
     def test_two_points_snap_to_domain(self):
-        dm = DomainMap(0.0, np.expm1(0.5))
-        grid = make_grid(dm, 2)
-        assert grid.x_nodes[0] == 0.0
-        assert grid.x_nodes[-1] == np.expm1(0.5)
+        x = DomainMap(0.0, np.expm1(0.5)).x_nodes(cgl_nodes(2))
+        assert x[0] == 0.0
+        assert x[-1] == np.expm1(0.5)
 
     def test_right_end_snaps_where_the_map_rounds_off_it(self):
-        # On [-0.7, 2.9] to_x(1) misses 2.9 by rounding.  The grid ends at x_f
-        # exactly, and so do the x nodes that a solve maps by the same x_nodes.
+        # On [-0.7, 2.9] to_x(1) misses 2.9 by rounding.  The x nodes, which a
+        # solve maps by the same x_nodes, end at x_f exactly.
         dm = DomainMap(-0.7, 2.9)
         assert dm.to_x(np.array([1.0]))[0] != 2.9
-        grid = make_grid(dm, 11)
-        assert grid.x_nodes[0] == -0.7 and grid.x_nodes[-1] == 2.9
-        x = dm.x_nodes(grid.z_nodes)
-        assert np.array_equal(x, grid.x_nodes) and not x.flags.writeable
+        x = dm.x_nodes(cgl_nodes(11))
+        assert x[0] == -0.7 and x[-1] == 2.9 and not x.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3, 10, 11])
     def test_exact_symmetry(self, n):
-        grid = make_grid(UNIT_MAP, n)
-        assert np.all(grid.z_nodes == -grid.z_nodes[::-1])
+        z = cgl_nodes(n)
+        assert np.all(z == -z[::-1]) and not z.flags.writeable
+        if n % 2:
+            assert z[n // 2] == 0.0
 
     def test_strictly_increasing(self):
-        grid = make_grid(DomainMap(-2.0, 3.0), 12)
-        assert np.all(np.diff(grid.z_nodes) > 0)
-        assert np.all(np.diff(grid.x_nodes) > 0)
+        z = cgl_nodes(12)
+        assert np.all(np.diff(z) > 0)
+        assert np.all(np.diff(DomainMap(-2.0, 3.0).x_nodes(z)) > 0)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_grid(UNIT_MAP, 1)
+        with pytest.raises(ConfigurationError, match="need at least 2 grid points"):
+            SolverConfig(n_points=1, m_basis=1)
 
     @pytest.mark.parametrize("n", [11.5, 11.0, np.float64(11.0), True, np.True_, "11"])
     def test_non_integer_size_rejected(self, n):
         # 11.5 used to build an 11-point grid silently.
         with pytest.raises(ConfigurationError, match="n_points must be an integer"):
-            make_grid(UNIT_MAP, n)
+            SolverConfig(n_points=n)
 
     @pytest.mark.parametrize("n", [np.int64(11), np.int32(11), np.uint8(11)])
     def test_numpy_integer_size_accepted(self, n):
-        grid = make_grid(UNIT_MAP, n)
-        assert grid.n_points == 11 and type(grid.n_points) is int
-        assert np.array_equal(grid.z_nodes, make_grid(UNIT_MAP, 11).z_nodes)
+        config = SolverConfig(n_points=n)
+        assert config.n_points == 11 and type(config.n_points) is int
+        assert np.array_equal(config._tables[0], cgl_nodes(11))

@@ -132,7 +132,7 @@ def test_reads_stay_within_a_few_eps_of_the_unchopped_read(name, n, m):
     # rounding.  Held to 4 eps.
     sol = solved(name, n, m)
     ce, bc = sol.expression, sol.problem.bc
-    x = np.concatenate([sol.grid.x_nodes,
+    x = np.concatenate([sol.nodes,
                         np.random.default_rng(0).uniform(*sol.problem.domain, 2048)])
     z = ce.bc.domain_map.to_z(x)
     for d, whole in enumerate(unchopped(ce, sol.report.xi)):

@@ -5,8 +5,8 @@ any domain, build no Chebyshev table, and give the same bits as a fresh
 config.  The cache is
 invisible to equality and hashing, read-only, and not carried by copies or
 pickles.  The least-squares preconditioner P and the table a P are cached
-apart, at the first solve, so assembly alone never builds them.  A solve
-assembles only an expression and grid built from its config's tables.
+apart, at the first solve, so assembly alone never builds them.  The
+config alone fixes the expression and nodes a problem is assembled with.
 """
 
 import copy
@@ -18,12 +18,11 @@ import pytest
 
 import bvp8.basis
 import bvp8.expression
-from bvp8.basis import CollocationGrid, DomainMap, make_grid
 from bvp8.errors import ConfigurationError
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import (
-    SolverConfig, _CollocationTables, assemble_loss_and_jacobian, build_system, solve,
+    SolverConfig, _CollocationTables, assemble_linear, assemble_loss_and_jacobian, solve,
 )
 
 from test_domains import moved
@@ -91,10 +90,13 @@ def test_second_solve_builds_no_switching_derivatives(name, monkeypatch):
 
 
 def test_default_config_is_shared(calls):
+    # Solves and assemblies with no config all read the one default config's tables.
     first = solve(benchmark("p4").problem)
     calls.update(chebyshev_table=0)
     second = solve(benchmark("p5").problem)
     assert second.config is first.config
+    assemble_linear(benchmark("p1").problem)
+    assemble_loss_and_jacobian(benchmark("p4").problem, np.zeros(10))
     assert calls == {"chebyshev_table": 0}
 
 
@@ -116,8 +118,7 @@ def test_preconditioner_is_built_with_the_tables(n_points, m_basis):
     # The one build of the tables makes them, so an assembly alone builds them too.
     problem = benchmark("p4").problem
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
-    ce, grid = build_system(problem, config)
-    assemble_loss_and_jacobian(problem, ce, grid, np.zeros(m_basis), config)
+    assemble_loss_and_jacobian(problem, np.zeros(m_basis), config)
     tables = vars(config)["_tables"]
     solve(problem, config)
     assert config._tables is tables
@@ -152,38 +153,12 @@ def test_equality_and_hash_ignore_the_cache():
 
 
 def test_tables_of_another_size_or_basis_rejected():
-    # The tables assume the grid size and the basis size of the config;
-    # assembling with others would read wrong rows.
+    # An xi has one entry per basis term of the config whose tables read it;
+    # the tables of another basis size would read wrong rows.
     problem = benchmark("p1").problem
-    ce, grid = build_system(problem, SolverConfig())
-    for config in (SolverConfig(n_points=12, m_basis=10), SolverConfig(n_points=11, m_basis=9)):
-        with pytest.raises(ConfigurationError, match="do not match"):
-            assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10), config)
-
-
-def test_expression_or_grid_not_built_from_the_config_rejected():
-    # The tables hold the config's series_map and its CGL nodes on
-    # ce's domain; any other expression or grid would be assembled from rows
-    # that are not its own.
-    problem = benchmark("p2").problem
-    ce, grid = build_system(problem, SolverConfig())
-    series_map = ce.series_map.copy()
-    series_map[0, 0] = np.nextafter(series_map[0, 0], np.inf)
-    wider = DomainMap(0.0, 2.0)
-    z = np.linspace(-1.0, 1.0, 11)
-    x = grid.x_nodes.copy()
-    x[5] = np.nextafter(x[5], np.inf)  # its ends and z nodes are the config's
-    others = [
-        (ce, CollocationGrid(11, grid.z_nodes, x)),
-        (dataclasses.replace(ce, series_map=series_map), grid),
-        (dataclasses.replace(ce, series_map=ce.series_map[:-1]), grid),
-        (dataclasses.replace(ce, bc=dataclasses.replace(ce.bc, x_f=2.0)), grid),
-        (ce, make_grid(wider, 11)),
-        (ce, CollocationGrid(11, z, ce.bc.domain_map.to_x(z))),
-    ]
-    for other_ce, other_grid in others:
-        with pytest.raises(ConfigurationError, match="do not match"):
-            assemble_loss_and_jacobian(problem, other_ce, other_grid, np.zeros(10))
+    for config in (SolverConfig(n_points=12, m_basis=11), SolverConfig(n_points=11, m_basis=9)):
+        with pytest.raises(ConfigurationError, match=r"^xi must have shape \((11|9),\), got \(10,\)$"):
+            assemble_loss_and_jacobian(problem, np.zeros(10), config)
 
 
 @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
@@ -232,9 +207,9 @@ def test_p5_states_no_further_from_exact_than_per_domain_tables(n_points, m_basi
     problem = benchmark("p5").problem
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     xi = solve(problem, config).report.xi
-    ce, grid = build_system(problem, config)
-    exact = np.array([problem.exact(grid.x_nodes, d) for d in range(9)])
-    new = np.max(np.abs(_CollocationTables(ce, problem, config).states(xi) - exact), axis=1)
-    old = np.max(np.abs(PerOrderTables(ce, grid).states(xi) - exact), axis=1)
+    tables = _CollocationTables(problem, config)
+    exact = np.array([problem.exact(tables.x, d) for d in range(9)])
+    new = np.max(np.abs(tables.states(xi) - exact), axis=1)
+    old = np.max(np.abs(PerOrderTables(tables.expression, tables.x).states(xi) - exact), axis=1)
     orders = [0, 1, 2, 3, 4, 5, 6, 8]
     assert np.all(new[orders] <= old[orders]), (new, old)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bvp8.basis
-from bvp8.basis import DomainMap, make_grid
+from bvp8.basis import DomainMap
 from bvp8.errors import ConfigurationError
 from bvp8.expression import BoundaryConditions
 from bvp8.problems import benchmark
@@ -80,14 +80,6 @@ def test_endpoints_kept_as_floats():
         assert type(owner.x_i) is float and type(owner.x_f) is float
     assert type(bc.domain_map.c) is float and bc.domain_map.c == 2.0
     assert bc == BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
-
-
-@pytest.mark.parametrize("domain", [(0.0, 1.0), [0.0, 1.0], None])
-def test_switching_functions_take_a_domain_map(domain):
-    # The grid maps its nodes by a DomainMap; the expression reads its bc's.  A
-    # tuple domain used to fail in make_grid with a raw AttributeError.
-    with pytest.raises(ConfigurationError, match="^domain_map must be a DomainMap, got "):
-        make_grid(domain, 11)
 
 
 def counting_check_domain(monkeypatch) -> list:

@@ -275,7 +275,7 @@ class TestConstrainedExpression:
         assert ce.bc is bc and ce.bc.domain_map is bc.domain_map
 
     def test_a_solve_builds_no_expression_map(self, monkeypatch):
-        # build_system wraps the config's series_map; only the config's tables call build.
+        # A solve's expression wraps the config's series_map; only the config's tables call build.
         problem, config = benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30)
         want = solve(problem, config)
         monkeypatch.setattr(ConstrainedExpression, "build", None)

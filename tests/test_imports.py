@@ -1,15 +1,18 @@
-"""Every name a src/bvp8 module imports is used in that module.
+"""Every name a src/bvp8 module imports is used in that module, and every export resolves.
 
 The check parses each module with the standard library's ast: a name bound
 by an import statement must appear as a name somewhere in the module, a use
 inside an attribute chain (np.linalg) or a string annotation included.
-__init__.py is exempt, since its imports are the package's re-exports.
+__init__.py is exempt, since its imports are the package's re-exports; each
+name in its __all__ must be an attribute of the package instead.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import bvp8
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bvp8"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -53,3 +56,11 @@ def test_unused_names_are_found():
         "    return np.linalg.norm(x) + MAX_ORDER + len(sys.argv)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "START_DEGREE")]
+
+
+def test_public_names_resolve():
+    # from bvp8 import * fails on a stale export of a deleted name.
+    assert [name for name in bvp8.__all__ if not hasattr(bvp8, name)] == []
+    namespace = {}
+    exec("from bvp8 import *", namespace)
+    assert set(bvp8.__all__) <= set(namespace)

@@ -22,10 +22,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bvp8.basis import START_DEGREE, DomainMap, chebyshev_table, make_grid
+from bvp8.basis import START_DEGREE, DomainMap, cgl_nodes, chebyshev_table
 from bvp8.expression import CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
-from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, build_system, solve
+from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, solve
 
 from switching_oracle import UNIT_COEFFS, Switching, switching_values
 from test_domains import moved
@@ -83,39 +83,37 @@ def per_order_a_row(ce, x, d, sw=None):
 
 
 class PerOrderTables:
-    """Collocation tables stacked from rows built one order at a time, with the switching
-    functions sw, by default UNIT_COEFFS."""
+    """Collocation tables of ce at the nodes x, stacked from rows built one order at a time,
+    with the switching functions sw, by default UNIT_COEFFS."""
 
     scale = np.ones(9)  # the tables are read where they were built
 
-    def __init__(self, ce, grid, sw=None):
+    def __init__(self, ce, x, sw=None):
         sw = sw or monomials(ce)
-        self.x = grid.x_nodes
-        self.a = np.stack([per_order_a_row(ce, grid.x_nodes, d, sw) for d in range(9)])
-        self.b = np.stack([switching_values(sw, grid.x_nodes, d) @ ce.bc.interleaved()
-                           for d in range(9)])
+        self.x = x
+        self.a = np.stack([per_order_a_row(ce, x, d, sw) for d in range(9)])
+        self.b = np.stack([switching_values(sw, x, d) @ ce.bc.interleaved() for d in range(9)])
 
     def states(self, xi):
         return self.b + self.a @ xi
 
 
 class UnitDomainTables(PerOrderTables):
-    """PerOrderTables of `problem` moved to [0, 1], read at the nodes `grid` of its domain.
+    """PerOrderTables of `problem` moved to [0, 1], read at the CGL nodes x of its domain.
 
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t)
     and b^{(d)}(x) = w**-d b_1^{(d)}(t), where a_1 and b_1 belong to the
     expression on [0, 1] with the boundary values w**d_j v_j.
     """
 
-    def __init__(self, problem, grid, m_basis):
+    def __init__(self, problem, x, m_basis):
         x_i, x_f = problem.domain
         w = x_f - x_i
         values = problem.bc.interleaved() * w ** np.array(CONSTRAINT_ORDERS, dtype=float)
         unit = DomainMap(0.0, 1.0)
         bc = BoundaryConditions(0.0, 1.0, tuple(values[0::2]), tuple(values[1::2]))
-        super().__init__(ConstrainedExpression.build(bc, m_basis),
-                         make_grid(unit, grid.n_points))
-        self.x = grid.x_nodes
+        super().__init__(ConstrainedExpression.build(bc, m_basis), unit.x_nodes(cgl_nodes(x.size)))
+        self.x = x
         self.scale = w ** -np.arange(9.0)
 
     def states(self, xi):
@@ -129,10 +127,11 @@ def jacobian(partials, tables, states):
     return _jacobian(_CollocationTables.rows(reader, states), tables.a)
 
 
-def oracle_tables(problem, ce, grid):
+def oracle_tables(problem, tables):
+    """The oracle of a config's _CollocationTables of problem."""
     if problem.domain == (0.0, 1.0):
-        return PerOrderTables(ce, grid)
-    return UnitDomainTables(problem, grid, ce.m)
+        return PerOrderTables(tables.expression, tables.x)
+    return UnitDomainTables(problem, tables.x, tables.expression.m)
 
 
 def state_terms(config, ce, xi):
@@ -170,17 +169,15 @@ class TestChebyshevTable:
 class TestCollocationTables:
     def setup_problem(self, name, n_points, m_basis):
         problem = benchmark(name).problem
-        ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        return problem, ce, grid
+        return problem, _CollocationTables(problem, SolverConfig(n_points, m_basis))
 
     def test_one_pass_matches_per_order_rows(self, name, n_points, m_basis):
         # The config's a rows, and its switching values times the scaled
         # boundary values w**d_j v_j, against the per-order rows on [0, 1].
         # Measured: a to 1.1e-13 of max|a^(d)|, b to 2.1e-14 of its terms.
-        problem, ce, grid = self.setup_problem(name, n_points, m_basis)
-        config = SolverConfig(n_points=n_points, m_basis=m_basis)
-        tables = _CollocationTables(ce, problem, config)
-        oracle = oracle_tables(problem, ce, grid)
+        problem, tables = self.setup_problem(name, n_points, m_basis)
+        config, ce = tables.config, tables.expression
+        oracle = oracle_tables(problem, tables)
         assert tables.a.shape == (9, n_points, m_basis) and tables.a.flags.c_contiguous
         assert_rows_close(tables.a, oracle.a, 2e-13)
         terms = np.max(state_terms(config, ce, np.zeros(m_basis)), axis=1)
@@ -188,16 +185,17 @@ class TestCollocationTables:
 
     def test_a_row_matches_per_order_rows(self, name, n_points, m_basis):
         # a_row on the problem's own domain, one order at a time.
-        _, ce, grid = self.setup_problem(name, n_points, m_basis)
-        rows = [ce.a_row(grid.x_nodes, d) for d in range(9)]
-        assert_rows_close(rows, [per_order_a_row(ce, grid.x_nodes, d) for d in range(9)], 2e-13)
+        _, tables = self.setup_problem(name, n_points, m_basis)
+        ce, x = tables.expression, tables.x
+        assert_rows_close([ce.a_row(x, d) for d in range(9)],
+                          [per_order_a_row(ce, x, d) for d in range(9)], 2e-13)
 
     def test_series_map_matches_per_constraint_rows(self, name, n_points, m_basis):
         # a vanishes under every constraint operator: the row T^(d_k)(z_k) of
         # the degrees 0..7+m at the k-th constraint, from the loop recurrence,
         # times series_map is 0 up to the rounding of its terms (measured
         # 2.0e-16 of them).  With the identity in rows 8.., that fixes the map.
-        _, ce, _ = self.setup_problem(name, n_points, m_basis)
+        ce = self.setup_problem(name, n_points, m_basis)[1].expression
         series_map = ce.series_map
         rows = np.array([loop_chebyshev_table(-1.0 if k % 2 == 0 else 1.0,
                                               START_DEGREE + ce.m - 1, d)[d]
@@ -210,13 +208,12 @@ class TestCollocationTables:
     def test_states_and_jacobian_match_per_order_tables(self, name, n_points, m_basis):
         # Measured: the states to 2.1e-14 of their terms, the Jacobian to
         # 3.1e-14 of its largest entry.
-        problem, ce, grid = self.setup_problem(name, n_points, m_basis)
-        config = SolverConfig(n_points=n_points, m_basis=m_basis)
+        problem, tables = self.setup_problem(name, n_points, m_basis)
+        config, ce = tables.config, tables.expression
         # The solved coefficients: nonzero, and small enough that p5's
         # exp(-8 y) stays finite.
         xi = solve(problem, config).report.xi
-        tables = _CollocationTables(ce, problem, config)
-        oracle = oracle_tables(problem, ce, grid)
+        oracle = oracle_tables(problem, tables)
         gap = np.abs(tables.states(xi) - oracle.states(xi))
         assert np.all(np.max(gap, axis=1) <= 5e-14 * np.max(state_terms(config, ce, xi), axis=1))
         partials = problem.partials
@@ -232,7 +229,7 @@ def test_switching_values_match_the_monomials(n_points, m_basis):
     # the [0, 1] nodes; measured to 3.3e-14.
     _, _, low, *_ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
     s = low @ UNIT_CHEB.T
-    x = make_grid(DomainMap(0.0, 1.0), n_points).x_nodes
+    x = DomainMap(0.0, 1.0).x_nodes(cgl_nodes(n_points))
     sw = Switching(UNIT_COEFFS, DomainMap(0.0, 1.0))
     want = np.stack([switching_values(sw, x, d, snap=False) for d in range(9)])
     assert_rows_close(s[:8], want[:8], 5e-14)
@@ -250,8 +247,8 @@ def test_tables_are_exact_at_the_ends(n_points, m_basis):
     # Criterion 02 reads the constraints through these rows to 1e-12.  The
     # config's table a and _rows at its nodes hold the exact zeros there.
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
-    ce, grid = build_system(benchmark("p1").problem, config)  # p1 is on [0, 1]
-    a, _ = ce._rows(grid.x_nodes, grid.z_nodes, 8)
+    tables = _CollocationTables(benchmark("p1").problem, config)  # p1 is on [0, 1]
+    a, _ = tables.expression._rows(tables.x, config._tables[0], 8)
     assert_exact_ends(config._tables[1])
     assert np.array_equal(a, config._tables[1])
 
@@ -286,7 +283,7 @@ def test_a_row_is_the_scaled_config_table_on_every_domain(x_i, x_f, n_points, m_
     z, a, *_ = config._tables
     ce = build_on(x_i, x_f, m_basis)
     dm = ce.bc.domain_map
-    x = make_grid(dm, n_points, z).x_nodes
+    x = dm.x_nodes(z)
     table = ce._rows(x, z, 8)[0]
     assert_rows_close(table, (x_f - x_i) ** -np.arange(9.0)[:, None, None] * a, 1e-14)
     rows = np.stack([ce.a_row(x, d) for d in range(9)])
@@ -301,8 +298,9 @@ def test_a_row_is_the_scaled_config_table_on_every_domain(x_i, x_f, n_points, m_
 def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
     problem = moved(*case)
     for n_points, m_basis in SIZES:
-        ce, grid = build_system(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        x, z, _, _ = ce.bc.domain_map.checked_z(grid.x_nodes)
+        tables = _CollocationTables(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
+        ce = tables.expression
+        x, z, _, _ = ce.bc.domain_map.checked_z(tables.x)
         a, _ = ce._rows(x, z, 8)
         assert_exact_ends(a)
         ends = np.array([problem.bc.x_i, problem.bc.x_f])

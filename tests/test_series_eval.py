@@ -17,7 +17,7 @@ from bvp8 import SolverConfig, solve
 from bvp8.basis import DomainMap, chebyshev_derivatives
 from bvp8.expression import UNIT_CHEB
 from bvp8.problems import PROBLEM_NAMES, benchmark
-from bvp8.solver import build_system
+from bvp8.solver import _CollocationTables
 
 from switching_oracle import UNIT_COEFFS, Switching, exact_unit_cheb, switching_values
 from test_domains import moved
@@ -62,9 +62,9 @@ def b_cases():
 
 @pytest.mark.parametrize("problem", b_cases())
 def test_b_value_matches_switching_values(problem):
-    ce, grid = build_system(problem, SolverConfig())
-    x_i, x_f = problem.domain
-    x = np.concatenate([grid.x_nodes, np.random.default_rng(2).uniform(x_i, x_f, 300)])
+    tables = _CollocationTables(problem)
+    ce, (x_i, x_f) = tables.expression, problem.domain
+    x = np.concatenate([tables.x, np.random.default_rng(2).uniform(x_i, x_f, 300)])
     values = ce.bc.interleaved()
     b_series = chebyshev_derivatives(ce.bc._beta, ce.bc.domain_map.c)
     assert [len(s) for s in b_series] == [8, 7, 6, 5, 4, 3, 2, 1, 1]
@@ -103,7 +103,7 @@ def test_one_series_read_matches_two_pass_read(problem, n, m):
     # errors above 1000 ulps of max|y^(d)| move by at most 0.05%, and only
     # errors near an ulp grow, by up to 1.95x (p6 on [-3, -2], y', 481 nodes).
     sol = solve(problem, SolverConfig(n_points=n, m_basis=m))
-    x = np.concatenate([sol.grid.x_nodes, np.random.default_rng(4).uniform(*problem.domain, 2048)])
+    x = np.concatenate([sol.nodes, np.random.default_rng(4).uniform(*problem.domain, 2048)])
     for d in range(9):
         want, size = two_pass_read(sol, x, d)
         got = sol(x, d)

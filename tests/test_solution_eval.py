@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+import bvp8.solver
 from bvp8 import SolverConfig, basis, expression, solve
 from bvp8.errors import ConfigurationError
-from bvp8.basis import CollocationGrid
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
@@ -37,7 +37,7 @@ def solved(name, n, m):
 
 def eval_points(sol):
     x = np.random.default_rng(0).uniform(*sol.problem.domain, 2048)
-    return np.concatenate([sol.grid.x_nodes, x])
+    return np.concatenate([sol.nodes, x])
 
 
 def chebval_oracle(sol, x, d):
@@ -148,28 +148,37 @@ def test_copies_read_alike_from_read_only_series():
     assert not any(s.flags.writeable for s in sol._derivative_series)
 
 
-#: The arrays of a solution's expression and grid, each read-only.
-READ_ONLY_FIELDS = {ConstrainedExpression: ("series_map",),
-                    CollocationGrid: ("z_nodes", "x_nodes")}
+def unit_residual(x, y):
+    """p1's residual y^(8) - y + 8 e^x, at module level so that its solutions pickle."""
+    return y[8] - y[0] + 8.0 * np.exp(x)
+
+
+def picklable_solution():
+    """A solution of p1 with a picklable residual and finite-difference partials, its nodes read."""
+    p1 = benchmark("p1").problem
+    problem = dataclasses.replace(p1, residual=unit_residual, partials=None, exact=None)
+    sol = solve(problem, SolverConfig(n_points=31, m_basis=30))
+    sol.nodes  # built before any copy, which must not carry it over
+    return sol
 
 
 def assert_read_only_alike(clone, original):
-    assert type(clone) is type(original)
-    for name in READ_ONLY_FIELDS[type(original)]:
-        array = getattr(clone, name)
-        assert array.dtype == np.float64 and np.array_equal(array, getattr(original, name)), name
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] += 1.0
+    """clone is a read-only float64 array with the bits of original."""
+    assert clone.dtype == np.float64 and np.array_equal(clone, original)
+    with pytest.raises(ValueError, match="read-only"):
+        clone[0] += 1.0
 
 
 def test_deep_copy_keeps_expression_and_grid_read_only():
     # A deep copy used to carry series_map and the nodes
     # over as writeable arrays; one write before the first call moved d(0.5)
-    # by 9.4e-9.
+    # by 9.4e-9.  The copy builds its own nodes, read-only too.
     sol = solve(benchmark("p4").problem, SolverConfig(n_points=31, m_basis=30))
+    sol.nodes  # built before the copy, which must not carry it over
     clone = copy.deepcopy(sol)
-    assert_read_only_alike(clone.expression, sol.expression)
-    assert_read_only_alike(clone.grid, sol.grid)
+    assert_read_only_alike(clone.expression.series_map, sol.expression.series_map)
+    assert "nodes" not in vars(clone) and clone.nodes is not sol.nodes
+    assert_read_only_alike(clone.nodes, sol.nodes)
     x = eval_points(sol)
     for d in ORDERS:
         assert np.array_equal(clone(x, d), sol(x, d)), d
@@ -178,36 +187,61 @@ def test_deep_copy_keeps_expression_and_grid_read_only():
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("part", ["expression", "grid"])
 def test_expression_and_grid_copies_are_read_only(how, part):
-    sol = solved("p6", 31, 30)
+    # An expression copies with its read-only series_map.  The grid is a
+    # solution's nodes: a copied or unpickled solution builds its own.
     clone_of = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                 "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}[how]
-    original = getattr(sol, part)
-    clone = clone_of(original)
-    assert_read_only_alike(clone, original)
-    if part == "expression":
-        x = eval_points(sol)
-        for d in ORDERS:
-            assert np.array_equal(clone.eval(x, d, sol.report.xi), sol(x, d)), d
+    if part == "grid":
+        sol = picklable_solution()
+        clone = clone_of(sol)
+        assert "nodes" not in vars(clone) and clone.nodes is not sol.nodes
+        assert_read_only_alike(clone.nodes, sol.nodes)
+        return
+    sol = solved("p6", 31, 30)
+    clone = clone_of(sol.expression)
+    assert_read_only_alike(clone.series_map, sol.expression.series_map)
+    x = eval_points(sol)
+    for d in ORDERS:
+        assert np.array_equal(clone.eval(x, d, sol.report.xi), sol(x, d)), d
+
+
+@pytest.mark.parametrize("n_points, m_basis", SIZES)
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_nodes_are_the_solves_x_nodes(monkeypatch, name, n_points, m_basis):
+    # sol.nodes, built at its first read, has the bits of the x nodes the
+    # solve collocated at, and is read-only.
+    made = []
+
+    class Recorded(bvp8.solver._CollocationTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(bvp8.solver, "_CollocationTables", Recorded)
+    sol = solve(benchmark(name).problem, SolverConfig(n_points=n_points, m_basis=m_basis))
+    assert len(made) == 1 and "nodes" not in vars(sol)
+    assert sol.nodes is not made[0].x
+    assert_read_only_alike(sol.nodes, made[0].x)
+    assert sol.nodes.shape == (n_points,) and sol.nodes is sol.nodes
 
 
 def test_writeable_arrays_are_copied_not_frozen():
-    # The classes keep read-only copies and leave the caller's arrays writeable.
+    # An expression keeps a read-only copy and leaves the caller's array writeable.
     sol = solved("p1", 11, 10)
-    z, x = sol.grid.z_nodes.copy(), sol.grid.x_nodes.copy()
     series_map = sol.expression.series_map.copy()
-    assert_read_only_alike(CollocationGrid(z.size, z, x), sol.grid)
     for given in (series_map, series_map.tolist()):
-        assert_read_only_alike(ConstrainedExpression(sol.problem.bc, given), sol.expression)
-    for array in (z, x, series_map):
-        assert array.flags.writeable
-    view = x.view()  # read-only, but writeable through its base
+        clone = ConstrainedExpression(sol.problem.bc, given)
+        assert_read_only_alike(clone.series_map, sol.expression.series_map)
+    assert series_map.flags.writeable
+    view = series_map.view()  # read-only, but writeable through its base
     view.flags.writeable = False
-    assert CollocationGrid(x.size, view, view).x_nodes is not view
+    assert ConstrainedExpression(sol.problem.bc, view).series_map is not view
     config = SolverConfig()  # a solve's read-only arrays are shared, not copied
     z_nodes, _, _, series_map, *_ = config._tables
     for name in ("p1", "p2"):
         other = solve(benchmark(name).problem, config)
-        assert other.grid.z_nodes is z_nodes and other.expression.series_map is series_map
+        assert other.expression.series_map is series_map
+        assert np.array_equal(other.nodes, other.problem.bc.domain_map.x_nodes(z_nodes))
 
 
 def test_cached_series_are_read_only():

@@ -28,7 +28,6 @@ from bvp8.solver import (
     _jacobian,
     assemble_linear,
     assemble_loss_and_jacobian,
-    build_system,
     lstsq_scaled_qr,
     solve,
 )
@@ -68,7 +67,6 @@ class TestIdentityEquality:
         pairs = [
             (first, second),
             (first.report, second.report),
-            (first.grid, second.grid),
             (first.expression, second.expression),
             (benchmark("p2"), benchmark("p2")),
         ]
@@ -439,8 +437,7 @@ def lstsq_step(a, rhs, precond):
 
 def preconditioned_step(problem, config, xi, rhs):
     """(step, J step) at xi as a solve takes it, K formed from the config's table a P."""
-    ce, _ = build_system(problem, config)
-    tables = _CollocationTables(ce, problem, config)
+    tables = _CollocationTables(problem, config)
     return tables.step(tables.states(xi), rhs)
 
 
@@ -787,25 +784,25 @@ class TestPreconditionedStep:
         # _STEP_TOL in the coefficients is not negligible in the state.
         problem = benchmark("p5").problem
         sol = solve(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
-        states = _CollocationTables(sol.expression, problem, sol.config).states(sol.report.xi)
-        x = sol.grid.x_nodes
+        states = _CollocationTables(problem, sol.config).states(sol.report.xi)
+        x = sol.nodes
         assert np.max(np.abs(states[8] - problem.exact(x, 8))) <= 1e-10
 
 
 class TestAssembly:
-    def test_build_system_spans_domain(self):
+    def test_nodes_span_domain(self):
         entry = benchmark("p5")
-        ce, grid = build_system(entry.problem, SolverConfig())
-        assert grid.x_nodes[0] == entry.problem.bc.x_i
-        assert grid.x_nodes[-1] == entry.problem.bc.x_f
-        assert ce.m == 10
+        sol = solve(entry.problem)
+        assert sol.nodes[0] == entry.problem.bc.x_i
+        assert sol.nodes[-1] == entry.problem.bc.x_f
+        assert sol.nodes.shape == (11,) and sol.expression.m == 10
 
     def test_linear_system_structure(self):
         """For F = y'''''''' - y + 8 e^x the rows must be a8 - a0 and b8 - b0 + 8 e^x."""
         entry = benchmark("p1")
-        ce, grid = build_system(entry.problem, SolverConfig())
-        jac, loss = assemble_linear(entry.problem, ce, grid)
-        xs = grid.x_nodes
+        tables = _CollocationTables(entry.problem)
+        jac, loss = assemble_linear(entry.problem)
+        ce, xs = tables.expression, tables.x
         want_rows = ce.a_row(xs, 8) - ce.a_row(xs, 0)
         want_loss = ce.b_value(xs, 8) - ce.b_value(xs, 0) + 8.0 * np.exp(xs)
         assert_allclose(jac, want_rows, rtol=1e-14, atol=1e-14)
@@ -814,24 +811,21 @@ class TestAssembly:
     def test_linear_system_full_rank(self):
         for name in ("p1", "p2", "p3", "p7"):
             entry = benchmark(name)
-            ce, grid = build_system(entry.problem, SolverConfig())
-            jac, _ = assemble_linear(entry.problem, ce, grid)
+            jac, _ = assemble_linear(entry.problem)
             assert np.linalg.matrix_rank(jac) == 10
 
     def test_assemble_linear_rejects_nonlinear(self):
         entry = benchmark("p4")
-        ce, grid = build_system(entry.problem, SolverConfig())
         with pytest.raises(ConfigurationError, match="not linear"):
-            assemble_linear(entry.problem, ce, grid)
+            assemble_linear(entry.problem)
 
     def test_nonlinear_jacobian_structure(self):
         """For F = y'''''''' + y''' sin(y) - f the chain rule gives
         a8 + sin(y) a3 + y''' cos(y) a0 row by row."""
         entry = benchmark("p4")
-        ce, grid = build_system(entry.problem, SolverConfig())
-        xi = np.zeros(10)
-        _, jac = assemble_loss_and_jacobian(entry.problem, ce, grid, xi)
-        xs = grid.x_nodes
+        tables = _CollocationTables(entry.problem)
+        _, jac = assemble_loss_and_jacobian(entry.problem, np.zeros(10))
+        ce, xs = tables.expression, tables.x
         y0 = ce.b_value(xs, 0)
         y3 = ce.b_value(xs, 3)
         want = (
@@ -844,15 +838,14 @@ class TestAssembly:
     @pytest.mark.parametrize("name", ["p4", "p5", "p6"])
     def test_jacobian_matches_directional_differences(self, name):
         entry = benchmark(name)
-        ce, grid = build_system(entry.problem, SolverConfig())
         rng = np.random.default_rng(13)
         xi = 0.01 * rng.standard_normal(10)
-        _, jac = assemble_loss_and_jacobian(entry.problem, ce, grid, xi)
+        _, jac = assemble_loss_and_jacobian(entry.problem, xi)
         step = 1e-7
         for _ in range(5):
             v = rng.standard_normal(10)
-            hi, _ = assemble_loss_and_jacobian(entry.problem, ce, grid, xi + step * v)
-            lo, _ = assemble_loss_and_jacobian(entry.problem, ce, grid, xi - step * v)
+            hi, _ = assemble_loss_and_jacobian(entry.problem, xi + step * v)
+            lo, _ = assemble_loss_and_jacobian(entry.problem, xi - step * v)
             fd = (hi - lo) / (2.0 * step)
             want = jac @ v
             scale = max(1.0, float(np.max(np.abs(want))))
@@ -866,9 +859,8 @@ class TestAssembly:
             residual=lambda x, y: np.full(x.shape, np.nan),
             is_linear=False,
         )
-        ce, grid = build_system(bad, SolverConfig())
         with pytest.raises(EvaluationError, match="x="):
-            assemble_loss_and_jacobian(bad, ce, grid, np.zeros(10))
+            assemble_loss_and_jacobian(bad, np.zeros(10))
 
     def test_trial_whose_callback_raises_is_rejected(self):
         # p5 stretched to [0, e^3 - 1]: the first Gauss-Newton step drives
@@ -897,9 +889,8 @@ class TestAssembly:
             raise ZeroDivisionError("boom")
 
         problem = dataclasses.replace(benchmark("p4").problem, partials=partials)
-        ce, grid = build_system(problem, SolverConfig())
         with pytest.raises(EvaluationError, match=r"^partials raised ZeroDivisionError: boom$"):
-            assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+            assemble_loss_and_jacobian(problem, np.zeros(10))
 
     def test_package_error_from_callback_passes_through(self):
         raised = ConfigurationError("from the callback")
@@ -938,9 +929,8 @@ class TestAssembly:
         match = rf"^{callback} must give real numbers, got complex128 values$"
         with pytest.raises(EvaluationError, match=match):
             solve(problem)
-        ce, grid = build_system(problem, SolverConfig())
         with pytest.raises(EvaluationError, match=match):
-            assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+            assemble_loss_and_jacobian(problem, np.zeros(10))
 
     def test_trial_with_complex_residual_is_rejected(self):
         # Real at the start, complex at every trial: each trial is rejected.
@@ -957,19 +947,18 @@ class TestAssembly:
         assert len(calls) > 2
 
     @pytest.mark.parametrize("assemble", [
-        lambda problem, ce, grid: assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10)),
-        lambda problem, ce, grid: assemble_linear(problem, ce, grid),
+        lambda problem: assemble_loss_and_jacobian(problem, np.zeros(10)),
+        assemble_linear,
     ], ids=["loss_and_jacobian", "linear"])
     def test_overflowing_residual_raises_evaluation_error_not_warning(self, assemble):
         # Assembly silences numpy's warnings once for its callbacks and norms,
         # so an overflow reaches the finiteness check as inf.
         p1 = benchmark("p1").problem
         problem = dataclasses.replace(p1, residual=lambda x, y: (y[8] + 1.0) * 1e300 * 1e300)
-        ce, grid = build_system(problem, SolverConfig())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EvaluationError, match="residual is not finite at x="):
-                assemble(problem, ce, grid)
+                assemble(problem)
 
 
 class TestNorm:
@@ -1022,8 +1011,7 @@ class TestSolveLinear:
         problem = benchmark(name).problem
         config = SolverConfig(n_points=n_points, m_basis=m_basis)
         r = solve(problem, config).report
-        ce, grid = build_system(problem, config)
-        _, b = assemble_linear(problem, ce, grid, config)
+        _, b = assemble_linear(problem, config)
         xi, a_xi = preconditioned_step(problem, config, np.zeros(m_basis), -b)
         assert np.array_equal(r.xi, xi)
         want = [np.linalg.norm(b), np.linalg.norm(a_xi + b)]
@@ -1096,8 +1084,7 @@ class TestSolveNonlinear:
 
     def test_solution_norm_belongs_to_returned_xi(self):
         sol = solve(benchmark("p6").problem)
-        ce, grid = build_system(sol.problem, sol.config)
-        loss, _ = assemble_loss_and_jacobian(sol.problem, ce, grid, sol.report.xi)
+        loss, _ = assemble_loss_and_jacobian(sol.problem, sol.report.xi, sol.config)
         assert np.linalg.norm(loss) == pytest.approx(sol.report.solution_norm, rel=1e-12)
 
     def test_iteration_cap_reported_not_raised(self):
@@ -1111,8 +1098,7 @@ class TestSolveNonlinear:
         sol = solve(problem)
         assert sol.report.iterations == 1
         assert sol.report.converged_by is StopReason.CONVERGED
-        ce, grid = build_system(problem, sol.config)
-        loss, _ = assemble_loss_and_jacobian(problem, ce, grid, np.zeros(10))
+        loss, _ = assemble_loss_and_jacobian(problem, np.zeros(10), sol.config)
         step, _ = preconditioned_step(problem, sol.config, np.zeros(10), loss)
         assert np.array_equal(sol.report.xi, -step)
 
@@ -1213,11 +1199,11 @@ class TestSolveNonlinear:
         for name in ("p2", "p6"):
             entry = benchmark(name)
             a = solve(entry.problem)
-            ce, grid = build_system(entry.problem, a.config)
-            tables = PerOrderTables(ce, grid, sw)
+            ce = a.expression
+            tables = PerOrderTables(ce, a.nodes, sw)
             xi = np.zeros(a.config.m_basis)
             for _ in range(3):
-                loss = entry.problem.residual(grid.x_nodes, tables.states(xi))
+                loss = entry.problem.residual(a.nodes, tables.states(xi))
                 jac = jacobian(entry.problem.partials, tables, tables.states(xi))
                 xi = xi - lstsq_scaled_qr(jac, loss)
             x = entry.table_points
@@ -1244,8 +1230,7 @@ class TestQrVariants:
     @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p7"])
     def test_linear_systems(self, name):
         entry = benchmark(name)
-        ce, grid = build_system(entry.problem, SolverConfig())
-        a, b = assemble_linear(entry.problem, ce, grid)
+        a, b = assemble_linear(entry.problem)
         scaled = lstsq_scaled_qr(a, -b)
         plain = self.unscaled_qr_lstsq(a, -b)
         ne = normal_equations_lstsq(a, -b)
@@ -1256,8 +1241,7 @@ class TestQrVariants:
     @pytest.mark.parametrize("name", ["p4", "p5", "p6"])
     def test_first_newton_step(self, name):
         entry = benchmark(name)
-        ce, grid = build_system(entry.problem, SolverConfig())
-        loss, jac = assemble_loss_and_jacobian(entry.problem, ce, grid, np.zeros(10))
+        loss, jac = assemble_loss_and_jacobian(entry.problem, np.zeros(10))
         scaled = lstsq_scaled_qr(jac, loss)
         ne = normal_equations_lstsq(jac, loss)
         assert np.linalg.norm(scaled - ne) <= 1e-9 * np.linalg.norm(scaled)
@@ -1280,7 +1264,6 @@ class TestDispatcher:
 def test_input_errors_are_configuration_errors():
     # Each used to raise a bare ValueError; ConfigurationError still is one.
     linear, nonlinear = solve(benchmark("p1").problem), solve(benchmark("p4").problem)
-    ce, grid = build_system(nonlinear.problem, nonlinear.config)
     cases = [
         (lambda: linear(2.0), r"^x=2\.0 outside \[0\.0, 1\.0\]$"),
         (lambda: linear(np.array([0.5, -0.25, 3.0])), r"^x=-0\.25 outside"),
@@ -1288,7 +1271,7 @@ def test_input_errors_are_configuration_errors():
         (lambda: linear(0.5, 1.0), "order must be an integer in 0..8"),
         (lambda: linear.expression.eval(0.5, 0, np.zeros(3)), r"xi must have shape \(10,\)"),
         (lambda: lstsq_scaled_qr(np.ones((2, 3)), np.ones(2)), "underdetermined"),
-        (lambda: assemble_linear(nonlinear.problem, ce, grid), "'p4' is not linear"),
+        (lambda: assemble_linear(nonlinear.problem), "'p4' is not linear"),
     ]
     for call, match in cases:
         with pytest.raises(ConfigurationError, match=match):
@@ -1296,77 +1279,62 @@ def test_input_errors_are_configuration_errors():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda sol, ce, grid: sol("a"), r"^x must be real numbers, got 'a'$"),
-    (lambda sol, ce, grid: sol(0.5 + 0j), r"^x must be real numbers, got \(0\.5\+0j\)$"),
-    (lambda sol, ce, grid: sol([0.5, None]), r"^x must be real numbers, got \[0\.5, None\]$"),
-    (lambda sol, ce, grid: solve(sol.problem, "x"), "^config must be a SolverConfig, got 'x'$"),
-    (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, np.zeros(10), "x"),
+    (lambda sol: sol("a"), r"^x must be real numbers, got 'a'$"),
+    (lambda sol: sol(0.5 + 0j), r"^x must be real numbers, got \(0\.5\+0j\)$"),
+    (lambda sol: sol([0.5, None]), r"^x must be real numbers, got \[0\.5, None\]$"),
+    (lambda sol: solve(sol.problem, "x"), "^config must be a SolverConfig, got 'x'$"),
+    (lambda sol: assemble_loss_and_jacobian(sol.problem, np.zeros(10), "x"),
      "^config must be a SolverConfig, got 'x'$"),
-    (lambda sol, ce, grid: assemble_linear(sol.problem, ce, grid, "x"),
+    (lambda sol: assemble_linear(sol.problem, "x"),
      "^config must be a SolverConfig, got 'x'$"),
-    (lambda sol, ce, grid: dataclasses.replace(sol.problem, bc=None),
+    (lambda sol: dataclasses.replace(sol.problem, bc=None),
      "^bc must be a BoundaryConditions, got None$"),
-    (lambda sol, ce, grid: dataclasses.replace(sol.problem, bc=sol.problem.domain),
+    (lambda sol: dataclasses.replace(sol.problem, bc=sol.problem.domain),
      r"^bc must be a BoundaryConditions, got \(0\.0, 1\.0\)$"),
-    (lambda sol, ce, grid: dataclasses.replace(sol.problem, is_linear="no"),
+    (lambda sol: dataclasses.replace(sol.problem, is_linear="no"),
      "^is_linear must be a bool, got 'no'$"),
-    (lambda sol, ce, grid: dataclasses.replace(sol.problem, is_linear=1),
+    (lambda sol: dataclasses.replace(sol.problem, is_linear=1),
      "^is_linear must be a bool, got 1$"),
-    (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, np.zeros(3)),
+    (lambda sol: assemble_loss_and_jacobian(sol.problem, np.zeros(3)),
      r"^xi must have shape \(10,\), got \(3,\)$"),
-    (lambda sol, ce, grid: assemble_loss_and_jacobian(sol.problem, ce, grid, ["a"] * 10),
+    (lambda sol: assemble_loss_and_jacobian(sol.problem, ["a"] * 10),
      "^xi must be real numbers"),
 ])
 def test_bad_inputs_named_in_configuration_errors(call, match):
     # Each used to raise numpy's or Python's own error from deep inside.
     sol = solve(benchmark("p1").problem)
     with pytest.raises(ConfigurationError, match=match):
-        call(sol, *build_system(sol.problem, sol.config))
+        call(sol)
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda ce, grid: solve("p1"), "^problem must be a BvpProblem, got 'p1'$",
+    pytest.param(lambda ce: solve("p1"), "^problem must be a BvpProblem, got 'p1'$",
                  id="solve-str"),
-    pytest.param(lambda ce, grid: solve(None), "^problem must be a BvpProblem, got None$",
+    pytest.param(lambda ce: solve(None), "^problem must be a BvpProblem, got None$",
                  id="solve-None"),
-    pytest.param(lambda ce, grid: ConstrainedExpression.build(None, 10),
+    pytest.param(lambda ce: ConstrainedExpression.build(None, 10),
                  "^bc must be a BoundaryConditions, got None$", id="build-bc-None"),
-    pytest.param(lambda ce, grid: ConstrainedExpression.build(ce.bc, None),
+    pytest.param(lambda ce: ConstrainedExpression.build(ce.bc, None),
                  "^m must be an integer, got None$", id="build-m-None"),
-    pytest.param(lambda ce, grid: build_system("p1", SolverConfig()),
-                 "^problem must be a BvpProblem, got 'p1'$", id="build_system-problem-str"),
-    pytest.param(lambda ce, grid: build_system(benchmark("p1").problem, None),
-                 "^config must be a SolverConfig, got None$", id="build_system-config-None"),
-    pytest.param(lambda ce, grid: assemble_loss_and_jacobian("p1", ce, grid, np.zeros(10)),
+    pytest.param(lambda ce: assemble_loss_and_jacobian("p1", np.zeros(10)),
                  "^problem must be a BvpProblem, got 'p1'$", id="assemble-problem-str"),
-    pytest.param(lambda ce, grid: assemble_loss_and_jacobian(
-                     benchmark("p1").problem, None, grid, np.zeros(10)),
-                 "^ce must be a ConstrainedExpression, got None$", id="assemble-ce-None"),
-    pytest.param(lambda ce, grid: assemble_loss_and_jacobian(
-                     benchmark("p1").problem, ce, None, np.zeros(10)),
-                 "^grid must be a CollocationGrid, got None$", id="assemble-grid-None"),
-    pytest.param(lambda ce, grid: assemble_linear("p1", ce, grid),
+    pytest.param(lambda ce: assemble_linear("p1"),
                  "^problem must be a BvpProblem, got 'p1'$", id="assemble_linear-problem-str"),
-    pytest.param(lambda ce, grid: assemble_linear(benchmark("p1").problem, None, grid),
-                 "^ce must be a ConstrainedExpression, got None$", id="assemble_linear-ce-None"),
-    pytest.param(lambda ce, grid: assemble_linear(benchmark("p1").problem, ce, "grid"),
-                 "^grid must be a CollocationGrid, got 'grid'$",
-                 id="assemble_linear-grid-str"),
-    pytest.param(lambda ce, grid: lstsq_scaled_qr([["a"]], [1]),
+    pytest.param(lambda ce: lstsq_scaled_qr([["a"]], [1]),
                  r"^a must be real numbers, got \[\['a'\]\]$", id="lstsq-a-str"),
-    pytest.param(lambda ce, grid: lstsq_scaled_qr(np.ones((2, 1)), [1.0, 1j]),
+    pytest.param(lambda ce: lstsq_scaled_qr(np.ones((2, 1)), [1.0, 1j]),
                  r"^rhs must be real numbers, got \[1\.0, 1j\]$", id="lstsq-rhs-complex"),
-    pytest.param(lambda ce, grid: bvp8.chebyshev_table("a", 3, 1),
+    pytest.param(lambda ce: bvp8.chebyshev_table("a", 3, 1),
                  "^z must be real numbers, got 'a'$", id="chebyshev_table-z-str"),
-    pytest.param(lambda ce, grid: bvp8.chebyshev_table([0.5, 1j], 3, 1),
+    pytest.param(lambda ce: bvp8.chebyshev_table([0.5, 1j], 3, 1),
                  r"^z must be real numbers, got \[0\.5, 1j\]$", id="chebyshev_table-z-complex"),
 ])
 def test_wrong_argument_types_named(call, match):
     # Each used to raise a raw AttributeError, or, for lstsq_scaled_qr and
     # chebyshev_table, a raw ValueError or TypeError from a float conversion.
-    ce, grid = build_system(benchmark("p1").problem, SolverConfig())
+    ce = solve(benchmark("p1").problem).expression
     with pytest.raises(ConfigurationError, match=match):
-        call(ce, grid)
+        call(ce)
 
 
 def test_numpy_bool_is_linear_accepted():

@@ -19,7 +19,7 @@ import pytest
 import bvp8.solver as solver_module
 from bvp8 import BoundaryConditions, BvpProblem, SolverConfig, solve
 from bvp8.problems import benchmark
-from bvp8.solver import assemble_linear, build_system, lstsq_scaled_qr
+from bvp8.solver import assemble_linear, lstsq_scaled_qr
 
 from test_solver import gram_off_identity, stretched_p5
 
@@ -107,8 +107,7 @@ def test_declined_linear_step_is_the_qr_of_j(monkeypatch, power, n_points, m_bas
     # record's (101, 100), (201, 200) and (401, 200) errors rise 3-20x, and the last
     # one, 2.66e-9 -> 4.31e-8 with one BLAS thread, still passes its 10x record.
     problem, config = linearized_p5(power), SolverConfig(n_points, m_basis)
-    ce, grid = build_system(problem, config)
-    jac, b = assemble_linear(problem, ce, grid, config)
+    jac, b = assemble_linear(problem, config)
     assert gram_off_identity(jac @ config._tables[4]) == pytest.approx(e, abs=0.05)
     calls = []
     monkeypatch.setattr(solver_module, "lstsq_scaled_qr",
