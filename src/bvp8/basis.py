@@ -56,22 +56,26 @@ def chebyshev_table(z, max_degree: int, max_order: int) -> np.ndarray:
 
 
 def clenshaw(z, c):
-    """numpy's chebval(z, c) for a 1-D float64 series c, bit for bit, in place.
+    """numpy's chebval(z, c) for a 1-D float64 series c, bit for bit, into fresh buffers.
 
     The same recurrence and operand order, c0 = c[-i] - c1, c1 = c0_old + c1 * 2z, then c0 + c1 z,
-    as three ufunc calls per degree into reused buffers, seeded as chebval's first step leaves it:
-    c0 = c[-3] - c[-1] (a scalar), c1 = c[-1] 2z + c[-2].  One or two terms give c[0] + c[1] z.
+    as three ufunc calls per degree, seeded as chebval's first step leaves it: c0 = c[-3] - c[-1]
+    (a scalar), c1 = c[-1] 2z + c[-2].  One or two terms give c[0] + c[1] z.  A degree's one
+    write into another buffer is the one-input c[-i] - c1 into the spare, which c0 then becomes;
+    c1 *= 2z and c1 += c0_old run in place, on lines already in cache.  The spare is fetched
+    before it is written, so a two-input write such as c1 * 2z there costs more.  The buffers
+    are np.empty(z.shape): np.multiply of a scalar and a 0-d z is a scalar, not writable.
     """
     z, c = np.asarray(z), (c.tolist() if len(c) > 1 else [c[0], 0.0])
     if len(c) == 2:
         return (c[0] + c[1] * z)[()]
-    x2, c0, tmp = 2 * z, c[-3] - c[-1], np.empty(z.shape)
-    c1 = np.add(np.multiply(c[-1], x2, tmp), c[-2], np.empty(z.shape))
+    x2, c0, spare = 2 * z, c[-3] - c[-1], np.empty(z.shape)
+    c1 = np.add(np.multiply(c[-1], x2, spare), c[-2], np.empty(z.shape))
     for i in range(4, len(c) + 1):
-        np.multiply(c1, x2, tmp)
-        np.subtract(c[-i], c1, c1)
-        tmp += c0
-        c0, c1, tmp = c1, tmp, c0 if i > 4 else np.empty(z.shape)
+        np.subtract(c[-i], c1, spare)
+        c1 *= x2
+        c1 += c0
+        c0, spare = spare, c0 if i > 4 else np.empty(z.shape)
     return np.add(c0, np.multiply(c1, z, c1), c1)[()]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -62,42 +62,22 @@ def _entry(problem: BvpProblem, reference_errors: Optional[tuple] = None) -> Ben
     return BenchmarkEntry(problem, points, reference_errors)
 
 
-def _poly_exp_solution(p0) -> Callable:
-    """Derivatives of p(x) e^x via p_{n+1} = p_n + p_n'."""
+def _poly_exp_rows(p0) -> list:
+    """Polynomials p_d of the derivatives p_d(x) e^x of p(x) e^x, d = 0..8: p_{n+1} = p_n + p_n'."""
     rows = [np.asarray(p0, dtype=float)]
     for _ in range(8):
         rows.append(npoly.polyadd(rows[-1], npoly.polyder(rows[-1])))
-
-    def exact(x, order: int = 0):
-        return npoly.polyval(x, rows[order]) * np.exp(x)
-
-    return exact
+    return rows
 
 
-def _sin_cos_solution(p0, q0) -> Callable:
-    """Derivatives of p(x) sin x + q(x) cos x via (p, q) -> (p' - q, q' + p)."""
+def _sin_cos_pairs(p0, q0) -> list:
+    """Polynomial pairs (p_d, q_d) of the derivatives p_d(x) sin x + q_d(x) cos x of
+    p(x) sin x + q(x) cos x, d = 0..8: (p, q) -> (p' - q, q' + p)."""
     pairs = [(np.asarray(p0, dtype=float), np.asarray(q0, dtype=float))]
     for _ in range(8):
         p, q = pairs[-1]
         pairs.append((npoly.polysub(npoly.polyder(p), q), npoly.polyadd(npoly.polyder(q), p)))
-
-    def exact(x, order: int = 0):
-        p, q = pairs[order]
-        return npoly.polyval(x, p) * np.sin(x) + npoly.polyval(x, q) * np.cos(x)
-
-    return exact
-
-
-def _log1p_solution() -> Callable:
-    """Derivatives of ln(1 + x): (-1)^{n+1} (n-1)! / (1 + x)^n."""
-
-    def exact(x, order: int = 0):
-        if order == 0:
-            return np.log1p(x)
-        sign = 1.0 if order % 2 else -1.0
-        return sign * math.factorial(order - 1) / (1.0 + np.asarray(x, dtype=float)) ** order
-
-    return exact
+    return pairs
 
 
 def _partials(x, columns: dict) -> np.ndarray:
@@ -108,31 +88,34 @@ def _partials(x, columns: dict) -> np.ndarray:
     return rows
 
 
-def _constant_partials(values) -> Callable:
-    """Partials whose rows are all `values`, filled in a new array (a broadcast view costs 4x more)."""
-    row = np.asarray(values, dtype=float)
+# Every residual, partials and exact callback is a module-level function, so a problem, and a
+# solution of it, pickles, and the problems of two benchmark() calls compare equal.
+# A constant partials row is filled into a new array: a broadcast view costs 4x more.
 
-    def partials(x, y):
-        rows = np.empty(np.shape(x) + row.shape)
-        rows[...] = row
-        return rows
+_P1_ROWS = _poly_exp_rows([1.0, -1.0])
+_UNIT_ROW = np.array([-1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])  # dF/dy = -1, dF/dy^(8) = 1: p1, p3
+_UNIT_ROW.flags.writeable = False
 
-    return partials
+
+def _exact_1(x, order: int = 0):
+    return npoly.polyval(x, _P1_ROWS[order]) * np.exp(x)
+
+
+def _residual_1(x, y):
+    return y[8] - y[0] + 8.0 * np.exp(x)
+
+
+def _unit_partials(x, y):
+    rows = np.empty(np.shape(x) + _UNIT_ROW.shape)
+    rows[...] = _UNIT_ROW
+    return rows
 
 
 def problem_1() -> BenchmarkEntry:
     """Linear: y^(8) - y = -8 e^x on [0, 1], exact y = (1 - x) e^x."""
-    exact = _poly_exp_solution([1.0, -1.0])
-    bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
-
-    def residual(x, y):
-        return y[8] - y[0] + 8.0 * np.exp(x)
-
-    problem = BvpProblem(
-        "p1", bc, residual, is_linear=True,
-        partials=_constant_partials([-1.0, 0, 0, 0, 0, 0, 0, 0, 1.0]),
-        exact=exact,
-    )
+    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_1)
+    problem = BvpProblem("p1", bc, _residual_1, is_linear=True, partials=_unit_partials,
+                         exact=_exact_1)
     return _entry(problem, (
         (0.0, 0.0), (0.1, 6.3e-11), (0.2, 6.5e-10), (0.3, 2.0e-09),
         (0.4, 3.3e-09), (0.5, 3.9e-09), (0.6, 3.4e-09), (0.7, 2.0e-09),
@@ -140,18 +123,26 @@ def problem_1() -> BenchmarkEntry:
     ))
 
 
+_P2_ROWS = _poly_exp_rows([0.0, 1.0, -1.0])
+
+
+def _exact_2(x, order: int = 0):
+    return npoly.polyval(x, _P2_ROWS[order]) * np.exp(x)
+
+
+def _residual_2(x, y):
+    return y[8] + x * y[0] + (x**3 + 15.0 * x + 48.0) * np.exp(x)
+
+
+def _partials_2(x, y):
+    return _partials(x, {0: x, 8: 1.0})
+
+
 def problem_2() -> BenchmarkEntry:
     """Linear: y^(8) + x y = -(x^3 + 15 x + 48) e^x on [0, 1], exact y = x (1 - x) e^x."""
-    exact = _poly_exp_solution([0.0, 1.0, -1.0])
-    bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
-
-    def residual(x, y):
-        return y[8] + x * y[0] + (x**3 + 15.0 * x + 48.0) * np.exp(x)
-
-    def partials(x, y):
-        return _partials(x, {0: x, 8: 1.0})
-
-    problem = BvpProblem("p2", bc, residual, is_linear=True, partials=partials, exact=exact)
+    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_2)
+    problem = BvpProblem("p2", bc, _residual_2, is_linear=True, partials=_partials_2,
+                         exact=_exact_2)
     # The published column reports no value at the 0.9 row.
     return _entry(problem, (
         (0.0, 0.0), (0.1, 1.63e-10), (0.2, 1.63e-09), (0.3, 4.90e-09),
@@ -160,19 +151,24 @@ def problem_2() -> BenchmarkEntry:
     ))
 
 
+_P3_PAIRS = _sin_cos_pairs([-1.0, 0.0, 1.0], [0.0])
+
+
+def _exact_3(x, order: int = 0):
+    """(x^2 - 1) sin x and its derivatives: p3's and p7's exact solution."""
+    p, q = _P3_PAIRS[order]
+    return npoly.polyval(x, p) * np.sin(x) + npoly.polyval(x, q) * np.cos(x)
+
+
+def _residual_3(x, y):
+    return y[8] - y[0] + 8.0 * (2.0 * x * np.cos(x) + 7.0 * np.sin(x))
+
+
 def problem_3() -> BenchmarkEntry:
     """Linear: y^(8) - y = -8 (2 x cos x + 7 sin x) on [0, 1], exact y = (x^2 - 1) sin x."""
-    exact = _sin_cos_solution([-1.0, 0.0, 1.0], [0.0])
-    bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
-
-    def residual(x, y):
-        return y[8] - y[0] + 8.0 * (2.0 * x * np.cos(x) + 7.0 * np.sin(x))
-
-    problem = BvpProblem(
-        "p3", bc, residual, is_linear=True,
-        partials=_constant_partials([-1.0, 0, 0, 0, 0, 0, 0, 0, 1.0]),
-        exact=exact,
-    )
+    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_3)
+    problem = BvpProblem("p3", bc, _residual_3, is_linear=True, partials=_unit_partials,
+                         exact=_exact_3)
     return _entry(problem, (
         (0.0, 0.0), (0.1, 6.6e-12), (0.2, 6.9e-11), (0.3, 2.1e-10),
         (0.4, 3.5e-10), (0.5, 4.1e-10), (0.6, 3.5e-10), (0.7, 2.1e-10),
@@ -180,21 +176,24 @@ def problem_3() -> BenchmarkEntry:
     ))
 
 
+def _exact_4(x, order: int = 0):
+    return np.exp(x)
+
+
+def _residual_4(x, y):
+    exp_x = np.exp(x)
+    return y[8] + y[3] * np.sin(y[0]) - exp_x * (1.0 + np.sin(exp_x))
+
+
+def _partials_4(x, y):
+    return _partials(x, {0: y[3] * np.cos(y[0]), 3: np.sin(y[0]), 8: 1.0})
+
+
 def problem_4() -> BenchmarkEntry:
     """Nonlinear: y^(8) + y''' sin(y) = e^x (1 + sin(e^x)) on [0, 1], exact y = e^x."""
-
-    def exact(x, order: int = 0):
-        return np.exp(x)
-
-    bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
-
-    def residual(x, y):
-        return y[8] + y[3] * np.sin(y[0]) - np.exp(x) * (1.0 + np.sin(np.exp(x)))
-
-    def partials(x, y):
-        return _partials(x, {0: y[3] * np.cos(y[0]), 3: np.sin(y[0]), 8: 1.0})
-
-    problem = BvpProblem("p4", bc, residual, is_linear=False, partials=partials, exact=exact)
+    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_4)
+    problem = BvpProblem("p4", bc, _residual_4, is_linear=False, partials=_partials_4,
+                         exact=_exact_4)
     return _entry(problem, (
         (0.0, 0.0), (0.1, 2.503395e-06), (0.2, 8.940697e-06), (0.3, 1.561642e-05),
         (0.4, 1.823902e-05), (0.5, 8.821487e-06), (0.6, 7.510185e-06),
@@ -202,18 +201,27 @@ def problem_4() -> BenchmarkEntry:
     ))
 
 
+def _exact_5(x, order: int = 0):
+    """ln(1 + x) and its derivatives (-1)^{n+1} (n-1)! / (1 + x)^n."""
+    if order == 0:
+        return np.log1p(x)
+    sign = 1.0 if order % 2 else -1.0
+    return sign * math.factorial(order - 1) / (1.0 + np.asarray(x, dtype=float)) ** order
+
+
+def _residual_5(x, y):
+    return y[8] - _SEVEN_FACTORIAL * (np.exp(-8.0 * y[0]) - 2.0 / (1.0 + x) ** 8)
+
+
+def _partials_5(x, y):
+    return _partials(x, {0: 8.0 * _SEVEN_FACTORIAL * np.exp(-8.0 * y[0]), 8: 1.0})
+
+
 def problem_5() -> BenchmarkEntry:
     """Nonlinear: y^(8) = 7! (e^{-8y} - 2 / (1 + x)^8) on [0, sqrt(e) - 1], exact y = ln(1 + x)."""
-    exact = _log1p_solution()
-    bc = BoundaryConditions.from_callable(0.0, math.expm1(0.5), exact)
-
-    def residual(x, y):
-        return y[8] - _SEVEN_FACTORIAL * (np.exp(-8.0 * y[0]) - 2.0 / (1.0 + x) ** 8)
-
-    def partials(x, y):
-        return _partials(x, {0: 8.0 * _SEVEN_FACTORIAL * np.exp(-8.0 * y[0]), 8: 1.0})
-
-    problem = BvpProblem("p5", bc, residual, is_linear=False, partials=partials, exact=exact)
+    bc = BoundaryConditions.from_callable(0.0, math.expm1(0.5), _exact_5)
+    problem = BvpProblem("p5", bc, _residual_5, is_linear=False, partials=_partials_5,
+                         exact=_exact_5)
     # The published table labels rows 0..1 although the domain ends at
     # sqrt(e) - 1; labels are row positions, not x values.  The 0.8 row
     # prints a malformed "5.45-06", restored here as 5.45e-06.
@@ -224,27 +232,51 @@ def problem_5() -> BenchmarkEntry:
     ))
 
 
+def _exact_6(x, order: int = 0):
+    sign = -1.0 if order % 2 else 1.0
+    return sign * np.exp(-np.asarray(x, dtype=float))
+
+
+def _residual_6(x, y):
+    exp_minus_x = np.exp(-x)
+    return y[8] + exp_minus_x * y[0] ** 2 - exp_minus_x - np.exp(-3.0 * x)
+
+
+def _partials_6(x, y):
+    return _partials(x, {0: 2.0 * np.exp(-x) * y[0], 8: 1.0})
+
+
 def problem_6() -> BenchmarkEntry:
     """Nonlinear: y^(8) + e^{-x} y^2 = e^{-x} + e^{-3x} on [0, 1], exact y = e^{-x}."""
-
-    def exact(x, order: int = 0):
-        sign = -1.0 if order % 2 else 1.0
-        return sign * np.exp(-np.asarray(x, dtype=float))
-
-    bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
-
-    def residual(x, y):
-        return y[8] + np.exp(-x) * y[0] ** 2 - np.exp(-x) - np.exp(-3.0 * x)
-
-    def partials(x, y):
-        return _partials(x, {0: 2.0 * np.exp(-x) * y[0], 8: 1.0})
-
-    problem = BvpProblem("p6", bc, residual, is_linear=False, partials=partials, exact=exact)
+    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_6)
+    problem = BvpProblem("p6", bc, _residual_6, is_linear=False, partials=_partials_6,
+                         exact=_exact_6)
     return _entry(problem, (
         (0.0, 0.0), (0.1, 2.9e-12), (0.2, 2.7e-11), (0.3, 7.6e-11),
         (0.4, 1.3e-10), (0.5, 1.5e-10), (0.6, 1.3e-10), (0.7, 7.6e-11),
         (0.8, 2.5e-11), (0.9, 2.4e-12), (1.0, 0.0),
     ))
+
+
+_P7_ROW = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0])
+_P7_ROW.flags.writeable = False
+
+
+def _residual_7(x, y):
+    sin = np.sin(x)
+    forcing = 14.0 * np.cos(x) - 16.0 * sin - 4.0 * x * sin
+    return (
+        y[8] + y[7]
+        + 2.0 * (y[6] + y[5] + y[4] + y[3] + y[2])
+        + y[1] + y[0]
+        - forcing
+    )
+
+
+def _partials_7(x, y):
+    rows = np.empty(np.shape(x) + _P7_ROW.shape)
+    rows[...] = _P7_ROW
+    return rows
 
 
 def problem_7() -> BenchmarkEntry:
@@ -253,21 +285,9 @@ def problem_7() -> BenchmarkEntry:
     y^(8) + y^(7) + 2 (y^(6) + y^(5) + y^(4) + y''' + y'') + y' + y
         = 14 cos x - 16 sin x - 4 x sin x.
     """
-    exact = _sin_cos_solution([-1.0, 0.0, 1.0], [0.0])
-    bc = BoundaryConditions.from_callable(0.0, 1.0, exact)
-    weights = _constant_partials([1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0])
-
-    def residual(x, y):
-        sin = np.sin(x)
-        forcing = 14.0 * np.cos(x) - 16.0 * sin - 4.0 * x * sin
-        return (
-            y[8] + y[7]
-            + 2.0 * (y[6] + y[5] + y[4] + y[3] + y[2])
-            + y[1] + y[0]
-            - forcing
-        )
-
-    problem = BvpProblem("p7", bc, residual, is_linear=True, partials=weights, exact=exact)
+    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_3)
+    problem = BvpProblem("p7", bc, _residual_7, is_linear=True, partials=_partials_7,
+                         exact=_exact_3)
     return _entry(problem, None)
 
 

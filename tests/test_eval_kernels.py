@@ -55,3 +55,42 @@ def test_clenshaw_seeding_branches(c):
             got, expected = clenshaw(points, c), chebyshev.chebval(points, c)
             assert same_bits(got, expected), (c, points)
             assert type(got) is type(expected)
+
+
+def assert_fresh(got, *inputs):
+    """got is a writable array that shares memory with none of the inputs."""
+    assert isinstance(got, np.ndarray) and got.flags.writeable
+    assert not any(np.shares_memory(got, a) for a in inputs)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 17, 30, 70])
+def test_clenshaw_reads_any_layout(length):
+    # Read-only, strided and Fortran-ordered points and a read-only strided series give
+    # chebval's bits in a new writable array.
+    rng = np.random.default_rng(100 + length)
+    store = rng.standard_normal(2 * length)
+    store.flags.writeable = False
+    c = store[::2]
+    base = rng.uniform(-1.0, 1.0, (24, 36))
+    read_only = base.copy()
+    read_only.flags.writeable = False
+    for z in (read_only, base[::2, 1::3], base[:, ::-1], np.asfortranarray(base),
+              np.asfortranarray(base)[3:, ::2], base.ravel()[5::7]):
+        got = clenshaw(z, c)
+        assert same_bits(got, chebyshev.chebval(z, c)), (length, z.strides)
+        assert_fresh(got, z, c, store, base)
+
+
+@pytest.mark.parametrize("length", range(1, 71))
+def test_clenshaw_at_2048_points(length):
+    # The size of a dense read: every series length against chebval, in a new writable array
+    # that a later read leaves alone.
+    rng = np.random.default_rng(200 + length)
+    c = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 8, length)
+    z = rng.uniform(-1.0, 1.0, 2048)
+    got = clenshaw(z, c)
+    expected = chebyshev.chebval(z, c)
+    assert same_bits(got, expected)
+    assert_fresh(got, z, c)
+    assert_fresh(clenshaw(z, -c), got)
+    assert same_bits(got, expected)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bvp8.problems import (
     derivative_error_report,
     derivative_errors,
 )
-from bvp8.solver import solve
+from bvp8.solver import SolverConfig, solve
 
 ALL_NAMES = list(PROBLEM_NAMES)
 
@@ -180,6 +181,49 @@ class TestRegistry:
         a = benchmark("p1")
         b = benchmark("p1")
         assert a is not b
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_problems_of_two_calls_compare_equal(self, name):
+        # Every callback is one module-level function, so the fields compare equal.
+        assert benchmark(name).problem == benchmark(name).problem
+        assert hash(benchmark(name).problem) == hash(benchmark(name).problem)
+
+
+def report_bytes(report) -> bytes:
+    """Every field of a SolveReport as bytes: the arrays' raw bytes, the rest by repr."""
+    return b"|".join(
+        getattr(report, f.name).tobytes() if f.name in report._arrays
+        else repr(getattr(report, f.name)).encode()
+        for f in dataclasses.fields(report))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("n_points, m_basis", [(11, 10), (31, 30)])
+def test_problem_and_solution_pickle(name, n_points, m_basis):
+    # The callbacks are module-level functions, which pickle by reference.
+    config = SolverConfig(n_points=n_points, m_basis=m_basis)
+    problem = benchmark(name).problem
+    sol = solve(problem, config)
+    problem_back = pickle.loads(pickle.dumps(problem))
+    sol_back = pickle.loads(pickle.dumps(sol))
+    assert problem_back == problem and sol_back.problem == problem
+    assert report_bytes(sol_back.report) == report_bytes(sol.report)
+    x = np.random.default_rng(3).uniform(*problem.domain, 64)
+    for d in range(9):
+        assert sol_back(x, d).tobytes() == sol(x, d).tobytes(), d
+    assert report_bytes(solve(problem_back, config).report) == report_bytes(sol.report)
+
+
+@pytest.mark.parametrize("name, written_out", [
+    ("p4", lambda x, y: y[8] + y[3] * np.sin(y[0]) - np.exp(x) * (1.0 + np.sin(np.exp(x)))),
+    ("p6", lambda x, y: y[8] + np.exp(-x) * y[0] ** 2 - np.exp(-x) - np.exp(-3.0 * x)),
+])
+def test_shared_exponential_keeps_the_bits(name, written_out):
+    # p4 and p6 compute e^x or e^-x once; the residual keeps the bits of the equation as written.
+    problem = benchmark(name).problem
+    rng = np.random.default_rng(29)
+    x, y = rng.uniform(*problem.domain, 301), rng.uniform(-2.0, 2.0, (9, 301))
+    assert problem.residual(x, y).tobytes() == written_out(x, y).tobytes()
 
 
 class TestDerivativeErrorReport:

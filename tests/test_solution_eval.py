@@ -13,6 +13,8 @@ import copy
 import dataclasses
 import functools
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -136,6 +138,38 @@ def test_one_clenshaw_pass_per_read(monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["series-cached", "first-read"])
+def test_two_threads_read_the_serial_bits(cached):
+    # Every read writes only buffers it made itself: two threads reading one solution at
+    # once get the serial bits, including when both race to build its cached series.
+    # A scratch buffer shared between reads would be written by both threads, since
+    # numpy's ufunc loops release the GIL.
+    sol = solved("p5", 31, 30)
+    x = np.random.default_rng(11).uniform(*sol.problem.domain, 2048)
+    serial = [sol(x, d).tobytes() for d in ORDERS]
+    shared = sol if cached else dataclasses.replace(sol)  # a fresh Solution: no series cached
+    start = threading.Barrier(2, timeout=30)
+    results = [[], []]
+
+    def read(out):
+        start.wait()
+        for _ in range(20):
+            out.append([shared(x, d).tobytes() for d in ORDERS])
+
+    threads = [threading.Thread(target=read, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between Python steps too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == 20 and all(r == serial for r in out) for out in results)
+
+
 def test_copies_read_alike_from_read_only_series():
     # A deep copy used to carry the cached series over as writeable arrays.
     sol = solve(benchmark("p1").problem, SolverConfig(n_points=31, m_basis=30))
@@ -148,16 +182,9 @@ def test_copies_read_alike_from_read_only_series():
     assert not any(s.flags.writeable for s in sol._derivative_series)
 
 
-def unit_residual(x, y):
-    """p1's residual y^(8) - y + 8 e^x, at module level so that its solutions pickle."""
-    return y[8] - y[0] + 8.0 * np.exp(x)
-
-
 def picklable_solution():
-    """A solution of p1 with a picklable residual and finite-difference partials, its nodes read."""
-    p1 = benchmark("p1").problem
-    problem = dataclasses.replace(p1, residual=unit_residual, partials=None, exact=None)
-    sol = solve(problem, SolverConfig(n_points=31, m_basis=30))
+    """A solution of p1, whose callbacks pickle by reference, with its nodes read."""
+    sol = solve(benchmark("p1").problem, SolverConfig(n_points=31, m_basis=30))
     sol.nodes  # built before any copy, which must not carry it over
     return sol
 
