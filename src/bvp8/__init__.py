@@ -6,7 +6,7 @@ minimized over a Chebyshev coefficient vector by collocation least squares.
 """
 
 from . import problems
-from .basis import DomainMap, chebyshev_table
+from .basis import chebyshev_table
 from .errors import Bvp8Error, ConfigurationError, EvaluationError, SingularSystemError
 from .expression import BoundaryConditions, ConstrainedExpression
 from .solver import (
@@ -29,7 +29,6 @@ __all__ = [
     "BvpProblem",
     "ConfigurationError",
     "ConstrainedExpression",
-    "DomainMap",
     "EvaluationError",
     "SingularSystemError",
     "Solution",

@@ -8,7 +8,7 @@ embedding, and keeping them would make the collocation system rank deficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -163,11 +163,12 @@ def check_real(name: str, value, shape=None) -> np.ndarray:
 
 
 class ReadOnlyArrays:
-    """Base of a frozen dataclass whose fields named in _arrays hold read-only float64 arrays.
+    """Base of the frozen dataclasses: copies and pickles rebuild through __init__ from the
+    fields, so whatever __post_init__ or a cached_property builds is built afresh, read-only too.
 
-    A read-only float64 array that owns its data is kept; any other value is copied, so a
-    caller's array keeps its flags and no one writes through a base.  Copies and pickles
-    rebuild through __init__, so theirs are read-only too.
+    Fields named in _arrays hold read-only float64 arrays: one that owns its data is kept;
+    any other value is copied, so a caller's array keeps its flags and no one writes through
+    a base.
     """
 
     _arrays: tuple = ()
@@ -185,93 +186,11 @@ class ReadOnlyArrays:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def check_domain(x_i, x_f) -> tuple[float, float]:
-    """(x_i, x_f) as Python floats; ConfigurationError unless the solver can scale [x_i, x_f].
-
-    Each endpoint must be one real number (check_real, which names it).  Scaling
-    needs x_f > x_i and finite endpoints, width w, largest switching scale w**3
-    and order-8 chain factor (2/w)**8.
-    """
-    x_i, x_f = float(check_real("x_i", x_i, ())), float(check_real("x_f", x_f, ()))
-    if not x_f > x_i:
-        raise ConfigurationError(f"degenerate domain: x_f={x_f} must exceed x_i={x_i}")
-    with np.errstate(over="ignore"):
-        w = np.float64(x_f) - np.float64(x_i)
-        scales = [x_i, x_f, w, w**3, (2.0 / w) ** MAX_ORDER]
-    if not np.all(np.isfinite(scales)):
-        raise ConfigurationError(f"domain [{x_i}, {x_f}] out of range: w, w**3, (2/w)**8 not finite")
-    return x_i, x_f
-
-
-@dataclass(frozen=True)
-class DomainMap:
-    """Affine map between the problem domain [x_i, x_f] and basis domain [-1, +1].
-
-    `c` is the constant slope dz/dx applied once per derivative order when
-    basis derivatives are pulled back to the problem domain.
-    """
-
-    z_0 = -1.0  # class constants, not fields
-    z_f = 1.0
-    x_i: float
-    x_f: float
-    c: float = field(init=False)
-
-    def __post_init__(self):
-        x_i, x_f = check_domain(self.x_i, self.x_f)
-        object.__setattr__(self, "x_i", x_i)
-        object.__setattr__(self, "x_f", x_f)
-        object.__setattr__(self, "c", (self.z_f - self.z_0) / (x_f - x_i))
-
-    def to_z(self, x):
-        # Snap the right endpoint so x_f maps to exactly z_f; the rounding of
-        # c * (x_f - x_i) otherwise leaks into high-order basis derivatives.
-        # An array pays the snap's pass only if it reaches x_f.  Each step rounds
-        # monotonically (c > 0): before the snap, to_z(x.min()) is to_z(x).min().
-        z = self.z_0 + self.c * (x - self.x_i)
-        if np.ndim(x) == 0:
-            return self.z_f if x == self.x_f else z
-        x = np.asarray(x)
-        return np.where(x == self.x_f, self.z_f, z) if x.size and x.max() >= self.x_f else z
-
-    def to_x(self, z):
-        return self.x_i + (z - self.z_0) / self.c
-
-    def x_nodes(self, z_nodes) -> np.ndarray:
-        """The x nodes of z_nodes (cgl_nodes), z_0 first: to_x(z_nodes) with the ends snapped to
-        x_i and x_f, so boundary rows see the exact constraint locations; read-only."""
-        x = self.to_x(z_nodes)
-        x[0], x[-1] = self.x_i, self.x_f
-        x.flags.writeable = False
-        return x
-
-    def checked_z(self, x) -> tuple:
-        """(x as float64, to_z(x), x.min(), x.max()), the bounds as floats, inf and -inf if x is
-        empty; ConfigurationError naming the first x outside [x_i, x_f], with no warning.
-
-        The test is |z| <= 1 + 1e-12 (NaN fails it) on the bounds mapped as floats, overflow to
-        inf: z.min() and z.max() bit for bit (to_z) but for the snap's ulps at x_f.  z is then
-        one buffer with to_z's operands and bits, so a read scans x only for its bounds.
-        """
-        x = check_real("x", x)
-        lo, hi = (float(x.min()), float(x.max())) if x.size else (np.inf, -np.inf)
-        z_lo, z_hi = self.z_0 + self.c * (lo - self.x_i), self.z_0 + self.c * (hi - self.x_i)
-        if x.size and not -1.0 - 1e-12 <= z_lo <= z_hi <= 1.0 + 1e-12:
-            with np.errstate(over="ignore"):
-                first = float(np.ravel(x)[np.argmin(np.ravel(np.abs(self.to_z(x)) <= 1.0 + 1e-12))])
-            raise ConfigurationError(f"x={first!r} outside [{self.x_i}, {self.x_f}]")
-        z = np.asarray(x - self.x_i)  # a new array, 0-d too
-        np.add(np.multiply(z, self.c, z), self.z_0, z)
-        if hi >= self.x_f:
-            np.copyto(z, self.z_f, where=x == self.x_f)
-        return x, z, lo, hi
-
-
 def cgl_nodes(n: int) -> np.ndarray:
     """The n Chebyshev-Gauss-Lobatto nodes z_k = -cos(k pi / (n - 1)), k = 0..n-1, read-only.
 
     Symmetrized exactly: the upper half mirrors the lower half and an odd middle node is 0.
-    n >= 2 is SolverConfig's check; DomainMap.x_nodes maps the nodes to a domain.
+    n >= 2 is SolverConfig's check; BoundaryConditions.x_nodes maps the nodes to a domain.
     """
     z = -np.cos(np.pi * np.arange(n) / (n - 1))
     half = n // 2

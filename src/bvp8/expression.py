@@ -29,12 +29,12 @@ and b_value (xi = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, START_DEGREE, DomainMap, ReadOnlyArrays, chebyshev_derivatives, chebyshev_table,
+    MAX_ORDER, START_DEGREE, ReadOnlyArrays, chebyshev_derivatives, chebyshev_table,
     check_instance, check_integer, check_order, check_real, chop, clenshaw,
 )
 from .errors import ConfigurationError, call_callback
@@ -59,37 +59,44 @@ UNIT_CHEB.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class BoundaryConditions:
-    """Values of y, y', y'', y''' at both endpoints of [x_i, x_f], four finite floats each;
-    read-only _values in constraint order, b's series _beta = (w**d_j _values_j) @ UNIT_CHEB,
-    and _scales = w**-d, d = 0..8, that read the tables of [0, 1] on [x_i, x_f], built once."""
+class BoundaryConditions(ReadOnlyArrays):
+    """Values of y, y', y'', y''' at both endpoints of [x_i, x_f], four finite floats each,
+    and the affine map z = -1 + c (x - x_i) of [x_i, x_f] onto the basis domain [-1, +1].
+
+    Built once: c = dz/dx = 2 / w, w = x_f - x_i, read-only _values in constraint order, b's
+    series _beta = (w**d_j _values_j) @ UNIT_CHEB, and _scales = w**-d, d = 0..8, that read
+    the tables of [0, 1] on [x_i, x_f].  None is a field, so none is compared or shown.
+    """
 
     x_i: float
     x_f: float
     left_values: tuple
     right_values: tuple
-    domain_map: DomainMap = field(init=False, repr=False, compare=False)  # checked once, shared
 
     def __post_init__(self):
-        dm = DomainMap(self.x_i, self.x_f)
-        object.__setattr__(self, "domain_map", dm)
-        object.__setattr__(self, "x_i", dm.x_i)
-        object.__setattr__(self, "x_f", dm.x_f)
+        # Each endpoint is one real number (check_real names it); scaling needs x_f > x_i and
+        # finite width w, largest switching scale w**3 and order-8 chain factor (2/w)**8.
+        x_i, x_f = float(check_real("x_i", self.x_i, ())), float(check_real("x_f", self.x_f, ()))
+        if not x_f > x_i:
+            raise ConfigurationError(f"degenerate domain: x_f={x_f} must exceed x_i={x_i}")
+        w = x_f - x_i
+        with np.errstate(over="ignore"):  # a finite w**3 has a finite w, x_i and x_f
+            if not np.isfinite(np.power([w, 2.0 / w], [3, MAX_ORDER])).all():
+                raise ConfigurationError(
+                    f"domain [{x_i}, {x_f}] out of range: w, w**3, (2/w)**8 not finite")
+        for name, value in (("x_i", x_i), ("x_f", x_f), ("c", 2.0 / w)):
+            object.__setattr__(self, name, value)
         for name in ("left_values", "right_values"):
             values = check_real(name, getattr(self, name), (4,))
             if not np.all(np.isfinite(values)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(values.tolist()))
         values = np.ravel([self.left_values, self.right_values], order="F")
-        w = self.x_f - self.x_i
         beta = (w ** np.array(CONSTRAINT_ORDERS, float) * values) @ UNIT_CHEB
         scales = w ** -np.arange(MAX_ORDER + 1.0)
         for name, array in (("_values", values), ("_beta", beta), ("_scales", scales)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-
-    def __reduce__(self):  # copies and pickles rebuild through __init__, read-only too
-        return type(self), (self.x_i, self.x_f, self.left_values, self.right_values)
 
     @classmethod
     def from_callable(cls, x_i: float, x_f: float, fn) -> "BoundaryConditions":
@@ -104,6 +111,39 @@ class BoundaryConditions:
     def interleaved(self) -> np.ndarray:
         """The eight values in canonical constraint order, a new writable array."""
         return self._values.copy()
+
+    def checked_z(self, x) -> tuple:
+        """(x as float64, z, x.min(), x.max()), z = -1 + c (x - x_i) a new array with x_f
+        snapped to 1, the bounds as floats, inf and -inf if x is empty; ConfigurationError
+        naming the first x outside [x_i, x_f], with no warning.
+
+        The snap keeps the rounding of c w out of high-order basis derivatives.  The test is
+        |z| <= 1 + 1e-12 (NaN fails it) on the bounds mapped as floats, overflow to inf: as
+        each step rounds monotonically (c > 0), z.min() and z.max() bit for bit but for the
+        snap, which moves only x_f, to 1, inside the test either way.  So a read scans x for
+        its bounds, and only a rejected x is mapped whole, unsnapped, to name its first bad entry.
+        """
+        x = check_real("x", x)
+        lo, hi = (float(x.min()), float(x.max())) if x.size else (np.inf, -np.inf)
+        z_lo, z_hi = -1.0 + self.c * (lo - self.x_i), -1.0 + self.c * (hi - self.x_i)
+        if x.size and not -1.0 - 1e-12 <= z_lo <= z_hi <= 1.0 + 1e-12:
+            with np.errstate(over="ignore"):
+                inside = np.abs(-1.0 + self.c * (x - self.x_i)) <= 1.0 + 1e-12
+            first = float(np.ravel(x)[np.argmin(np.ravel(inside))])
+            raise ConfigurationError(f"x={first!r} outside [{self.x_i}, {self.x_f}]")
+        z = np.asarray(x - self.x_i)  # a new array, 0-d too
+        np.add(np.multiply(z, self.c, z), -1.0, z)
+        if hi >= self.x_f:
+            np.copyto(z, 1.0, where=x == self.x_f)
+        return x, z, lo, hi
+
+    def x_nodes(self, z_nodes) -> np.ndarray:
+        """The x nodes x_i + (z + 1) / c of z_nodes (cgl_nodes), -1 first, with the ends snapped
+        to x_i and x_f, so boundary rows see the exact constraint locations; read-only."""
+        x = self.x_i + (z_nodes + 1.0) / self.c
+        x[0], x[-1] = self.x_i, self.x_f
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +173,7 @@ class ConstrainedExpression(ReadOnlyArrays):
         m = check_integer("m", m)
         if m < 1:
             raise ConfigurationError(f"need at least one basis term, got m={m}")
-        ends = chebyshev_table([DomainMap.z_0, DomainMap.z_f], START_DEGREE + m - 1, 3)
+        ends = chebyshev_table([-1.0, 1.0], START_DEGREE + m - 1, 3)
         ends = ends[:, START_DEGREE:].transpose(0, 2, 1).reshape(8, m)
         low = -(UNIT_CHEB.T * 2.0 ** np.array(CONSTRAINT_ORDERS)) @ ends
         series_map = np.concatenate([low, np.eye(m)])
@@ -147,22 +187,22 @@ class ConstrainedExpression(ReadOnlyArrays):
         basis and a = low @ series_map[:8] plus its degrees 8.., with a^{(0..3)} set to
         the exact zeros of the constraints at x_i and x_f.  Read b(x) as low @ bc._beta.
         """
-        dm = self.bc.domain_map
+        bc = self.bc
         table = chebyshev_table(np.ravel(z), START_DEGREE + self.m - 1, max_order)
-        table *= np.array([dm.c**d for d in range(max_order + 1)]).reshape(-1, 1, 1)
+        table *= np.array([bc.c**d for d in range(max_order + 1)]).reshape(-1, 1, 1)
         table = table.transpose(0, 2, 1)
         low = np.ascontiguousarray(table[..., :START_DEGREE])
         a = low @ self.series_map[:START_DEGREE]
         a += table[..., START_DEGREE:]
         x = np.ravel(x)
-        a[:4, (x == dm.x_i) | (x == dm.x_f)] = 0.0
+        a[:4, (x == bc.x_i) | (x == bc.x_f)] = 0.0
         shape = (max_order + 1,) + np.shape(z)
         return a.reshape(shape + (self.m,)), low.reshape(shape + (START_DEGREE,))
 
     def a_row(self, x, order: int = 0) -> np.ndarray:
         """The xi coefficient row a^{(order)}(x), shape x.shape + (m,); tabulates orders 0..order."""
         order = check_order(order)
-        x, z, _, _ = self.bc.domain_map.checked_z(x)
+        x, z, _, _ = self.bc.checked_z(x)
         return self._rows(x, z, order)[0][order]
 
     def _series(self, xi) -> list:
@@ -174,14 +214,14 @@ class ConstrainedExpression(ReadOnlyArrays):
         """
         series = self.series_map @ xi
         series[:START_DEGREE] += self.bc._beta
-        return chop(chebyshev_derivatives(series, self.bc.domain_map.c))
+        return chop(chebyshev_derivatives(series, self.bc.c))
 
     def _read(self, x, order: int, series: list):
         """y^{(order)}(x) from the chopped series of _series: one Clenshaw pass (numpy's chebval
         of that stored series bit for bit), with the exact boundary data of orders 0..3 where x
         is x_i or x_f, gated by checked_z's bounds of x: no further pass unless x reaches one."""
         order = check_order(order)
-        x, z, lo, hi = self.bc.domain_map.checked_z(x)
+        x, z, lo, hi = self.bc.checked_z(x)
         y = clenshaw(z, series[order])
         if order < 4 and (lo <= self.bc.x_i or hi >= self.bc.x_f):
             right = np.where(x == self.bc.x_f, self.bc.right_values[order], y)

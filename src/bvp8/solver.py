@@ -74,7 +74,7 @@ class BvpProblem:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(ReadOnlyArrays):
     """The discretization, n_points CGL nodes and m_basis terms, and the iteration cap.
 
     Defaults reproduce the benchmark setup: 11 collocation points, 10 basis
@@ -106,9 +106,6 @@ class SolverConfig:
                 f"max_iterations must be at least 1, got {self.max_iterations}"
             )
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @cached_property
     def _tables(self) -> tuple:
         """Read-only (z, a, low, series_map, P, a P): the CGL nodes (cgl_nodes), a^{(d)} and
@@ -121,7 +118,7 @@ class SolverConfig:
         bc = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
         ce = ConstrainedExpression.build(bc, self.m_basis)
         z = cgl_nodes(self.n_points)
-        a, low = ce._rows(bc.domain_map.x_nodes(z), z, MAX_ORDER)
+        a, low = ce._rows(bc.x_nodes(z), z, MAX_ORDER)
         precond = np.linalg.inv(np.linalg.qr(a[MAX_ORDER], mode="r"))
         a_precond = a @ precond
         for table in (a, low, precond, a_precond):
@@ -169,7 +166,7 @@ class SolveReport(ReadOnlyArrays):
 
 
 @dataclass(frozen=True, eq=False)
-class Solution:
+class Solution(ReadOnlyArrays):
     """A solved problem: evaluate y and its derivatives anywhere in the domain.
 
     `expression` is the problem's constrained expression under `config` and `nodes` the x
@@ -181,14 +178,11 @@ class Solution:
     report: SolveReport
     config: SolverConfig
 
-    def __getstate__(self) -> dict:  # a copy builds its own read-only series and nodes
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @cached_property
     def nodes(self) -> np.ndarray:
         """The read-only x nodes of the solve, _CollocationTables.x bit for bit, built by the
         first read."""
-        return self.problem.bc.domain_map.x_nodes(self.config._tables[0])
+        return self.problem.bc.x_nodes(self.config._tables[0])
 
     @cached_property
     def _derivative_series(self) -> list:
@@ -201,8 +195,8 @@ class Solution:
         With xi fixed, y^{(d)} is one Chebyshev series in z, chopped at roundoff (a value moves
         by at most eps/2 of its coefficient sum), cached per solution and read by one in-place
         Clenshaw pass (numpy's chebval of the stored series bit for bit).  x is checked on its
-        min and max mapped to z (DomainMap.checked_z), which are z.min() and z.max() as to_z
-        rounds monotonically.  At x_i and x_f the orders 0..3 return the boundary data exactly.
+        min and max mapped to z (bc.checked_z), which are z.min() and z.max() as the map rounds
+        monotonically.  At x_i and x_f the orders 0..3 return the boundary data exactly.
         Equals expression.eval(x, order, xi) bit for bit; a scalar x gives a numpy scalar.
         """
         return self.expression._read(x, order, self._derivative_series)
@@ -219,7 +213,7 @@ class _CollocationTables:
 
     The one prelude of solve and both assemble functions: a problem or config of the wrong
     type raises ConfigurationError naming it.  expression is problem.bc's constrained
-    expression, from config's series_map, and x is domain_map.x_nodes of config's z nodes.
+    expression, from config's series_map, and x is bc.x_nodes of config's z nodes.
     With w = x_f - x_i and t = (x - x_i) / w, a^{(d)}(x) = w**-d a_1^{(d)}(t) and b^{(d)}(x) =
     w**-d low^{(d)}(t) @ bc._beta, the boundary values' switching series built once by bc,
     whose terms cancel in the series before d/dx grows them.  So states (a @ xi, b added in
@@ -234,7 +228,7 @@ class _CollocationTables:
                        else check_instance("config", config, SolverConfig))
         z, self.a, low, series_map, self.precond, self.a_precond = self.config._tables
         self.expression = ConstrainedExpression(bc, series_map)
-        self.x, self.scale = bc.domain_map.x_nodes(z), bc._scales
+        self.x, self.scale = bc.x_nodes(z), bc._scales
         self._b = low @ bc._beta
         self.residual, self.used_fd = problem.residual, problem.partials is None
         self.partials = _fd_partials(problem.residual) if self.used_fd else problem.partials

@@ -10,6 +10,10 @@ switching_values evaluates either from the monomial coefficients, with numpy's
 polyder and polyval, and kronecker_matrix certifies either by that plain
 evaluation at the constraints.  exact_unit_cheb converts UNIT_COEFFS to
 Chebyshev series in rational arithmetic, rounding each coefficient once.
+
+to_z and to_x are the affine map between [x_i, x_f] and [-1, +1] written out
+plainly, elementwise with x_f snapped to 1: the reference that
+BoundaryConditions.checked_z and x_nodes are pinned to bit for bit.
 """
 
 import math
@@ -19,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from bvp8.basis import DomainMap
 from bvp8.errors import SingularSystemError
 from bvp8.expression import CONSTRAINT_ORDERS
 
@@ -38,12 +41,27 @@ UNIT_COEFFS = np.array([
 UNIT_COEFFS.flags.writeable = False
 
 
+def to_z(bc, x):
+    """-1 + c (x - x_i) for x on bc's domain, with x_f snapped to exactly 1; a float for a
+    scalar x, else an array of x's shape."""
+    z = -1.0 + bc.c * (x - bc.x_i)
+    if np.ndim(x) == 0:
+        return 1.0 if x == bc.x_f else z
+    return np.where(np.asarray(x) == bc.x_f, 1.0, z)
+
+
+def to_x(bc, z):
+    """x_i + (z + 1) / c: the x of z on bc's domain, unsnapped."""
+    return bc.x_i + (z + 1.0) / bc.c
+
+
 class Switching(NamedTuple):
-    """Switching functions on domain_map's [x_i, x_f]: row j of coeffs is u_{j+1} in
-    ascending powers of t = (x - x_i) / w, and beta_j(x) = w**d_j u_j(t)."""
+    """Switching functions on [x_i, x_f]: row j of coeffs is u_{j+1} in ascending powers
+    of t = (x - x_i) / w, and beta_j(x) = w**d_j u_j(t)."""
 
     coeffs: np.ndarray
-    domain_map: DomainMap
+    x_i: float = 0.0
+    x_f: float = 1.0
 
 
 def constraint_locations(x_i: float, x_f: float):
@@ -79,7 +97,7 @@ def unit_linear_solve() -> Switching:
         raise SingularSystemError(
             f"support matrix is numerically singular (pivot {pivots[j]:.3e} at column {j})"
         )
-    return Switching(np.linalg.inv(mat).T, DomainMap(0.0, 1.0))
+    return Switching(np.linalg.inv(mat).T)
 
 
 def switching_values(sw: Switching, x, d: int, snap: bool = True) -> np.ndarray:
@@ -89,15 +107,14 @@ def switching_values(sw: Switching, x, d: int, snap: bool = True) -> np.ndarray:
     polyder of u_j at t, times w**(d_j - d).  With snap, the constraint orders 0..3 read
     the exact Kronecker rows at x_i and x_f, as the package's tables do.
     """
-    dm = sw.domain_map
-    w = dm.x_f - dm.x_i
+    w = sw.x_f - sw.x_i
     x = np.asarray(x, dtype=float)
     rows = npoly.polyder(sw.coeffs.T, d)  # powers along axis 0, one column per function
-    vals = np.moveaxis(npoly.polyval((x - dm.x_i) / w, rows), 0, -1)
+    vals = np.moveaxis(npoly.polyval((x - sw.x_i) / w, rows), 0, -1)
     vals = vals * w ** (np.array(CONSTRAINT_ORDERS, dtype=float) - d)
     if snap and d < 4:
-        vals[x == dm.x_i] = np.eye(8)[2 * d]
-        vals[x == dm.x_f] = np.eye(8)[2 * d + 1]
+        vals[x == sw.x_i] = np.eye(8)[2 * d]
+        vals[x == sw.x_f] = np.eye(8)[2 * d + 1]
     return vals
 
 
@@ -108,7 +125,7 @@ def kronecker_matrix(sw: Switching) -> np.ndarray:
     """
     return np.vstack([
         switching_values(sw, x, d, snap=False)
-        for x, d in constraint_locations(sw.domain_map.x_i, sw.domain_map.x_f)
+        for x, d in constraint_locations(sw.x_i, sw.x_f)
     ])
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bvp8.basis import START_DEGREE, DomainMap, cgl_nodes, chebyshev_table
+from bvp8.basis import START_DEGREE, cgl_nodes, chebyshev_table
 from bvp8.errors import ConfigurationError
 from bvp8.expression import BoundaryConditions, ConstrainedExpression
 from bvp8.solver import SolverConfig
 
-UNIT_MAP = DomainMap(0.0, 1.0)
+from switching_oracle import to_x, to_z
+
 UNIT_BC = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
 
 
@@ -65,72 +66,107 @@ class TestChebyshevTable:
                               chebyshev_table(0.3, 2, 2))
 
 
+def unit_bc(x_i, x_f):
+    """Boundary conditions on [x_i, x_f] with zero values: the domain map under test."""
+    return BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
+
+
+def assert_checked_z_is_the_oracle(bc, x):
+    """bc.checked_z(x)'s z is the oracle to_z of x bit for bit, shape and dtype too."""
+    x, z, _, _ = bc.checked_z(x)
+    want = np.asarray(to_z(bc, x), dtype=float)
+    assert z.shape == want.shape and z.dtype == np.float64
+    assert np.array_equal(z, want) and not np.shares_memory(z, x)
+
+
+def oracle_x_nodes(bc, z):
+    """to_x of the nodes z with the ends set to x_i and x_f: x_nodes as it is specified."""
+    x = to_x(bc, z)
+    x[0], x[-1] = bc.x_i, bc.x_f
+    return x
+
+
 class TestDomainMap:
+    """The map of BoundaryConditions, z = -1 + c (x - x_i), against the plain oracle to_z."""
+
     def test_slope(self):
-        dm = DomainMap(0.0, 1.0)
-        assert dm.c == 2.0
+        assert UNIT_BC.c == 2.0
 
     def test_degenerate_domain_rejected(self):
         with pytest.raises(ConfigurationError):
-            DomainMap(1.0, 1.0)
+            unit_bc(1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            DomainMap(2.0, 1.0)
+            unit_bc(2.0, 1.0)
 
     def test_affine_midpoint(self):
-        assert UNIT_MAP.to_z(0.25) == -0.5
+        assert to_z(UNIT_BC, 0.25) == -0.5
+        assert UNIT_BC.checked_z(0.25)[1] == -0.5
 
     def test_endpoints_map_exactly(self):
-        dm = DomainMap(0.0, np.expm1(0.5))
-        assert dm.to_z(dm.x_i) == -1.0
-        assert dm.to_z(dm.x_f) == 1.0
+        bc = unit_bc(0.0, np.expm1(0.5))
+        for x, z in ((bc.x_i, -1.0), (bc.x_f, 1.0)):
+            assert to_z(bc, x) == z and bc.checked_z(x)[1] == z
 
     def test_to_z_snaps_x_f_wherever_it_sits(self):
-        # On [0, e**3 - 1], c (x_f - x_i) rounds to 1 - 2^-52: only the snap maps x_f to z_f.
-        dm = DomainMap(0.0, np.e**3 - 1.0)
-        assert dm.z_0 + dm.c * (dm.x_f - dm.x_i) < dm.z_f
-        inner = np.linspace(dm.x_i, dm.x_f, 7)[1:-1]
-        for x in (np.r_[dm.x_f, inner], np.r_[inner[:2], dm.x_f, inner[2:]], np.r_[inner, dm.x_f],
-                  np.r_[inner, dm.x_i]):
+        # On [0, e**3 - 1], c (x_f - x_i) rounds to 1 - 2^-52: only the snap maps x_f to 1.
+        bc = unit_bc(0.0, np.e**3 - 1.0)
+        assert -1.0 + bc.c * (bc.x_f - bc.x_i) < 1.0
+        inner = np.linspace(bc.x_i, bc.x_f, 7)[1:-1]
+        for x in (np.r_[bc.x_f, inner], np.r_[inner[:2], bc.x_f, inner[2:]], np.r_[inner, bc.x_f],
+                  np.r_[inner, bc.x_i]):
             for shaped in (x, x.reshape(2, 3)):
-                want = np.where(shaped == dm.x_f, dm.z_f, dm.z_0 + dm.c * (shaped - dm.x_i))
-                assert np.array_equal(dm.to_z(shaped), want)
-        assert dm.to_z(dm.x_f) == dm.z_f and dm.to_z(np.float64(dm.x_f)) == dm.z_f
+                want = np.where(shaped == bc.x_f, 1.0, -1.0 + bc.c * (shaped - bc.x_i))
+                assert np.array_equal(to_z(bc, shaped), want)
+                assert_checked_z_is_the_oracle(bc, shaped)
+        assert to_z(bc, bc.x_f) == 1.0 and to_z(bc, np.float64(bc.x_f)) == 1.0
+        for x in (bc.x_f, np.float64(bc.x_f), np.array(bc.x_f)):
+            assert_checked_z_is_the_oracle(bc, x)
         for empty in (np.zeros(0), np.zeros((0, 3))):
-            assert dm.to_z(empty).shape == empty.shape
+            assert to_z(bc, empty).shape == empty.shape
+            assert_checked_z_is_the_oracle(bc, empty)
         with pytest.raises(ConfigurationError, match=r"^x=nan outside"):
-            dm.checked_z([dm.x_f, np.nan, 1.0])
+            bc.checked_z([bc.x_f, np.nan, 1.0])
 
     def test_round_trip_near_machine_precision(self):
         # Round-trip error is absolute (set by rounding in x), not relative
         # to |z|, so the bound uses the spacing at the top of the z range.
         rng = np.random.default_rng(3)
-        dm = DomainMap(-0.7, 2.9)
+        bc = unit_bc(-0.7, 2.9)
         z = rng.uniform(-1.0, 1.0, size=100)
-        back = dm.to_z(dm.to_x(z))
+        x = to_x(bc, z)
+        back = to_z(bc, x)
         assert np.all(np.abs(back - z) <= 5 * np.spacing(1.0))
+        assert np.array_equal(bc.checked_z(x)[1], back)
+        nodes = np.r_[-1.0, np.sort(z), 1.0]
+        assert np.array_equal(bc.x_nodes(nodes)[1:-1], x[np.argsort(z)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_checked_z_names_the_first_bad_x(self, bad):
-        # min(z) and max(z) carry a NaN or an inf from any position.
-        dm = DomainMap(-0.7, 2.9)
-        for x in ([0.1, 2.0, bad, 5.0, np.nan], [[0.1, 0.2], [0.3, bad]]):
-            with pytest.raises(ConfigurationError, match=rf"^x={re.escape(repr(bad))} outside"):
-                dm.checked_z(x)
+        # min(z) and max(z) carry a NaN or an inf from any position; the x named is the first
+        # whose oracle z fails |z| <= 1 + 1e-12.
+        bc = unit_bc(-0.7, 2.9)
+        for x in ([0.1, 2.0, bad, 5.0, np.nan], [[0.1, 0.2], [0.3, bad]], [0.1, -0.75, bad]):
+            z = np.ravel(to_z(bc, np.array(x)))
+            first = float(np.ravel(x)[np.argmin(np.abs(z) <= 1.0 + 1e-12)])
+            with pytest.raises(ConfigurationError, match=rf"^x={re.escape(repr(first))} outside"):
+                bc.checked_z(x)
         with pytest.raises(ConfigurationError, match=r"^x=-0\.75 outside \[-0\.7, 2\.9\]$"):
-            dm.checked_z([0.1, -0.75, bad])
+            bc.checked_z([0.1, -0.75, bad])
 
     def test_checked_z_tolerance_and_empty_x(self):
-        dm = DomainMap(-0.7, 2.9)
-        inside = dm.to_x(np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
-        assert inside[0] < dm.x_i and inside[1] > dm.x_f
-        x, z, _, _ = dm.checked_z(inside)
+        bc = unit_bc(-0.7, 2.9)
+        inside = to_x(bc, np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
+        assert inside[0] < bc.x_i and inside[1] > bc.x_f
+        x, z, _, _ = bc.checked_z(inside)
         assert np.array_equal(x, inside) and np.all(np.abs(np.abs(z) - 1.0 - 5e-13) <= 1e-15)
+        assert_checked_z_is_the_oracle(bc, inside)
         for z_out in (-1.0 - 2e-12, 1.0 + 2e-12):
             with pytest.raises(ConfigurationError, match="outside"):
-                dm.checked_z([0.0, dm.to_x(z_out)])
+                bc.checked_z([0.0, to_x(bc, z_out)])
         for empty in ([], np.zeros((0, 3))):
-            x, z, _, _ = dm.checked_z(empty)
+            x, z, _, _ = bc.checked_z(empty)
             assert x.shape == z.shape == np.shape(empty) and x.dtype == np.float64
+            assert_checked_z_is_the_oracle(bc, empty)
 
 
 def basis_terms(z, m, order):
@@ -186,13 +222,13 @@ class TestChebyshevBasis:
 
 
 class TestMakeGrid:
-    """The collocation grid: cgl_nodes in z, mapped to x by DomainMap.x_nodes; SolverConfig
-    checks its size."""
+    """The collocation grid: cgl_nodes in z, mapped to x by BoundaryConditions.x_nodes;
+    SolverConfig checks its size."""
 
     def test_three_points(self):
         z = cgl_nodes(3)
         assert_allclose(z, [-1.0, 0.0, 1.0], atol=0)
-        assert_allclose(UNIT_MAP.x_nodes(z), [0.0, 0.5, 1.0], atol=0)
+        assert_allclose(UNIT_BC.x_nodes(z), [0.0, 0.5, 1.0], atol=0)
 
     def test_eleven_point_node(self):
         assert cgl_nodes(11)[1] == pytest.approx(-np.cos(np.pi / 10), abs=1e-15)
@@ -203,17 +239,21 @@ class TestMakeGrid:
         assert_allclose(cgl_nodes(n), -np.cos(np.pi * k / (n - 1)), atol=1e-15)
 
     def test_two_points_snap_to_domain(self):
-        x = DomainMap(0.0, np.expm1(0.5)).x_nodes(cgl_nodes(2))
+        bc = unit_bc(0.0, np.expm1(0.5))
+        x = bc.x_nodes(cgl_nodes(2))
         assert x[0] == 0.0
         assert x[-1] == np.expm1(0.5)
+        assert np.array_equal(x, oracle_x_nodes(bc, cgl_nodes(2)))
 
     def test_right_end_snaps_where_the_map_rounds_off_it(self):
         # On [-0.7, 2.9] to_x(1) misses 2.9 by rounding.  The x nodes, which a
-        # solve maps by the same x_nodes, end at x_f exactly.
-        dm = DomainMap(-0.7, 2.9)
-        assert dm.to_x(np.array([1.0]))[0] != 2.9
-        x = dm.x_nodes(cgl_nodes(11))
+        # solve maps by the same x_nodes, end at x_f exactly; inside, they are to_x's.
+        bc = unit_bc(-0.7, 2.9)
+        assert to_x(bc, np.array([1.0]))[0] != 2.9
+        z = cgl_nodes(11)
+        x = bc.x_nodes(z)
         assert x[0] == -0.7 and x[-1] == 2.9 and not x.flags.writeable
+        assert np.array_equal(x, oracle_x_nodes(bc, z))
 
     @pytest.mark.parametrize("n", [2, 3, 10, 11])
     def test_exact_symmetry(self, n):
@@ -225,7 +265,7 @@ class TestMakeGrid:
     def test_strictly_increasing(self):
         z = cgl_nodes(12)
         assert np.all(np.diff(z) > 0)
-        assert np.all(np.diff(DomainMap(-2.0, 3.0).x_nodes(z)) > 0)
+        assert np.all(np.diff(unit_bc(-2.0, 3.0).x_nodes(z)) > 0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigurationError, match="need at least 2 grid points"):

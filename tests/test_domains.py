@@ -4,17 +4,17 @@ The switching functions are evaluated at t = (x - x_i) / w, so the solver
 sees the same unit-domain table wherever the domain sits and however wide it
 is.  The operators of p1 and p6 keep their exact solutions on any domain, so
 moving their boundary data moves the problem.  A problem's BoundaryConditions
-check its domain once and keep the DomainMap that every solve shares.
+check its domain once and are the map z = -1 + c (x - x_i) that every solve shares.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-import bvp8.basis
-from bvp8.basis import DomainMap
+import bvp8.expression
 from bvp8.errors import ConfigurationError
 from bvp8.expression import BoundaryConditions
 from bvp8.problems import benchmark
@@ -51,14 +51,22 @@ def test_nonlinear_operator_on_shifted_domains(x_i, x_f):
     assert relative_error(moved("p6", x_i, x_f)) <= 1e-13
 
 
-@pytest.mark.parametrize("x_i,x_f", [
-    (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (-1e308, 1e308), (0.0, 1e-300),
-])
+OUT_OF_RANGE = "domain [{}, {}] out of range: w, w**3, (2/w)**8 not finite"
+
+#: The message of each unusable domain, in full.
+UNUSABLE = {
+    (0.0, math.inf): OUT_OF_RANGE.format(0.0, math.inf),
+    (-math.inf, 0.0): OUT_OF_RANGE.format(-math.inf, 0.0),
+    (math.nan, 1.0): "degenerate domain: x_f=1.0 must exceed x_i=nan",
+    (-1e308, 1e308): OUT_OF_RANGE.format(-1e308, 1e308),
+    (0.0, 1e-300): OUT_OF_RANGE.format(0.0, 1e-300),
+}
+
+
+@pytest.mark.parametrize("x_i,x_f", list(UNUSABLE))
 def test_unusable_domain_rejected(x_i, x_f):
-    with pytest.raises(ConfigurationError, match="domain"):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(UNUSABLE[x_i, x_f])}$"):
         BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
-    with pytest.raises(ConfigurationError, match="domain"):
-        DomainMap(x_i, x_f)
 
 
 @pytest.mark.parametrize("x_i, x_f, name", [
@@ -67,48 +75,54 @@ def test_unusable_domain_rejected(x_i, x_f):
 ])
 def test_endpoint_that_is_not_a_real_number_rejected(x_i, x_f, name):
     # These used to raise a raw ValueError or TypeError.
-    for build in (DomainMap, lambda a, b: BoundaryConditions(a, b, (0.0,) * 4, (0.0,) * 4)):
-        with pytest.raises(ConfigurationError, match=f"^{name} must"):
-            build(x_i, x_f)
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
 
 
 def test_endpoints_kept_as_floats():
     # A float32 endpoint used to give c = np.float32(2.0).
     bc = BoundaryConditions(0, np.float32(1), (0.0,) * 4, (0.0,) * 4)
-    for owner in (bc, bc.domain_map):
-        assert (owner.x_i, owner.x_f) == (0.0, 1.0)
-        assert type(owner.x_i) is float and type(owner.x_f) is float
-    assert type(bc.domain_map.c) is float and bc.domain_map.c == 2.0
+    assert (bc.x_i, bc.x_f) == (0.0, 1.0)
+    assert type(bc.x_i) is float and type(bc.x_f) is float
+    assert type(bc.c) is float and bc.c == 2.0
     assert bc == BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4)
 
 
-def counting_check_domain(monkeypatch) -> list:
-    """The (x_i, x_f) of every check_domain call from now on."""
-    calls, check_domain = [], bvp8.basis.check_domain
+def counting_domain_checks(monkeypatch) -> tuple[list, list]:
+    """(checks, builds) from now on: the (name, value) of every check_real of an endpoint in
+    bvp8.expression, and the (x_i, x_f) of every BoundaryConditions built."""
+    checks, builds = [], []
+    check_real, post_init = bvp8.expression.check_real, BoundaryConditions.__post_init__
 
-    def counted(x_i, x_f):
-        calls.append((x_i, x_f))
-        return check_domain(x_i, x_f)
+    def counted_check(name, value, shape=None):
+        if name in ("x_i", "x_f"):
+            checks.append((name, value))
+        return check_real(name, value, shape)
 
-    monkeypatch.setattr(bvp8.basis, "check_domain", counted)
-    return calls
+    def counted_build(self):
+        builds.append((self.x_i, self.x_f))
+        post_init(self)
+
+    monkeypatch.setattr(bvp8.expression, "check_real", counted_check)
+    monkeypatch.setattr(BoundaryConditions, "__post_init__", counted_build)
+    return checks, builds
 
 
 def test_boundary_conditions_check_their_domain_once(monkeypatch):
-    calls = counting_check_domain(monkeypatch)
+    checks, builds = counting_domain_checks(monkeypatch)
     BoundaryConditions(-0.5, 2.0, (0.0,) * 4, (0.0,) * 4)
-    assert calls == [(-0.5, 2.0)]
+    assert checks == [("x_i", -0.5), ("x_f", 2.0)] and builds == [(-0.5, 2.0)]
 
 
 @pytest.mark.parametrize("name", ["p1", "p4", "p5"])
 def test_solve_checks_its_domain_once(name, monkeypatch):
     # The problem's BoundaryConditions checked the domain when it was built;
-    # a solve reuses their DomainMap and makes no check of its own.
+    # a solve maps by them and builds no BoundaryConditions of its own.
     problem, config = benchmark(name).problem, SolverConfig()
     solve(problem, config)  # builds the config's [0, 1] tables
-    calls = counting_check_domain(monkeypatch)
+    checks, builds = counting_domain_checks(monkeypatch)
     solve(problem, config)
-    assert calls == []
+    assert checks == [] and builds == []
 
 
 @pytest.mark.parametrize("name", ["p1", "p4", "p7"])

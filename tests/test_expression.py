@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 
 import bvp8
 import bvp8.basis
-from bvp8.basis import DomainMap
 from bvp8.errors import ConfigurationError, EvaluationError
 from bvp8.expression import (
     CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression,
@@ -35,7 +34,7 @@ from test_one_pass_tables import per_order_a_row
 def kronecker_bound(sw):
     """1e-11 * w**(d_j - d_k): the rounding of row k, column j of the Kronecker matrix."""
     orders = np.array(CONSTRAINT_ORDERS)
-    w = sw.domain_map.x_f - sw.domain_map.x_i
+    w = sw.x_f - sw.x_i
     return 1e-11 * w ** (orders[None, :] - orders[:, None]).astype(float)
 
 
@@ -43,31 +42,30 @@ def unit_bc(left=(1.0, 0.0, 0.0, 0.0), right=(0.0, 0.0, 0.0, 0.0)):
     return BoundaryConditions(0.0, 1.0, tuple(left), tuple(right))
 
 
-def betas(dm, x, d):
-    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) on dm's domain as the package reads them: beta_j is
-    b of the boundary data e_j, so column j is b_value of the expression with that data."""
+def betas(domain, x, d):
+    """beta_1^{(d)}(x) .. beta_8^{(d)}(x) on domain (x_i, x_f) as the package reads them: beta_j
+    is b of the boundary data e_j, so column j is b_value of the expression with that data."""
     return np.stack([
-        ConstrainedExpression.build(BoundaryConditions(dm.x_i, dm.x_f, e[0::2], e[1::2]), 1)
+        ConstrainedExpression.build(BoundaryConditions(*domain, e[0::2], e[1::2]), 1)
         .b_value(x, d) for e in np.eye(8)
     ], axis=-1)
 
 
 class TestSwitchingClosedForm:
     def test_kronecker_values_on_unit_domain(self):
-        dm = DomainMap(0.0, 1.0)
-        row = betas(dm, 0.0, 0)
+        row = betas((0.0, 1.0), 0.0, 0)
         assert row[0] == 1.0 and np.all(row[1:] == 0.0)
-        assert betas(dm, 1.0, 0)[0] == 0.0
-        assert betas(dm, 0.0, 1)[0] == 0.0
+        assert betas((0.0, 1.0), 1.0, 0)[0] == 0.0
+        assert betas((0.0, 1.0), 0.0, 1)[0] == 0.0
 
     @pytest.mark.parametrize("x_i,x_f", [(0.0, 1.0), (0.0, np.expm1(0.5)), (-2.0, 3.0)])
     def test_kronecker_matrix_near_identity(self, x_i, x_f):
-        sw = Switching(UNIT_COEFFS, DomainMap(x_i, x_f))
+        sw = Switching(UNIT_COEFFS, x_i, x_f)
         tol = 1e-10 * np.max(np.abs(sw.coeffs))
         assert np.max(np.abs(kronecker_matrix(sw) - np.eye(8))) <= tol
 
     def test_kronecker_matrix_on_offset_domain(self):
-        sw = Switching(UNIT_COEFFS, DomainMap(0.0, np.expm1(0.5)))
+        sw = Switching(UNIT_COEFFS, 0.0, np.expm1(0.5))
         assert np.all(np.abs(kronecker_matrix(sw) - np.eye(8)) <= kronecker_bound(sw))
 
     def test_kronecker_by_evaluation_on_random_domains(self):
@@ -77,13 +75,13 @@ class TestSwitchingClosedForm:
         for _ in range(200):
             x_i = rng.uniform(-30.0, 30.0)
             x_f = x_i + rng.uniform(0.01, 10.0)
-            sw = Switching(UNIT_COEFFS, DomainMap(x_i, x_f))
+            sw = Switching(UNIT_COEFFS, x_i, x_f)
             assert np.all(np.abs(kronecker_matrix(sw) - np.eye(8)) <= kronecker_bound(sw))
 
     def test_symmetric_domain_seventh_function(self):
         # On [-1, 1] the seventh function is (x-1)^4 (x+1)^3 / 96.
         xs = np.linspace(-1.0, 1.0, 41)
-        assert_allclose(betas(DomainMap(-1.0, 1.0), xs, 0)[:, 6],
+        assert_allclose(betas((-1.0, 1.0), xs, 0)[:, 6],
                         (xs - 1) ** 4 * (xs + 1) ** 3 / 96.0, rtol=0, atol=1e-15)
 
 
@@ -104,25 +102,24 @@ class TestSwitchingEval:
     the order check of a_row, the public tabulation of the xi rows."""
 
     def test_symmetry_midpoint(self):
-        assert betas(DomainMap(0.0, 1.0), 0.5, 0)[1] == pytest.approx(0.5, abs=1e-15)
+        assert betas((0.0, 1.0), 0.5, 0)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_order_eight_is_zero(self):
-        assert np.all(betas(DomainMap(-0.4, 1.7), 0.3, 8) == 0.0)
+        assert np.all(betas((-0.4, 1.7), 0.3, 8) == 0.0)
 
     def test_endpoint_rows_are_exact_units(self):
-        dm = DomainMap(0.0, np.expm1(0.5))
-        for k, (x, d) in enumerate(constraint_locations(dm.x_i, dm.x_f)):
-            row = betas(dm, x, d)
+        domain = (0.0, np.expm1(0.5))
+        for k, (x, d) in enumerate(constraint_locations(*domain)):
+            row = betas(domain, x, d)
             expected = np.zeros(8)
             expected[k] = 1.0
             assert np.all(row == expected)
 
     def test_array_evaluation_matches_scalar(self):
-        dm = DomainMap(0.0, 1.0)
         xs = np.array([0.0, 0.3, 1.0])
-        batch = betas(dm, xs, 1)
+        batch = betas((0.0, 1.0), xs, 1)
         for k, x in enumerate(xs):
-            assert_allclose(batch[k], betas(dm, float(x), 1), atol=0)
+            assert_allclose(batch[k], betas((0.0, 1.0), float(x), 1), atol=0)
 
     def test_order_out_of_range_rejected(self):
         ce = ConstrainedExpression.build(unit_bc(), 4)
@@ -166,7 +163,9 @@ class TestBoundaryConditions:
         bc = BoundaryConditions(-1.5, 2.0, (1.0, -2.0, 3.0, 0.5), (0.25, 4.0, -1.0, 2.0))
         other = copy_of(bc)
         assert type(other) is BoundaryConditions and other == bc
-        assert other.domain_map == bc.domain_map
+        assert other.c == bc.c == 2.0 / 3.5
+        z = np.linspace(-1.0, 1.0, 9)
+        assert np.array_equal(other.x_nodes(z), bc.x_nodes(z))
         w = bc.x_f - bc.x_i
         beta = (w ** np.array(CONSTRAINT_ORDERS, dtype=float) * bc.interleaved()) @ UNIT_CHEB
         assert np.array_equal(other._values, bc.interleaved())
@@ -250,12 +249,15 @@ class TestBoundaryConditions:
         assert hash(bc) == hash(BoundaryConditions(0.0, 1.0, bc.left_values, bc.right_values))
 
     def test_domain_map_follows_the_domain_and_is_not_compared(self):
+        # The map's slope c is built with the bc, not a field: not compared, hashed or shown.
         bc = unit_bc()
-        assert bc.domain_map == DomainMap(0.0, 1.0)
-        assert "domain_map" not in repr(bc)
+        assert bc.c == 2.0 and "c" not in {f.name for f in dataclasses.fields(bc)}
+        assert repr(bc) == ("BoundaryConditions(x_i=0.0, x_f=1.0, left_values=(1.0, 0.0, 0.0, 0.0),"
+                            " right_values=(0.0, 0.0, 0.0, 0.0))")
         moved = dataclasses.replace(bc, x_f=2.0)
-        assert moved.domain_map == DomainMap(0.0, 2.0)
-        assert dataclasses.replace(moved, x_f=1.0) == bc
+        assert moved.c == 1.0
+        back = dataclasses.replace(moved, x_f=1.0)
+        assert back == bc and hash(back) == hash(bc) and back.c == bc.c
 
 
 def build_unit_ce(m=10, bc=None):
@@ -268,11 +270,12 @@ class TestConstrainedExpression:
         # m, the domain and the constraint values are read from these two.
         assert [f.name for f in dataclasses.fields(ConstrainedExpression)] == ["bc", "series_map"]
         assert list(inspect.signature(ConstrainedExpression.build).parameters) == ["bc", "m"]
-        assert not hasattr(bvp8, "ChebyshevBasis") and not hasattr(bvp8.basis, "ChebyshevBasis")
+        for gone in ("ChebyshevBasis", "DomainMap", "check_domain"):
+            assert not hasattr(bvp8, gone) and not hasattr(bvp8.basis, gone)
         bc = BoundaryConditions(-2.0, 3.0, (1.0, -2.0, 0.5, 3.0), (0.25, 1.5, -1.0, 2.0))
         ce = ConstrainedExpression.build(bc, 7)
         assert ce.m == 7 and ce.series_map.shape == (15, 7)
-        assert ce.bc is bc and ce.bc.domain_map is bc.domain_map
+        assert ce.bc is bc
 
     def test_a_solve_builds_no_expression_map(self, monkeypatch):
         # A solve's expression wraps the config's series_map; only the config's tables call build.

@@ -22,12 +22,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bvp8.basis import START_DEGREE, DomainMap, cgl_nodes, chebyshev_table
+from bvp8.basis import START_DEGREE, cgl_nodes, chebyshev_table
 from bvp8.expression import CONSTRAINT_ORDERS, UNIT_CHEB, BoundaryConditions, ConstrainedExpression
 from bvp8.problems import benchmark
 from bvp8.solver import SolverConfig, _CollocationTables, _jacobian, solve
 
-from switching_oracle import UNIT_COEFFS, Switching, switching_values
+from switching_oracle import UNIT_COEFFS, Switching, switching_values, to_z
 from test_domains import moved
 
 PROBLEMS = ("p1", "p2", "p3", "p4", "p5", "p6", "p7")
@@ -59,17 +59,16 @@ def loop_chebyshev_table(z, max_degree, max_order):
 
 def boundary_table(ce):
     """B, row k c**d_k T^{(d_k)}(z_k) of ce's m basis terms at the k-th constraint."""
-    dm = ce.bc.domain_map
     rows = np.empty((8, ce.m))
     for k, d in enumerate(CONSTRAINT_ORDERS):
-        z = dm.z_0 if k % 2 == 0 else dm.z_f
-        rows[k] = dm.c**d * loop_chebyshev_table(z, START_DEGREE + ce.m - 1, d)[d, START_DEGREE:]
+        z = -1.0 if k % 2 == 0 else 1.0
+        rows[k] = ce.bc.c**d * loop_chebyshev_table(z, START_DEGREE + ce.m - 1, d)[d, START_DEGREE:]
     return rows
 
 
 def monomials(ce):
     """The switching functions of ce's domain in monomial form, the rows UNIT_COEFFS."""
-    return Switching(UNIT_COEFFS, ce.bc.domain_map)
+    return Switching(UNIT_COEFFS, ce.bc.x_i, ce.bc.x_f)
 
 
 def per_order_a_row(ce, x, d, sw=None):
@@ -77,9 +76,8 @@ def per_order_a_row(ce, x, d, sw=None):
 
     beta are the switching functions sw, by default UNIT_COEFFS.
     """
-    dm = ce.bc.domain_map
-    h = loop_chebyshev_table(dm.to_z(x), START_DEGREE + ce.m - 1, d)[d, START_DEGREE:].T
-    return dm.c**d * h - switching_values(sw or monomials(ce), x, d) @ boundary_table(ce)
+    h = loop_chebyshev_table(to_z(ce.bc, x), START_DEGREE + ce.m - 1, d)[d, START_DEGREE:].T
+    return ce.bc.c**d * h - switching_values(sw or monomials(ce), x, d) @ boundary_table(ce)
 
 
 class PerOrderTables:
@@ -110,9 +108,8 @@ class UnitDomainTables(PerOrderTables):
         x_i, x_f = problem.domain
         w = x_f - x_i
         values = problem.bc.interleaved() * w ** np.array(CONSTRAINT_ORDERS, dtype=float)
-        unit = DomainMap(0.0, 1.0)
         bc = BoundaryConditions(0.0, 1.0, tuple(values[0::2]), tuple(values[1::2]))
-        super().__init__(ConstrainedExpression.build(bc, m_basis), unit.x_nodes(cgl_nodes(x.size)))
+        super().__init__(ConstrainedExpression.build(bc, m_basis), bc.x_nodes(cgl_nodes(x.size)))
         self.x = x
         self.scale = w ** -np.arange(9.0)
 
@@ -229,8 +226,8 @@ def test_switching_values_match_the_monomials(n_points, m_basis):
     # the [0, 1] nodes; measured to 3.3e-14.
     _, _, low, *_ = SolverConfig(n_points=n_points, m_basis=m_basis)._tables
     s = low @ UNIT_CHEB.T
-    x = DomainMap(0.0, 1.0).x_nodes(cgl_nodes(n_points))
-    sw = Switching(UNIT_COEFFS, DomainMap(0.0, 1.0))
+    x = BoundaryConditions(0.0, 1.0, (0.0,) * 4, (0.0,) * 4).x_nodes(cgl_nodes(n_points))
+    sw = Switching(UNIT_COEFFS, 0.0, 1.0)
     want = np.stack([switching_values(sw, x, d, snap=False) for d in range(9)])
     assert_rows_close(s[:8], want[:8], 5e-14)
     assert np.all(s[8] == 0.0) and np.all(want[8] == 0.0)
@@ -282,12 +279,11 @@ def test_a_row_is_the_scaled_config_table_on_every_domain(x_i, x_f, n_points, m_
     config = SolverConfig(n_points=n_points, m_basis=m_basis)
     z, a, *_ = config._tables
     ce = build_on(x_i, x_f, m_basis)
-    dm = ce.bc.domain_map
-    x = dm.x_nodes(z)
+    x = ce.bc.x_nodes(z)
     table = ce._rows(x, z, 8)[0]
     assert_rows_close(table, (x_f - x_i) ** -np.arange(9.0)[:, None, None] * a, 1e-14)
     rows = np.stack([ce.a_row(x, d) for d in range(9)])
-    assert np.array_equal(rows, ce._rows(x, dm.to_z(x), 8)[0])
+    assert np.array_equal(rows, ce._rows(x, to_z(ce.bc, x), 8)[0])
     for got in (a, table, rows):
         assert_exact_ends(got)
 
@@ -300,7 +296,7 @@ def test_a_row_is_exact_at_the_ends_and_one_order_of_the_full_build(case):
     for n_points, m_basis in SIZES:
         tables = _CollocationTables(problem, SolverConfig(n_points=n_points, m_basis=m_basis))
         ce = tables.expression
-        x, z, _, _ = ce.bc.domain_map.checked_z(tables.x)
+        x, z, _, _ = ce.bc.checked_z(tables.x)
         a, _ = ce._rows(x, z, 8)
         assert_exact_ends(a)
         ends = np.array([problem.bc.x_i, problem.bc.x_f])
@@ -328,8 +324,7 @@ def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     # terms, the values divided by w**(d_j - d); measured to 3.4e-14 of
     # max|u^(d)| on the domain (and exactly 0 at order 8).  a^(0..3) is
     # exactly 0 at the ends.
-    dm = DomainMap(x_i, x_f)
-    sw = Switching(UNIT_COEFFS, dm)
+    sw = Switching(UNIT_COEFFS, x_i, x_f)
     m = 6
     bc = BoundaryConditions(x_i, x_f, (0.0,) * 4, (0.0,) * 4)
     ce = ConstrainedExpression.build(bc, m)
@@ -340,7 +335,7 @@ def test_rows_match_the_monomials_at_any_points(x_i, x_f):
     size = np.max(np.abs(np.stack([switching_values(sw, xs[5], d) for d in range(9)])
                          / scale[:, None]), axis=(1, 2))
     for x in xs:
-        x, z, _, _ = dm.checked_z(x)
+        x, z, _, _ = bc.checked_z(x)
         for max_order in range(9):
             a, low = ce._rows(x, z, max_order)
             assert a.shape == (max_order + 1,) + np.shape(x) + (m,)

@@ -14,12 +14,12 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from bvp8 import SolverConfig, solve
-from bvp8.basis import DomainMap, chebyshev_derivatives
+from bvp8.basis import chebyshev_derivatives
 from bvp8.expression import UNIT_CHEB
 from bvp8.problems import PROBLEM_NAMES, benchmark
 from bvp8.solver import _CollocationTables
 
-from switching_oracle import UNIT_COEFFS, Switching, exact_unit_cheb, switching_values
+from switching_oracle import UNIT_COEFFS, Switching, exact_unit_cheb, switching_values, to_z
 from test_domains import moved
 
 #: p1 and p6 moved as in tests/test_domains.py, and p5 stretched to [0, e**k - 1].
@@ -66,10 +66,10 @@ def test_b_value_matches_switching_values(problem):
     ce, (x_i, x_f) = tables.expression, problem.domain
     x = np.concatenate([tables.x, np.random.default_rng(2).uniform(x_i, x_f, 300)])
     values = ce.bc.interleaved()
-    b_series = chebyshev_derivatives(ce.bc._beta, ce.bc.domain_map.c)
+    b_series = chebyshev_derivatives(ce.bc._beta, ce.bc.c)
     assert [len(s) for s in b_series] == [8, 7, 6, 5, 4, 3, 2, 1, 1]
     for d in range(9):
-        betas = switching_values(Switching(UNIT_COEFFS, DomainMap(x_i, x_f)), x, d)
+        betas = switching_values(Switching(UNIT_COEFFS, x_i, x_f), x, d)
         got, want = ce.b_value(x, d), betas @ values
         assert got.shape == x.shape
         # Roundoff of the sum beta_j v_j: measured up to 133 eps of its
@@ -84,9 +84,9 @@ def test_b_value_matches_switching_values(problem):
 def two_pass_read(sol, x, d):
     """(y^{(d)}(x) as chebval of a . xi's series plus chebval of b's, snapped; the series' size)."""
     ce, bc = sol.expression, sol.problem.bc
-    z = ce.bc.domain_map.to_z(x)
-    s_d = chebyshev_derivatives(ce.series_map @ sol.report.xi, ce.bc.domain_map.c)[d]
-    b_d = chebyshev_derivatives(ce.bc._beta, ce.bc.domain_map.c)[d]
+    z = to_z(ce.bc, x)
+    s_d = chebyshev_derivatives(ce.series_map @ sol.report.xi, ce.bc.c)[d]
+    b_d = chebyshev_derivatives(ce.bc._beta, ce.bc.c)[d]
     y = chebyshev.chebval(z, s_d) + chebyshev.chebval(z, b_d)
     if d < 4:
         y = np.where(x == bc.x_f, bc.right_values[d], y)

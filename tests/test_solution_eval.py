@@ -26,6 +26,7 @@ from bvp8.errors import ConfigurationError
 from bvp8.expression import ConstrainedExpression
 from bvp8.problems import PROBLEM_NAMES, benchmark
 
+from switching_oracle import to_x, to_z
 from test_chop import unchopped
 
 SIZES = [(11, 10), (31, 30), (481, 60)]
@@ -46,7 +47,7 @@ def chebval_oracle(sol, x, d):
     """y^{(d)}(x) as numpy's chebval of the cached series of y^{(d)}, then the endpoint snap."""
     x = np.asarray(x)
     ce, bc = sol.expression, sol.problem.bc
-    z = ce.bc.domain_map.to_z(x)
+    z = to_z(ce.bc, x)
     y = chebyshev.chebval(z, sol._derivative_series[d])
     if d < 4:
         right = np.where(x == bc.x_f, bc.right_values[d], y)
@@ -268,7 +269,7 @@ def test_writeable_arrays_are_copied_not_frozen():
     for name in ("p1", "p2"):
         other = solve(benchmark(name).problem, config)
         assert other.expression.series_map is series_map
-        assert np.array_equal(other.nodes, other.problem.bc.domain_map.x_nodes(z_nodes))
+        assert np.array_equal(other.nodes, other.problem.bc.x_nodes(z_nodes))
 
 
 def test_cached_series_are_read_only():
@@ -287,10 +288,10 @@ def test_snap_finds_the_ends_anywhere_in_x():
     # The snap runs when min(x) <= x_i or max(x) >= x_f; a point inside the
     # 1e-12 tolerance beyond an end must not hide that end elsewhere in x.
     sol = solved("p6", 31, 30)
-    bc, dm = sol.problem.bc, sol.expression.bc.domain_map
-    below, above = dm.to_x(np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
+    bc = sol.problem.bc
+    below, above = to_x(bc, np.array([-1.0 - 5e-13, 1.0 + 5e-13]))
     assert below < bc.x_i and above > bc.x_f
-    x = dm.to_x(np.array([[-0.5, 0.25, 0.9, 0.0], [0.1, 0.0, -0.3, 0.0], [0.4, 0.7, 0.2, 0.0]]))
+    x = to_x(bc, np.array([[-0.5, 0.25, 0.9, 0.0], [0.1, 0.0, -0.3, 0.0], [0.4, 0.7, 0.2, 0.0]]))
     left, right, both = x.copy(), x.copy(), x.copy()
     left[0, 0], left[:, -1] = below, bc.x_i
     right[0, 0], right[1, 1] = above, bc.x_f
@@ -352,7 +353,7 @@ def test_list_matches_array():
             assert got.shape == x.shape and np.array_equal(got, sol(x, d))
             assert ce.a_row(x, d).shape == x.shape + (10,)
             assert ce.eval(x, d, sol.report.xi).shape == x.shape
-        a, low = ce._rows(x, ce.bc.domain_map.to_z(x), 8)
+        a, low = ce._rows(x, to_z(ce.bc, x), 8)
         assert a.shape == (9,) + x.shape + (10,) and low.shape == (9,) + x.shape + (8,)
 
 
