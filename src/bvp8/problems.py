@@ -1,9 +1,9 @@
 """Seven benchmark problems with exact solutions and published reference errors.
 
-Each factory returns a BenchmarkEntry carrying the problem itself (residual,
-analytic partials, boundary data) plus the 11 equidistant table points and,
-where available, the absolute errors a competing finite-difference method
-reported at those points.  Boundary data is always generated from the exact
+One table holds each problem's domain, residual, analytic partials, exact
+solution and, where available, the absolute errors a competing finite-difference
+method reported at the 11 equidistant table points; benchmark(name) builds its
+BenchmarkEntry from that row.  Boundary data is always generated from the exact
 solution, so the constraints and the reported errors are mutually consistent.
 
 Exact derivatives through order eight come from closed-form patterns:
@@ -44,8 +44,12 @@ class BenchmarkEntry:
     """
 
     problem: BvpProblem
-    table_points: np.ndarray
     reference_errors: Optional[tuple]
+
+    @property
+    def table_points(self) -> np.ndarray:
+        """The TABLE_ROWS equidistant points of the domain, the rows of the error table."""
+        return np.linspace(self.problem.bc.x_i, self.problem.bc.x_f, TABLE_ROWS)
 
     def reference_by_row(self) -> list:
         """Reference errors aligned with table_points; None where unreported."""
@@ -54,12 +58,6 @@ class BenchmarkEntry:
             for label, value in self.reference_errors:
                 by_row[round(10.0 * label)] = value
         return by_row
-
-
-def _entry(problem: BvpProblem, reference_errors: Optional[tuple] = None) -> BenchmarkEntry:
-    points = np.linspace(problem.bc.x_i, problem.bc.x_f, TABLE_ROWS)
-    points.flags.writeable = False
-    return BenchmarkEntry(problem, points, reference_errors)
 
 
 def _poly_exp_rows(p0) -> list:
@@ -111,18 +109,6 @@ def _unit_partials(x, y):
     return rows
 
 
-def problem_1() -> BenchmarkEntry:
-    """Linear: y^(8) - y = -8 e^x on [0, 1], exact y = (1 - x) e^x."""
-    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_1)
-    problem = BvpProblem("p1", bc, _residual_1, is_linear=True, partials=_unit_partials,
-                         exact=_exact_1)
-    return _entry(problem, (
-        (0.0, 0.0), (0.1, 6.3e-11), (0.2, 6.5e-10), (0.3, 2.0e-09),
-        (0.4, 3.3e-09), (0.5, 3.9e-09), (0.6, 3.4e-09), (0.7, 2.0e-09),
-        (0.8, 6.9e-10), (0.9, 7.6e-11), (1.0, 0.0),
-    ))
-
-
 _P2_ROWS = _poly_exp_rows([0.0, 1.0, -1.0])
 
 
@@ -138,19 +124,6 @@ def _partials_2(x, y):
     return _partials(x, {0: x, 8: 1.0})
 
 
-def problem_2() -> BenchmarkEntry:
-    """Linear: y^(8) + x y = -(x^3 + 15 x + 48) e^x on [0, 1], exact y = x (1 - x) e^x."""
-    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_2)
-    problem = BvpProblem("p2", bc, _residual_2, is_linear=True, partials=_partials_2,
-                         exact=_exact_2)
-    # The published column reports no value at the 0.9 row.
-    return _entry(problem, (
-        (0.0, 0.0), (0.1, 1.63e-10), (0.2, 1.63e-09), (0.3, 4.90e-09),
-        (0.4, 8.46e-09), (0.5, 1.01e-08), (0.6, 8.68e-09), (0.7, 5.15e-09),
-        (0.8, 1.76e-09), (1.0, 0.0),
-    ))
-
-
 _P3_PAIRS = _sin_cos_pairs([-1.0, 0.0, 1.0], [0.0])
 
 
@@ -164,18 +137,6 @@ def _residual_3(x, y):
     return y[8] - y[0] + 8.0 * (2.0 * x * np.cos(x) + 7.0 * np.sin(x))
 
 
-def problem_3() -> BenchmarkEntry:
-    """Linear: y^(8) - y = -8 (2 x cos x + 7 sin x) on [0, 1], exact y = (x^2 - 1) sin x."""
-    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_3)
-    problem = BvpProblem("p3", bc, _residual_3, is_linear=True, partials=_unit_partials,
-                         exact=_exact_3)
-    return _entry(problem, (
-        (0.0, 0.0), (0.1, 6.6e-12), (0.2, 6.9e-11), (0.3, 2.1e-10),
-        (0.4, 3.5e-10), (0.5, 4.1e-10), (0.6, 3.5e-10), (0.7, 2.1e-10),
-        (0.8, 7.2e-11), (0.9, 8.0e-12), (1.0, 0.0),
-    ))
-
-
 def _exact_4(x, order: int = 0):
     return np.exp(x)
 
@@ -187,18 +148,6 @@ def _residual_4(x, y):
 
 def _partials_4(x, y):
     return _partials(x, {0: y[3] * np.cos(y[0]), 3: np.sin(y[0]), 8: 1.0})
-
-
-def problem_4() -> BenchmarkEntry:
-    """Nonlinear: y^(8) + y''' sin(y) = e^x (1 + sin(e^x)) on [0, 1], exact y = e^x."""
-    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_4)
-    problem = BvpProblem("p4", bc, _residual_4, is_linear=False, partials=_partials_4,
-                         exact=_exact_4)
-    return _entry(problem, (
-        (0.0, 0.0), (0.1, 2.503395e-06), (0.2, 8.940697e-06), (0.3, 1.561642e-05),
-        (0.4, 1.823902e-05), (0.5, 8.821487e-06), (0.6, 7.510185e-06),
-        (0.7, 1.883507e-05), (0.8, 1.931190e-05), (0.9, 1.168251e-05), (1.0, 0.0),
-    ))
 
 
 def _exact_5(x, order: int = 0):
@@ -217,21 +166,6 @@ def _partials_5(x, y):
     return _partials(x, {0: 8.0 * _SEVEN_FACTORIAL * np.exp(-8.0 * y[0]), 8: 1.0})
 
 
-def problem_5() -> BenchmarkEntry:
-    """Nonlinear: y^(8) = 7! (e^{-8y} - 2 / (1 + x)^8) on [0, sqrt(e) - 1], exact y = ln(1 + x)."""
-    bc = BoundaryConditions.from_callable(0.0, math.expm1(0.5), _exact_5)
-    problem = BvpProblem("p5", bc, _residual_5, is_linear=False, partials=_partials_5,
-                         exact=_exact_5)
-    # The published table labels rows 0..1 although the domain ends at
-    # sqrt(e) - 1; labels are row positions, not x values.  The 0.8 row
-    # prints a malformed "5.45-06", restored here as 5.45e-06.
-    return _entry(problem, (
-        (0.0, 0.0), (0.1, 2.01e-07), (0.2, 4.54e-07), (0.3, 1.52e-06),
-        (0.4, 4.07e-06), (0.5, 6.71e-06), (0.6, 9.06e-06), (0.7, 1.00e-05),
-        (0.8, 5.45e-06), (0.9, 2.59e-06), (1.0, 0.0),
-    ))
-
-
 def _exact_6(x, order: int = 0):
     sign = -1.0 if order % 2 else 1.0
     return sign * np.exp(-np.asarray(x, dtype=float))
@@ -244,18 +178,6 @@ def _residual_6(x, y):
 
 def _partials_6(x, y):
     return _partials(x, {0: 2.0 * np.exp(-x) * y[0], 8: 1.0})
-
-
-def problem_6() -> BenchmarkEntry:
-    """Nonlinear: y^(8) + e^{-x} y^2 = e^{-x} + e^{-3x} on [0, 1], exact y = e^{-x}."""
-    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_6)
-    problem = BvpProblem("p6", bc, _residual_6, is_linear=False, partials=_partials_6,
-                         exact=_exact_6)
-    return _entry(problem, (
-        (0.0, 0.0), (0.1, 2.9e-12), (0.2, 2.7e-11), (0.3, 7.6e-11),
-        (0.4, 1.3e-10), (0.5, 1.5e-10), (0.6, 1.3e-10), (0.7, 7.6e-11),
-        (0.8, 2.5e-11), (0.9, 2.4e-12), (1.0, 0.0),
-    ))
 
 
 _P7_ROW = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0])
@@ -279,44 +201,61 @@ def _partials_7(x, y):
     return rows
 
 
-def problem_7() -> BenchmarkEntry:
-    """Linear, all derivative orders present, exact y = (x^2 - 1) sin x on [0, 1].
-
-    y^(8) + y^(7) + 2 (y^(6) + y^(5) + y^(4) + y''' + y'') + y' + y
-        = 14 cos x - 16 sin x - 4 x sin x.
-    """
-    bc = BoundaryConditions.from_callable(0.0, 1.0, _exact_3)
-    problem = BvpProblem("p7", bc, _residual_7, is_linear=True, partials=_partials_7,
-                         exact=_exact_3)
-    return _entry(problem, None)
-
-
-PROBLEM_FACTORIES = {
-    "p1": problem_1,
-    "p2": problem_2,
-    "p3": problem_3,
-    "p4": problem_4,
-    "p5": problem_5,
-    "p6": problem_6,
-    "p7": problem_7,
+#: name: (x_f, residual, is_linear, partials, exact, reference rows), each problem on [0, x_f].
+#: The reference rows are the published errors at the table rows 0, 0.1, .., 1, None where a
+#: row was not reported, or None for a problem with no comparison column.
+_TABLE = {
+    # y^(8) - y = -8 e^x, exact y = (1 - x) e^x.
+    "p1": (1.0, _residual_1, True, _unit_partials, _exact_1,
+           (0.0, 6.3e-11, 6.5e-10, 2.0e-09, 3.3e-09, 3.9e-09, 3.4e-09, 2.0e-09, 6.9e-10,
+            7.6e-11, 0.0)),
+    # y^(8) + x y = -(x^3 + 15 x + 48) e^x, exact y = x (1 - x) e^x.
+    "p2": (1.0, _residual_2, True, _partials_2, _exact_2,
+           (0.0, 1.63e-10, 1.63e-09, 4.90e-09, 8.46e-09, 1.01e-08, 8.68e-09, 5.15e-09,
+            1.76e-09, None, 0.0)),
+    # y^(8) - y = -8 (2 x cos x + 7 sin x), exact y = (x^2 - 1) sin x.
+    "p3": (1.0, _residual_3, True, _unit_partials, _exact_3,
+           (0.0, 6.6e-12, 6.9e-11, 2.1e-10, 3.5e-10, 4.1e-10, 3.5e-10, 2.1e-10, 7.2e-11,
+            8.0e-12, 0.0)),
+    # y^(8) + y''' sin(y) = e^x (1 + sin(e^x)), exact y = e^x.
+    "p4": (1.0, _residual_4, False, _partials_4, _exact_4,
+           (0.0, 2.503395e-06, 8.940697e-06, 1.561642e-05, 1.823902e-05, 8.821487e-06,
+            7.510185e-06, 1.883507e-05, 1.931190e-05, 1.168251e-05, 0.0)),
+    # y^(8) = 7! (e^{-8y} - 2 / (1 + x)^8) on [0, sqrt(e) - 1], exact y = ln(1 + x).  The
+    # published table labels its rows 0..1 as elsewhere, so labels are row positions, not x
+    # values; it prints the 0.8 row as a malformed "5.45-06", restored here as 5.45e-06.
+    "p5": (math.expm1(0.5), _residual_5, False, _partials_5, _exact_5,
+           (0.0, 2.01e-07, 4.54e-07, 1.52e-06, 4.07e-06, 6.71e-06, 9.06e-06, 1.00e-05,
+            5.45e-06, 2.59e-06, 0.0)),
+    # y^(8) + e^{-x} y^2 = e^{-x} + e^{-3x}, exact y = e^{-x}.
+    "p6": (1.0, _residual_6, False, _partials_6, _exact_6,
+           (0.0, 2.9e-12, 2.7e-11, 7.6e-11, 1.3e-10, 1.5e-10, 1.3e-10, 7.6e-11, 2.5e-11,
+            2.4e-12, 0.0)),
+    # y^(8) + y^(7) + 2 (y^(6) + y^(5) + y^(4) + y''' + y'') + y' + y
+    #     = 14 cos x - 16 sin x - 4 x sin x, exact y = (x^2 - 1) sin x.
+    "p7": (1.0, _residual_7, True, _partials_7, _exact_3, None),
 }
 
-PROBLEM_NAMES = tuple(PROBLEM_FACTORIES)
+PROBLEM_NAMES = tuple(_TABLE)
 
 
 def benchmark(name: str) -> BenchmarkEntry:
-    """Look up one benchmark entry by name (p1..p7)."""
+    """The benchmark entry of one name (p1..p7), built from its table row."""
     try:
-        factory = PROBLEM_FACTORIES[name]
+        x_f, residual, is_linear, partials, exact, rows = _TABLE[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigurationError(
             f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}"
         ) from None
-    return factory()
+    bc = BoundaryConditions.from_callable(0.0, x_f, exact)
+    problem = BvpProblem(name, bc, residual, is_linear, partials, exact)
+    reference = None if rows is None else tuple(
+        (k / 10.0, error) for k, error in enumerate(rows) if error is not None)
+    return BenchmarkEntry(problem, reference)
 
 
 def all_benchmarks() -> dict[str, BenchmarkEntry]:
-    return {name: factory() for name, factory in PROBLEM_FACTORIES.items()}
+    return {name: benchmark(name) for name in PROBLEM_NAMES}
 
 
 def derivative_errors(sol: Solution, n_error_points: int = 11) -> np.ndarray:

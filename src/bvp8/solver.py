@@ -2,9 +2,9 @@
 
 Substituting the constrained expression into the ODE residual and sampling
 on the collocation grid turns the problem into unconstrained least squares in
-the coefficient vector xi: one least-squares shot for linear problems,
-Gauss-Newton for nonlinear ones.  Boundary conditions never enter the
-iteration; they are already embedded in the expression.
+the coefficient vector xi, solved by Gauss-Newton; a linear problem stops after
+its first step, which is its least-squares solution.  Boundary conditions never
+enter the iteration; they are already embedded in the expression.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class SolveReport(ReadOnlyArrays):
     """Outcome of one solve: coefficients, iteration trace, stop reason.
 
     residual_norm_history[0] is the norm at xi = 0 and one entry follows per
-    accepted step (a linear solve's one shot is one); its last entry is
-    `solution_norm`, the norm at the returned xi.  It falls at every step but a
+    accepted step (a linear solve's one full step is one); `solution_norm` is its
+    last entry, the norm at the returned xi.  It falls at every step but a
     converging last one, which may raise it by at most its roundoff floor (see
     _gauss_newton).  `iterations` counts the steps computed; a step that stalled,
     or a converged one that would raise the norm past that floor, is not applied
@@ -161,8 +161,12 @@ class SolveReport(ReadOnlyArrays):
     iterations: int
     residual_norm_history: np.ndarray
     converged_by: StopReason
-    solution_norm: float
     used_fd_partials: bool = False
+
+    @property
+    def solution_norm(self) -> float:
+        """The residual norm at the returned xi: residual_norm_history[-1]."""
+        return float(self.residual_norm_history[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,19 +280,27 @@ class _CollocationTables:
 
 def _fd_partials(residual: Callable) -> Callable:
     """Central-difference fallback for dF/dy^{(d)}: two residual calls per order, each on a
-    read-only state matrix as BvpProblem promises, and each named in an EvaluationError."""
+    read-only state matrix as BvpProblem promises, and each named in an EvaluationError.
+
+    Each node steps y^{(d)} by _FD_STEP * max(1, |y^{(d)}|), so no step vanishes in a state
+    above about 1e9, and y^{(8)} by _FD_STEP * max(1, max_d |y^{(d)}|): y^{(8)} is 0 at xi = 0
+    and balances the equation's other terms, whose rounding a smaller step would not pass.
+    Where every |y^{(d)}| <= 1 each step is 1e-7."""
     name = "residual (finite-difference partials)"
 
     def partials(x, y):
+        y = np.asarray(y, dtype=float)
+        step = np.maximum(1.0, np.abs(y))
+        step[MAX_ORDER] = step.max(axis=0)
+        step *= _FD_STEP
         out = np.empty(np.shape(x) + (MAX_ORDER + 1,))
         for d in range(MAX_ORDER + 1):
-            hi = np.array(y, dtype=float)
-            lo = np.array(y, dtype=float)
-            hi[d] += _FD_STEP
-            lo[d] -= _FD_STEP
+            hi, lo = y.copy(), y.copy()
+            hi[d] += step[d]
+            lo[d] -= step[d]
             hi.flags.writeable = lo.flags.writeable = False
             out[..., d] = (call_callback(name, residual, x, hi)
-                           - call_callback(name, residual, x, lo)) / (2.0 * _FD_STEP)
+                           - call_callback(name, residual, x, lo)) / (2.0 * step[d])
         return out
 
     return partials
@@ -484,20 +496,16 @@ def _line_search(tables, xi, step, norm, decrease, shortest=_MIN_STEP_LENGTH):
     return None
 
 
-def _single_shot(tables, start):
-    """One shot xi = lstsq(a, -b) by tables.step, for the affine loss a xi + b read at xi = 0."""
-    _, states, b, norm = start
-    xi, a_xi = tables.step(states, -b)
-    return xi, 1, [norm, _norm(a_xi + b)], StopReason.LINEAR_SINGLE_SHOT
-
-
-def _gauss_newton(tables, start, max_iterations):
+def _gauss_newton(tables, start, max_iterations, linear):
     """Gauss-Newton from the evaluated start with a backtracking line search.
 
-    Each step solves lstsq(J, loss) for the update by tables.step.  When the
-    full update is below _STEP_TOL * (1 + ||xi||) the solve has converged;
-    that last update is applied unless it raises the residual norm past the
-    roundoff floor _FLOOR_EPS * eps * ||y^(8)||_2, y^(8) at the current nodes.
+    Each step solves lstsq(J, loss) for the update by tables.step.  A linear
+    problem's loss is affine in xi, so its first full update is its least-squares
+    solution: that update is applied, with the norm ||loss - J step|| and no
+    residual call, and the solve stops as linear_single_shot.  When the full
+    update is below _STEP_TOL * (1 + ||xi||) the solve has converged; that last
+    update is applied unless it raises the residual norm past the roundoff
+    floor _FLOOR_EPS * eps * ||y^(8)||_2, y^(8) at the current nodes.
     Otherwise the update is halved until the Armijo test passes (a trial
     whose residual raises or is not finite fails it); if none down to 1e-8
     passes, the solve stops as stalled.  Stalling and the iteration cap are
@@ -511,7 +519,10 @@ def _gauss_newton(tables, start, max_iterations):
     while iterations < max_iterations:
         iterations += 1
         step, j_step = tables.step(states, loss)
-        if _norm(step) <= _STEP_TOL * (1.0 + _norm(xi)):
+        if linear:
+            converged_by = StopReason.LINEAR_SINGLE_SHOT
+            found = xi - step, None, None, _norm(loss - j_step)
+        elif _norm(step) <= _STEP_TOL * (1.0 + _norm(xi)):
             converged_by = StopReason.CONVERGED
             floor = _FLOOR_EPS * math.ulp(1.0) * _norm(states[MAX_ORDER])
             found = _line_search(tables, xi, step, norm + floor, 0.0, shortest=1.0)
@@ -529,19 +540,17 @@ def _gauss_newton(tables, start, max_iterations):
 
 
 def solve(problem: BvpProblem, config: Optional[SolverConfig] = None) -> Solution:
-    """Solve from xi = 0 by one least-squares shot if problem.is_linear, else by Gauss-Newton.
+    """Solve from xi = 0 by Gauss-Newton, which stops after its first step if problem.is_linear.
 
-    Both rules share one set-up and one residual evaluation at xi = 0.  Replace
-    the problem with is_linear=False to run Gauss-Newton on a linear problem.
+    Replace the problem with is_linear=False to iterate on a linear problem too.
     """
     with np.errstate(all="ignore"):  # one error state for every callback, norm and step
         tables = _CollocationTables(problem, config)
         config = tables.config
         start = tables.evaluate(np.zeros(config.m_basis))
-        xi, iterations, history, converged_by = (
-            _single_shot(tables, start) if problem.is_linear
-            else _gauss_newton(tables, start, config.max_iterations))
+        xi, iterations, history, converged_by = _gauss_newton(
+            tables, start, config.max_iterations, problem.is_linear)
     norms = np.array(history)
     xi.flags.writeable = norms.flags.writeable = False  # owned and read-only: the report keeps both
-    report = SolveReport(xi, iterations, norms, converged_by, history[-1], tables.used_fd)
+    report = SolveReport(xi, iterations, norms, converged_by, tables.used_fd)
     return Solution(problem, tables.expression, report, config)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bvp8.problems as problems_module
 from bvp8.errors import ConfigurationError
 from bvp8.problems import (
     PROBLEM_NAMES,
@@ -187,6 +188,66 @@ class TestRegistry:
         # Every callback is one module-level function, so the fields compare equal.
         assert benchmark(name).problem == benchmark(name).problem
         assert hash(benchmark(name).problem) == hash(benchmark(name).problem)
+
+
+UNIT_POINTS = [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6000000000000001,
+               0.7000000000000001, 0.8, 0.9, 1.0]
+TENTHS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+#: name: (domain, is_linear, residual, partials, exact, table points, reference rows) that each
+#: entry carries, as literals.
+ENTRIES = {
+    "p1": ((0.0, 1.0), True, "_residual_1", "_unit_partials", "_exact_1", UNIT_POINTS,
+           [0.0, 6.3e-11, 6.5e-10, 2e-09, 3.3e-09, 3.9e-09, 3.4e-09, 2e-09, 6.9e-10, 7.6e-11,
+            0.0]),
+    "p2": ((0.0, 1.0), True, "_residual_2", "_partials_2", "_exact_2", UNIT_POINTS,
+           [0.0, 1.63e-10, 1.63e-09, 4.9e-09, 8.46e-09, 1.01e-08, 8.68e-09, 5.15e-09, 1.76e-09,
+            None, 0.0]),
+    "p3": ((0.0, 1.0), True, "_residual_3", "_unit_partials", "_exact_3", UNIT_POINTS,
+           [0.0, 6.6e-12, 6.9e-11, 2.1e-10, 3.5e-10, 4.1e-10, 3.5e-10, 2.1e-10, 7.2e-11, 8e-12,
+            0.0]),
+    "p4": ((0.0, 1.0), False, "_residual_4", "_partials_4", "_exact_4", UNIT_POINTS,
+           [0.0, 2.503395e-06, 8.940697e-06, 1.561642e-05, 1.823902e-05, 8.821487e-06,
+            7.510185e-06, 1.883507e-05, 1.93119e-05, 1.168251e-05, 0.0]),
+    "p5": ((0.0, 0.6487212707001282), False, "_residual_5", "_partials_5", "_exact_5",
+           [0.0, 0.06487212707001282, 0.12974425414002563, 0.19461638121003844,
+            0.25948850828005127, 0.3243606353500641, 0.38923276242007687, 0.4541048894900897,
+            0.5189770165601025, 0.5838491436301153, 0.6487212707001282],
+           [0.0, 2.01e-07, 4.54e-07, 1.52e-06, 4.07e-06, 6.71e-06, 9.06e-06, 1e-05, 5.45e-06,
+            2.59e-06, 0.0]),
+    "p6": ((0.0, 1.0), False, "_residual_6", "_partials_6", "_exact_6", UNIT_POINTS,
+           [0.0, 2.9e-12, 2.7e-11, 7.6e-11, 1.3e-10, 1.5e-10, 1.3e-10, 7.6e-11, 2.5e-11, 2.4e-12,
+            0.0]),
+    "p7": ((0.0, 1.0), True, "_residual_7", "_partials_7", "_exact_3", UNIT_POINTS, None),
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_entry_carries_its_pinned_fields(name):
+    domain, is_linear, residual, partials, exact, points, rows = ENTRIES[name]
+    entry = benchmark(name)
+    problem = entry.problem
+    assert problem.name == name and problem.domain == domain
+    assert problem.is_linear is is_linear
+    assert problem.residual is getattr(problems_module, residual)
+    assert problem.partials is getattr(problems_module, partials)
+    assert problem.exact is getattr(problems_module, exact)
+    assert entry.table_points.tobytes() == np.array(points).tobytes()
+    if rows is None:
+        assert entry.reference_errors is None
+    else:
+        assert entry.reference_errors == tuple(
+            (label, error) for label, error in zip(TENTHS, rows) if error is not None)
+    assert entry.reference_by_row() == (rows or [None] * TABLE_ROWS)
+
+
+def test_table_points_are_a_read_only_property():
+    # The points are the domain's, by definition, so they cannot disagree with it.
+    entry = benchmark("p5")
+    assert "table_points" not in {f.name for f in dataclasses.fields(entry)}
+    with pytest.raises(AttributeError):
+        entry.table_points = np.zeros(TABLE_ROWS)
+    assert entry.table_points.tobytes() == np.linspace(*entry.problem.domain, TABLE_ROWS).tobytes()
 
 
 def report_bytes(report) -> bytes:

@@ -1,4 +1,4 @@
-"""Tests for system assembly, least squares, and the two stepping rules of solve."""
+"""Tests for system assembly, least squares, and the one least-squares loop of solve."""
 
 import contextlib
 import copy
@@ -97,12 +97,21 @@ def test_report_arrays_are_read_only(copy_of):
 
 def test_report_keeps_read_only_copies_of_its_arrays():
     xi, history = np.arange(3.0), [2, 1]
-    report = SolveReport(xi, 1, history, StopReason.CONVERGED, 1.0)
+    report = SolveReport(xi, 1, history, StopReason.CONVERGED)
     xi[0] = 5.0
     assert xi.flags.writeable and report.xi.tolist() == [0.0, 1.0, 2.0]
     assert report.residual_norm_history.dtype == np.float64
     assert report.residual_norm_history.tolist() == [2.0, 1.0]
     assert not report.xi.flags.writeable and not report.residual_norm_history.flags.writeable
+
+
+def test_solution_norm_is_the_history_last_entry():
+    # A read-only property, not a field, so it cannot disagree with the history.
+    report = SolveReport(np.zeros(2), 2, [3.0, 2.0, 0.5], StopReason.CONVERGED)
+    assert "solution_norm" not in {f.name for f in dataclasses.fields(SolveReport)}
+    assert type(report.solution_norm) is float and report.solution_norm == 0.5
+    with pytest.raises(AttributeError):
+        report.solution_norm = 1.0
 
 
 def test_solve_hands_the_report_arrays_it_owns(monkeypatch):
@@ -433,6 +442,26 @@ def lstsq_step(a, rhs, precond):
     """_lstsq_step's step for J = a: K = a precond, and J as rows of ones times the table a."""
     k, rows = a @ precond, np.ones((len(a), 1))
     return solver_module._lstsq_step(k, rhs, precond, rows, a[None])[0]
+
+
+def single_shot(problem, config):
+    """(xi, iterations, history, stop reason) of a linear solve by the one least-squares shot
+    xi = lstsq(J, -b), b the loss at xi = 0, by the solve's own step: the oracle that a linear
+    problem's full first Gauss-Newton step, xi = 0 - lstsq(J, b), matches bit for bit."""
+    with np.errstate(all="ignore"):
+        tables = _CollocationTables(problem, config)
+        _, states, b, norm = tables.evaluate(np.zeros(tables.config.m_basis))
+        xi, a_xi = tables.step(states, -b)
+    return xi, 1, [norm, solver_module._norm(a_xi + b)], StopReason.LINEAR_SINGLE_SHOT
+
+
+def assert_single_shot(problem, config):
+    """The linear solve of problem under config is single_shot's, bit for bit."""
+    report = solve(problem, config).report
+    xi, iterations, history, stop = single_shot(problem, config)
+    assert report.xi.tobytes() == xi.tobytes()
+    assert report.iterations == iterations and report.converged_by is stop
+    assert report.residual_norm_history.tobytes() == np.array(history).tobytes()
 
 
 def preconditioned_step(problem, config, xi, rhs):
@@ -1016,6 +1045,18 @@ class TestSolveLinear:
         assert np.array_equal(r.xi, xi)
         want = [np.linalg.norm(b), np.linalg.norm(a_xi + b)]
         assert r.residual_norm_history.tolist() == want
+        assert_single_shot(problem, config)
+
+    def test_first_full_qr_step_is_the_single_shot(self, monkeypatch):
+        # p1's equation on [-3, 7]: the gate declines the step, so it is the QR's of J.
+        p1 = benchmark("p1").problem
+        problem = dataclasses.replace(
+            p1, bc=BoundaryConditions.from_callable(-3.0, 7.0, p1.exact))
+        calls = []
+        monkeypatch.setattr(solver_module, "lstsq_scaled_qr",
+                            lambda a, rhs: calls.append(a) or lstsq_scaled_qr(a, rhs))
+        assert_single_shot(problem, SolverConfig(31, 30))
+        assert len(calls) == 2  # the solve's step and the oracle's
 
     @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p7"])
     def test_benchmark_accuracy(self, name):
@@ -1172,6 +1213,23 @@ class TestSolveNonlinear:
         assert got.used_fd_partials and got.iterations == want.iterations
         assert np.array_equal(got.xi, want.xi)
         assert np.array_equal(got.residual_norm_history, want.residual_norm_history)
+
+    @pytest.mark.parametrize("is_linear", [True, False], ids=["linear", "gauss-newton"])
+    def test_fd_partials_on_large_states(self, is_linear):
+        # p1's equation on [18, 19], where |y^{(d)}| reaches 4e9 and y^(8) is 0 at xi = 0.
+        # An absolute step of 1e-7 vanishes in y there (SingularSystemError: column 0 of
+        # the system matrix is identically zero), and a y^(8) step of 1e-7 * max(1, |y^(8)|)
+        # in the equation's other terms (rank deficient at column 29).
+        p1 = benchmark("p1").problem
+        problem = dataclasses.replace(
+            p1, bc=BoundaryConditions.from_callable(18.0, 19.0, p1.exact), is_linear=is_linear)
+        config, x = SolverConfig(31, 30), np.linspace(18.0, 19.0, 201)
+        exact = p1.exact(x, 0)
+        fd = solve(dataclasses.replace(problem, partials=None), config)
+        assert fd.report.used_fd_partials
+        errors = [np.max(np.abs(sol(x) - exact)) / np.max(np.abs(exact))
+                  for sol in (solve(problem, config), fd)]
+        assert errors[0] <= 1e-15 and errors[1] <= 4.0 * max(errors[0], np.finfo(float).eps)
 
     def test_fd_partials_name_the_residual_that_raised(self):
         # The second residual call is the first of the finite differences.
